@@ -5,7 +5,7 @@ Pipeline stages, each usable on its own:
   scene_io     -- load/save point clouds, frames, instance manifests
   superpoints  -- layer-0 partition by seeded voxel region growing
   features     -- cosine similarity and noise-robust feature fusion
-  spatial      -- grid index, closest-pair queries, prior boxes
+  spatial      -- grid adjacency between labelled point sets, prior boxes
   objectness   -- 2D mask tracks across frames -> 3D prior boxes
   hierarchy    -- prior-guided merge rounds; object/part collection
   evaluation   -- class-agnostic instance segmentation AP
@@ -65,6 +65,6 @@ from .scene_io import (  # noqa: F401
     write_instances,
     write_scene,
 )
-from .spatial import PriorBox, SpatialGrid, closest_pair_distance  # noqa: F401
+from .spatial import PriorBox  # noqa: F401
 from .superpoints import SuperpointParams, build_superpoints  # noqa: F401
 from .synth import CameraModel, SynthObject, SynthSpec, generate, look_at  # noqa: F401

@@ -5,6 +5,11 @@ within T) and semantically similar (similarity rank within the top K fraction
 of this round's candidate pairs), vetoes pairs that straddle an objectness
 prior box, and unions the survivors into the next layer. Clusters that stop
 merging are the objects; the children that formed an object are its parts.
+
+Two clusters are adjacent after a union exactly when some pair of their
+members was adjacent before it, so point-level adjacency is computed once,
+between the layer-0 super-points, and each round contracts that edge list
+onto the next layer instead of scanning the points again.
 """
 
 import math
@@ -88,7 +93,8 @@ def candidate_pairs(layer, positions, t):
     """All (i, j, distance) with i < j and closest-point distance <= t.
 
     Grid accelerated: cluster pairs whose points never co-occupy adjacent
-    t-sized grid cells are never evaluated.
+    t-sized grid cells are never evaluated. run_hierarchy calls this once,
+    on layer 0; later layers get their pairs from contract_edges.
     """
     sets = _as_point_sets(layer)
     n_points = positions.shape[0]
@@ -102,6 +108,29 @@ def candidate_pairs(layer, positions, t):
     return sorted((i, j, d) for (i, j), d in dists.items())
 
 
+def _edge_array(pairs):
+    """(E, 2) int64 array of the (i, j) of candidate_pairs output."""
+    return np.array([(i, j) for i, j, _d in pairs], dtype=np.int64).reshape(-1, 2)
+
+
+def contract_edges(edges, next_layer):
+    """Adjacency edges of next_layer, given those of the layer it was built from.
+
+    Each endpoint maps to the next-layer cluster that lists it as a child;
+    self-loops are dropped and repeats collapse. The result is sorted
+    lexicographically with i < j, the order candidate_pairs returns.
+    """
+    parent = np.empty(sum(len(c.children) for c in next_layer), dtype=np.int64)
+    for k, cl in enumerate(next_layer):
+        parent[cl.children] = k
+    mapped = parent[edges]
+    lo, hi = mapped.min(axis=1), mapped.max(axis=1)
+    keep = lo < hi
+    n = len(next_layer)
+    keys = np.unique(lo[keep] * n + hi[keep])
+    return np.column_stack([keys // n, keys % n])
+
+
 def rank_filter(pairs_with_sims, k_fraction):
     """Keep the top ceil(K * n) pairs by similarity.
 
@@ -113,6 +142,36 @@ def rank_filter(pairs_with_sims, k_fraction):
     return ranked[:n_keep]
 
 
+def _box_membership(boxes, positions):
+    """(N, B) bool matrix: point n lies inside box b."""
+    if not boxes:
+        return np.zeros((positions.shape[0], 0), dtype=bool)
+    return np.column_stack([box.contains(positions) for box in boxes])
+
+
+def _inside_fractions(point_sets, contains):
+    """(C, B) fraction of each point set's points inside each box.
+
+    Equals PriorBox.fraction_inside exactly: both are count / size in
+    float64. An empty set reads 0.0.
+    """
+    sizes = np.array([ids.size for ids in point_sets], dtype=np.int64)
+    labels = np.repeat(np.arange(len(point_sets)), sizes)
+    members = contains[np.concatenate(point_sets)]
+    counts = np.zeros((len(point_sets), contains.shape[1]))
+    for b in range(contains.shape[1]):
+        counts[:, b] = np.bincount(labels, weights=members[:, b], minlength=len(point_sets))
+    return counts / np.maximum(sizes, 1)[:, None]
+
+
+def _separated(fa, fb, inside_frac, outside_frac):
+    """Veto rule over the last axis: some box holds one cluster, excludes the other."""
+    return (
+        ((fa >= inside_frac) & (fb <= outside_frac))
+        | ((fb >= inside_frac) & (fa <= outside_frac))
+    ).any(axis=-1)
+
+
 def stop_criteria(a_ids, b_ids, boxes, positions, inside_frac=0.9, outside_frac=0.1):
     """True when some prior box separates the two clusters.
 
@@ -120,18 +179,9 @@ def stop_criteria(a_ids, b_ids, boxes, positions, inside_frac=0.9, outside_frac=
     (fraction of points >= inside_frac) and the other essentially outside
     (fraction <= outside_frac).
     """
-    if not boxes:
-        return False
-    pa = positions[np.asarray(a_ids, dtype=np.int64)]
-    pb = positions[np.asarray(b_ids, dtype=np.int64)]
-    for box in boxes:
-        fa = box.fraction_inside(pa)
-        fb = box.fraction_inside(pb)
-        if (fa >= inside_frac and fb <= outside_frac) or (
-            fb >= inside_frac and fa <= outside_frac
-        ):
-            return True
-    return False
+    sets = [np.asarray(a_ids, dtype=np.int64), np.asarray(b_ids, dtype=np.int64)]
+    fa, fb = _inside_fractions(sets, _box_membership(boxes, positions))
+    return bool(_separated(fa, fb, inside_frac, outside_frac))
 
 
 class _DisjointSet:
@@ -161,7 +211,8 @@ def _cluster_feature(point_features, ids):
         return np.zeros(point_features.shape[1], dtype=np.float32)
 
 
-def run_layer(clusters, feats, point_features, positions, boxes, params):
+def run_layer(clusters, feats, point_features, positions, boxes, params,
+              edges=None, contains=None):
     """One merge round: returns (next clusters, next features, LayerLog).
 
     Candidate pairs (distance <= T, both features non-zero) are ranked by
@@ -169,18 +220,25 @@ def run_layer(clusters, feats, point_features, positions, boxes, params):
     are dropped, and the rest are unioned transitively. Untouched clusters
     carry forward with single-child lineage. Features of merged clusters are
     re-fused from their member point features.
+
+    edges is this layer's (E, 2) adjacency as kept by run_hierarchy (layer-0
+    pairs contracted round by round); without it the pairs are found from
+    the points with candidate_pairs. contains is the point-by-box membership
+    matrix; without it it is computed from boxes.
     """
     layer_idx = clusters[0].layer if clusters else 0
-    pairs = candidate_pairs(clusters, positions, params.T)
+    if edges is None:
+        edges = _edge_array(candidate_pairs(clusters, positions, params.T))
+    if contains is None:
+        contains = _box_membership(boxes, positions)
 
     f64 = feats.astype(np.float64)
     norms = np.linalg.norm(f64, axis=1)
     sim_pairs = []
-    if pairs:
-        ii = np.array([p[0] for p in pairs])
-        jj = np.array([p[1] for p in pairs])
+    if edges.size:
+        ii, jj = edges[:, 0], edges[:, 1]
         ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
-        sims = np.zeros(len(pairs))
+        sims = np.zeros(len(edges))
         sims[ok] = np.clip(
             (f64[ii[ok]] * f64[jj[ok]]).sum(axis=1) / (norms[ii[ok]] * norms[jj[ok]]),
             -1.0, 1.0,
@@ -191,24 +249,15 @@ def run_layer(clusters, feats, point_features, positions, boxes, params):
     ranked = rank_filter(sim_pairs, params.K_fraction)
 
     log = LayerLog(n_candidates=len(sim_pairs))
-    phi = {}
-
-    def phi_of(idx):
-        if idx not in phi:
-            pts = positions[clusters[idx].point_ids]
-            phi[idx] = np.array([b.fraction_inside(pts) for b in boxes])
-        return phi[idx]
+    vetoed = np.zeros(len(ranked), dtype=bool)
+    if ranked:
+        phi = _inside_fractions([c.point_ids for c in clusters], contains)
+        ri = np.array([p[0] for p in ranked])
+        rj = np.array([p[1] for p in ranked])
+        vetoed = _separated(phi[ri], phi[rj], params.inside_frac, params.outside_frac)
 
     dsu = _DisjointSet(len(clusters))
-    for i, j, _s in ranked:
-        if boxes:
-            fa, fb = phi_of(i), phi_of(j)
-            separated = (
-                ((fa >= params.inside_frac) & (fb <= params.outside_frac))
-                | ((fb >= params.inside_frac) & (fa <= params.outside_frac))
-            ).any()
-        else:
-            separated = False
+    for (i, j, _s), separated in zip(ranked, vetoed):
         if separated:
             log.rejected_stop.append((i, j))
         else:
@@ -265,18 +314,24 @@ def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
         dtype=np.float32,
     )
 
+    # The only point-level adjacency scan; later rounds contract its edges.
+    edges = _edge_array(candidate_pairs(clusters, positions, params.T))
+    contains = _box_membership(boxes, positions)
+
     layers = [clusters]
     features = [feats]
     merge_log = []
     while len(layers) < params.max_layers:
         nxt, nxt_feats, log = run_layer(
-            layers[-1], features[-1], point_features, positions, boxes, params
+            layers[-1], features[-1], point_features, positions, boxes, params,
+            edges=edges, contains=contains,
         )
         if not log.accepted:
             break
         layers.append(nxt)
         features.append(nxt_feats)
         merge_log.append(log)
+        edges = contract_edges(edges, nxt)
     return Hierarchy(layers=layers, features=features, merge_log=merge_log)
 
 

@@ -1,9 +1,11 @@
-"""Uniform-grid spatial index: closest-pair distances and box containment.
+"""Uniform-grid adjacency between labelled point sets, and prior boxes.
 
-The grid buckets points into cubic cells. Two points closer than one cell
-width always land in the same or adjacent cells, so adjacency queries only
-scan a 3x3x3 neighborhood, and closest-pair queries widen the scanned shell
-until the best candidate provably cannot be beaten.
+Points are bucketed into cubic cells one cutoff wide. Two points within the
+cutoff always land in the same or adjacent cells, so ``labeled_close_pairs``
+finds every label pair with some point pair within the cutoff by pairing
+each occupied cell with itself and with 13 of its 26 neighbours (the other
+13 see the same unordered point pairs from the opposite side), then checking
+the points of those cell pairs.
 """
 
 import math
@@ -11,97 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Pairs farther apart than this can never satisfy the merge adjacency
-# threshold, so the grid search gives up and reports "far".
-DEFAULT_MAX_DISTANCE = 1.0
-
-FAR = math.inf
-
-_shell_cache = {}
-
-
-def _shell_offsets(r):
-    """Integer offsets at Chebyshev radius exactly r (cached)."""
-    if r not in _shell_cache:
-        if r == 0:
-            offs = np.zeros((1, 3), dtype=np.int64)
-        else:
-            rng = np.arange(-r, r + 1)
-            grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-            offs = grid[np.abs(grid).max(axis=1) == r]
-        _shell_cache[r] = offs
-    return _shell_cache[r]
-
-
-class SpatialGrid:
-    """Hash grid over a fixed point set; read-only after construction."""
-
-    def __init__(self, positions, cell_size):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.cell_size = float(cell_size)
-        cells = np.floor(self.positions / self.cell_size).astype(np.int64)
-        self._cells = cells
-        self._buckets = {}
-        for idx, c in enumerate(map(tuple, cells)):
-            self._buckets.setdefault(c, []).append(idx)
-        self._buckets = {c: np.asarray(ids, dtype=np.int64) for c, ids in self._buckets.items()}
-
-    def cell_of(self, i):
-        return tuple(self._cells[i])
-
-    def points_in_shell(self, center, r):
-        """Point ids stored in cells at Chebyshev radius exactly r of center."""
-        out = []
-        for off in _shell_offsets(r):
-            ids = self._buckets.get((center[0] + off[0], center[1] + off[1], center[2] + off[2]))
-            if ids is not None:
-                out.append(ids)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-
-def closest_pair_distance(a_ids, b_ids, grid, d_max=DEFAULT_MAX_DISTANCE):
-    """Exact min distance between two disjoint point-id sets, or FAR.
-
-    Scans grid shells of growing radius around each point of the smaller set.
-    A point in an unscanned shell at radius r is at least (r-1)*cell away, so
-    once the best candidate is closer than that bound the scan stops. Pairs
-    farther than d_max are reported as FAR (math.inf).
-    """
-    a_ids = np.asarray(a_ids, dtype=np.int64)
-    b_ids = np.asarray(b_ids, dtype=np.int64)
-    if a_ids.size == 0 or b_ids.size == 0:
-        return FAR
-    if a_ids.size > b_ids.size:
-        a_ids, b_ids = b_ids, a_ids
-
-    in_b = np.zeros(grid.positions.shape[0], dtype=bool)
-    in_b[b_ids] = True
-
-    cell = grid.cell_size
-    max_r = int(math.ceil(d_max / cell)) + 1
-    best = FAR
-    pos = grid.positions
-    for i in a_ids:
-        p = pos[i]
-        center = grid.cell_of(i)
-        r = 0
-        while r <= max_r:
-            # Unscanned shells can only hold points at >= (r-1)*cell.
-            if (r - 1) * cell > min(best, d_max):
-                break
-            cand = grid.points_in_shell(center, r)
-            if cand.size:
-                cand = cand[in_b[cand]]
-                if cand.size:
-                    d = np.linalg.norm(pos[cand] - p, axis=1).min()
-                    if d < best:
-                        best = d
-            r += 1
-    return best if best <= d_max else FAR
+# The 13 neighbour offsets that are lexicographically positive: every other
+# neighbour is the negation of one of them.
+_HALF_OFFSETS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) > (0, 0, 0)
+]
 
 
 def _encode_cells(cells):
@@ -117,9 +37,12 @@ def labeled_close_pairs(positions, labels, cutoff):
 
     Returns a dict {(la, lb): min distance} with la < lb. Exact for every
     returned pair: any two points within cutoff sit in the same or adjacent
-    cells of a cutoff-sized grid, so the 27-neighborhood scan sees all of
-    them. Label pairs whose closest points are farther than cutoff never
-    appear (and are never evaluated pointwise).
+    cells of a cutoff-sized grid, and each such unordered point pair is
+    visited exactly once, either within its own cell (i < j) or through one
+    of the 13 half-neighbourhood offsets. Label pairs whose closest points
+    are farther than cutoff never appear (and are never evaluated pointwise).
+    Cell pairs whose points all carry one and the same label are skipped
+    before any pointwise check.
     """
     positions = np.asarray(positions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -130,58 +53,61 @@ def labeled_close_pairs(positions, labels, cutoff):
     cells = np.floor(positions / cutoff).astype(np.int64)
     keys, lo, span = _encode_cells(cells)
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-    ends = np.append(starts[1:], n)
+    cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    n_cells = cell_keys.size
+    cell_coord = cells[order[starts]] - lo
+    # Two cells whose points all carry one and the same label hold no pair.
+    sorted_labels = labels[order]
+    cell_label = sorted_labels[starts]
+    uniform = np.minimum.reduceat(sorted_labels, starts) == np.maximum.reduceat(
+        sorted_labels, starts
+    )
 
     cutoff2 = cutoff * cutoff
-    shifted = cells - lo
     base_lab = int(labels.max()) + 1
     pair_keys_acc = []
     dists_acc = []
 
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                nc = shifted + (dx, dy, dz)
-                valid = ((nc >= 0) & (nc < span)).all(axis=1)
-                if not valid.any():
-                    continue
-                src = np.flatnonzero(valid)
-                nk = (nc[src, 0] * span[1] + nc[src, 1]) * span[2] + nc[src, 2]
-                ui = np.searchsorted(uniq_keys, nk)
-                ok = (ui < uniq_keys.size) & (uniq_keys[np.minimum(ui, uniq_keys.size - 1)] == nk)
-                src, ui = src[ok], ui[ok]
-                if src.size == 0:
-                    continue
-                s, e = starts[ui], ends[ui]
-                counts = e - s
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                i_rep = np.repeat(src, counts)
-                base = np.repeat(s, counts)
-                local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                j_idx = order[base + local]
+    for offset in [(0, 0, 0)] + _HALF_OFFSETS:
+        # Occupied cell pairs (ca, cb) at this offset.
+        nc = cell_coord + offset
+        ca = np.flatnonzero(((nc >= 0) & (nc < span)).all(axis=1))
+        nk = (nc[ca, 0] * span[1] + nc[ca, 1]) * span[2] + nc[ca, 2]
+        cb = np.searchsorted(cell_keys, nk)
+        hit = (cb < n_cells) & (cell_keys[np.minimum(cb, n_cells - 1)] == nk)
+        ca, cb = ca[hit], cb[hit]
+        same = uniform[ca] & uniform[cb] & (cell_label[ca] == cell_label[cb])
+        ca, cb = ca[~same], cb[~same]
+        if ca.size == 0:
+            continue
 
-                keep = i_rep < j_idx
-                i_rep, j_idx = i_rep[keep], j_idx[keep]
-                if i_rep.size == 0:
-                    continue
-                la, lb = labels[i_rep], labels[j_idx]
-                keep = la != lb
-                i_rep, j_idx, la, lb = i_rep[keep], j_idx[keep], la[keep], lb[keep]
-                if i_rep.size == 0:
-                    continue
-                d2 = ((positions[i_rep] - positions[j_idx]) ** 2).sum(axis=1)
-                keep = d2 <= cutoff2
-                if not keep.any():
-                    continue
-                la, lb, d2 = la[keep], lb[keep], d2[keep]
-                lo_lab = np.minimum(la, lb)
-                hi_lab = np.maximum(la, lb)
-                pair_keys_acc.append(lo_lab * base_lab + hi_lab)
-                dists_acc.append(d2)
+        # Every point of ca against every point of cb.
+        nb = counts[cb]
+        sizes = counts[ca] * nb
+        total = int(sizes.sum())
+        pair = np.repeat(np.arange(ca.size), sizes)
+        k = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        nb = nb[pair]
+        i_rep = order[starts[ca][pair] + k // nb]
+        j_idx = order[starts[cb][pair] + k % nb]
+
+        if offset == (0, 0, 0):
+            keep = i_rep < j_idx
+            i_rep, j_idx = i_rep[keep], j_idx[keep]
+        la, lb = labels[i_rep], labels[j_idx]
+        keep = la != lb
+        i_rep, j_idx, la, lb = i_rep[keep], j_idx[keep], la[keep], lb[keep]
+        if i_rep.size == 0:
+            continue
+        d2 = ((positions[i_rep] - positions[j_idx]) ** 2).sum(axis=1)
+        keep = d2 <= cutoff2
+        if not keep.any():
+            continue
+        la, lb, d2 = la[keep], lb[keep], d2[keep]
+        lo_lab = np.minimum(la, lb)
+        hi_lab = np.maximum(la, lb)
+        pair_keys_acc.append(lo_lab * base_lab + hi_lab)
+        dists_acc.append(d2)
 
     if not pair_keys_acc:
         return {}

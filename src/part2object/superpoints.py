@@ -33,6 +33,10 @@ _OFFSETS_26 = np.array(
     dtype=np.int64,
 )
 
+# (point, seed) pairs per nearest-centroid fallback block: the block's
+# (rows, seeds, 3) float64 temporary stays near 6 MB however many seeds exist.
+_FALLBACK_BLOCK_ELEMS = 1 << 18
+
 
 @dataclass
 class SuperpointParams:
@@ -203,8 +207,9 @@ def build_superpoints(cloud, params=None):
     # Voxels unreachable from every seed: nearest seed centroid per point.
     missing = np.flatnonzero(point_seed < 0)
     if missing.size:
-        for start in range(0, missing.size, 4096):
-            blk = missing[start : start + 4096]
+        rows = max(1, _FALLBACK_BLOCK_ELEMS // n_seeds)
+        for start in range(0, missing.size, rows):
+            blk = missing[start : start + rows]
             d = np.linalg.norm(pos[blk, None, :] - seed_centroid[None, :, :], axis=2)
             point_seed[blk] = d.argmin(axis=1)
 

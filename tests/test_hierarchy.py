@@ -441,6 +441,138 @@ def test_hierarchy_json_round_trip(scene_hierarchy):
 
 
 # ---------------------------------------------------------------------------
+# adjacency contracted round by round instead of rescanned from the points
+
+
+def layer_edges(layer, positions, t):
+    return hi._edge_array(hi.candidate_pairs(layer, positions, t))
+
+
+def assert_contraction_exact(layers, positions, t):
+    edges = layer_edges(layers[0], positions, t)
+    for nxt in layers[1:]:
+        edges = hi.contract_edges(edges, nxt)
+        assert edges.dtype == np.int64 and edges.shape[1] == 2
+        assert np.array_equal(edges, layer_edges(nxt, positions, t))
+
+
+def random_merge(rng, layer):
+    """Next layer from random groups, ordered and indexed the way run_layer does."""
+    group_of = rng.integers(0, max(1, len(layer) // 2), size=len(layer))
+    groups = {}
+    for i, g in enumerate(group_of):
+        groups.setdefault(int(g), []).append(i)
+    nxt = []
+    for children in sorted(groups.values(), key=min):
+        ids = np.sort(np.concatenate([layer[c].point_ids for c in children]))
+        nxt.append(hi.Cluster(layer[0].layer + 1, len(nxt), ids, children=children))
+    return nxt
+
+
+def test_contracted_edges_match_candidate_pairs_on_random_layers():
+    from conftest import random_partition, sets_from_labels
+
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n_clusters = int(rng.integers(2, 40))
+        n = n_clusters * int(rng.integers(3, 9))
+        pos = rng.random((n, 3)) * 0.5
+        sets = sets_from_labels(random_partition(rng, n, n_clusters), n_clusters)
+        layers = [[hi.Cluster(0, i, ids) for i, ids in enumerate(sets)]]
+        while len(layers[-1]) > 1:
+            layers.append(random_merge(rng, layers[-1]))
+        assert_contraction_exact(layers, pos, 0.06)
+
+
+@pytest.fixture(scope="module")
+def synth_hierarchies():
+    """c3-style random scenes (with and without a room) and a three-block room."""
+    from conftest import three_block_spec
+    from part2object import objectness, synth
+    from part2object.superpoints import build_superpoints
+    from test_acceptance import random_scene_spec
+
+    rng = np.random.default_rng(303)
+    specs = [random_scene_spec(rng) for _ in range(4)]
+    specs.append(three_block_spec(seed=13, room=(4.0, 4.0, 1.5), points_per_m2=800.0))
+    assert any(spec.room is not None for spec in specs[:4])
+    params = hi.MergeParams(min_object_points=20)
+    out = []
+    for spec in specs:
+        cloud, _gt, frames = synth.generate(spec)
+        layer0 = build_superpoints(cloud)
+        boxes = objectness.build_priors(cloud, frames)
+        out.append((cloud, layer0, boxes, params,
+                    hi.run_hierarchy(layer0, cloud, boxes, params)))
+    return out
+
+
+def test_contracted_edges_match_candidate_pairs_on_synth_scenes(synth_hierarchies):
+    for cloud, _layer0, _boxes, params, h in synth_hierarchies:
+        assert len(h.layers) > 1
+        assert_contraction_exact(h.layers, cloud.positions.astype(np.float64), params.T)
+
+
+def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
+    for cloud, layer0, boxes, params, h in synth_hierarchies:
+        positions = cloud.positions.astype(np.float64)
+        point_feats = cloud.semantic_features
+        layers = [[hi.Cluster(0, i, np.sort(ids)) for i, ids in enumerate(layer0)]]
+        features = [np.asarray([hi._cluster_feature(point_feats, c.point_ids)
+                                for c in layers[0]], dtype=np.float32)]
+        merge_log = []
+        while len(layers) < params.max_layers:
+            # No edges passed: run_layer scans the points of this layer.
+            nxt, nxt_feats, log = hi.run_layer(
+                layers[-1], features[-1], point_feats, positions, boxes, params
+            )
+            if not log.accepted:
+                break
+            layers.append(nxt)
+            features.append(nxt_feats)
+            merge_log.append(log)
+        ref = hi.Hierarchy(layers=layers, features=features, merge_log=merge_log)
+        assert hi.hierarchy_to_dict(h) == hi.hierarchy_to_dict(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(h.features, ref.features))
+
+
+def test_run_hierarchy_scans_points_once(monkeypatch, three_block_scene):
+    from part2object.superpoints import build_superpoints
+
+    cloud, gt, _frames = three_block_scene
+    pos = cloud.positions.astype(np.float64)
+    boxes = [
+        PriorBox(pos[i.point_ids].min(axis=0), pos[i.point_ids].max(axis=0))
+        for i in gt.instances
+    ]
+    calls = []
+    real = hi.labeled_close_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hi, "labeled_close_pairs", counting)
+    h = hi.run_hierarchy(build_superpoints(cloud), cloud, boxes,
+                         hi.MergeParams(min_object_points=30))
+    assert len(h.merge_log) >= 2
+    assert len(calls) == 1
+
+
+def test_inside_fractions_equal_fraction_inside():
+    rng = np.random.default_rng(8)
+    pos = rng.random((300, 3))
+    boxes = []
+    for _ in range(4):
+        corners = np.sort(rng.random((2, 3)), axis=0)
+        boxes.append(PriorBox(corners[0], corners[1]))
+    sets = [np.flatnonzero(rng.random(300) < 0.2) for _ in range(6)] + [np.empty(0, int)]
+    got = hi._inside_fractions(sets, hi._box_membership(boxes, pos))
+    want = [[box.fraction_inside(pos[ids]) for box in boxes] for ids in sets]
+    assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # object and part collection
 
 

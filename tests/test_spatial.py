@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from part2object.spatial import (
-    FAR,
-    PriorBox,
-    SpatialGrid,
-    closest_pair_distance,
-    labeled_close_pairs,
-)
+from part2object.spatial import PriorBox, labeled_close_pairs
 
 
 def brute_min_distance(pa, pb):
@@ -18,44 +12,6 @@ def brute_min_distance(pa, pb):
         for q in pb:
             best = min(best, float(np.linalg.norm(p - q)))
     return best
-
-
-def test_adjacent_pair_direct():
-    pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
-    grid = SpatialGrid(pts, 0.05)
-    assert closest_pair_distance([0], [1], grid) == pytest.approx(0.01, abs=1e-9)
-
-
-def test_far_pair_is_sentinel():
-    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    grid = SpatialGrid(pts, 0.05)
-    assert closest_pair_distance([0], [1], grid, d_max=1.0) == FAR
-
-
-def test_matches_brute_force_on_random_clusters():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        pa = rng.random((200, 3)) * 0.5
-        pb = rng.random((200, 3)) * 0.5 + rng.random(3) * 0.4
-        pts = np.vstack([pa, pb])
-        grid = SpatialGrid(pts, 0.05)
-        got = closest_pair_distance(np.arange(200), np.arange(200, 400), grid, d_max=1.0)
-        want = brute_min_distance(pa, pb)
-        if want > 1.0:
-            assert got == FAR
-        else:
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_scan_widens_past_first_candidate_ring():
-    # The diagonal neighbor (ring 1) is farther than a point two cells out
-    # (ring 2); the scan must widen until the bound proves optimality.
-    pts = np.array(
-        [[0.0, 0.0, 0.0], [1.99, 0.99, 0.99], [2.01, 0.0, 0.0]]
-    )
-    grid = SpatialGrid(pts, 1.0)
-    got = closest_pair_distance([0], [1, 2], grid, d_max=5.0)
-    assert got == pytest.approx(2.01, abs=1e-12)
 
 
 def test_labeled_close_pairs_handles_negative_coordinates():
@@ -73,14 +29,6 @@ def test_labeled_close_pairs_handles_negative_coordinates():
                 if d <= cutoff:
                     want[(la, lb)] = d
     assert set(got) == set(want)
-
-
-def test_symmetry():
-    rng = np.random.default_rng(1)
-    pts = rng.random((60, 3))
-    grid = SpatialGrid(pts, 0.05)
-    a, b = np.arange(30), np.arange(30, 60)
-    assert closest_pair_distance(a, b, grid) == closest_pair_distance(b, a, grid)
 
 
 def test_labeled_close_pairs_equals_brute_force():
