@@ -208,9 +208,7 @@ def cmd_priors(args):
     cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
     frames = scene_io.load_frames(args.frames or args.scene)
     tracks = objectness.build_tracks(cloud, frames, cfg.match_params(), mutual=cfg.mutual)
-    pos = cloud.positions.astype(np.float64)
-    boxes = [PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))
-             for t in tracks]
+    boxes = objectness.prior_boxes(cloud, tracks)
     write_json(args.out, priors_to_json(boxes, tracks))
     log.info("%d prior boxes from %d frames", len(boxes), len(frames))
     return EXIT_OK
@@ -298,9 +296,7 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
             lambda: objectness.build_tracks(cloud, frames, cfg.match_params(),
                                             mutual=cfg.mutual),
         )
-        pos = cloud.positions.astype(np.float64)
-        boxes = [PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))
-                 for t in tracks]
+        boxes = objectness.prior_boxes(cloud, tracks)
     elif args.require_priors:
         raise StageFailure("priors", f"no frames found in {frames_dir}")
     else:

@@ -5,6 +5,12 @@ order), greedily matched to the unmatched ground truth with highest IoU, and
 scored with the all-points interpolated area under the precision-recall
 curve. mean_ap averages the IoU thresholds 0.50:0.95 in steps of 0.05;
 ap25/ap50 are read at fixed thresholds.
+
+Cost: the pooled ground-truth ids are sorted once, each prediction's ids are
+looked up in them once (searchsorted) to find the ground truth it touches,
+each touching pair is scored once by mask_iou to fill a P x G IoU matrix
+(all other pairs are 0), and each threshold then makes one greedy pass over
+the rows of that matrix.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +32,30 @@ def mask_iou(a, b):
     inter = np.intersect1d(a, b, assume_unique=True).size
     union = a.size + b.size - inter
     return inter / union
+
+
+def _iou_matrix(pred_sets, gt_sets):
+    """P x G IoU of point-id arrays; pairs that share no id read 0.
+
+    Every array must hold distinct ids, and the ground-truth arrays must be
+    pairwise disjoint (ValueError otherwise), so that each prediction id
+    lands in at most one ground-truth instance. Only the pairs that share an
+    id are scored, each by mask_iou.
+    """
+    gt_sizes = np.array([g.size for g in gt_sets], dtype=np.int64)
+    iou = np.zeros((len(pred_sets), gt_sizes.size))
+    pooled = np.concatenate([np.empty(0, dtype=np.int64), *gt_sets])
+    order = np.argsort(pooled, kind="stable")
+    ids = pooled[order]
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("ground-truth instances must be pairwise disjoint")
+    labels = np.repeat(np.arange(gt_sizes.size), gt_sizes)[order]
+    if ids.size:
+        for row, pset in zip(iou, pred_sets):
+            pos = np.minimum(np.searchsorted(ids, pset), ids.size - 1)
+            for g in np.unique(labels[pos[ids[pos] == pset]]):
+                row[g] = mask_iou(pset, gt_sets[g])
+    return iou
 
 
 @dataclass
@@ -75,16 +105,12 @@ def evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
     matching and all reported numbers are deterministic.
     """
     gt_sets = [inst.point_ids for inst in gt.instances]
-    if gt_sets:
-        pooled = np.concatenate(gt_sets)
-        if np.unique(pooled).size != pooled.size:
-            raise ValueError("ground-truth instances must be pairwise disjoint")
-
     order = sorted(
         range(len(preds.instances)),
         key=lambda k: (-preds.instances[k].confidence, -preds.instances[k].point_ids.size, k),
     )
     pred_sets = [preds.instances[k].point_ids for k in order]
+    iou = _iou_matrix(pred_sets, gt_sets)
 
     ap_by_threshold = {}
     curves = {}
@@ -94,18 +120,15 @@ def evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
         assigned = [None] * len(preds.instances)
         gt_taken = np.zeros(len(gt_sets), dtype=bool)
         tp = np.zeros(len(pred_sets))
-        for rank, pset in enumerate(pred_sets):
-            best_iou, best_g = 0.0, None
-            for g, gset in enumerate(gt_sets):
-                if gt_taken[g]:
-                    continue
-                iou = mask_iou(pset, gset)
-                if iou > best_iou:
-                    best_iou, best_g = iou, g
-            if best_g is not None and best_iou >= theta:
-                gt_taken[best_g] = True
-                tp[rank] = 1.0
-                assigned[order[rank]] = best_g
+        if not gt_empty:
+            for rank, row in enumerate(iou):
+                # argmax keeps the first (lowest-index) ground truth on a tie
+                free = np.where(gt_taken, 0.0, row)
+                best_g = int(free.argmax())
+                if free[best_g] > 0.0 and free[best_g] >= theta:
+                    gt_taken[best_g] = True
+                    tp[rank] = 1.0
+                    assigned[order[rank]] = best_g
         if gt_empty or not pred_sets:
             recalls = np.zeros(len(pred_sets))
             precisions = np.zeros(len(pred_sets))

@@ -13,8 +13,6 @@ import numpy as np
 
 from .spatial import PriorBox
 
-PRIORS_SCHEMA = "p2o.priors/1"
-
 
 @dataclass
 class MatchParams:
@@ -178,11 +176,15 @@ def build_tracks(cloud, frames, params=None, mutual=False):
     return kept
 
 
-def build_priors(cloud, frames, params=None, mutual=False):
-    """Tight axis-aligned boxes of the surviving tracks' pooled points."""
-    tracks = build_tracks(cloud, frames, params, mutual=mutual)
+def prior_boxes(cloud, tracks):
+    """Tight axis-aligned box of each track's pooled points, in track order."""
     pos = cloud.positions.astype(np.float64)
     return [
         PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))
         for t in tracks
     ]
+
+
+def build_priors(cloud, frames, params=None, mutual=False):
+    """Tight axis-aligned boxes of the surviving tracks' pooled points."""
+    return prior_boxes(cloud, build_tracks(cloud, frames, params, mutual=mutual))

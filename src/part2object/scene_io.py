@@ -49,9 +49,7 @@ FORMAT_VERSIONS = {
     "frame masks": "P2OM",
     "instance manifest": "p2o.manifest/1",
     "hierarchy json": "p2o.hierarchy/1",
-    "priors json": "p2o.priors/1",
     "report json": "p2o.report/1",
-    "superpoints json": "p2o.superpoints/1",
 }
 
 _U32 = np.dtype("<u4")
@@ -276,11 +274,16 @@ def estimate_normals(cloud, k=16):
     return normals.astype(np.float32)
 
 
-def _default_normals(positions):
-    n = positions.shape[0]
+def default_normals(cloud, k):
+    """Normals for a cloud stored without them.
+
+    Fewer than 3 points cannot fit a plane and get (0, 0, 1); otherwise
+    estimate_normals runs with k capped at the point count.
+    """
+    n = cloud.n_points
     if n < 3:
         return np.tile(np.float32((0.0, 0.0, 1.0)), (n, 1))
-    return None
+    return estimate_normals(cloud, k=min(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +366,7 @@ def load_scene(dir_path, normals_k=16):
     cloud = SceneCloud(positions=positions, colors=colors, normals=normals,
                        semantic_features=features)
     if cloud.normals is None:
-        fallback = _default_normals(cloud.positions)
-        if fallback is not None:
-            cloud.normals = fallback
-        else:
-            cloud.normals = estimate_normals(cloud, k=min(normals_k, cloud.n_points))
+        cloud.normals = default_normals(cloud, normals_k)
     return cloud
 
 

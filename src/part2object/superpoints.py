@@ -77,13 +77,10 @@ def build_superpoints(cloud, params=None):
     if n == 0:
         raise EmptyCloud("cannot build super-points from an empty cloud")
 
-    if cloud.normals is None:
-        if n < 3:
-            normals = np.tile((0.0, 0.0, 1.0), (n, 1))
-        else:
-            normals = scene_io.estimate_normals(cloud, k=min(16, n)).astype(np.float64)
-    else:
-        normals = cloud.normals.astype(np.float64)
+    normals = cloud.normals
+    if normals is None:
+        normals = scene_io.default_normals(cloud, 16)
+    normals = normals.astype(np.float64)
     colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
 
     # Voxelize; voxel index = rank of its (sorted unique) scalar key.

@@ -1,7 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from part2object.evaluation import DEFAULT_THRESHOLDS, evaluate, evaluate_multi, mask_iou
+from part2object import evaluation
+from part2object.evaluation import (
+    DEFAULT_THRESHOLDS,
+    STRICT_THRESHOLDS,
+    ApReport,
+    _interpolated_ap,
+    evaluate,
+    evaluate_multi,
+    mask_iou,
+)
 from part2object.scene_io import Instance, InstanceSet
 
 
@@ -47,6 +58,81 @@ def oracle_ap(pred_items, gt_sets, theta):
             ap += (r - prev_r) * envelope
             prev_r = r
     return ap
+
+
+def reference_mask_iou(a, b):
+    """Pairwise IoU through intersect1d (both empty -> 0)."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.size == 0 and b.size == 0:
+        return 0.0
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    union = a.size + b.size - inter
+    return inter / union
+
+
+def reference_evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
+    """evaluate as a per-threshold loop recomputing every pairwise IoU."""
+    gt_sets = [inst.point_ids for inst in gt.instances]
+    if gt_sets:
+        pooled = np.concatenate(gt_sets)
+        if np.unique(pooled).size != pooled.size:
+            raise ValueError("ground-truth instances must be pairwise disjoint")
+
+    order = sorted(
+        range(len(preds.instances)),
+        key=lambda k: (-preds.instances[k].confidence, -preds.instances[k].point_ids.size, k),
+    )
+    pred_sets = [preds.instances[k].point_ids for k in order]
+
+    ap_by_threshold = {}
+    curves = {}
+    matches = {}
+    gt_empty = not gt_sets
+    for theta in thresholds:
+        assigned = [None] * len(preds.instances)
+        gt_taken = np.zeros(len(gt_sets), dtype=bool)
+        tp = np.zeros(len(pred_sets))
+        for rank, pset in enumerate(pred_sets):
+            best_iou, best_g = 0.0, None
+            for g, gset in enumerate(gt_sets):
+                if gt_taken[g]:
+                    continue
+                iou = reference_mask_iou(pset, gset)
+                if iou > best_iou:
+                    best_iou, best_g = iou, g
+            if best_g is not None and best_iou >= theta:
+                gt_taken[best_g] = True
+                tp[rank] = 1.0
+                assigned[order[rank]] = best_g
+        if gt_empty or not pred_sets:
+            recalls = np.zeros(len(pred_sets))
+            precisions = np.zeros(len(pred_sets))
+            ap = 0.0
+        else:
+            cum_tp = np.cumsum(tp)
+            cum_fp = np.cumsum(1.0 - tp)
+            recalls = cum_tp / len(gt_sets)
+            precisions = cum_tp / (cum_tp + cum_fp)
+            ap = _interpolated_ap(recalls, precisions)
+        ap_by_threshold[theta] = ap
+        curves[theta] = (recalls.tolist(), precisions.tolist())
+        matches[theta] = assigned
+
+    strict = [ap_by_threshold[t] for t in STRICT_THRESHOLDS if t in ap_by_threshold]
+    return ApReport(
+        ap25=ap_by_threshold.get(0.25, 0.0),
+        ap50=ap_by_threshold.get(0.50, 0.0),
+        mean_ap=float(np.mean(strict)) if strict else 0.0,
+        ap_by_threshold=ap_by_threshold,
+        curves=curves,
+        matches=matches,
+        gt_empty=gt_empty,
+    )
+
+
+def report_json(report):
+    return json.dumps(report.to_dict())
 
 
 def instset(*id_lists, confs=None, kind="object"):
@@ -200,6 +286,11 @@ def test_overlapping_ground_truth_rejected():
     gt = instset(range(10), range(5, 15))
     with pytest.raises(ValueError):
         evaluate(instset(range(10)), gt)
+    # one shared id between non-adjacent instances, with and without predictions
+    gt = instset(range(0, 5), [], range(10, 20), [4, 30])
+    for preds in (instset(), instset(range(100, 110)), instset([])):
+        with pytest.raises(ValueError):
+            evaluate(preds, gt)
 
 
 def test_multi_scene_pooling_matches_single_scene_duplication():
@@ -224,3 +315,82 @@ def test_report_serializes_to_plain_json_types():
     assert data["ap50"] == 1.0
     assert data["map"] == 1.0
     assert data["schema"] == "p2o.report/1"
+
+
+# ---------------------------------------------------------------------------
+# one IoU matrix per call against the per-threshold reference
+
+
+def random_case(rng):
+    """Disjoint GT and predictions over a random universe, with ties and empties."""
+    universe = int(rng.choice([12, 40, 300, 2000]))
+    n_gt = int(rng.integers(0, 7))
+    n_pred = int(rng.integers(0, 9))
+    covered = rng.permutation(universe)[: int(rng.integers(0, universe + 1))]
+    cuts = np.sort(rng.integers(0, covered.size + 1, size=max(n_gt - 1, 0)))
+    gt_lists = [sorted(part) for part in np.split(covered, cuts)] if n_gt else []
+    pred_lists = []
+    for _ in range(n_pred):
+        kind = int(rng.integers(0, 4))
+        if kind == 0 and gt_lists:  # a perturbed copy of one GT instance
+            base = np.asarray(gt_lists[int(rng.integers(0, len(gt_lists)))], dtype=np.int64)
+            keep = base[rng.random(base.size) < 0.8]
+            extra = rng.integers(0, universe, size=int(rng.integers(0, 4)))
+            ids = np.union1d(keep, extra)
+        elif kind == 1:  # touches no GT id
+            ids = universe + np.arange(int(rng.integers(1, 6)))
+        elif kind == 2 and rng.random() < 0.5:
+            ids = np.empty(0, dtype=np.int64)
+        else:
+            ids = np.unique(rng.integers(0, universe, size=int(rng.integers(1, universe + 1))))
+        pred_lists.append(sorted(int(i) for i in ids))
+    confs = [float(rng.choice([0.3, 0.5, 0.5, 0.9, 1.0])) for _ in pred_lists]
+    return instset(*pred_lists, confs=confs), instset(*gt_lists)
+
+
+def test_matrix_evaluate_equals_reference_on_random_cases():
+    rng = np.random.default_rng(2017)
+    for case in range(400):
+        preds, gt = random_case(rng)
+        thresholds = (0.0, 1.0 / 3.0, 1.0) if case % 5 == 0 else DEFAULT_THRESHOLDS
+        assert report_json(evaluate(preds, gt, thresholds)) == report_json(
+            reference_evaluate(preds, gt, thresholds)
+        ), case
+        for p in preds.instances:
+            for g in gt.instances:
+                assert mask_iou(p.point_ids, g.point_ids) == reference_mask_iou(
+                    p.point_ids, g.point_ids
+                )
+
+
+@pytest.mark.parametrize(
+    "preds, gt",
+    [
+        # equal IoU to two GT instances: the lower index wins
+        (instset(range(5, 15)), instset(range(0, 10), range(10, 20))),
+        (instset(range(5, 15), range(0, 10), confs=[1.0, 0.5]),
+         instset(range(10, 20), range(0, 10))),
+        # an empty prediction
+        (instset([], range(10), range(3)), instset(range(10), range(20, 25))),
+        # an empty GT instance
+        (instset(range(10), []), instset([], range(10), [])),
+        (instset([]), instset([])),
+        # predictions touching no GT
+        (instset(range(100, 110), range(200, 201)), instset(range(10), range(20, 30))),
+        # zero predictions and/or zero GT
+        (instset(), instset()),
+        (instset(), instset(range(10))),
+        (instset(range(10)), instset()),
+    ],
+)
+def test_matrix_evaluate_equals_reference_on_edge_cases(preds, gt):
+    assert report_json(evaluate(preds, gt)) == report_json(reference_evaluate(preds, gt))
+
+
+def test_evaluate_multi_equals_reference_over_scenes(monkeypatch):
+    rng = np.random.default_rng(55)
+    cases = [[random_case(rng) for _ in range(int(rng.integers(3, 6)))] for _ in range(20)]
+    got = [report_json(evaluate_multi(pairs)) for pairs in cases]
+    monkeypatch.setattr(evaluation, "evaluate", reference_evaluate)
+    want = [report_json(evaluate_multi(pairs)) for pairs in cases]
+    assert got == want
