@@ -5,6 +5,10 @@ adjacent-frame matching on mask features, then transitive propagation), and
 only then projected to 3D, where each group's points form one axis-aligned
 prior box. Grouping before projection sidesteps the impossible task of
 picking a single 3D overlap criterion for objects of all sizes.
+
+Projection is split in two: each frame that shows a surviving track is
+projected and depth-tested once (``visible_points``), and each of its masks
+then only indexes its bitmap at those visible pixels.
 """
 
 from dataclasses import dataclass, field
@@ -124,12 +128,12 @@ def camera_project(positions, intrinsics, extrinsics, image_shape):
     return row, col, z, ok
 
 
-def project_mask_points(cloud, frame, mask_index, depth_tol=0.05):
-    """3D point ids whose projection lands inside the given 2D mask.
+def visible_points(cloud, frame, depth_tol=0.05):
+    """Point ids that frame sees, ascending, with their pixel rows and cols.
 
-    A point qualifies when it is in front of the camera, projects inside the
-    image, agrees with the rendered depth at its pixel within depth_tol (a
-    zero depth pixel never matches), and the pixel is set in the mask.
+    A point is visible when it is in front of the camera, projects inside the
+    image, and agrees with the rendered depth at its pixel within depth_tol (a
+    zero depth pixel never matches).
     """
     row, col, z, ok = camera_project(
         cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
@@ -138,16 +142,28 @@ def project_mask_points(cloud, frame, mask_index, depth_tol=0.05):
     d = frame.depth[row[idx], col[idx]].astype(np.float64)
     good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
     idx = idx[good]
-    bitmap = frame.masks[mask_index].bitmap
-    idx = idx[bitmap[row[idx], col[idx]]]
-    return idx
+    return idx, row[idx], col[idx]
+
+
+def project_mask_points(cloud, frame, mask_index, depth_tol=0.05, visible=None):
+    """3D point ids, ascending, that are visible in frame inside the 2D mask.
+
+    visible is frame's visible_points result, computed here when not given;
+    passing it lets every mask of one frame share one projection.
+    """
+    if visible is None:
+        visible = visible_points(cloud, frame, depth_tol)
+    idx, row, col = visible
+    return idx[frame.masks[mask_index].bitmap[row, col]]
 
 
 def build_tracks(cloud, frames, params=None, mutual=False):
     """Group masks across frames, project each group, pool the points.
 
-    Tracks seen in fewer than min_track_frames distinct frames or with fewer
-    than min_track_points pooled points are dropped.
+    Tracks seen in fewer than min_track_frames distinct frames are dropped
+    before any projection, so a frame is projected at most once and only when
+    it holds a member of a surviving track. Tracks with fewer than
+    min_track_points pooled points are dropped afterwards.
     """
     params = params or MatchParams()
     frames = sorted(frames, key=lambda f: f.frame_id)
@@ -159,16 +175,26 @@ def build_tracks(cloud, frames, params=None, mutual=False):
         for i, j in match_adjacent(a, b, params.tau, mutual=mutual):
             edges.append(((a.frame_id, i), (b.frame_id, j)))
 
-    tracks = propagate_sameness(nodes, edges)
+    tracks = [
+        t for t in propagate_sameness(nodes, edges)
+        if len({fid for fid, _ in t.members}) >= params.min_track_frames
+    ]
+    members_by_frame = {}
+    for k, track in enumerate(tracks):
+        for fid, mi in track.members:
+            members_by_frame.setdefault(fid, []).append((k, mi))
+    pooled = [[] for _ in tracks]
+    for fid, members in sorted(members_by_frame.items()):
+        frame = by_id[fid]
+        visible = visible_points(cloud, frame, params.depth_tol)
+        for k, mi in members:
+            pooled[k].append(
+                project_mask_points(cloud, frame, mi, params.depth_tol, visible=visible)
+            )
+
     kept = []
-    for track in tracks:
-        if len({fid for fid, _ in track.members}) < params.min_track_frames:
-            continue
-        pooled = [
-            project_mask_points(cloud, by_id[fid], mi, params.depth_tol)
-            for fid, mi in track.members
-        ]
-        ids = np.unique(np.concatenate(pooled)) if pooled else np.empty(0, dtype=np.int64)
+    for track, ids in zip(tracks, pooled):
+        ids = np.unique(np.concatenate(ids))
         if ids.size < params.min_track_points:
             continue
         track.point_ids = ids

@@ -498,7 +498,7 @@ def write_instances(path, instance_set):
     for k, inst in enumerate(instance_set.instances):
         rel = f"{mask_dir_name}/{k:04d}.txt"
         with open(path.parent / rel, "w") as fh:
-            fh.write("\n".join(str(int(i)) for i in inst.point_ids))
+            fh.write("\n".join(map(str, inst.point_ids.tolist())))
             if inst.point_ids.size:
                 fh.write("\n")
         lines.append(f"{rel} {inst.kind} {inst.confidence!r}")
@@ -532,11 +532,12 @@ def load_instances(path, n_points=None):
             mask_path = path.parent / rel
             if not mask_path.exists():
                 raise FileNotFoundError(str(mask_path))
-            text = mask_path.read_text().split()
             try:
-                ids = np.asarray([int(t) for t in text], dtype=np.int64)
+                ids = np.array(mask_path.read_text().split(), dtype=np.int64)
             except ValueError as exc:
                 raise FormatError(f"{rel}: non-integer point index") from exc
+            except OverflowError as exc:
+                raise IndexOutOfRange(f"{rel}: point index out of range") from exc
             instances.append(Instance(point_ids=ids, confidence=confidence, kind=kind))
     result = InstanceSet(instances=instances)
     if n_points is not None:

@@ -187,6 +187,20 @@ def test_multi_scene_run_pools_report(scene_dir, tmp_path):
     assert (out / f"{scene_dir.name}_1" / "hierarchy.json").exists()
 
 
+def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):
+    (tmp_path / "m.txt").write_text("99999999999999999999\n")
+    for name in ("p.txt", "g.txt"):
+        (tmp_path / name).write_text("m.txt object 1.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "part2object", "eval", "--pred", str(tmp_path / "p.txt"),
+         "--gt", str(tmp_path / "g.txt"), "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert "point index out of range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_pipeline_defaults_match_documented_values():
     cfg = cli.PipelineConfig()
     assert cfg.T == 0.05

@@ -241,3 +241,181 @@ def test_match_params_validation():
         ob.MatchParams(depth_tol=0.0)
     with pytest.raises(ValueError):
         ob.MatchParams(min_track_frames=0)
+
+
+# ---------------------------------------------------------------------------
+# build_tracks against the whole-cloud projection per member
+
+
+def reference_project_mask_points(cloud, frame, mask_index, depth_tol):
+    """The projection as written before frames were shared: one per mask."""
+    row, col, z, ok = ob.camera_project(
+        cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
+    )
+    idx = np.flatnonzero(ok)
+    d = frame.depth[row[idx], col[idx]].astype(np.float64)
+    good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
+    idx = idx[good]
+    return idx[frame.masks[mask_index].bitmap[row[idx], col[idx]]]
+
+
+def reference_build_tracks(cloud, frames, params):
+    """build_tracks with the whole cloud projected once per track member.
+
+    Also returns the tracks that passed min_track_frames (before the point
+    threshold), so callers can tell which frames had to be projected, and the
+    number of tracks formed.
+    """
+    frames = sorted(frames, key=lambda f: f.frame_id)
+    by_id = {f.frame_id: f for f in frames}
+    nodes = [(f.frame_id, m) for f in frames for m in range(len(f.masks))]
+    edges = []
+    for a, b in zip(frames, frames[1:]):
+        for i, j in ob.match_adjacent(a, b, params.tau):
+            edges.append(((a.frame_id, i), (b.frame_id, j)))
+    kept, long_enough = [], []
+    formed = ob.propagate_sameness(nodes, edges)
+    for track in formed:
+        if len({fid for fid, _ in track.members}) < params.min_track_frames:
+            continue
+        long_enough.append(track)
+        pooled = [
+            reference_project_mask_points(cloud, by_id[fid], mi, params.depth_tol)
+            for fid, mi in track.members
+        ]
+        ids = np.unique(np.concatenate(pooled))
+        if ids.size < params.min_track_points:
+            continue
+        track.point_ids = ids
+        kept.append(track)
+    return kept, long_enough, len(formed)
+
+
+def random_tracking_scene(rng, h=12, w=16):
+    """Random points (some behind every camera) seen by 2-6 jittered cameras.
+
+    Depth maps are z-buffers of the cloud with some pixels zeroed and some
+    pushed off the surface. Masks are random rectangles, often overlapping,
+    whose features are noisy copies of a few object prototypes so that they
+    link across frames; some frames have no masks and some bitmaps are
+    cleared to all-false after construction.
+    """
+    n = int(rng.integers(20, 400))
+    positions = np.column_stack([
+        rng.uniform(-1.5, 1.5, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 4.0, n)
+    ])
+    # a few points right in front of the cameras: on a zero-depth pixel they
+    # are within depth_tol of 0, so only the zero-depth rule rejects them
+    positions[:8] = rng.uniform((-0.02, -0.02, 0.2), (0.02, 0.02, 0.25), (8, 3))
+    cloud = SceneCloud(positions=positions.astype(np.float32))
+    prototypes = rng.standard_normal((int(rng.integers(1, 4)), 6))
+    intrinsics = np.array([[10.0, 0, (w - 1) / 2], [0, 10.0, (h - 1) / 2], [0, 0, 1]])
+    frame_ids = np.sort(rng.choice(50, size=int(rng.integers(2, 7)), replace=False))
+    frames = []
+    for fid in frame_ids:
+        angle = rng.uniform(-0.2, 0.2)
+        c, s = np.cos(angle), np.sin(angle)
+        extrinsics = np.eye(4)
+        extrinsics[:3, :3] = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
+        extrinsics[:3, 3] = rng.uniform(-0.2, 0.2, 3)
+        row, col, z, ok = ob.camera_project(positions, intrinsics, extrinsics, (h, w))
+        depth = np.full(h * w, np.inf)
+        np.minimum.at(depth, row[ok] * w + col[ok], z[ok])
+        depth[np.isinf(depth)] = 0.0
+        depth[rng.random(h * w) < 0.15] = 0.0
+        off = rng.random(h * w) < 0.1
+        depth[off] += 0.5
+        masks = []
+        for _ in range(int(rng.choice([0, 1, 2, 3, 4], p=[0.15, 0.2, 0.25, 0.2, 0.2]))):
+            bitmap = np.zeros((h, w), dtype=bool)
+            r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            bitmap[r0:r0 + int(rng.integers(1, h)), c0:c0 + int(rng.integers(1, w))] = True
+            feature = prototypes[rng.integers(len(prototypes))] + 0.3 * rng.standard_normal(6)
+            mask = MaskEntry(bitmap=bitmap, feature=feature)
+            if rng.random() < 0.1:
+                mask.bitmap = np.zeros((h, w), dtype=bool)
+            masks.append(mask)
+        frames.append(FrameObservation(
+            frame_id=int(fid), intrinsics=intrinsics, extrinsics=extrinsics,
+            depth=depth.reshape(h, w).astype(np.float32), masks=masks,
+        ))
+    order = rng.permutation(len(frames))
+    return cloud, [frames[k] for k in order]
+
+
+def record_projections(monkeypatch):
+    """Patch camera_project to log the id of each call's extrinsics array."""
+    calls = []
+    real_project = ob.camera_project
+
+    def counting_project(positions, intrinsics, extrinsics, image_shape):
+        calls.append(id(extrinsics))
+        return real_project(positions, intrinsics, extrinsics, image_shape)
+
+    monkeypatch.setattr(ob, "camera_project", counting_project)
+    return calls
+
+
+def test_build_tracks_equals_per_member_projection(monkeypatch):
+    calls = record_projections(monkeypatch)
+    rng = np.random.default_rng(404)
+    seen = dict.fromkeys(
+        ["overlap", "all_false", "no_masks", "behind", "zero_depth",
+         "dropped_frames", "dropped_points", "kept"], 0)
+    for _ in range(150):
+        cloud, frames = random_tracking_scene(rng)
+        params = ob.MatchParams(
+            tau=float(rng.uniform(0.0, 0.8)),
+            depth_tol=float(rng.uniform(0.02, 0.3)),
+            min_track_frames=int(rng.integers(1, 4)),
+            min_track_points=int(rng.integers(1, 40)),
+        )
+        want, long_enough, n_formed = reference_build_tracks(cloud, frames, params)
+
+        calls.clear()
+        got = ob.build_tracks(cloud, frames, params)
+        projected = list(calls)
+
+        assert [t.members for t in got] == [t.members for t in want]
+        for g, w in zip(got, want):
+            assert g.point_ids.dtype == w.point_ids.dtype
+            assert np.array_equal(g.point_ids, w.point_ids)
+
+        # one projection per frame holding a member of a track that passed
+        # min_track_frames, and none for any other frame
+        by_id = {f.frame_id: f for f in frames}
+        needed = {fid for t in long_enough for fid, _ in t.members}
+        assert sorted(projected) == sorted(id(by_id[fid].extrinsics) for fid in needed)
+
+        seen["dropped_frames"] += len(long_enough) < n_formed
+        seen["dropped_points"] += len(want) < len(long_enough)
+        seen["kept"] += len(want) > 0
+        seen["no_masks"] += any(not f.masks for f in frames)
+        seen["all_false"] += any(not m.bitmap.any() for f in frames for m in f.masks)
+        seen["zero_depth"] += any((f.depth == 0).any() for f in frames)
+        for f in frames:
+            _, _, z, _ = ob.camera_project(cloud.positions, f.intrinsics, f.extrinsics,
+                                           f.depth.shape)
+            seen["behind"] += bool((z <= 0).any())
+            if len(f.masks) > 1:
+                stack = np.stack([m.bitmap for m in f.masks])
+                seen["overlap"] += bool((stack.sum(axis=0) > 1).any())
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_frames_of_dropped_tracks_are_never_projected(monkeypatch):
+    cloud = front_back_cube_cloud()
+    frames = [axis_aligned_frame() for _ in range(3)]
+    for fid, frame in enumerate(frames):
+        frame.frame_id = fid
+    # frame 1's only mask differs from its neighbours, so every track spans a
+    # single frame (frames 0 and 2 are not adjacent)
+    frames[1].masks[0].feature = np.array([1.0, -1.0, 1.0, -1.0], dtype=np.float32)
+    calls = record_projections(monkeypatch)
+    assert ob.build_tracks(cloud, frames, ob.MatchParams(min_track_frames=2)) == []
+    assert calls == []
+
+    frames[1].masks[0].feature = np.ones(4, dtype=np.float32)
+    tracks = ob.build_tracks(cloud, frames, ob.MatchParams(min_track_frames=2))
+    assert [t.members for t in tracks] == [[(0, 0), (1, 0), (2, 0)]]
+    assert sorted(calls) == sorted(id(f.extrinsics) for f in frames)

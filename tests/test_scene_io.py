@@ -314,6 +314,45 @@ def test_manifest_index_out_of_range(tmp_path):
         load_instances(path, n_points=100)
 
 
+@pytest.mark.parametrize("ids", [[], [7], list(range(0, 45000, 3)), [0, 2**40, 2**63 - 1]])
+def test_mask_file_bytes_match_per_id_formatting(tmp_path, ids):
+    path = tmp_path / "preds.txt"
+    write_instances(path, InstanceSet([Instance(np.array(ids, dtype=np.int64))]))
+    ids = np.array(ids, dtype=np.int64)
+    old_text = "\n".join(str(int(i)) for i in ids) + ("\n" if ids.size else "")
+    assert (tmp_path / "preds_masks" / "0000.txt").read_bytes() == old_text.encode()
+
+
+def write_mask_file(tmp_path, text):
+    (tmp_path / "m.txt").write_text(text)
+    path = tmp_path / "preds.txt"
+    path.write_text("m.txt object 1.0\n")
+    return path
+
+
+@pytest.mark.parametrize("token,value", [("+2", 2), ("1_0", 10), ("007", 7)])
+def test_mask_file_tokens_accepted_like_int(tmp_path, token, value):
+    path = write_mask_file(tmp_path, f"0\n{token}\n")
+    assert load_instances(path).instances[0].point_ids.tolist() == [0, value]
+
+
+def test_mask_file_negative_token_parses_then_fails_range_check(tmp_path):
+    with pytest.raises(IndexOutOfRange, match="negative"):
+        load_instances(write_mask_file(tmp_path, "-1\n"))
+
+
+@pytest.mark.parametrize("token", ["1.5", "abc", "1e3", "0x10", "1,2"])
+def test_mask_file_non_integer_tokens_rejected(tmp_path, token):
+    with pytest.raises(FormatError, match="non-integer"):
+        load_instances(write_mask_file(tmp_path, f"0\n{token}\n"))
+
+
+@pytest.mark.parametrize("token", ["99999999999999999999", str(2**63), str(-(2**63) - 1)])
+def test_mask_file_out_of_int64_range_is_format_error(tmp_path, token):
+    with pytest.raises(FormatError, match="point index out of range"):
+        load_instances(write_mask_file(tmp_path, f"0\n{token}\n"))
+
+
 def test_instance_requires_sorted_unique_ids():
     with pytest.raises(FormatError):
         Instance(np.array([3, 3, 5]))
