@@ -31,7 +31,6 @@ from .errors import (  # noqa: F401
 from .evaluation import ApReport, evaluate, evaluate_multi, mask_iou  # noqa: F401
 from .features import cosine_sim, fuse_feature  # noqa: F401
 from .hierarchy import (  # noqa: F401
-    Cluster,
     Hierarchy,
     MergeParams,
     candidate_pairs,
@@ -40,7 +39,6 @@ from .hierarchy import (  # noqa: F401
     rank_filter,
     run_hierarchy,
     run_layer,
-    stop_criteria,
 )
 from .objectness import (  # noqa: F401
     MatchParams,

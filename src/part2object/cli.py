@@ -105,11 +105,18 @@ def load_config(args):
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FormatError(f"{path}: config must be a JSON object")
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, value in data.items():
-            setattr(cfg, key, type(getattr(cfg, key))(value))
+            kind = type(getattr(cfg, key))
+            # A JSON boolean fits only a bool field, though bool is an int in Python.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise FormatError(f"{path}: {key}={value!r} is not a JSON {kind.__name__}")
+            setattr(cfg, key, kind(value))
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -172,7 +179,10 @@ def priors_to_json(boxes, tracks):
 def load_priors(path):
     with open(path) as fh:
         data = json.load(fh)
-    return [PriorBox(np.asarray(e["min"]), np.asarray(e["max"])) for e in data]
+    try:
+        return [PriorBox(np.asarray(e["min"]), np.asarray(e["max"])) for e in data]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: each prior needs \"min\" and \"max\" corners") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +228,9 @@ def cmd_cluster(args):
     cfg = load_config(args)
     cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
     with open(args.superpoints) as fh:
-        layer0 = [np.asarray(ids, dtype=np.int64) for ids in json.load(fh)]
+        layer0 = json.load(fh)
+    if not isinstance(layer0, list):
+        raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
     boxes = load_priors(args.priors) if args.priors else []
     h = hierarchy.run_hierarchy(
         layer0, cloud, boxes, cfg.merge_params(), l2_normalize=cfg.l2_normalize_features
@@ -316,10 +328,8 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
     def extract():
         objects = hierarchy.collect_objects(h, cfg.merge_params(),
                                             include_stalled=cfg.include_stalled)
-        if cfg.drop_largest_planar > 0:
-            objects = hierarchy.drop_most_planar(objects, cloud, cfg.drop_largest_planar)
-        parts = hierarchy.collect_parts(h, objects)
-        return objects, parts
+        objects = hierarchy.drop_most_planar(objects, cloud, cfg.drop_largest_planar)
+        return objects, hierarchy.collect_parts(h, objects)
 
     objects, parts = stage("extract", extract)
     scene_io.write_instances(out_dir / "objects.txt", objects)

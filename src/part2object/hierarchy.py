@@ -10,17 +10,26 @@ Two clusters are adjacent after a union exactly when some pair of their
 members was adjacent before it, so point-level adjacency is computed once,
 between the layer-0 super-points, and each round contracts that edge list
 onto the next layer instead of scanning the points again.
+
+A round works on arrays: a point -> cluster label array for the current
+layer, the layer's contracted (E, 2) edge list, and the round's parent array
+(cluster -> next-layer cluster, numbered by smallest child). The Hierarchy
+keeps only the lineage, in the shape hierarchy.json stores: super-point ids
+at layer 0 and child indices above it. Point sets of higher layers are
+derived on demand by Hierarchy.clusters(t).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .errors import AllZeroFeatures
+from .errors import AllZeroFeatures, FormatError
 from .features import fuse_feature
 from .scene_io import Instance, InstanceSet
-from .spatial import PriorBox, labeled_close_pairs
+from .spatial import labeled_close_pairs
 
 HIERARCHY_SCHEMA = "p2o.hierarchy/1"
 
@@ -52,19 +61,6 @@ class MergeParams:
 
 
 @dataclass
-class Cluster:
-    layer: int
-    index: int
-    point_ids: np.ndarray
-    children: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
-        if self.point_ids.size == 0:
-            raise ValueError("cluster must contain at least one point")
-
-
-@dataclass
 class LayerLog:
     """What happened in one merge round, pair indices into the source layer."""
 
@@ -75,58 +71,86 @@ class LayerLog:
 
 @dataclass
 class Hierarchy:
+    """The merge rounds as lineage, in the shape hierarchy.json stores.
+
+    layers[0][k] is super-point k's sorted point ids; layers[t][k] (t >= 1) is
+    cluster k's sorted child indices into layer t - 1. Point sets above
+    layer 0 are derived by clusters(t), never stored.
+    """
+
     layers: list
     features: list
     merge_log: list
 
     @property
     def n_points(self):
-        return int(sum(c.point_ids.size for c in self.layers[0]))
+        return int(sum(ids.size for ids in self.layers[0]))
+
+    def clusters(self, t):
+        """Sorted point ids of every cluster of layer t."""
+        return _groups(self._point_labels()[t], len(self.layers[t]))
+
+    def _point_labels(self):
+        """Point -> cluster index at every layer, layer 0 first."""
+        labels = [_partition_labels(self.layers[0], self.n_points)]
+        for below, layer in zip(self.layers, self.layers[1:]):
+            labels.append(_partition_labels(layer, len(below))[labels[-1]])
+        return labels
 
 
-def _as_point_sets(layer):
-    return [c.point_ids if isinstance(c, Cluster) else np.asarray(c, dtype=np.int64)
-            for c in layer]
+def _partition_labels(groups, n):
+    """Member -> group index, for groups that partition [0, n) into non-empty sets.
 
-
-def candidate_pairs(layer, positions, t):
-    """All (i, j, distance) with i < j and closest-point distance <= t.
-
-    Grid accelerated: cluster pairs whose points never co-occupy adjacent
-    t-sized grid cells are never evaluated. run_hierarchy calls this once,
-    on layer 0; later layers get their pairs from contract_edges.
+    Raises ValueError on an empty group, an index outside [0, n), or an index
+    that is in no group or in more than one.
     """
-    sets = _as_point_sets(layer)
-    n_points = positions.shape[0]
-    labels = np.full(n_points, -1, dtype=np.int64)
-    used = []
-    for i, ids in enumerate(sets):
-        labels[ids] = i
-        used.append(ids)
-    used = np.concatenate(used) if used else np.empty(0, dtype=np.int64)
-    dists = labeled_close_pairs(positions[used], labels[used], t)
-    return sorted((i, j, d) for (i, j), d in dists.items())
+    groups = [np.asarray(g, dtype=np.int64).ravel() for g in groups]
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    if (sizes == 0).any():
+        raise ValueError(f"set {int(np.argmin(sizes))} is empty")
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + groups)
+    outside = ids[(ids < 0) | (ids >= n)]
+    if outside.size:
+        raise ValueError(f"index {int(outside[0])} outside [0, {n})")
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[ids] = np.repeat(np.arange(len(groups)), sizes)
+    if ids.size != n or (labels < 0).any():
+        raise ValueError(f"sets do not partition [0, {n}): an index is missing or repeated")
+    return labels
 
 
-def _edge_array(pairs):
-    """(E, 2) int64 array of the (i, j) of candidate_pairs output."""
-    return np.array([(i, j) for i, j, _d in pairs], dtype=np.int64).reshape(-1, 2)
+def _groups(labels, n_groups):
+    """Indices holding each label 0..n_groups-1, ascending within each group."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_groups))[:-1])
 
 
-def contract_edges(edges, next_layer):
-    """Adjacency edges of next_layer, given those of the layer it was built from.
+def candidate_pairs(labels, positions, t):
+    """(E, 2) int64 cluster pairs (i < j, sorted) whose closest points are within t.
 
-    Each endpoint maps to the next-layer cluster that lists it as a child;
-    self-loops are dropped and repeats collapse. The result is sorted
-    lexicographically with i < j, the order candidate_pairs returns.
+    labels maps each point to its cluster. Grid accelerated: cluster pairs
+    whose points never co-occupy adjacent t-sized grid cells are never
+    evaluated. run_hierarchy calls this once, on layer 0; later layers get
+    their pairs from contract_edges.
     """
-    parent = np.empty(sum(len(c.children) for c in next_layer), dtype=np.int64)
-    for k, cl in enumerate(next_layer):
-        parent[cl.children] = k
+    # Points grouped by cluster keep each grid cell's points close in memory,
+    # which makes the pointwise checks faster; the pairs found are the same.
+    order = np.argsort(labels, kind="stable")
+    pairs = sorted(labeled_close_pairs(positions[order], labels[order], t))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def contract_edges(edges, parent):
+    """Adjacency edges of the next layer, given this layer's and its parent array.
+
+    Each endpoint maps to its parent; self-loops are dropped and repeats
+    collapse. The result is sorted lexicographically with i < j, the order
+    candidate_pairs returns.
+    """
     mapped = parent[edges]
     lo, hi = mapped.min(axis=1), mapped.max(axis=1)
     keep = lo < hi
-    n = len(next_layer)
+    n = int(parent.max()) + 1
     keys = np.unique(lo[keep] * n + hi[keep])
     return np.column_stack([keys // n, keys % n])
 
@@ -149,58 +173,30 @@ def _box_membership(boxes, positions):
     return np.column_stack([box.contains(positions) for box in boxes])
 
 
-def _inside_fractions(point_sets, contains):
-    """(C, B) fraction of each point set's points inside each box.
+def _inside_fractions(labels, n_clusters, contains):
+    """(C, B) fraction of each cluster's points inside each box.
 
     Equals PriorBox.fraction_inside exactly: both are count / size in
-    float64. An empty set reads 0.0.
+    float64. A cluster with no points reads 0.0.
     """
-    sizes = np.array([ids.size for ids in point_sets], dtype=np.int64)
-    labels = np.repeat(np.arange(len(point_sets)), sizes)
-    members = contains[np.concatenate(point_sets)]
-    counts = np.zeros((len(point_sets), contains.shape[1]))
+    sizes = np.bincount(labels, minlength=n_clusters)
+    counts = np.zeros((n_clusters, contains.shape[1]))
     for b in range(contains.shape[1]):
-        counts[:, b] = np.bincount(labels, weights=members[:, b], minlength=len(point_sets))
+        counts[:, b] = np.bincount(labels, weights=contains[:, b], minlength=n_clusters)
     return counts / np.maximum(sizes, 1)[:, None]
 
 
 def _separated(fa, fb, inside_frac, outside_frac):
-    """Veto rule over the last axis: some box holds one cluster, excludes the other."""
+    """The veto, over the last axis: some prior box separates the two clusters.
+
+    A box separates a pair when one cluster is essentially inside it
+    (fraction of points >= inside_frac) and the other essentially outside
+    (fraction <= outside_frac).
+    """
     return (
         ((fa >= inside_frac) & (fb <= outside_frac))
         | ((fb >= inside_frac) & (fa <= outside_frac))
     ).any(axis=-1)
-
-
-def stop_criteria(a_ids, b_ids, boxes, positions, inside_frac=0.9, outside_frac=0.1):
-    """True when some prior box separates the two clusters.
-
-    A box separates the pair when one cluster is essentially inside it
-    (fraction of points >= inside_frac) and the other essentially outside
-    (fraction <= outside_frac).
-    """
-    sets = [np.asarray(a_ids, dtype=np.int64), np.asarray(b_ids, dtype=np.int64)]
-    fa, fb = _inside_fractions(sets, _box_membership(boxes, positions))
-    return bool(_separated(fa, fb, inside_frac, outside_frac))
-
-
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # Root at the smaller index so representatives are deterministic.
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 def _cluster_feature(point_features, ids):
@@ -211,87 +207,59 @@ def _cluster_feature(point_features, ids):
         return np.zeros(point_features.shape[1], dtype=np.float32)
 
 
-def run_layer(clusters, feats, point_features, positions, boxes, params,
-              edges=None, contains=None):
-    """One merge round: returns (next clusters, next features, LayerLog).
+def run_layer(labels, feats, point_features, edges, contains, params):
+    """One merge round: returns (parent, next features, LayerLog).
 
-    Candidate pairs (distance <= T, both features non-zero) are ranked by
-    similarity, the top K fraction survive, pairs vetoed by the stop criterion
-    are dropped, and the rest are unioned transitively. Untouched clusters
-    carry forward with single-child lineage. Features of merged clusters are
-    re-fused from their member point features.
-
-    edges is this layer's (E, 2) adjacency as kept by run_hierarchy (layer-0
-    pairs contracted round by round); without it the pairs are found from
-    the points with candidate_pairs. contains is the point-by-box membership
-    matrix; without it it is computed from boxes.
+    labels maps each point to its cluster in this layer, feats holds one row
+    per cluster, edges is the layer's (E, 2) adjacency (candidate_pairs or
+    contract_edges) and contains the point-by-box membership matrix.
+    Candidate pairs (both features non-zero) are ranked by similarity, the
+    top K fraction survive, pairs vetoed by a prior box are dropped, and the
+    rest are unioned transitively. parent[c] is the next-layer index of
+    cluster c; next-layer clusters are numbered by their smallest child.
+    Untouched clusters carry their feature forward; merged clusters re-fuse
+    theirs from their member point features in ascending point order.
     """
-    layer_idx = clusters[0].layer if clusters else 0
-    if edges is None:
-        edges = _edge_array(candidate_pairs(clusters, positions, params.T))
-    if contains is None:
-        contains = _box_membership(boxes, positions)
-
+    n_clusters = len(feats)
     f64 = feats.astype(np.float64)
     norms = np.linalg.norm(f64, axis=1)
-    sim_pairs = []
-    if edges.size:
-        ii, jj = edges[:, 0], edges[:, 1]
-        ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
-        sims = np.zeros(len(edges))
-        sims[ok] = np.clip(
-            (f64[ii[ok]] * f64[jj[ok]]).sum(axis=1) / (norms[ii[ok]] * norms[jj[ok]]),
-            -1.0, 1.0,
-        )
-        sim_pairs = [
-            (int(i), int(j), float(s)) for i, j, s, good in zip(ii, jj, sims, ok) if good
-        ]
+    ii, jj = edges[:, 0], edges[:, 1]
+    ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
+    ii, jj = ii[ok], jj[ok]
+    sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (norms[ii] * norms[jj]), -1.0, 1.0)
+    sim_pairs = list(zip(ii.tolist(), jj.tolist(), sims.tolist()))
     ranked = rank_filter(sim_pairs, params.K_fraction)
 
-    log = LayerLog(n_candidates=len(sim_pairs))
-    vetoed = np.zeros(len(ranked), dtype=bool)
-    if ranked:
-        phi = _inside_fractions([c.point_ids for c in clusters], contains)
-        ri = np.array([p[0] for p in ranked])
-        rj = np.array([p[1] for p in ranked])
-        vetoed = _separated(phi[ri], phi[rj], params.inside_frac, params.outside_frac)
+    pairs = np.array([p[:2] for p in ranked], dtype=np.int64).reshape(-1, 2)
+    phi = _inside_fractions(labels, n_clusters, contains)
+    vetoed = _separated(phi[pairs[:, 0]], phi[pairs[:, 1]], params.inside_frac,
+                        params.outside_frac)
+    union = pairs[~vetoed]
+    log = LayerLog(accepted=[tuple(p) for p in union.tolist()],
+                   rejected_stop=[tuple(p) for p in pairs[vetoed].tolist()],
+                   n_candidates=len(sim_pairs))
+    graph = coo_matrix((np.ones(len(union)), (union[:, 0], union[:, 1])),
+                       shape=(n_clusters, n_clusters))
+    n_next, parent = connected_components(graph, directed=False)
+    parent = parent.astype(np.int64)
 
-    dsu = _DisjointSet(len(clusters))
-    for (i, j, _s), separated in zip(ranked, vetoed):
-        if separated:
-            log.rejected_stop.append((i, j))
-        else:
-            log.accepted.append((i, j))
-            dsu.union(i, j)
-
-    groups = {}
-    for i in range(len(clusters)):
-        groups.setdefault(dsu.find(i), []).append(i)
-
-    next_clusters = []
-    next_feats = []
-    for root in sorted(groups):
-        children = sorted(groups[root])
-        k = len(next_clusters)
-        if len(children) == 1:
-            src = clusters[children[0]]
-            next_clusters.append(
-                Cluster(layer_idx + 1, k, src.point_ids, children=children)
-            )
-            next_feats.append(feats[children[0]])
-        else:
-            ids = np.sort(np.concatenate([clusters[c].point_ids for c in children]))
-            next_clusters.append(Cluster(layer_idx + 1, k, ids, children=children))
-            next_feats.append(_cluster_feature(point_features, ids))
-    return next_clusters, np.asarray(next_feats, dtype=np.float32), log
+    children = _groups(parent, n_next)
+    next_feats = feats[[c[0] for c in children]]
+    if n_next < n_clusters:
+        point_sets = _groups(parent[labels], n_next)
+        for k, c in enumerate(children):
+            if c.size > 1:
+                next_feats[k] = _cluster_feature(point_features, point_sets[k])
+    return parent, next_feats, log
 
 
 def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
     """Merge rounds until a fixpoint or params.max_layers layers exist.
 
-    layer0 is a partition of [0, N) as produced by build_superpoints. Point
-    features come from cloud.semantic_features (optionally L2-normalized
-    first). Layer-0 cluster features are fused from member point features.
+    layer0 must partition [0, N) into non-empty sets, as build_superpoints
+    does (ValueError otherwise). Point features come from
+    cloud.semantic_features (optionally L2-normalized first). Layer-0 cluster
+    features are fused from member point features.
     """
     params = params or MergeParams()
     if cloud.semantic_features is None:
@@ -303,44 +271,27 @@ def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
         point_features = np.where(lens > 0, point_features / np.maximum(lens, 1e-30), 0.0)
         point_features = point_features.astype(np.float32)
     positions = cloud.positions.astype(np.float64)
-    boxes = list(boxes or [])
 
-    clusters = [
-        Cluster(0, i, np.sort(np.asarray(ids, dtype=np.int64)))
-        for i, ids in enumerate(layer0)
-    ]
-    feats = np.asarray(
-        [_cluster_feature(point_features, c.point_ids) for c in clusters],
-        dtype=np.float32,
-    )
-
+    layer0 = [np.sort(np.asarray(ids, dtype=np.int64).ravel()) for ids in layer0]
+    labels = _partition_labels(layer0, positions.shape[0])
+    feats = np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
+                       dtype=np.float32)
     # The only point-level adjacency scan; later rounds contract its edges.
-    edges = _edge_array(candidate_pairs(clusters, positions, params.T))
+    edges = candidate_pairs(labels, positions, params.T)
     contains = _box_membership(boxes, positions)
 
-    layers = [clusters]
-    features = [feats]
-    merge_log = []
-    while len(layers) < params.max_layers:
-        nxt, nxt_feats, log = run_layer(
-            layers[-1], features[-1], point_features, positions, boxes, params,
-            edges=edges, contains=contains,
-        )
+    h = Hierarchy(layers=[layer0], features=[feats], merge_log=[])
+    while len(h.layers) < params.max_layers:
+        parent, feats, log = run_layer(labels, feats, point_features, edges, contains,
+                                       params)
         if not log.accepted:
             break
-        layers.append(nxt)
-        features.append(nxt_feats)
-        merge_log.append(log)
-        edges = contract_edges(edges, nxt)
-    return Hierarchy(layers=layers, features=features, merge_log=merge_log)
-
-
-def _trace_to_merge_node(h, layer_idx, cluster_idx):
-    """Walk a carry-forward chain down to the cluster that last gained siblings."""
-    cl = h.layers[layer_idx][cluster_idx]
-    while cl.layer > 0 and len(cl.children) == 1:
-        cl = h.layers[cl.layer - 1][cl.children[0]]
-    return cl
+        h.layers.append(_groups(parent, len(feats)))
+        h.features.append(feats)
+        h.merge_log.append(log)
+        labels = parent[labels]
+        edges = contract_edges(edges, parent)
+    return h
 
 
 def collect_objects(h, params=None, include_stalled=False):
@@ -352,65 +303,40 @@ def collect_objects(h, params=None, include_stalled=False):
     too (an experimental, non-default reading of "stopped merging").
     """
     params = params or MergeParams()
-    instances = []
-    seen = set()
-    terminal = h.layers[-1]
-    for cl in terminal:
-        if cl.point_ids.size < params.min_object_points:
-            continue
-        key = cl.point_ids.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        instances.append(Instance(point_ids=cl.point_ids, confidence=1.0, kind="object"))
-
+    labels = h._point_labels()
+    objects = list(_groups(labels[-1], len(h.layers[-1])))
     if include_stalled:
-        for t in range(len(h.layers) - 1):
-            for parent in h.layers[t + 1]:
-                if len(parent.children) < 2:
-                    continue
-                for child_idx in parent.children:
-                    child = h.layers[t][child_idx]
-                    # Absorbed after surviving >= 1 round untouched earlier.
-                    if child.layer > 0 and len(child.children) == 1:
-                        if child.point_ids.size < params.min_object_points:
-                            continue
-                        key = child.point_ids.tobytes()
-                        if key not in seen:
-                            seen.add(key)
-                            instances.append(
-                                Instance(point_ids=child.point_ids, confidence=1.0,
-                                         kind="object")
-                            )
-    return InstanceSet(instances=instances)
+        for t in range(1, len(h.layers) - 1):
+            sets = _groups(labels[t], len(h.layers[t]))
+            # Absorbed at t + 1 after surviving >= 1 round untouched.
+            objects += [sets[c] for parent in h.layers[t + 1] if len(parent) > 1
+                        for c in parent if len(h.layers[t][c]) == 1]
+    return InstanceSet(instances=[
+        Instance(point_ids=ids, confidence=1.0, kind="object")
+        for ids in objects if ids.size >= params.min_object_points
+    ])
 
 
 def collect_parts(h, objects):
-    """Immediate children of each object, traced through carry-forward chains.
+    """Children of the cluster each object was assembled as.
 
-    An object that was never assembled from siblings (layer-0 or pure
-    carry-forward lineage) is its own sole part. Parts of one object exactly
-    partition it.
+    An object is located at the lowest layer where the cluster holding its
+    first point equals it, and its parts are that cluster's children. An
+    object found at layer 0 (a super-point) is its own sole part. Parts of
+    one object exactly partition it.
     """
-    by_points = {}
-    for t, layer in enumerate(h.layers):
-        for cl in layer:
-            by_points[cl.point_ids.tobytes()] = (t, cl.index)
-
+    labels = h._point_labels()
+    sets = [_groups(lab, len(layer)) for lab, layer in zip(labels, h.layers)]
     parts = []
     for inst in objects.instances:
-        loc = by_points.get(inst.point_ids.tobytes())
-        if loc is None:
+        ids = inst.point_ids
+        t = next((t for t, lab in enumerate(labels)
+                  if ids.size and np.array_equal(sets[t][lab[ids[0]]], ids)), None)
+        if t is None:
             raise ValueError("object does not correspond to any cluster in the hierarchy")
-        node = _trace_to_merge_node(h, loc[0], loc[1])
-        if node.layer == 0 or len(node.children) <= 1:
-            parts.append(Instance(point_ids=inst.point_ids, confidence=inst.confidence,
-                                  kind="part"))
-        else:
-            for child_idx in node.children:
-                child = h.layers[node.layer - 1][child_idx]
-                parts.append(Instance(point_ids=child.point_ids,
-                                      confidence=inst.confidence, kind="part"))
+        pieces = [ids] if t == 0 else [sets[t - 1][c] for c in h.layers[t][labels[t][ids[0]]]]
+        parts += [Instance(point_ids=p, confidence=inst.confidence, kind="part")
+                  for p in pieces]
     return InstanceSet(instances=parts)
 
 
@@ -444,50 +370,35 @@ def drop_most_planar(objects, cloud, n_drop, min_points=500):
 
 
 def hierarchy_to_dict(h):
-    layers_out = [
-        {"clusters": [{"points": [int(v) for v in c.point_ids]} for c in h.layers[0]]}
-    ]
-    for layer in h.layers[1:]:
-        layers_out.append(
-            {"clusters": [{"children": list(c.children)} for c in layer]}
-        )
     return {
         "schema": HIERARCHY_SCHEMA,
         "n_points": h.n_points,
-        "layers": layers_out,
-        "merge_log": [
-            {
-                "accepted": [list(p) for p in log.accepted],
-                "rejected_stop": [list(p) for p in log.rejected_stop],
-                "n_candidates": log.n_candidates,
-            }
-            for log in h.merge_log
-        ],
+        "layers": [{"clusters": [{"points": ids.tolist()} for ids in h.layers[0]]}]
+        + [{"clusters": [{"children": c.tolist()} for c in layer]} for layer in h.layers[1:]],
+        "merge_log": [asdict(log) for log in h.merge_log],
     }
 
 
 def hierarchy_from_dict(data):
-    if data.get("schema") != HIERARCHY_SCHEMA:
-        raise ValueError(f"unsupported hierarchy schema {data.get('schema')!r}")
-    layers = []
-    layer0 = [
-        Cluster(0, i, np.asarray(entry["points"], dtype=np.int64))
-        for i, entry in enumerate(data["layers"][0]["clusters"])
-    ]
-    layers.append(layer0)
-    for t, layer_data in enumerate(data["layers"][1:], start=1):
-        layer = []
-        for i, entry in enumerate(layer_data["clusters"]):
-            children = [int(c) for c in entry["children"]]
-            ids = np.sort(np.concatenate([layers[t - 1][c].point_ids for c in children]))
-            layer.append(Cluster(t, i, ids, children=children))
-        layers.append(layer)
-    merge_log = [
-        LayerLog(
-            accepted=[tuple(p) for p in log["accepted"]],
-            rejected_stop=[tuple(p) for p in log["rejected_stop"]],
-            n_candidates=int(log["n_candidates"]),
-        )
-        for log in data["merge_log"]
-    ]
+    """Hierarchy from hierarchy_to_dict output; FormatError unless every layer
+    partitions the one below it (layer 0: the n_points point ids)."""
+    if not isinstance(data, dict) or data.get("schema") != HIERARCHY_SCHEMA:
+        schema = data.get("schema") if isinstance(data, dict) else None
+        raise FormatError(f"unsupported hierarchy schema {schema!r}")
+    try:
+        n_points = int(data["n_points"])
+        layers = [[np.asarray(c["points"], dtype=np.int64)
+                   for c in data["layers"][0]["clusters"]]]
+        layers += [[np.asarray(c["children"], dtype=np.int64) for c in layer["clusters"]]
+                   for layer in data["layers"][1:]]
+        merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
+                              [tuple(p) for p in log["rejected_stop"]],
+                              int(log["n_candidates"])) for log in data["merge_log"]]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise FormatError(f"malformed hierarchy: {exc!r}") from exc
+    for t, layer in enumerate(layers):
+        try:
+            _partition_labels(layer, len(layers[t - 1]) if t else n_points)
+        except ValueError as exc:
+            raise FormatError(f"hierarchy layer {t}: {exc}") from exc
     return Hierarchy(layers=layers, features=[], merge_log=merge_log)

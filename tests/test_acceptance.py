@@ -77,12 +77,13 @@ def test_c2_layer_merges_match_brute_force():
             outside_frac=float(rng.uniform(0.0, 0.3)),
             min_object_points=1,
         )
-        clusters = [hierarchy.Cluster(0, i, ids) for i, ids in enumerate(sets)]
         point_feats = np.zeros((n, 5), dtype=np.float32)
         for i, ids in enumerate(sets):
             point_feats[ids] = feats[i]
-        _nxt, _nf, log = hierarchy.run_layer(
-            clusters, feats.astype(np.float32), point_feats, pos, boxes, params
+        _parent, _nf, log = hierarchy.run_layer(
+            labels, feats.astype(np.float32), point_feats,
+            hierarchy.candidate_pairs(labels, pos, params.T),
+            hierarchy._box_membership(boxes, pos), params,
         )
         want = brute_accepted(sets, feats, pos, boxes, params)
         assert set(log.accepted) == want, f"trial {trial}: {set(log.accepted)} != {want}"
@@ -130,8 +131,8 @@ def test_c3_partition_invariants_on_random_scenes():
         h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
 
         universe = np.arange(cloud.n_points)
-        for layer in h.layers:
-            pooled = np.sort(np.concatenate([c.point_ids for c in layer]))
+        for t in range(len(h.layers)):
+            pooled = np.sort(np.concatenate(h.clusters(t)))
             if not np.array_equal(pooled, universe):
                 violations += 1
         objs = hierarchy.collect_objects(h, params)

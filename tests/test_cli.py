@@ -233,3 +233,125 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "P2O1" in proc.stdout
+
+
+def assert_bad_input(argv, capsys):
+    """The command exits 2 with a one-line error and no traceback."""
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def scene_points(scene_dir):
+    return scene_io.load_scene(scene_dir).n_points
+
+
+@pytest.mark.parametrize("mutation", ["out_of_range", "overlap", "gap", "empty", "not_a_list"])
+def test_cluster_rejects_superpoints_that_do_not_partition(
+        mutation, scene_dir, scene_points, tmp_path, capsys):
+    n = scene_points
+    sets = [list(range(0, n // 2)), list(range(n // 2, n))]
+    if mutation == "out_of_range":
+        sets[1].append(n)
+    elif mutation == "overlap":
+        sets[1] += [0, 1, 2]
+    elif mutation == "gap":
+        sets[1].pop()
+    elif mutation == "empty":
+        sets.append([])
+    else:
+        sets = n
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(sets))
+    assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(path),
+                      "--out", str(tmp_path / "h.json")], capsys)
+    assert not (tmp_path / "h.json").exists()
+
+
+HIERARCHY = {
+    "schema": "p2o.hierarchy/1",
+    "n_points": 3,
+    "layers": [{"clusters": [{"points": [0, 2]}, {"points": [1]}]},
+               {"clusters": [{"children": [0, 1]}]}],
+    "merge_log": [{"accepted": [[0, 1]], "rejected_stop": [], "n_candidates": 1}],
+}
+
+
+def extract_argv(tmp_path, data):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    return ["extract", "--hierarchy", str(path), "--min-object-points", "1",
+            "--objects", str(tmp_path / "o.txt"), "--parts", str(tmp_path / "p.txt")]
+
+
+def test_extract_reads_a_hand_written_hierarchy(tmp_path):
+    assert cli.main(extract_argv(tmp_path, HIERARCHY)) == 0
+    objects = scene_io.load_instances(tmp_path / "o.txt")
+    parts = scene_io.load_instances(tmp_path / "p.txt")
+    assert [o.point_ids.tolist() for o in objects.instances] == [[0, 1, 2]]
+    assert [p.point_ids.tolist() for p in parts.instances] == [[0, 2], [1]]
+
+
+@pytest.mark.parametrize("mutation", [
+    "no_layers", "no_clusters", "child_out_of_range", "child_twice", "child_missing",
+    "empty_children", "point_out_of_range", "point_twice", "wrong_n_points",
+])
+def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
+    data = json.loads(json.dumps(HIERARCHY))
+    layer0, layer1 = data["layers"][0]["clusters"], data["layers"][1]["clusters"]
+    if mutation == "no_layers":
+        del data["layers"]
+    elif mutation == "no_clusters":
+        del data["layers"][1]["clusters"]
+    elif mutation == "child_out_of_range":
+        layer1[0]["children"] = [0, 1, 2]
+    elif mutation == "child_twice":
+        layer1[0]["children"] = [0, 1, 1]
+    elif mutation == "child_missing":
+        layer1[0]["children"] = [0]
+    elif mutation == "empty_children":
+        layer1.append({"children": []})
+    elif mutation == "point_out_of_range":
+        layer0[1]["points"] = [1, 3]
+    elif mutation == "point_twice":
+        layer0[1]["points"] = [1, 2]
+    else:
+        data["n_points"] = 4
+    assert_bad_input(extract_argv(tmp_path, data), capsys)
+
+
+@pytest.mark.parametrize("priors", [
+    [{"max": [1.0, 1.0, 1.0]}],
+    [[0.0, 0.0, 0.0]],
+    {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
+])
+def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
+    sp = tmp_path / "sp.json"
+    assert cli.main(["superpoints", "--scene", str(scene_dir), "--out", str(sp)]) == 0
+    path = tmp_path / "priors.json"
+    path.write_text(json.dumps(priors))
+    assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(sp),
+                      "--priors", str(path), "--out", str(tmp_path / "h.json")], capsys)
+
+
+@pytest.mark.parametrize("text", [
+    '{"mutual": "false"}', '{"mutual": 0}', '{"K": true}', '{"K": "0.5"}',
+    '{"min_object_points": 10.7}', '{"min_object_points": false}', '{"seed": null}',
+    "3", "[1, 2]",
+])
+def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert_bad_input(["superpoints", "--scene", str(scene_dir),
+                      "--out", str(tmp_path / "x.json"), "--config", str(cfg)], capsys)
+
+
+def test_config_float_field_takes_an_integer(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"T": 1, "mutual": true, "normals_k": 8}')
+    args = cli.build_parser().parse_args(
+        ["run", "--scene", "s", "--out", "o", "--config", str(cfg)])
+    loaded = cli.load_config(args)
+    assert loaded.T == 1.0 and isinstance(loaded.T, float)
+    assert loaded.mutual is True and loaded.normals_k == 8
