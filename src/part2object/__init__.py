@@ -5,7 +5,7 @@ Pipeline stages, each usable on its own:
   scene_io     -- load/save point clouds, frames, instance manifests
   superpoints  -- layer-0 partition by seeded voxel region growing
   features     -- cosine similarity and noise-robust feature fusion
-  spatial      -- grid adjacency between labelled point sets, prior boxes
+  spatial      -- kd-tree adjacency between labelled point sets, prior boxes
   objectness   -- 2D mask tracks across frames -> 3D prior boxes
   hierarchy    -- prior-guided merge rounds; object/part collection
   evaluation   -- class-agnostic instance segmentation AP

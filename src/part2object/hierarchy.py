@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import AllZeroFeatures, FormatError
 from .features import fuse_feature
@@ -101,13 +100,18 @@ class Hierarchy:
 def _partition_labels(groups, n):
     """Member -> group index, for groups that partition [0, n) into non-empty sets.
 
-    Raises ValueError on an empty group, an index outside [0, n), or an index
-    that is in no group or in more than one.
+    Raises ValueError on an empty group, a group that is not a flat array of
+    integers, an index outside [0, n), or an index that is in no group or in
+    more than one.
     """
-    groups = [np.asarray(g, dtype=np.int64).ravel() for g in groups]
+    groups = [np.asarray(g) for g in groups]
+    for k, g in enumerate(groups):
+        if g.size == 0:
+            raise ValueError(f"set {k} is empty")
+        if g.ndim != 1 or g.dtype.kind not in "iu":
+            raise ValueError(f"set {k} is not a flat array of integer ids")
+    groups = [g.astype(np.int64, copy=False) for g in groups]
     sizes = np.array([g.size for g in groups], dtype=np.int64)
-    if (sizes == 0).any():
-        raise ValueError(f"set {int(np.argmin(sizes))} is empty")
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + groups)
     outside = ids[(ids < 0) | (ids >= n)]
     if outside.size:
@@ -128,16 +132,11 @@ def _groups(labels, n_groups):
 def candidate_pairs(labels, positions, t):
     """(E, 2) int64 cluster pairs (i < j, sorted) whose closest points are within t.
 
-    labels maps each point to its cluster. Grid accelerated: cluster pairs
-    whose points never co-occupy adjacent t-sized grid cells are never
-    evaluated. run_hierarchy calls this once, on layer 0; later layers get
-    their pairs from contract_edges.
+    labels maps each point to its cluster; the pairs come from a kd-tree over
+    the points (spatial.labeled_close_pairs). run_hierarchy calls this once,
+    on layer 0; later layers get their pairs from contract_edges.
     """
-    # Points grouped by cluster keep each grid cell's points close in memory,
-    # which makes the pointwise checks faster; the pairs found are the same.
-    order = np.argsort(labels, kind="stable")
-    pairs = sorted(labeled_close_pairs(positions[order], labels[order], t))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return labeled_close_pairs(positions, labels, t)
 
 
 def contract_edges(edges, parent):
@@ -220,6 +219,10 @@ def run_layer(labels, feats, point_features, edges, contains, params):
     Untouched clusters carry their feature forward; merged clusters re-fuse
     theirs from their member point features in ascending point order.
     """
+    # Imported here, not at module level: commands that never cluster would
+    # otherwise pay for loading it.
+    from scipy.sparse.csgraph import connected_components
+
     n_clusters = len(feats)
     f64 = feats.astype(np.float64)
     norms = np.linalg.norm(f64, axis=1)
@@ -272,8 +275,8 @@ def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
         point_features = point_features.astype(np.float32)
     positions = cloud.positions.astype(np.float64)
 
-    layer0 = [np.sort(np.asarray(ids, dtype=np.int64).ravel()) for ids in layer0]
     labels = _partition_labels(layer0, positions.shape[0])
+    layer0 = [np.sort(np.asarray(ids, dtype=np.int64)) for ids in layer0]
     feats = np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
                        dtype=np.float32)
     # The only point-level adjacency scan; later rounds contract its edges.
@@ -387,9 +390,9 @@ def hierarchy_from_dict(data):
         raise FormatError(f"unsupported hierarchy schema {schema!r}")
     try:
         n_points = int(data["n_points"])
-        layers = [[np.asarray(c["points"], dtype=np.int64)
+        layers = [[np.asarray(c["points"])
                    for c in data["layers"][0]["clusters"]]]
-        layers += [[np.asarray(c["children"], dtype=np.int64) for c in layer["clusters"]]
+        layers += [[np.asarray(c["children"]) for c in layer["clusters"]]
                    for layer in data["layers"][1:]]
         merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
                               [tuple(p) for p in log["rejected_stop"]],

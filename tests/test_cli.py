@@ -201,6 +201,22 @@ def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_info_and_eval_do_not_load_the_clustering_graph_code(tmp_path):
+    (tmp_path / "m.txt").write_text("0\n1\n")
+    for name in ("p.txt", "g.txt"):
+        (tmp_path / name).write_text("m.txt object 1.0\n")
+    argv = ["eval", "--pred", str(tmp_path / "p.txt"), "--gt", str(tmp_path / "g.txt"),
+            "--out", str(tmp_path / "r.json")]
+    code = ("import sys\n"
+            "from part2object import cli\n"
+            "assert cli.main(['info']) == 0\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_pipeline_defaults_match_documented_values():
     cfg = cli.PipelineConfig()
     assert cfg.T == 0.05
@@ -247,7 +263,8 @@ def scene_points(scene_dir):
     return scene_io.load_scene(scene_dir).n_points
 
 
-@pytest.mark.parametrize("mutation", ["out_of_range", "overlap", "gap", "empty", "not_a_list"])
+@pytest.mark.parametrize("mutation", ["out_of_range", "overlap", "gap", "empty", "not_a_list",
+                                      "fractional", "nested"])
 def test_cluster_rejects_superpoints_that_do_not_partition(
         mutation, scene_dir, scene_points, tmp_path, capsys):
     n = scene_points
@@ -260,6 +277,10 @@ def test_cluster_rejects_superpoints_that_do_not_partition(
         sets[1].pop()
     elif mutation == "empty":
         sets.append([])
+    elif mutation == "fractional":
+        sets[0][0] = 0.5
+    elif mutation == "nested":
+        sets[0] = [sets[0]]
     else:
         sets = n
     path = tmp_path / "sp.json"
@@ -296,6 +317,7 @@ def test_extract_reads_a_hand_written_hierarchy(tmp_path):
 @pytest.mark.parametrize("mutation", [
     "no_layers", "no_clusters", "child_out_of_range", "child_twice", "child_missing",
     "empty_children", "point_out_of_range", "point_twice", "wrong_n_points",
+    "fractional_point", "nested_points", "fractional_child", "nested_children",
 ])
 def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     data = json.loads(json.dumps(HIERARCHY))
@@ -316,6 +338,14 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
         layer0[1]["points"] = [1, 3]
     elif mutation == "point_twice":
         layer0[1]["points"] = [1, 2]
+    elif mutation == "fractional_point":
+        layer0[0]["points"] = [0.5, 2]
+    elif mutation == "nested_points":
+        layer0[0]["points"] = [[0, 2]]
+    elif mutation == "fractional_child":
+        layer1[0]["children"] = [0.5, 1]
+    elif mutation == "nested_children":
+        layer1[0]["children"] = [[0, 1]]
     else:
         data["n_points"] = 4
     assert_bad_input(extract_argv(tmp_path, data), capsys)

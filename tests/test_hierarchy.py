@@ -6,7 +6,7 @@ import pytest
 
 from part2object import hierarchy as hi
 from part2object.scene_io import SceneCloud
-from part2object.spatial import PriorBox, labeled_close_pairs
+from part2object.spatial import PriorBox
 
 # ---------------------------------------------------------------------------
 # independent straight-line oracle
@@ -110,7 +110,6 @@ def test_candidate_pair_present_within_t():
     pos = np.array([[0.0, 0, 0], [0.04, 0, 0]])
     pairs = hi.candidate_pairs(np.array([0, 1]), pos, 0.05)
     assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 1]]
-    assert labeled_close_pairs(pos, np.array([0, 1]), 0.05)[(0, 1)] == pytest.approx(0.04)
 
 
 def test_candidate_pair_absent_beyond_t():

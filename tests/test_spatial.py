@@ -1,57 +1,79 @@
-import math
-
 import numpy as np
 import pytest
 
+from part2object import spatial
 from part2object.spatial import PriorBox, labeled_close_pairs
 
 
-def brute_min_distance(pa, pb):
-    best = math.inf
-    for p in pa:
-        for q in pb:
-            best = min(best, float(np.linalg.norm(p - q)))
-    return best
+def brute_label_pairs(pts, labels, cutoff):
+    """Label pairs (la < lb) with a point pair p, q where ((p - q) ** 2).sum() <= cutoff ** 2."""
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    i, j = np.nonzero(d2 <= cutoff * cutoff)
+    la, lb = labels[i], labels[j]
+    return {(int(a), int(b)) for a, b in zip(la, lb) if a < b}
+
+
+def check_against_brute_force(pts, labels, cutoff):
+    got = labeled_close_pairs(pts, labels, cutoff)
+    assert got.dtype == np.int64 and got.ndim == 2 and got.shape[1] == 2
+    want = sorted(brute_label_pairs(pts, labels, cutoff))
+    assert got.tolist() == [list(p) for p in want]
+    return got
 
 
 def test_labeled_close_pairs_handles_negative_coordinates():
     rng = np.random.default_rng(4)
     pts = rng.random((200, 3)) * 0.6 - 0.3
     labels = rng.integers(0, 8, size=200)
-    cutoff = 0.07
-    got = labeled_close_pairs(pts, labels, cutoff)
-    want = {}
-    for la in range(8):
-        for lb in range(la + 1, 8):
-            pa, pb = pts[labels == la], pts[labels == lb]
-            if pa.size and pb.size:
-                d = brute_min_distance(pa, pb)
-                if d <= cutoff:
-                    want[(la, lb)] = d
-    assert set(got) == set(want)
+    got = check_against_brute_force(pts, labels, 0.07)
+    assert len(got) > 0
 
 
 def test_labeled_close_pairs_equals_brute_force():
     rng = np.random.default_rng(9)
     for _ in range(10):
-        n = 300
-        pts = rng.random((n, 3)) * 1.2
-        labels = rng.integers(0, 12, size=n)
-        cutoff = 0.08
-        got = labeled_close_pairs(pts, labels, cutoff)
+        pts = rng.random((300, 3)) * 1.2
+        labels = rng.integers(0, 12, size=300)
+        check_against_brute_force(pts, labels, 0.08)
 
-        want = {}
-        for la in range(12):
-            for lb in range(la + 1, 12):
-                pa, pb = pts[labels == la], pts[labels == lb]
-                if pa.size == 0 or pb.size == 0:
-                    continue
-                d = brute_min_distance(pa, pb)
-                if d <= cutoff:
-                    want[(la, lb)] = d
-        assert set(got) == set(want)
-        for key in want:
-            assert abs(got[key] - want[key]) < 1e-9
+
+def test_labeled_close_pairs_counts_pairs_at_exactly_cutoff():
+    # On an integer lattice with cutoff 1, every axis neighbour sits at
+    # exactly the cutoff; the rule keeps them.
+    rng = np.random.default_rng(21)
+    at_cutoff = 0
+    for _ in range(20):
+        pts = rng.integers(-3, 4, size=(150, 3)).astype(np.float64)
+        labels = rng.integers(0, 40, size=150)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        at_cutoff += int((d2 == 1.0).sum())
+        check_against_brute_force(pts, labels, 1.0)
+    assert at_cutoff > 1000
+
+
+def test_labeled_close_pairs_across_slab_edges(monkeypatch):
+    # Cores of 7 points: most close pairs straddle a slab edge, and the
+    # lattice x values tie across edges.
+    monkeypatch.setattr(spatial, "_SLAB_POINTS", 7)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        pts = rng.random((250, 3)) * 0.5
+        labels = rng.integers(0, 30, size=250)
+        check_against_brute_force(pts, labels, 0.06)
+        lattice = rng.integers(-3, 4, size=(120, 3)) * 0.05
+        check_against_brute_force(lattice, rng.integers(0, 20, size=120), 0.05)
+
+
+def test_labeled_close_pairs_degenerate_inputs():
+    empty = labeled_close_pairs(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 0.05)
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
+
+    pts = np.random.default_rng(0).random((50, 3)) * 0.1
+    one_label = labeled_close_pairs(pts, np.full(50, 3), 0.05)
+    assert one_label.shape == (0, 2) and one_label.dtype == np.int64
+
+    two = labeled_close_pairs(np.array([[0.0, 0, 0], [0.5, 0, 0]]), np.array([4, 2]), 0.5)
+    assert two.dtype == np.int64 and two.tolist() == [[2, 4]]
 
 
 def test_prior_box_containment():
