@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import evaluation, hierarchy, objectness, scene_io, superpoints, synth
 from .errors import FormatError
+from .parallel import thread_map
 from .spatial import PriorBox
 
 log = logging.getLogger("p2o")
@@ -208,7 +208,7 @@ def cmd_superpoints(args):
     cfg = load_config(args)
     cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
     parts = superpoints.build_superpoints(cloud, cfg.superpoint_params())
-    write_json(args.out, [[int(i) for i in ids] for ids in parts])
+    write_json(args.out, [ids.tolist() for ids in parts])
     log.info("%d super-points over %d points", len(parts), cloud.n_points)
     return EXIT_OK
 
@@ -297,7 +297,7 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
         "superpoints",
         lambda: superpoints.build_superpoints(cloud, cfg.superpoint_params()),
     )
-    write_json(out_dir / "superpoints.json", [[int(i) for i in ids] for ids in layer0])
+    write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0])
 
     frames_dir = Path(args.frames) if args.frames else scene_dir
     has_frames = bool(list(frames_dir.glob("frame_*.cam")))
@@ -346,6 +346,8 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
 
 
 def cmd_run(args):
+    if args.jobs < 1:
+        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args)
     scenes = [Path(s) for s in args.scene]
     out_root = Path(args.out)
@@ -358,9 +360,6 @@ def cmd_run(args):
             log.info("ap50=%.4f", report.ap50)
         return EXIT_OK
 
-    jobs = max(1, args.jobs)
-    results = [None] * len(scenes)
-
     # Unique output subdir per scene even when directory names collide.
     names, used = [], set()
     for scene in scenes:
@@ -372,15 +371,10 @@ def cmd_run(args):
         used.add(name)
         names.append(name)
 
-    def work(k):
-        results[k] = _run_one_scene(scenes[k], out_root / names[k], cfg, args)
-
-    if jobs == 1:
-        for k in range(len(scenes)):
-            work(k)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, range(len(scenes))))
+    results = thread_map(
+        lambda k: _run_one_scene(scenes[k], out_root / names[k], cfg, args),
+        range(len(scenes)), workers=args.jobs,
+    )
 
     pairs = [pair for _, pair in results if pair is not None]
     if pairs:

@@ -1,0 +1,28 @@
+"""The package's one thread pool: map a function over independent blocks."""
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+
+def cpu_workers():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def thread_map(fn, blocks, workers=None):
+    """[fn(b) for b in blocks], in order, on up to `workers` threads.
+
+    `workers` defaults to cpu_workers(). With one worker or one block, fn runs
+    serially in the calling thread. Threads overlap only where fn releases
+    the interpreter lock, as numpy and scipy kernels do; fn must not mutate
+    shared state other than writing its own disjoint output rows.
+    """
+    blocks = list(blocks)
+    workers = min(cpu_workers() if workers is None else workers, len(blocks))
+    if workers <= 1:
+        return [fn(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))

@@ -38,6 +38,7 @@ from .errors import (
     NonFinite,
     NonOrthonormalPose,
 )
+from .parallel import thread_map
 
 POINTS_MAGIC = b"P2O1"
 FEATURES_MAGIC = b"P2OF"
@@ -239,6 +240,11 @@ def rle_decode(runs, shape):
 # normals
 
 
+# Points per estimate_normals block. A block holds (block, k, 3) float64
+# neighbourhoods; every worker thread holds one block's.
+_NORMALS_BLOCK = 16384
+
+
 def estimate_normals(cloud, k=16):
     """Surface normals from the PCA of each point's k nearest neighbors.
 
@@ -246,6 +252,11 @@ def estimate_normals(cloud, k=16):
     smallest eigenvalue, flipped into the +z hemisphere when its z component
     is negative (dotZ == 0 keeps the eigensolver's sign). Neighborhoods where
     all k points coincide get the fallback normal (0, 0, 1).
+
+    Blocks of _NORMALS_BLOCK points, taken in kd-tree order so that a
+    block's neighborhoods lie close together in memory, run on every CPU
+    the process may use (parallel.thread_map). Each normal depends only on
+    its own neighborhood, so the result does not depend on the thread count.
     """
     pos = cloud.positions.astype(np.float64)
     n = pos.shape[0]
@@ -255,13 +266,16 @@ def estimate_normals(cloud, k=16):
         raise ValueError(f"k={k} exceeds point count {n}")
 
     tree = cKDTree(pos)
-    normals = np.empty((n, 3), dtype=np.float64)
-    chunk = 65536
-    for start in range(0, n, chunk):
-        block = pos[start : start + chunk]
-        _, idx = tree.query(block, k=k)
+    normals = np.empty((n, 3), dtype=np.float32)
+
+    def block(rows):
+        _, idx = tree.query(pos[rows], k=k)
         nb = pos[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
+        # einsum sums each entry over k in order. A batched matmul is faster
+        # but rounds differently: where the covariance has rank 1 (collinear
+        # points, or copies of two positions) the smallest eigenvalue is
+        # double, and that rounding picks another normal in its plane.
         cov = np.einsum("nki,nkj->nij", centered, centered)
         _, vecs = np.linalg.eigh(cov)
         nrm = vecs[:, :, 0]
@@ -270,8 +284,11 @@ def estimate_normals(cloud, k=16):
         flip = nrm[:, 2] < 0.0
         nrm[flip] *= -1.0
         lengths = np.linalg.norm(nrm, axis=1, keepdims=True)
-        normals[start : start + chunk] = nrm / lengths
-    return normals.astype(np.float32)
+        normals[rows] = nrm / lengths
+
+    order = tree.indices
+    thread_map(block, [order[s : s + _NORMALS_BLOCK] for s in range(0, n, _NORMALS_BLOCK)])
+    return normals
 
 
 def default_normals(cloud, k):

@@ -5,10 +5,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .parallel import thread_map
+
 # Points per core in labeled_close_pairs. A kd-tree query materialises every
 # point pair within the cutoff; querying one slab at a time bounds that to the
-# pairs of a slab instead of the whole scene.
-_SLAB_POINTS = 1 << 16
+# pairs of a slab instead of the whole scene, and every worker thread holds
+# one slab's.
+_SLAB_POINTS = 1 << 15
 
 
 def labeled_close_pairs(positions, labels, cutoff):
@@ -19,7 +22,10 @@ def labeled_close_pairs(positions, labels, cutoff):
     lexicographically. The points are sorted by x and walked in cores of
     _SLAB_POINTS; a core's slab adds every later point up to twice the cutoff
     past its last x (the margin absorbs rounding of x + cutoff), so each point
-    pair is found in the slab of its lower-sorted point.
+    pair is found in the slab of its lower-sorted point. Each slab builds its
+    own kd-tree and finds its label pairs on one of the CPUs
+    (parallel.thread_map); the slabs' pairs are merged in slab order, so the
+    result does not depend on the thread count.
     """
     positions = np.asarray(positions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -27,15 +33,17 @@ def labeled_close_pairs(positions, labels, cutoff):
     pos, lab = positions[order], labels[order]
     n = pos.shape[0]
     base = int(lab.max()) + 1 if n else 1
-    keys = [np.empty(0, dtype=np.int64)]
-    for start in range(0, n, _SLAB_POINTS):
+
+    def slab_keys(start):
         core_end = min(start + _SLAB_POINTS, n)
         end = np.searchsorted(pos[:, 0], pos[core_end - 1, 0] + 2 * cutoff, side="right")
         i, j = (cKDTree(pos[start:end]).query_pairs(cutoff, output_type="ndarray") + start).T
         la, lb = lab[i], lab[j]
         keep = (i < core_end) & (la != lb)
         la, lb = la[keep], lb[keep]
-        keys.append(np.minimum(la, lb) * base + np.maximum(la, lb))
+        return np.unique(np.minimum(la, lb) * base + np.maximum(la, lb))
+
+    keys = [np.empty(0, dtype=np.int64), *thread_map(slab_keys, range(0, n, _SLAB_POINTS))]
     keys = np.unique(np.concatenate(keys))
     return np.column_stack([keys // base, keys % base])
 

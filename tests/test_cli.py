@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from part2object import cli, scene_io
+from part2object import cli, parallel, scene_io, spatial, synth
 from conftest import three_block_spec
 
 
@@ -185,6 +185,40 @@ def test_multi_scene_run_pools_report(scene_dir, tmp_path):
     # duplicate scene names get distinct output subdirectories
     assert (out / scene_dir.name / "hierarchy.json").exists()
     assert (out / f"{scene_dir.name}_1" / "hierarchy.json").exists()
+
+
+def test_run_jobs_do_not_change_artifacts(tmp_path, monkeypatch):
+    scenes = []
+    for seed in (9, 10):
+        cloud, gt, frames = synth.generate(three_block_spec(seed=seed))
+        cloud.normals = None  # the run estimates them, as for a raw scan
+        scenes += ["--scene", str(tmp_path / f"scene{seed}")]
+        scene_io.write_scene(scenes[-1], cloud)
+        scene_io.write_frames(scenes[-1], frames)
+        scene_io.write_instances(tmp_path / f"scene{seed}" / "ground_truth.txt", gt)
+    # Small blocks give each scene's neighbourhood queries several blocks:
+    # fully serial at --jobs 1, two scene threads each running two more at 2.
+    monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
+    monkeypatch.setattr(spatial, "_SLAB_POINTS", 2048)
+    outs = {}
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: int(jobs))
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert cli.main(["run", *scenes, "--out", str(outs[jobs]),
+                         "--min-object-points", "30", "--jobs", jobs]) == 0
+    serial, threaded = tree_bytes(outs["1"]), tree_bytes(outs["2"])
+    assert len(serial) > 10 and "report.json" in serial
+    assert list(serial) == list(threaded)
+    for name in serial:
+        assert serial[name] == threaded[name], name
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert_bad_input(["run", "--scene", str(scene_dir), "--out", str(out), "--jobs", jobs],
+                     capsys)
+    assert not out.exists()
 
 
 def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from part2object import scene_io
+from conftest import three_block_spec
+from part2object import parallel, scene_io, synth
 from part2object.errors import (
     CorruptHeader,
     CorruptRLE,
@@ -190,6 +192,78 @@ def test_normals_degenerate_neighborhood():
     cloud = SceneCloud(positions=pos)
     normals = estimate_normals(cloud, k=5)
     assert np.allclose(normals, (0.0, 0.0, 1.0))
+
+
+def reference_normals(cloud, k):
+    """The serial einsum loop estimate_normals replaced, kept as the oracle."""
+    pos = cloud.positions.astype(np.float64)
+    n = pos.shape[0]
+    tree = cKDTree(pos)
+    normals = np.empty((n, 3), dtype=np.float64)
+    chunk = 65536
+    for start in range(0, n, chunk):
+        block = pos[start : start + chunk]
+        _, idx = tree.query(block, k=k)
+        nb = pos[idx]
+        centered = nb - nb.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered)
+        _, vecs = np.linalg.eigh(cov)
+        nrm = vecs[:, :, 0]
+        degenerate = np.abs(centered).max(axis=(1, 2)) == 0.0
+        nrm[degenerate] = (0.0, 0.0, 1.0)
+        flip = nrm[:, 2] < 0.0
+        nrm[flip] *= -1.0
+        lengths = np.linalg.norm(nrm, axis=1, keepdims=True)
+        normals[start : start + chunk] = nrm / lengths
+    return normals.astype(np.float32)
+
+
+def assert_normals_equal_reference(cloud, k):
+    got = estimate_normals(cloud, k=k)
+    assert got.dtype == np.float32 and got.shape == (cloud.n_points, 3)
+    assert np.array_equal(got, reference_normals(cloud, k))
+
+
+@pytest.fixture(scope="module")
+def room_normals():
+    """A 256k-point room cloud, many blocks and a partial last one, with its oracle normals."""
+    spec = three_block_spec(seed=7, room=(4.0, 4.0, 1.5), points_per_m2=5750.0)
+    cloud, _, _ = synth.generate(spec)
+    n = cloud.n_points
+    assert n > 200_000 and n % scene_io._NORMALS_BLOCK != 0
+    return cloud, reference_normals(cloud, k=16)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_normals_equal_reference_on_room(room_normals, workers, monkeypatch):
+    # None keeps the CPU count this process may use.
+    if workers is not None:
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    cloud, want = room_normals
+    got = estimate_normals(cloud, k=16)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+def test_normals_equal_reference_on_coincident_points():
+    rng = np.random.default_rng(11)
+    spread = rng.random((300, 3))
+    stacked = np.repeat(rng.random((40, 3)), 8, axis=0)
+    cloud = SceneCloud(positions=np.concatenate([spread, stacked]).astype(np.float32))
+    normals = estimate_normals(cloud, k=5)
+    # Each stack of 8 copies is a neighbourhood with no spread.
+    assert (normals[300:] == np.float32((0.0, 0.0, 1.0))).all()
+    assert_normals_equal_reference(cloud, k=5)
+
+
+def test_normals_equal_reference_when_k_is_the_point_count():
+    pos = np.random.default_rng(12).random((20, 3)).astype(np.float32)
+    assert_normals_equal_reference(SceneCloud(positions=pos), k=20)
+
+
+def test_normals_equal_reference_below_one_block():
+    pos = np.random.default_rng(13).random((3000, 3)).astype(np.float32)
+    assert 3000 < scene_io._NORMALS_BLOCK
+    assert_normals_equal_reference(SceneCloud(positions=pos), k=16)
 
 
 def test_normals_k_bounds():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from part2object import spatial
+from part2object import parallel, spatial
 from part2object.spatial import PriorBox, labeled_close_pairs
 
 
@@ -62,6 +62,22 @@ def test_labeled_close_pairs_across_slab_edges(monkeypatch):
         check_against_brute_force(pts, labels, 0.06)
         lattice = rng.integers(-3, 4, size=(120, 3)) * 0.05
         check_against_brute_force(lattice, rng.integers(0, 20, size=120), 0.05)
+
+
+def test_labeled_close_pairs_do_not_depend_on_thread_count(monkeypatch):
+    # Cores of 32 points: 1,200 points make 38 slabs for the workers to share.
+    monkeypatch.setattr(spatial, "_SLAB_POINTS", 32)
+    rng = np.random.default_rng(8)
+    pts = rng.random((1200, 3)) * np.array([2.0, 0.3, 0.3])
+    labels = rng.integers(0, 200, size=1200)
+    results = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+        results[workers] = labeled_close_pairs(pts, labels, 0.05)
+    assert len(results[1]) > 100
+    assert results[1].dtype == results[2].dtype == np.int64
+    assert np.array_equal(results[1], results[2])
+    check_against_brute_force(pts, labels, 0.05)
 
 
 def test_labeled_close_pairs_degenerate_inputs():
