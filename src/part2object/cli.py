@@ -121,38 +121,18 @@ def load_config(args):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
+    if cfg.normals_k < 3:
+        raise ValueError(f"normals_k must be at least 3, got {cfg.normals_k}")
+    if cfg.drop_largest_planar < 0:
+        raise ValueError(f"drop_largest_planar must be >= 0, got {cfg.drop_largest_planar}")
     return cfg
 
 
 def _add_config_flags(parser, names):
-    flags = {
-        "voxel_size": dict(type=float),
-        "seed_resolution": dict(type=float),
-        "w_spatial": dict(type=float),
-        "w_color": dict(type=float),
-        "w_normal": dict(type=float),
-        "normals_k": dict(type=int),
-        "tau": dict(type=float),
-        "depth_tol": dict(type=float),
-        "min_track_frames": dict(type=int),
-        "min_track_points": dict(type=int),
-        "mutual": dict(action="store_true"),
-        "K": dict(type=float),
-        "T": dict(type=float),
-        "max_layers": dict(type=int),
-        "inside_frac": dict(type=float),
-        "outside_frac": dict(type=float),
-        "min_object_points": dict(type=int),
-        "l2_normalize_features": dict(action="store_true"),
-        "include_stalled": dict(action="store_true"),
-        "drop_largest_planar": dict(type=int),
-        "seed": dict(type=int),
-    }
     for name in names:
-        opts = dict(flags[name])
-        opts["default"] = None
-        opts["dest"] = name
-        parser.add_argument("--" + name.replace("_", "-"), **opts)
+        kind = _CONFIG_FIELDS[name]
+        opts = dict(action="store_true") if kind is bool else dict(type=kind)
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **opts)
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -271,16 +251,14 @@ def cmd_eval(args):
         )
         gt = scene_io.InstanceSet([i for i in gt.instances if i.kind == args.kind])
         pairs.append((preds, gt))
-    if len(pairs) == 1:
-        report = evaluation.evaluate(*pairs[0])
-    else:
-        report = evaluation.evaluate_multi(pairs)
+    report = evaluation.evaluate_multi(pairs)
     write_json(args.out, report.to_dict())
     log.info("ap25=%.4f ap50=%.4f mean_ap=%.4f", report.ap25, report.ap50, report.mean_ap)
     return EXIT_OK
 
 
-def _run_one_scene(scene_dir, out_dir, cfg, args):
+def _run_one_scene(scene_dir, out_dir, cfg, params, args):
+    sp_params, match_params, merge_params = params
     scene_dir = Path(scene_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,7 +273,7 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
 
     layer0 = stage(
         "superpoints",
-        lambda: superpoints.build_superpoints(cloud, cfg.superpoint_params()),
+        lambda: superpoints.build_superpoints(cloud, sp_params),
     )
     write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0])
 
@@ -305,7 +283,7 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
         frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
         tracks = stage(
             "priors",
-            lambda: objectness.build_tracks(cloud, frames, cfg.match_params(),
+            lambda: objectness.build_tracks(cloud, frames, match_params,
                                             mutual=cfg.mutual),
         )
         boxes = objectness.prior_boxes(cloud, tracks)
@@ -319,14 +297,14 @@ def _run_one_scene(scene_dir, out_dir, cfg, args):
     h = stage(
         "cluster",
         lambda: hierarchy.run_hierarchy(
-            layer0, cloud, boxes, cfg.merge_params(),
+            layer0, cloud, boxes, merge_params,
             l2_normalize=cfg.l2_normalize_features,
         ),
     )
     write_json(out_dir / "hierarchy.json", hierarchy.hierarchy_to_dict(h))
 
     def extract():
-        objects = hierarchy.collect_objects(h, cfg.merge_params(),
+        objects = hierarchy.collect_objects(h, merge_params,
                                             include_stalled=cfg.include_stalled)
         objects = hierarchy.drop_most_planar(objects, cloud, cfg.drop_largest_planar)
         return objects, hierarchy.collect_parts(h, objects)
@@ -349,13 +327,15 @@ def cmd_run(args):
     if args.jobs < 1:
         raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args)
+    # Every tunable is checked here, before anything is written.
+    params = cfg.superpoint_params(), cfg.match_params(), cfg.merge_params()
     scenes = [Path(s) for s in args.scene]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_json(out_root / "effective_config.json", dataclasses.asdict(cfg))
 
     if len(scenes) == 1:
-        report, _ = _run_one_scene(scenes[0], out_root, cfg, args)
+        report, _ = _run_one_scene(scenes[0], out_root, cfg, params, args)
         if report is not None:
             log.info("ap50=%.4f", report.ap50)
         return EXIT_OK
@@ -372,7 +352,7 @@ def cmd_run(args):
         names.append(name)
 
     results = thread_map(
-        lambda k: _run_one_scene(scenes[k], out_root / names[k], cfg, args),
+        lambda k: _run_one_scene(scenes[k], out_root / names[k], cfg, params, args),
         range(len(scenes)), workers=args.jobs,
     )
 

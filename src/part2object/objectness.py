@@ -14,6 +14,7 @@ then only indexes its bitmap at those visible pixels.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .spatial import PriorBox
 
@@ -77,30 +78,21 @@ def propagate_sameness(nodes, edges):
     ordered by their smallest member and members are sorted, so the result is
     deterministic.
     """
+    # Imported here, as in hierarchy.run_layer: commands that never build
+    # tracks would otherwise pay for loading it.
+    from scipy.sparse.csgraph import connected_components
+
     nodes = sorted(nodes)
     index = {node: k for k, node in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    groups = {}
-    for k in range(len(nodes)):
-        groups.setdefault(find(k), []).append(k)
-    return [
-        ObjectTrack(members=[nodes[k] for k in groups[root]])
-        for root in sorted(groups)
-    ]
+    pairs = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(nodes), len(nodes)))
+    # Components are numbered by their smallest node, as run_layer relies on.
+    n_tracks, track_of = connected_components(graph, directed=False)
+    members = [[] for _ in range(n_tracks)]
+    for node, k in zip(nodes, track_of.tolist()):
+        members[k].append(node)
+    return [ObjectTrack(members=m) for m in members]
 
 
 def camera_project(positions, intrinsics, extrinsics, image_shape):

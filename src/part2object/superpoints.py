@@ -10,14 +10,17 @@ a wave joins the seed with the smallest mixed distance
       + w_normal  * (1 - |n . n_seed|)
 
 with ties going to the lowest seed index. A seed keeps growing through a
-voxel only if it actually won points there, which keeps every super-point
-connected in the voxel graph. Voxels no seed can reach fall back to the
-nearest seed centroid.
+voxel only if it actually won points there, which keeps the points each seed
+reaches connected in the voxel graph. A point in a voxel no seed can reach
+joins the super-point of its nearest reached point (one kd-tree query), so
+an island attaches to the surface nearest it, not to the nearest seed
+centroid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import scene_io
 from .errors import EmptyCloud
@@ -32,10 +35,6 @@ _OFFSETS_26 = np.array(
     ],
     dtype=np.int64,
 )
-
-# (point, seed) pairs per nearest-centroid fallback block: the block's
-# (rows, seeds, 3) float64 temporary stays near 6 MB however many seeds exist.
-_FALLBACK_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -201,14 +200,12 @@ def build_superpoints(cloud, params=None):
         frontier_vox = win_key // n_seeds
         frontier_seed = win_key % n_seeds
 
-    # Voxels unreachable from every seed: nearest seed centroid per point.
-    missing = np.flatnonzero(point_seed < 0)
-    if missing.size:
-        rows = max(1, _FALLBACK_BLOCK_ELEMS // n_seeds)
-        for start in range(0, missing.size, rows):
-            blk = missing[start : start + rows]
-            d = np.linalg.norm(pos[blk, None, :] - seed_centroid[None, :, :], axis=2)
-            point_seed[blk] = d.argmin(axis=1)
+    # Voxels unreachable from every seed: the nearest reached point's seed.
+    missing = point_seed < 0
+    if missing.any():
+        reached = np.flatnonzero(~missing)
+        _, nearest = cKDTree(pos[reached]).query(pos[missing])
+        point_seed[missing] = point_seed[reached[nearest]]
 
     order = np.argsort(point_seed, kind="stable")
     starts, counts = _group_starts(point_seed, n_seeds)

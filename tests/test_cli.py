@@ -221,6 +221,31 @@ def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [
+    ("--voxel-size", "0"), ("--tau", "2"), ("--K", "0"), ("--T", "-1"),
+    ("--max-layers", "0"), ("--min-object-points", "0"), ("--normals-k", "2"),
+    ("--drop-largest-planar", "-1"),
+])
+def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
+    # No normals on disk, so --normals-k would reach estimate_normals.
+    cloud = synth.generate(three_block_spec(points_per_m2=300.0))[0]
+    cloud.normals = None
+    scene = tmp_path / "scene"
+    scene_io.write_scene(scene, cloud)
+    out = tmp_path / "run"
+    assert_bad_input(["run", "--scene", str(scene), "--out", str(out), *flag], capsys)
+    assert not out.exists()
+
+
+def test_bad_tunable_in_config_file_stops_run_before_writing(scene_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"inside_frac": 0.05}')
+    out = tmp_path / "run"
+    assert_bad_input(["run", "--scene", str(scene_dir), "--out", str(out),
+                      "--config", str(cfg)], capsys)
+    assert not out.exists()
+
+
 def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):
     (tmp_path / "m.txt").write_text("99999999999999999999\n")
     for name in ("p.txt", "g.txt"):

@@ -142,6 +142,49 @@ def test_propagation_equals_bfs_oracle_on_random_graphs():
         assert got == bfs_components(nodes, edges)
 
 
+def union_find_tracks(nodes, edges):
+    """Reference: path-halving union-find, roots kept at the smaller index."""
+    nodes = sorted(nodes)
+    index = {node: k for k, node in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = find(index[a]), find(index[b])
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    groups = {}
+    for k in range(len(nodes)):
+        groups.setdefault(find(k), []).append(k)
+    return [[nodes[k] for k in groups[root]] for root in sorted(groups)]
+
+
+def test_propagation_equals_union_find_reference():
+    # Arbitrary links, not only adjacent frames: empty graphs, isolated
+    # nodes, self-loops, repeated links and nodes given out of order.
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n_frames = int(rng.integers(0, 6))
+        counts = rng.integers(0, 5, size=n_frames)
+        nodes = [(f, m) for f in range(n_frames) for m in range(counts[f])]
+        n_edges = int(rng.integers(0, 2 * len(nodes) + 1)) if nodes else 0
+        picks = rng.integers(0, max(len(nodes), 1), size=(n_edges, 2))
+        edges = [(nodes[a], nodes[b]) for a, b in picks]
+        if nodes and trial % 3 == 0:
+            edges.append((nodes[0], nodes[0]))
+        shuffled = [nodes[k] for k in rng.permutation(len(nodes))]
+        got = [t.members for t in ob.propagate_sameness(shuffled, edges)]
+        assert got == union_find_tracks(nodes, edges)
+
+
 # ---------------------------------------------------------------------------
 # projection
 

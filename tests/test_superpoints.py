@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from part2object import evaluation, hierarchy, objectness, synth
 from part2object.errors import EmptyCloud
 from part2object.scene_io import SceneCloud
 from part2object.superpoints import SuperpointParams, build_superpoints
+
+from conftest import three_block_spec
 
 
 def check_partition(parts, n):
@@ -76,7 +79,7 @@ def test_determinism():
 
 def test_spatial_coherence_in_voxel_graph():
     # Fully dense plane (every voxel occupied): no isolated voxels, so the
-    # nearest-seed fallback never fires and each super-point must be one
+    # unreached-point fallback never fires and each super-point must be one
     # connected blob of voxels. Sparse scenes may legitimately contain
     # fallback-assigned islands.
     rng = np.random.default_rng(3)
@@ -167,6 +170,39 @@ def test_equal_claim_ties_to_lowest_seed_index():
                          w_spatial=1.0, w_color=1.0, w_normal=0.0),
     )
     assert claimed_by(parts, 3) == claimed_by(parts, 1)  # seed 0 wins ties
+
+
+def test_unreached_island_joins_its_nearest_reached_point():
+    # voxel_size 1.0, seed_resolution 4.0, points on a line. Seed B is the
+    # voxel at x=-2.5 (cell [-4, 0), tie to the lower voxel) and grows to
+    # x=-1.5; seed A is the lone voxel at x=2.5. The point at x=0.2 sits in a
+    # voxel with no occupied neighbour, so no wave reaches it. Its nearest
+    # seed centroid is A's (2.3 vs 2.7 away) but its nearest reached point is
+    # B's x=-1.5 (1.7 vs 2.3 away).
+    xs = [-2.5, -1.5, 0.2, 2.5]
+    pos = np.array([[x, 0.5, 0.5] for x in xs], dtype=np.float32)
+    normals = np.tile(np.float32((0.0, 0.0, 1.0)), (4, 1))
+    parts = build_superpoints(
+        SceneCloud(positions=pos, normals=normals),
+        SuperpointParams(voxel_size=1.0, seed_resolution=4.0,
+                         w_spatial=1.0, w_color=0.0, w_normal=0.0),
+    )
+    assert [p.tolist() for p in parts] == [[0, 1, 2], [3]]
+
+
+def test_separated_blocks_at_realistic_density_are_segmented():
+    # At 1150 pts/m2 about a fifth of the points are unreachable over the
+    # voxel graph, so where the fallback puts them decides whether blocks
+    # 0.14 m apart share super-points, and so whole objects.
+    ap50 = []
+    for seed in (3, 5, 7, 13, 21, 42):
+        cloud, gt, frames = synth.generate(three_block_spec(seed=seed, points_per_m2=1150.0))
+        params = hierarchy.MergeParams()
+        h = hierarchy.run_hierarchy(build_superpoints(cloud), cloud,
+                                    objectness.build_priors(cloud, frames), params)
+        ap50.append(evaluation.evaluate(hierarchy.collect_objects(h, params), gt).ap50)
+    assert np.mean(ap50) >= 0.9, ap50
+    assert min(ap50) >= 0.66, ap50  # at least two of the three blocks everywhere
 
 
 def test_empty_cloud_rejected():
