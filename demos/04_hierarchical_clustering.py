@@ -47,7 +47,7 @@ print(f"  objects: {[int(o.point_ids.size) for o in objects.instances]}")
 print(f"  parts per object point count: {[int(p.point_ids.size) for p in parts.instances]}")
 print(f"  mAP@50 = {evaluation.evaluate(objects, gt).ap50}")
 
-blind_params = MergeParams(K_fraction=1.0, min_object_points=30)
+blind_params = MergeParams(K=1.0, min_object_points=30)
 blind = run_hierarchy(layer0, cloud, [], blind_params)
 blind_objects = collect_objects(blind, blind_params)
 print("\nwithout priors, K = 1.0 (every adjacent pair merges):")

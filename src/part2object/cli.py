@@ -1,8 +1,12 @@
 """Command-line pipeline: synth, superpoints, priors, cluster, extract, eval, run, info.
 
-Configuration precedence is defaults < JSON config file < explicit flags.
-Logs go to stderr (P2O_LOG controls verbosity); artifacts and reports go to
-files only. Exit codes: 0 ok, 2 bad input, 3 stage failure.
+Every tunable is a field of one stage parameter class (SuperpointParams,
+MatchParams, MergeParams). Flag types, config-file keys and
+effective_config.json come from those fields, and the classes' own checks
+are the only validation. Configuration precedence is defaults < JSON config
+file < explicit flags. Logs go to stderr (P2O_LOG controls verbosity);
+artifacts and reports go to files only. Exit codes: 0 ok, 2 bad input, 3
+stage failure, each failure reported as one stderr line.
 """
 
 import argparse
@@ -11,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,70 +37,16 @@ class StageFailure(RuntimeError):
         self.stage = stage
 
 
-@dataclass
-class PipelineConfig:
-    """Every tunable of the pipeline with its default, echoed on each run."""
-
-    # super-points
-    voxel_size: float = 0.02
-    seed_resolution: float = 0.25
-    w_spatial: float = 0.4
-    w_color: float = 0.2
-    w_normal: float = 1.0
-    normals_k: int = 16
-    # objectness priors
-    tau: float = 0.3
-    depth_tol: float = 0.05
-    min_track_frames: int = 2
-    min_track_points: int = 30
-    mutual: bool = False
-    # hierarchical clustering
-    K: float = 0.6
-    T: float = 0.05
-    max_layers: int = 10
-    inside_frac: float = 0.9
-    outside_frac: float = 0.1
-    min_object_points: int = 50
-    l2_normalize_features: bool = False
-    include_stalled: bool = False
-    drop_largest_planar: int = 0
-    # synth only
-    seed: int = 0
-
-    def superpoint_params(self):
-        return superpoints.SuperpointParams(
-            voxel_size=self.voxel_size,
-            seed_resolution=self.seed_resolution,
-            w_spatial=self.w_spatial,
-            w_color=self.w_color,
-            w_normal=self.w_normal,
-        )
-
-    def match_params(self):
-        return objectness.MatchParams(
-            tau=self.tau,
-            depth_tol=self.depth_tol,
-            min_track_frames=self.min_track_frames,
-            min_track_points=self.min_track_points,
-        )
-
-    def merge_params(self):
-        return hierarchy.MergeParams(
-            K_fraction=self.K,
-            T=self.T,
-            max_layers=self.max_layers,
-            inside_frac=self.inside_frac,
-            outside_frac=self.outside_frac,
-            min_object_points=self.min_object_points,
-        )
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+# Every tunable is a field of one stage parameter class: name -> (class, type).
+_PARAM_CLASSES = (superpoints.SuperpointParams, objectness.MatchParams, hierarchy.MergeParams)
+_CONFIG_FIELDS = {f.name: (cls, f.type)
+                  for cls in _PARAM_CLASSES for f in dataclasses.fields(cls)}
 
 
 def load_config(args):
-    """Materialize a PipelineConfig from defaults, config file, then flags."""
-    cfg = PipelineConfig()
+    """(SuperpointParams, MatchParams, MergeParams) from defaults, config file,
+    then flags; a value out of range raises ValueError naming its key."""
+    values = {}
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -111,26 +60,23 @@ def load_config(args):
         if unknown:
             raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, value in data.items():
-            kind = type(getattr(cfg, key))
+            kind = _CONFIG_FIELDS[key][1]
             # A JSON boolean fits only a bool field, though bool is an int in Python.
             if isinstance(value, bool) != (kind is bool) or not isinstance(
                     value, (int, float) if kind is float else kind):
                 raise FormatError(f"{path}: {key}={value!r} is not a JSON {kind.__name__}")
-            setattr(cfg, key, kind(value))
+            values[key] = kind(value)
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    if cfg.normals_k < 3:
-        raise ValueError(f"normals_k must be at least 3, got {cfg.normals_k}")
-    if cfg.drop_largest_planar < 0:
-        raise ValueError(f"drop_largest_planar must be >= 0, got {cfg.drop_largest_planar}")
-    return cfg
+            values[name] = value
+    return tuple(cls(**{k: v for k, v in values.items() if _CONFIG_FIELDS[k][0] is cls})
+                 for cls in _PARAM_CLASSES)
 
 
 def _add_config_flags(parser, names):
     for name in names:
-        kind = _CONFIG_FIELDS[name]
+        kind = _CONFIG_FIELDS[name][1]
         opts = dict(action="store_true") if kind is bool else dict(type=kind)
         parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **opts)
     parser.add_argument("--config", default=None, help="JSON config file")
@@ -185,19 +131,19 @@ def cmd_synth(args):
 
 
 def cmd_superpoints(args):
-    cfg = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
-    parts = superpoints.build_superpoints(cloud, cfg.superpoint_params())
+    sp_params, _, _ = load_config(args)
+    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+    parts = superpoints.build_superpoints(cloud, sp_params)
     write_json(args.out, [ids.tolist() for ids in parts])
     log.info("%d super-points over %d points", len(parts), cloud.n_points)
     return EXIT_OK
 
 
 def cmd_priors(args):
-    cfg = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
+    sp_params, match_params, _ = load_config(args)
+    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
     frames = scene_io.load_frames(args.frames or args.scene)
-    tracks = objectness.build_tracks(cloud, frames, cfg.match_params(), mutual=cfg.mutual)
+    tracks = objectness.build_tracks(cloud, frames, match_params)
     boxes = objectness.prior_boxes(cloud, tracks)
     write_json(args.out, priors_to_json(boxes, tracks))
     log.info("%d prior boxes from %d frames", len(boxes), len(frames))
@@ -205,16 +151,14 @@ def cmd_priors(args):
 
 
 def cmd_cluster(args):
-    cfg = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
+    sp_params, _, merge_params = load_config(args)
+    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
     with open(args.superpoints) as fh:
         layer0 = json.load(fh)
     if not isinstance(layer0, list):
         raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
     boxes = load_priors(args.priors) if args.priors else []
-    h = hierarchy.run_hierarchy(
-        layer0, cloud, boxes, cfg.merge_params(), l2_normalize=cfg.l2_normalize_features
-    )
+    h = hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params)
     write_json(args.out, hierarchy.hierarchy_to_dict(h))
     log.info("%d layers, terminal layer has %d clusters",
              len(h.layers), len(h.layers[-1]))
@@ -222,16 +166,15 @@ def cmd_cluster(args):
 
 
 def cmd_extract(args):
-    cfg = load_config(args)
+    sp_params, _, merge_params = load_config(args)
     with open(args.hierarchy) as fh:
         h = hierarchy.hierarchy_from_dict(json.load(fh))
-    objects = hierarchy.collect_objects(h, cfg.merge_params(),
-                                        include_stalled=cfg.include_stalled)
-    if cfg.drop_largest_planar > 0:
+    objects = hierarchy.collect_objects(h, merge_params)
+    if merge_params.drop_largest_planar > 0:
         if not args.scene:
             raise FormatError("--drop-largest-planar needs --scene for positions")
-        cloud = scene_io.load_scene(args.scene, normals_k=cfg.normals_k)
-        objects = hierarchy.drop_most_planar(objects, cloud, cfg.drop_largest_planar)
+        cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+        objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
     parts = hierarchy.collect_parts(h, objects)
     scene_io.write_instances(args.objects, objects)
     scene_io.write_instances(args.parts, parts)
@@ -257,7 +200,7 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _run_one_scene(scene_dir, out_dir, cfg, params, args):
+def _run_one_scene(scene_dir, out_dir, params, args):
     sp_params, match_params, merge_params = params
     scene_dir = Path(scene_dir)
     out_dir = Path(out_dir)
@@ -269,23 +212,15 @@ def _run_one_scene(scene_dir, out_dir, cfg, params, args):
         except Exception as exc:
             raise StageFailure(name, str(exc)) from exc
 
-    cloud = stage("load", lambda: scene_io.load_scene(scene_dir, normals_k=cfg.normals_k))
-
-    layer0 = stage(
-        "superpoints",
-        lambda: superpoints.build_superpoints(cloud, sp_params),
-    )
+    cloud = stage("load", lambda: scene_io.load_scene(scene_dir, normals_k=sp_params.normals_k))
+    layer0 = stage("superpoints", lambda: superpoints.build_superpoints(cloud, sp_params))
     write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0])
 
     frames_dir = Path(args.frames) if args.frames else scene_dir
     has_frames = bool(list(frames_dir.glob("frame_*.cam")))
     if has_frames:
         frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
-        tracks = stage(
-            "priors",
-            lambda: objectness.build_tracks(cloud, frames, match_params,
-                                            mutual=cfg.mutual),
-        )
+        tracks = stage("priors", lambda: objectness.build_tracks(cloud, frames, match_params))
         boxes = objectness.prior_boxes(cloud, tracks)
     elif args.require_priors:
         raise StageFailure("priors", f"no frames found in {frames_dir}")
@@ -294,19 +229,12 @@ def _run_one_scene(scene_dir, out_dir, cfg, params, args):
         tracks, boxes = [], []
     write_json(out_dir / "priors.json", priors_to_json(boxes, tracks))
 
-    h = stage(
-        "cluster",
-        lambda: hierarchy.run_hierarchy(
-            layer0, cloud, boxes, merge_params,
-            l2_normalize=cfg.l2_normalize_features,
-        ),
-    )
+    h = stage("cluster", lambda: hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params))
     write_json(out_dir / "hierarchy.json", hierarchy.hierarchy_to_dict(h))
 
     def extract():
-        objects = hierarchy.collect_objects(h, merge_params,
-                                            include_stalled=cfg.include_stalled)
-        objects = hierarchy.drop_most_planar(objects, cloud, cfg.drop_largest_planar)
+        objects = hierarchy.collect_objects(h, merge_params)
+        objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
         return objects, hierarchy.collect_parts(h, objects)
 
     objects, parts = stage("extract", extract)
@@ -326,16 +254,16 @@ def _run_one_scene(scene_dir, out_dir, cfg, params, args):
 def cmd_run(args):
     if args.jobs < 1:
         raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = load_config(args)
     # Every tunable is checked here, before anything is written.
-    params = cfg.superpoint_params(), cfg.match_params(), cfg.merge_params()
+    params = load_config(args)
     scenes = [Path(s) for s in args.scene]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    write_json(out_root / "effective_config.json", dataclasses.asdict(cfg))
+    write_json(out_root / "effective_config.json",
+               {k: v for p in params for k, v in dataclasses.asdict(p).items()})
 
     if len(scenes) == 1:
-        report, _ = _run_one_scene(scenes[0], out_root, cfg, params, args)
+        report, _ = _run_one_scene(scenes[0], out_root, params, args)
         if report is not None:
             log.info("ap50=%.4f", report.ap50)
         return EXIT_OK
@@ -352,7 +280,7 @@ def cmd_run(args):
         names.append(name)
 
     results = thread_map(
-        lambda k: _run_one_scene(scenes[k], out_root / names[k], cfg, params, args),
+        lambda k: _run_one_scene(scenes[k], out_root / names[k], params, args),
         range(len(scenes)), workers=args.jobs,
     )
 
@@ -386,20 +314,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+    def command(name, help):
+        # Flags must be spelled out: --seed must not pass for --seed-resolution.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = command("synth", help="generate a synthetic scene")
     p.add_argument("--spec", required=True, help="scene spec JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("superpoints", help="build layer-0 super-points")
+    p = command("superpoints", help="build layer-0 super-points")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, ["voxel_size", "seed_resolution", "w_spatial", "w_color",
                           "w_normal", "normals_k"])
     p.set_defaults(fn=cmd_superpoints)
 
-    p = sub.add_parser("priors", help="extract 3D objectness priors from frames")
+    p = command("priors", help="extract 3D objectness priors from frames")
     p.add_argument("--scene", required=True)
     p.add_argument("--frames", default=None, help="frames dir (default: scene dir)")
     p.add_argument("--out", required=True)
@@ -407,7 +339,7 @@ def build_parser():
                           "mutual", "normals_k"])
     p.set_defaults(fn=cmd_priors)
 
-    p = sub.add_parser("cluster", help="run hierarchical clustering")
+    p = command("cluster", help="run hierarchical clustering")
     p.add_argument("--scene", required=True)
     p.add_argument("--superpoints", required=True)
     p.add_argument("--priors", default=None)
@@ -416,7 +348,7 @@ def build_parser():
                           "min_object_points", "l2_normalize_features", "normals_k"])
     p.set_defaults(fn=cmd_cluster)
 
-    p = sub.add_parser("extract", help="collect objects and parts from a hierarchy")
+    p = command("extract", help="collect objects and parts from a hierarchy")
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--scene", default=None, help="needed for --drop-largest-planar")
     p.add_argument("--objects", required=True, help="output objects manifest")
@@ -425,14 +357,14 @@ def build_parser():
                           "drop_largest_planar", "normals_k"])
     p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
+    p = command("eval", help="score predictions against ground truth")
     p.add_argument("--pred", action="append", required=True)
     p.add_argument("--gt", action="append", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=scene_io.KINDS, default="object")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("run", help="full pipeline on one or more scenes")
+    p = command("run", help="full pipeline on one or more scenes")
     p.add_argument("--scene", action="append", required=True)
     p.add_argument("--frames", default=None)
     p.add_argument("--out", required=True)
@@ -443,7 +375,7 @@ def build_parser():
     _add_config_flags(p, list(_CONFIG_FIELDS))
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("info", help="print on-disk format versions")
+    p = command("info", help="print on-disk format versions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_info)
 
@@ -464,11 +396,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except StageFailure as exc:
-        log.error("%s", exc)
         print(str(exc), file=sys.stderr)
         return EXIT_STAGE_FAILURE
     except (FileNotFoundError, FormatError, ValueError, json.JSONDecodeError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

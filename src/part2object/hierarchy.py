@@ -17,6 +17,13 @@ layer, the layer's contracted (E, 2) edge list, and the round's parent array
 keeps only the lineage, in the shape hierarchy.json stores: super-point ids
 at layer 0 and child indices above it. Point sets of higher layers are
 derived on demand by Hierarchy.clusters(t).
+
+MergeParams is the one definition of this stage's tunables: the merge
+rounds' K, T, max_layers and veto fractions, l2_normalize_features (point
+features are L2-normalized before any fusion), and the extraction's
+min_object_points, include_stalled and drop_largest_planar (the number of
+most planar large objects `p2o` drops, see drop_most_planar). run_hierarchy
+and collect_objects read them from it.
 """
 
 import math
@@ -35,16 +42,19 @@ HIERARCHY_SCHEMA = "p2o.hierarchy/1"
 
 @dataclass
 class MergeParams:
-    K_fraction: float = 0.6
+    K: float = 0.6
     T: float = 0.05
     max_layers: int = 10
     inside_frac: float = 0.9
     outside_frac: float = 0.1
     min_object_points: int = 50
+    l2_normalize_features: bool = False
+    include_stalled: bool = False
+    drop_largest_planar: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.K_fraction <= 1.0):
-            raise ValueError("K_fraction must be in (0, 1]")
+        if not (0.0 < self.K <= 1.0):
+            raise ValueError("K must be in (0, 1]")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.max_layers < 1:
@@ -57,6 +67,8 @@ class MergeParams:
             raise ValueError("outside_frac must be < inside_frac")
         if self.min_object_points < 1:
             raise ValueError("min_object_points must be >= 1")
+        if self.drop_largest_planar < 0:
+            raise ValueError(f"drop_largest_planar must be >= 0, got {self.drop_largest_planar}")
 
 
 @dataclass
@@ -231,7 +243,7 @@ def run_layer(labels, feats, point_features, edges, contains, params):
     ii, jj = ii[ok], jj[ok]
     sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (norms[ii] * norms[jj]), -1.0, 1.0)
     sim_pairs = list(zip(ii.tolist(), jj.tolist(), sims.tolist()))
-    ranked = rank_filter(sim_pairs, params.K_fraction)
+    ranked = rank_filter(sim_pairs, params.K)
 
     pairs = np.array([p[:2] for p in ranked], dtype=np.int64).reshape(-1, 2)
     phi = _inside_fractions(labels, n_clusters, contains)
@@ -256,19 +268,20 @@ def run_layer(labels, feats, point_features, edges, contains, params):
     return parent, next_feats, log
 
 
-def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
+def run_hierarchy(layer0, cloud, boxes, params=None):
     """Merge rounds until a fixpoint or params.max_layers layers exist.
 
     layer0 must partition [0, N) into non-empty sets, as build_superpoints
     does (ValueError otherwise). Point features come from
-    cloud.semantic_features (optionally L2-normalized first). Layer-0 cluster
-    features are fused from member point features.
+    cloud.semantic_features (L2-normalized first when
+    params.l2_normalize_features is set). Layer-0 cluster features are fused
+    from member point features.
     """
     params = params or MergeParams()
     if cloud.semantic_features is None:
         raise ValueError("clustering requires per-point semantic features")
     point_features = cloud.semantic_features
-    if l2_normalize:
+    if params.l2_normalize_features:
         point_features = point_features.astype(np.float64)
         lens = np.linalg.norm(point_features, axis=1, keepdims=True)
         point_features = np.where(lens > 0, point_features / np.maximum(lens, 1e-30), 0.0)
@@ -297,18 +310,18 @@ def run_hierarchy(layer0, cloud, boxes, params=None, l2_normalize=False):
     return h
 
 
-def collect_objects(h, params=None, include_stalled=False):
+def collect_objects(h, params=None):
     """Terminal clusters (those that never merge again) as object instances.
 
     Every terminal-layer cluster whose size clears min_object_points becomes
-    one object with confidence 1.0. With include_stalled=True, clusters that
+    one object with confidence 1.0. With params.include_stalled, clusters that
     sat out at least one full round before being absorbed later are emitted
     too (an experimental, non-default reading of "stopped merging").
     """
     params = params or MergeParams()
     labels = h._point_labels()
     objects = list(_groups(labels[-1], len(h.layers[-1])))
-    if include_stalled:
+    if params.include_stalled:
         for t in range(1, len(h.layers) - 1):
             sets = _groups(labels[t], len(h.layers[t]))
             # Absorbed at t + 1 after surviving >= 1 round untouched.

@@ -9,6 +9,10 @@ picking a single 3D overlap criterion for objects of all sizes.
 Projection is split in two: each frame that shows a surviving track is
 projected and depth-tested once (``visible_points``), and each of its masks
 then only indexes its bitmap at those visible pixels.
+
+MatchParams is the one definition of this stage's tunables: the matching
+threshold tau and mutual best-match rule, the projection's depth_tol, and
+the min_track_frames / min_track_points floors.
 """
 
 from dataclasses import dataclass, field
@@ -25,14 +29,17 @@ class MatchParams:
     depth_tol: float = 0.05
     min_track_frames: int = 2
     min_track_points: int = 30
+    mutual: bool = False
 
     def __post_init__(self):
         if not (-1.0 < self.tau < 1.0):
             raise ValueError("tau must be in (-1, 1)")
         if self.depth_tol <= 0:
             raise ValueError("depth_tol must be positive")
-        if self.min_track_frames < 1 or self.min_track_points < 1:
-            raise ValueError("track thresholds must be >= 1")
+        if self.min_track_frames < 1:
+            raise ValueError("min_track_frames must be >= 1")
+        if self.min_track_points < 1:
+            raise ValueError("min_track_points must be >= 1")
 
 
 @dataclass
@@ -120,7 +127,7 @@ def camera_project(positions, intrinsics, extrinsics, image_shape):
     return row, col, z, ok
 
 
-def visible_points(cloud, frame, depth_tol=0.05):
+def visible_points(cloud, frame, depth_tol=MatchParams.depth_tol):
     """Point ids that frame sees, ascending, with their pixel rows and cols.
 
     A point is visible when it is in front of the camera, projects inside the
@@ -137,7 +144,8 @@ def visible_points(cloud, frame, depth_tol=0.05):
     return idx, row[idx], col[idx]
 
 
-def project_mask_points(cloud, frame, mask_index, depth_tol=0.05, visible=None):
+def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_tol,
+                        visible=None):
     """3D point ids, ascending, that are visible in frame inside the 2D mask.
 
     visible is frame's visible_points result, computed here when not given;
@@ -149,13 +157,14 @@ def project_mask_points(cloud, frame, mask_index, depth_tol=0.05, visible=None):
     return idx[frame.masks[mask_index].bitmap[row, col]]
 
 
-def build_tracks(cloud, frames, params=None, mutual=False):
+def build_tracks(cloud, frames, params=None):
     """Group masks across frames, project each group, pool the points.
 
-    Tracks seen in fewer than min_track_frames distinct frames are dropped
-    before any projection, so a frame is projected at most once and only when
-    it holds a member of a surviving track. Tracks with fewer than
-    min_track_points pooled points are dropped afterwards.
+    Adjacent frames are matched by match_adjacent with params.tau and
+    params.mutual. Tracks seen in fewer than min_track_frames distinct frames
+    are dropped before any projection, so a frame is projected at most once
+    and only when it holds a member of a surviving track. Tracks with fewer
+    than min_track_points pooled points are dropped afterwards.
     """
     params = params or MatchParams()
     frames = sorted(frames, key=lambda f: f.frame_id)
@@ -164,7 +173,7 @@ def build_tracks(cloud, frames, params=None, mutual=False):
     nodes = [(f.frame_id, m) for f in frames for m in range(len(f.masks))]
     edges = []
     for a, b in zip(frames, frames[1:]):
-        for i, j in match_adjacent(a, b, params.tau, mutual=mutual):
+        for i, j in match_adjacent(a, b, params.tau, mutual=params.mutual):
             edges.append(((a.frame_id, i), (b.frame_id, j)))
 
     tracks = [
@@ -203,6 +212,6 @@ def prior_boxes(cloud, tracks):
     ]
 
 
-def build_priors(cloud, frames, params=None, mutual=False):
+def build_priors(cloud, frames, params=None):
     """Tight axis-aligned boxes of the surviving tracks' pooled points."""
-    return prior_boxes(cloud, build_tracks(cloud, frames, params, mutual=mutual))
+    return prior_boxes(cloud, build_tracks(cloud, frames, params))

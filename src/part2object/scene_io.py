@@ -245,7 +245,7 @@ def rle_decode(runs, shape):
 _NORMALS_BLOCK = 16384
 
 
-def estimate_normals(cloud, k=16):
+def estimate_normals(cloud, k):
     """Surface normals from the PCA of each point's k nearest neighbors.
 
     The normal is the eigenvector of the neighborhood covariance with the
@@ -337,8 +337,12 @@ def write_scene(dir_path, cloud):
             fh.write(feats.astype(_F32).tobytes())
 
 
-def load_scene(dir_path, normals_k=16):
-    """Load points.p2o (+ optional features.f32); estimate normals if absent."""
+def load_scene(dir_path, normals_k=None):
+    """Load points.p2o (+ optional features.f32); estimate normals if absent.
+
+    Missing normals come from normals_k nearest neighbours, by default
+    SuperpointParams.normals_k.
+    """
     dir_path = Path(dir_path)
     points_path = dir_path / "points.p2o"
     if not points_path.exists():
@@ -383,6 +387,10 @@ def load_scene(dir_path, normals_k=16):
     cloud = SceneCloud(positions=positions, colors=colors, normals=normals,
                        semantic_features=features)
     if cloud.normals is None:
+        if normals_k is None:
+            # Imported here: superpoints imports this module.
+            from .superpoints import SuperpointParams
+            normals_k = SuperpointParams.normals_k
         cloud.normals = default_normals(cloud, normals_k)
     return cloud
 

@@ -44,17 +44,22 @@ class SuperpointParams:
     w_spatial: float = 0.4
     w_color: float = 0.2
     w_normal: float = 1.0
+    normals_k: int = 16
 
     def __post_init__(self):
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if self.seed_resolution < self.voxel_size:
             raise ValueError("seed_resolution must be >= voxel_size")
-        weights = (self.w_spatial, self.w_color, self.w_normal)
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        if not any(w > 0 for w in weights):
-            raise ValueError("at least one weight must be positive")
+        weights = {"w_spatial": self.w_spatial, "w_color": self.w_color,
+                   "w_normal": self.w_normal}
+        for name, w in weights.items():
+            if w < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not any(w > 0 for w in weights.values()):
+            raise ValueError("at least one of w_spatial, w_color, w_normal must be positive")
+        if self.normals_k < 3:
+            raise ValueError(f"normals_k must be at least 3, got {self.normals_k}")
 
 
 def _group_starts(labels, n_groups):
@@ -68,7 +73,9 @@ def build_superpoints(cloud, params=None):
     """Partition all point ids into super-points.
 
     Returns a list of sorted int64 index arrays; their union is [0, N) and
-    they are pairwise disjoint. Deterministic for identical inputs.
+    they are pairwise disjoint. Deterministic for identical inputs. A cloud
+    without normals gets them from each point's params.normals_k nearest
+    neighbours.
     """
     params = params or SuperpointParams()
     pos = cloud.positions.astype(np.float64)
@@ -78,7 +85,7 @@ def build_superpoints(cloud, params=None):
 
     normals = cloud.normals
     if normals is None:
-        normals = scene_io.default_normals(cloud, 16)
+        normals = scene_io.default_normals(cloud, params.normals_k)
     normals = normals.astype(np.float64)
     colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
 

@@ -71,7 +71,7 @@ def test_c2_layer_merges_match_brute_force():
             corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
             boxes.append(PriorBox(corners[0], corners[1]))
         params = hierarchy.MergeParams(
-            K_fraction=float(rng.uniform(0.1, 1.0)),
+            K=float(rng.uniform(0.1, 1.0)),
             T=float(rng.uniform(0.03, 0.12)),
             inside_frac=float(rng.uniform(0.6, 1.0)),
             outside_frac=float(rng.uniform(0.0, 0.3)),
@@ -168,7 +168,7 @@ def test_c4_priors_separate_adjacent_objects():
     guided_objects = hierarchy.collect_objects(guided, guided_params)
     ap_guided = evaluation.evaluate(guided_objects, gt).ap50
 
-    blind_params = hierarchy.MergeParams(K_fraction=1.0, min_object_points=30)
+    blind_params = hierarchy.MergeParams(K=1.0, min_object_points=30)
     blind = hierarchy.run_hierarchy(layer0, cloud, [], blind_params)
     blind_objects = hierarchy.collect_objects(blind, blind_params)
     ap_blind = evaluation.evaluate(blind_objects, gt).ap50

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 from part2object import cli, parallel, scene_io, spatial, synth
+from part2object.hierarchy import MergeParams
+from part2object.objectness import MatchParams
+from part2object.superpoints import SuperpointParams
 from conftest import three_block_spec
 
 
@@ -224,7 +228,8 @@ def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag", [
     ("--voxel-size", "0"), ("--tau", "2"), ("--K", "0"), ("--T", "-1"),
     ("--max-layers", "0"), ("--min-object-points", "0"), ("--normals-k", "2"),
-    ("--drop-largest-planar", "-1"),
+    ("--drop-largest-planar", "-1"), ("--min-track-frames", "0"), ("--min-track-points", "0"),
+    ("--w-color", "-1"),
 ])
 def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
     # No normals on disk, so --normals-k would reach estimate_normals.
@@ -233,7 +238,9 @@ def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
     scene = tmp_path / "scene"
     scene_io.write_scene(scene, cloud)
     out = tmp_path / "run"
-    assert_bad_input(["run", "--scene", str(scene), "--out", str(out), *flag], capsys)
+    err = assert_bad_input(["run", "--scene", str(scene), "--out", str(out), *flag], capsys)
+    # The message names the key as the user typed it.
+    assert err.startswith(f"error: {flag[0][2:].replace('-', '_')} ")
     assert not out.exists()
 
 
@@ -277,13 +284,13 @@ def test_info_and_eval_do_not_load_the_clustering_graph_code(tmp_path):
 
 
 def test_pipeline_defaults_match_documented_values():
-    cfg = cli.PipelineConfig()
-    assert cfg.T == 0.05
-    assert cfg.tau == 0.3
-    assert cfg.K == 0.6
-    assert cfg.voxel_size == 0.02
-    assert cfg.inside_frac == 0.9 and cfg.outside_frac == 0.1
-    assert cfg.max_layers == 10 and cfg.min_object_points == 50
+    sp, match, merge = SuperpointParams(), MatchParams(), MergeParams()
+    assert merge.T == 0.05
+    assert match.tau == 0.3
+    assert merge.K == 0.6
+    assert sp.voxel_size == 0.02
+    assert merge.inside_frac == 0.9 and merge.outside_frac == 0.1
+    assert merge.max_layers == 10 and merge.min_object_points == 50
 
 
 def test_extract_planar_drop_requires_scene(scene_dir, tmp_path):
@@ -315,6 +322,7 @@ def assert_bad_input(argv, capsys):
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +434,7 @@ def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     '{"mutual": "false"}', '{"mutual": 0}', '{"K": true}', '{"K": "0.5"}',
-    '{"min_object_points": 10.7}', '{"min_object_points": false}', '{"seed": null}',
+    '{"min_object_points": 10.7}', '{"min_object_points": false}', '{"depth_tol": null}',
     "3", "[1, 2]",
 ])
 def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys):
@@ -441,6 +449,100 @@ def test_config_float_field_takes_an_integer(tmp_path):
     cfg.write_text('{"T": 1, "mutual": true, "normals_k": 8}')
     args = cli.build_parser().parse_args(
         ["run", "--scene", "s", "--out", "o", "--config", str(cfg)])
-    loaded = cli.load_config(args)
-    assert loaded.T == 1.0 and isinstance(loaded.T, float)
-    assert loaded.mutual is True and loaded.normals_k == 8
+    sp, match, merge = cli.load_config(args)
+    assert merge.T == 1.0 and isinstance(merge.T, float)
+    assert match.mutual is True and sp.normals_k == 8
+
+
+# The file a default `p2o run` writes, byte for byte: every tunable, in the
+# field order of SuperpointParams, MatchParams, MergeParams.
+DEFAULT_EFFECTIVE_CONFIG = """{
+  "voxel_size": 0.02,
+  "seed_resolution": 0.25,
+  "w_spatial": 0.4,
+  "w_color": 0.2,
+  "w_normal": 1.0,
+  "normals_k": 16,
+  "tau": 0.3,
+  "depth_tol": 0.05,
+  "min_track_frames": 2,
+  "min_track_points": 30,
+  "mutual": false,
+  "K": 0.6,
+  "T": 0.05,
+  "max_layers": 10,
+  "inside_frac": 0.9,
+  "outside_frac": 0.1,
+  "min_object_points": 50,
+  "l2_normalize_features": false,
+  "include_stalled": false,
+  "drop_largest_planar": 0
+}
+"""
+
+
+def test_default_run_writes_the_documented_effective_config(scene_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == 0
+    assert (out / "effective_config.json").read_bytes() == DEFAULT_EFFECTIVE_CONFIG.encode()
+
+
+def run_p2o(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "P2O_LOG"}
+    return subprocess.run([sys.executable, "-m", "part2object", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_a_bad_tunable_is_one_stderr_line(scene_dir, tmp_path):
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(out), "--K", "0")
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert proc.stderr.splitlines() == ["error: K must be in (0, 1]"]
+    assert not out.exists()
+
+
+def test_a_stage_failure_is_one_stderr_line(scene_dir, tmp_path):
+    proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(tmp_path / "run"),
+                   "--frames", str(tmp_path / "no_frames"), "--require-priors")
+    assert proc.returncode == cli.EXIT_STAGE_FAILURE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("stage=priors: no frames found"), lines
+
+
+COMMAND_ARGV = {
+    "synth": ["--spec", "s.json", "--out", "o"],
+    "superpoints": ["--scene", "s", "--out", "o"],
+    "priors": ["--scene", "s", "--out", "o"],
+    "cluster": ["--scene", "s", "--superpoints", "sp.json", "--out", "o"],
+    "extract": ["--hierarchy", "h.json", "--objects", "o.txt", "--parts", "p.txt"],
+    "eval": ["--pred", "p.txt", "--gt", "g.txt", "--out", "r.json"],
+    "run": ["--scene", "s", "--out", "o"],
+    "info": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+@pytest.mark.parametrize("flag", [["--K-fraction", "0.5"], ["--bogus"]])
+def test_unknown_flag_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *COMMAND_ARGV[command], *flag])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+def test_run_takes_no_seed_and_no_flag_prefix(capsys):
+    # --seed was once a dead tunable; it must not pass for --seed-resolution.
+    for flag in (["--seed", "3"], ["--seed-res", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", *COMMAND_ARGV["run"], *flag])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["superpoints", "priors", "cluster", "extract", "run"])
+@pytest.mark.parametrize("key", ["K_fraction", "seed", "voxel-size"])
+def test_unknown_config_key_exits_2(command, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    err = assert_bad_input([command, *COMMAND_ARGV[command], "--config", str(cfg)], capsys)
+    assert f"unknown config keys ['{key}']" in err

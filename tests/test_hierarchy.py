@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def brute_accepted(point_sets, feats, positions, boxes, params):
                 continue
             cands.append((i, j, float(np.dot(fi, fj) / (ni * nj))))
     cands.sort(key=lambda p: (-p[2], p[0], p[1]))
-    kept = cands[: math.ceil(params.K_fraction * len(cands))]
+    kept = cands[: math.ceil(params.K * len(cands))]
     accepted = set()
     for i, j, _s in kept:
         vetoed = False
@@ -165,7 +166,7 @@ def stop_criteria(a_ids, b_ids, boxes, pos):
     feats = np.ones((2, 2), dtype=np.float32)
     _parent, _nf, log = run_layer_on([np.array(a_ids), np.array(b_ids)], feats,
                                      np.ones((len(pos), 2), dtype=np.float32), pos, boxes,
-                                     hi.MergeParams(K_fraction=1.0, T=100.0))
+                                     hi.MergeParams(K=1.0, T=100.0))
     assert log.n_candidates == 1
     return log.rejected_stop == [(0, 1)]
 
@@ -216,7 +217,7 @@ def test_run_layer_transitive_union():
     pos, feats, sets = row_scene([(0.0, 0.1), (0.11, 0.2), (0.21, 0.3)], [0, 2, 4])
     cf = _layer_feats(sets, feats.astype(np.float32))
     parent, nf, log = run_layer_on(
-        sets, cf, feats.astype(np.float32), pos, [], hi.MergeParams(K_fraction=1.0)
+        sets, cf, feats.astype(np.float32), pos, [], hi.MergeParams(K=1.0)
     )
     assert parent.tolist() == [0, 0, 0]
     assert len(nf) == 1
@@ -230,7 +231,7 @@ def test_run_layer_rejects_cross_object_pairs():
     cf = _layer_feats(sets, feats.astype(np.float32))
     parent, _nf, log = run_layer_on(
         sets, cf, feats.astype(np.float32), pos, [box_a, box_b],
-        hi.MergeParams(K_fraction=1.0),
+        hi.MergeParams(K=1.0),
     )
     assert log.accepted == []
     assert log.rejected_stop == [(0, 1)]
@@ -253,7 +254,7 @@ def test_run_layer_accepted_set_matches_brute_force():
             corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
             boxes.append(PriorBox(corners[0], corners[1]))
         params = hi.MergeParams(
-            K_fraction=float(rng.uniform(0.2, 1.0)),
+            K=float(rng.uniform(0.2, 1.0)),
             T=0.08,
             inside_frac=0.8,
             outside_frac=0.2,
@@ -338,7 +339,7 @@ def test_run_hierarchy_matches_reference_implementation():
             seed=trial,
         )
         cloud = make_cloud(pos, feats)
-        params = hi.MergeParams(K_fraction=0.5, min_object_points=1)
+        params = hi.MergeParams(K=0.5, min_object_points=1)
         h = hi.run_hierarchy(sets, cloud, [], params)
 
         cluster_feats = [feats[s[0]] for s in sets]
@@ -664,7 +665,7 @@ def test_two_part_object_traces_back_through_carry_forward():
     angles = [0, 3, 45, 57, 77]
     pos, feats, sets = row_scene(ranges, angles)
     cloud = make_cloud(pos, feats)
-    params = hi.MergeParams(K_fraction=0.6, min_object_points=1)
+    params = hi.MergeParams(K=0.6, min_object_points=1)
     h = hi.run_hierarchy(sets, cloud, [], params)
     assert len(h.layers) >= 3
 
@@ -687,10 +688,10 @@ def test_include_stalled_emits_absorbed_plateau_clusters():
     angles = [0, 3, 45, 57, 77]
     pos, feats, sets = row_scene(ranges, angles)
     cloud = make_cloud(pos, feats)
-    params = hi.MergeParams(K_fraction=0.6, min_object_points=1)
+    params = hi.MergeParams(K=0.6, min_object_points=1)
     h = hi.run_hierarchy(sets, cloud, [], params)
     base = hi.collect_objects(h, params)
-    extended = hi.collect_objects(h, params, include_stalled=True)
+    extended = hi.collect_objects(h, replace(params, include_stalled=True))
     assert len(extended) >= len(base)
 
 
@@ -723,7 +724,7 @@ def reference_objects_and_parts(data, min_points, include_stalled):
 def carry_forward_row_hierarchy():
     ranges = [(0.0, 0.1), (0.11, 0.2), (1.0, 1.1), (1.11, 1.2), (1.21, 1.3)]
     pos, feats, sets = row_scene(ranges, [0, 3, 45, 57, 77])
-    params = hi.MergeParams(K_fraction=0.6, min_object_points=1)
+    params = hi.MergeParams(K=0.6, min_object_points=1)
     return hi.run_hierarchy(sets, make_cloud(pos, feats), [], params), params
 
 
@@ -736,7 +737,7 @@ def test_objects_and_parts_equal_literal_reference(synth_hierarchies):
         for min_points in (1, params.min_object_points):
             for include_stalled in (False, True):
                 p = hi.MergeParams(min_object_points=min_points)
-                objs = hi.collect_objects(h, p, include_stalled=include_stalled)
+                objs = hi.collect_objects(h, replace(p, include_stalled=include_stalled))
                 parts = hi.collect_parts(h, objs)
                 want_objs, want_parts = reference_objects_and_parts(
                     data, min_points, include_stalled)
@@ -762,7 +763,7 @@ def test_run_layer_numbers_next_clusters_by_smallest_member():
         feats = rng.standard_normal((n_clusters, 4)).astype(np.float32)
         point_feats = feats[labels]
         parent, _nf, log = run_layer_on(sets, feats, point_feats, pos, [],
-                                        hi.MergeParams(K_fraction=0.7, T=0.08))
+                                        hi.MergeParams(K=0.7, T=0.08))
         # Literal union-find over the accepted pairs; groups ordered by min member.
         group = list(range(n_clusters))
         for i, j in log.accepted:

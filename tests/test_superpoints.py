@@ -3,7 +3,7 @@ import pytest
 
 from part2object import evaluation, hierarchy, objectness, synth
 from part2object.errors import EmptyCloud
-from part2object.scene_io import SceneCloud
+from part2object.scene_io import SceneCloud, estimate_normals
 from part2object.superpoints import SuperpointParams, build_superpoints
 
 from conftest import three_block_spec
@@ -210,3 +210,17 @@ def test_empty_cloud_rejected():
     cloud.positions = np.zeros((0, 3), dtype=np.float32)  # bypass the type guard
     with pytest.raises(EmptyCloud):
         build_superpoints(cloud)
+
+
+def test_missing_normals_are_estimated_with_params_normals_k():
+    # A noisy sphere, where the neighbour count changes the normals enough to
+    # change the partition.
+    rng = np.random.default_rng(0)
+    pos = rng.normal(size=(3000, 3))
+    pos = 0.5 * pos / np.linalg.norm(pos, axis=1, keepdims=True)
+    bare = SceneCloud(positions=pos + rng.normal(scale=0.01, size=pos.shape))
+    given = SceneCloud(positions=bare.positions, normals=estimate_normals(bare, k=8))
+    params = SuperpointParams(normals_k=8)
+    got = [ids.tolist() for ids in build_superpoints(bare, params)]
+    assert got == [ids.tolist() for ids in build_superpoints(given, params)]
+    assert got != [ids.tolist() for ids in build_superpoints(bare)]
