@@ -3,10 +3,13 @@
 Every tunable is a field of one stage parameter class (SuperpointParams,
 MatchParams, MergeParams). Flag types, config-file keys and
 effective_config.json come from those fields, and the classes' own checks
-are the only validation. Configuration precedence is defaults < JSON config
-file < explicit flags. Logs go to stderr (P2O_LOG controls verbosity);
-artifacts and reports go to files only. Exit codes: 0 ok, 2 bad input, 3
-stage failure, each failure reported as one stderr line.
+are the only validation; a stage command takes flags only for the
+tunables its stage reads, `run` takes them all. Configuration precedence is
+defaults < JSON config file < explicit flags. Logs go to stderr (P2O_LOG
+controls verbosity); artifacts and reports go to files only. Exit codes: 0
+ok, 2 bad input (a missing scene or --frames directory included, which `run`
+finds before it writes anything), 3 stage failure, each failure reported as
+one stderr line.
 """
 
 import argparse
@@ -132,7 +135,7 @@ def cmd_synth(args):
 
 def cmd_superpoints(args):
     sp_params, _, _ = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+    cloud = scene_io.load_scene(args.scene)
     parts = superpoints.build_superpoints(cloud, sp_params)
     write_json(args.out, [ids.tolist() for ids in parts])
     log.info("%d super-points over %d points", len(parts), cloud.n_points)
@@ -140,8 +143,8 @@ def cmd_superpoints(args):
 
 
 def cmd_priors(args):
-    sp_params, match_params, _ = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+    _, match_params, _ = load_config(args)
+    cloud = scene_io.load_scene(args.scene)
     frames = scene_io.load_frames(args.frames or args.scene)
     tracks = objectness.build_tracks(cloud, frames, match_params)
     boxes = objectness.prior_boxes(cloud, tracks)
@@ -151,8 +154,8 @@ def cmd_priors(args):
 
 
 def cmd_cluster(args):
-    sp_params, _, merge_params = load_config(args)
-    cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+    _, _, merge_params = load_config(args)
+    cloud = scene_io.load_scene(args.scene)
     with open(args.superpoints) as fh:
         layer0 = json.load(fh)
     if not isinstance(layer0, list):
@@ -166,14 +169,14 @@ def cmd_cluster(args):
 
 
 def cmd_extract(args):
-    sp_params, _, merge_params = load_config(args)
+    _, _, merge_params = load_config(args)
     with open(args.hierarchy) as fh:
         h = hierarchy.hierarchy_from_dict(json.load(fh))
     objects = hierarchy.collect_objects(h, merge_params)
     if merge_params.drop_largest_planar > 0:
         if not args.scene:
             raise FormatError("--drop-largest-planar needs --scene for positions")
-        cloud = scene_io.load_scene(args.scene, normals_k=sp_params.normals_k)
+        cloud = scene_io.load_scene(args.scene)
         objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
     parts = hierarchy.collect_parts(h, objects)
     scene_io.write_instances(args.objects, objects)
@@ -212,13 +215,12 @@ def _run_one_scene(scene_dir, out_dir, params, args):
         except Exception as exc:
             raise StageFailure(name, str(exc)) from exc
 
-    cloud = stage("load", lambda: scene_io.load_scene(scene_dir, normals_k=sp_params.normals_k))
+    cloud = stage("load", lambda: scene_io.load_scene(scene_dir))
     layer0 = stage("superpoints", lambda: superpoints.build_superpoints(cloud, sp_params))
     write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0])
 
     frames_dir = Path(args.frames) if args.frames else scene_dir
-    has_frames = bool(list(frames_dir.glob("frame_*.cam")))
-    if has_frames:
+    if scene_io.frame_ids(frames_dir):
         frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
         tracks = stage("priors", lambda: objectness.build_tracks(cloud, frames, match_params))
         boxes = objectness.prior_boxes(cloud, tracks)
@@ -254,9 +256,13 @@ def _run_one_scene(scene_dir, out_dir, params, args):
 def cmd_run(args):
     if args.jobs < 1:
         raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
-    # Every tunable is checked here, before anything is written.
+    # Every tunable and input path is checked here, before anything is written.
     params = load_config(args)
     scenes = [Path(s) for s in args.scene]
+    for scene in scenes:
+        scene_io.points_file(scene)
+    if args.frames:
+        scene_io.frame_ids(args.frames)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_json(out_root / "effective_config.json",
@@ -336,7 +342,7 @@ def build_parser():
     p.add_argument("--frames", default=None, help="frames dir (default: scene dir)")
     p.add_argument("--out", required=True)
     _add_config_flags(p, ["tau", "depth_tol", "min_track_frames", "min_track_points",
-                          "mutual", "normals_k"])
+                          "mutual"])
     p.set_defaults(fn=cmd_priors)
 
     p = command("cluster", help="run hierarchical clustering")
@@ -344,8 +350,7 @@ def build_parser():
     p.add_argument("--superpoints", required=True)
     p.add_argument("--priors", default=None)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, ["K", "T", "max_layers", "inside_frac", "outside_frac",
-                          "min_object_points", "l2_normalize_features", "normals_k"])
+    _add_config_flags(p, ["K", "T", "max_layers", "inside_frac", "outside_frac"])
     p.set_defaults(fn=cmd_cluster)
 
     p = command("extract", help="collect objects and parts from a hierarchy")
@@ -353,8 +358,7 @@ def build_parser():
     p.add_argument("--scene", default=None, help="needed for --drop-largest-planar")
     p.add_argument("--objects", required=True, help="output objects manifest")
     p.add_argument("--parts", required=True, help="output parts manifest")
-    _add_config_flags(p, ["min_object_points", "include_stalled",
-                          "drop_largest_planar", "normals_k"])
+    _add_config_flags(p, ["min_object_points", "include_stalled", "drop_largest_planar"])
     p.set_defaults(fn=cmd_extract)
 
     p = command("eval", help="score predictions against ground truth")

@@ -19,11 +19,11 @@ at layer 0 and child indices above it. Point sets of higher layers are
 derived on demand by Hierarchy.clusters(t).
 
 MergeParams is the one definition of this stage's tunables: the merge
-rounds' K, T, max_layers and veto fractions, l2_normalize_features (point
-features are L2-normalized before any fusion), and the extraction's
-min_object_points, include_stalled and drop_largest_planar (the number of
-most planar large objects `p2o` drops, see drop_most_planar). run_hierarchy
-and collect_objects read them from it.
+rounds' K, T, max_layers and veto fractions, which run_hierarchy reads, and
+the extraction's min_object_points, include_stalled and drop_largest_planar
+(the number of most planar large objects `p2o` drops, see
+drop_most_planar), which collect_objects and the CLI's extract stage read.
+Neither stage reads normals.
 """
 
 import math
@@ -48,7 +48,6 @@ class MergeParams:
     inside_frac: float = 0.9
     outside_frac: float = 0.1
     min_object_points: int = 50
-    l2_normalize_features: bool = False
     include_stalled: bool = False
     drop_largest_planar: int = 0
 
@@ -273,19 +272,13 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
 
     layer0 must partition [0, N) into non-empty sets, as build_superpoints
     does (ValueError otherwise). Point features come from
-    cloud.semantic_features (L2-normalized first when
-    params.l2_normalize_features is set). Layer-0 cluster features are fused
+    cloud.semantic_features, as stored; layer-0 cluster features are fused
     from member point features.
     """
     params = params or MergeParams()
     if cloud.semantic_features is None:
         raise ValueError("clustering requires per-point semantic features")
     point_features = cloud.semantic_features
-    if params.l2_normalize_features:
-        point_features = point_features.astype(np.float64)
-        lens = np.linalg.norm(point_features, axis=1, keepdims=True)
-        point_features = np.where(lens > 0, point_features / np.maximum(lens, 1e-30), 0.0)
-        point_features = point_features.astype(np.float32)
     positions = cloud.positions.astype(np.float64)
 
     labels = _partition_labels(layer0, positions.shape[0])

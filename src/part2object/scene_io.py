@@ -291,18 +291,6 @@ def estimate_normals(cloud, k):
     return normals
 
 
-def default_normals(cloud, k):
-    """Normals for a cloud stored without them.
-
-    Fewer than 3 points cannot fit a plane and get (0, 0, 1); otherwise
-    estimate_normals runs with k capped at the point count.
-    """
-    n = cloud.n_points
-    if n < 3:
-        return np.tile(np.float32((0.0, 0.0, 1.0)), (n, 1))
-    return estimate_normals(cloud, k=min(k, n))
-
-
 # ---------------------------------------------------------------------------
 # point cloud files
 
@@ -337,16 +325,22 @@ def write_scene(dir_path, cloud):
             fh.write(feats.astype(_F32).tobytes())
 
 
-def load_scene(dir_path, normals_k=None):
-    """Load points.p2o (+ optional features.f32); estimate normals if absent.
+def points_file(dir_path):
+    """dir_path's points.p2o; FileNotFoundError saying so when it is missing."""
+    path = Path(dir_path) / "points.p2o"
+    if not path.is_file():
+        raise FileNotFoundError(f"no scene: {path} not found")
+    return path
 
-    Missing normals come from normals_k nearest neighbours, by default
-    SuperpointParams.normals_k.
+
+def load_scene(dir_path):
+    """Load points.p2o (+ optional features.f32) exactly as stored.
+
+    Normals are those in the file, or None; build_superpoints, the one stage
+    that reads them, estimates missing ones.
     """
     dir_path = Path(dir_path)
-    points_path = dir_path / "points.p2o"
-    if not points_path.exists():
-        raise FileNotFoundError(str(points_path))
+    points_path = points_file(dir_path)
 
     with open(points_path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -384,15 +378,8 @@ def load_scene(dir_path, normals_k=None):
             if fh.read(1):
                 raise CorruptHeader(f"trailing bytes in {features_path.name}")
 
-    cloud = SceneCloud(positions=positions, colors=colors, normals=normals,
-                       semantic_features=features)
-    if cloud.normals is None:
-        if normals_k is None:
-            # Imported here: superpoints imports this module.
-            from .superpoints import SuperpointParams
-            normals_k = SuperpointParams.normals_k
-        cloud.normals = default_normals(cloud, normals_k)
-    return cloud
+    return SceneCloud(positions=positions, colors=colors, normals=normals,
+                      semantic_features=features)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +468,22 @@ def _load_one_frame(dir_path, frame_id):
     )
 
 
-def load_frames(dir_path):
-    """Load all frame_<id>.* triplets, sorted ascending by frame id."""
+def frame_ids(dir_path):
+    """Ascending ids of the frame_<id>.cam files in dir_path, which must exist."""
     dir_path = Path(dir_path)
+    if not dir_path.is_dir():
+        raise FileNotFoundError(f"no frames directory: {dir_path} not found")
     ids = []
     for path in dir_path.glob("frame_*.cam"):
         m = re.fullmatch(r"frame_(\d+)\.cam", path.name)
         if m:
             ids.append(int(m.group(1)))
-    frames = [_load_one_frame(dir_path, fid) for fid in sorted(ids)]
+    return sorted(ids)
+
+
+def load_frames(dir_path):
+    """Load all frame_<id>.* triplets, sorted ascending by frame id."""
+    frames = [_load_one_frame(Path(dir_path), fid) for fid in frame_ids(dir_path)]
 
     feat_dim = None
     for frame in frames:

@@ -15,6 +15,9 @@ reaches connected in the voxel graph. A point in a voxel no seed can reach
 joins the super-point of its nearest reached point (one kd-tree query), so
 an island attaches to the surface nearest it, not to the nearest seed
 centroid.
+
+The only stage that reads normals, and so the only one that estimates them
+for a cloud stored without; the cloud itself is left as loaded.
 """
 
 from dataclasses import dataclass
@@ -75,7 +78,8 @@ def build_superpoints(cloud, params=None):
     Returns a list of sorted int64 index arrays; their union is [0, N) and
     they are pairwise disjoint. Deterministic for identical inputs. A cloud
     without normals gets them from each point's params.normals_k nearest
-    neighbours.
+    neighbours (k capped at N); below 3 points, which cannot fit a plane,
+    every normal is (0, 0, 1).
     """
     params = params or SuperpointParams()
     pos = cloud.positions.astype(np.float64)
@@ -85,7 +89,9 @@ def build_superpoints(cloud, params=None):
 
     normals = cloud.normals
     if normals is None:
-        normals = scene_io.default_normals(cloud, params.normals_k)
+        # Called through the module so that a tracer wrapping it sees the call.
+        normals = (scene_io.estimate_normals(cloud, k=min(params.normals_k, n)) if n >= 3
+                   else np.tile((0.0, 0.0, 1.0), (n, 1)))
     normals = normals.astype(np.float64)
     colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
 

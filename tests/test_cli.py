@@ -24,6 +24,18 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def raw_scene_dir(tmp_path_factory):
+    """The scene_dir scene stored without normals, as a raw scan is."""
+    out = tmp_path_factory.mktemp("raw_scene")
+    cloud, gt, frames = synth.generate(three_block_spec(seed=9))
+    cloud.normals = None
+    scene_io.write_scene(out, cloud)
+    scene_io.write_frames(out, frames)
+    scene_io.write_instances(out / "ground_truth.txt", gt)
+    return out
+
+
 def tree_bytes(root):
     out = {}
     for path in sorted(Path(root).rglob("*")):
@@ -71,34 +83,52 @@ def test_synth_outputs_loadable(scene_dir):
     assert len(gt) == 3
 
 
-def test_stagewise_equals_run(scene_dir, tmp_path):
-    stage = tmp_path / "stage"
-    stage.mkdir()
-    assert cli.main(["superpoints", "--scene", str(scene_dir),
-                     "--out", str(stage / "superpoints.json")]) == 0
-    assert cli.main(["priors", "--scene", str(scene_dir),
-                     "--out", str(stage / "priors.json")]) == 0
-    assert cli.main(["cluster", "--scene", str(scene_dir),
-                     "--superpoints", str(stage / "superpoints.json"),
-                     "--priors", str(stage / "priors.json"),
-                     "--K", "0.6", "--T", "0.05",
-                     "--min-object-points", "30",
-                     "--out", str(stage / "hierarchy.json")]) == 0
-    assert cli.main(["extract", "--hierarchy", str(stage / "hierarchy.json"),
-                     "--min-object-points", "30",
-                     "--objects", str(stage / "objects.txt"),
-                     "--parts", str(stage / "parts.txt")]) == 0
-    assert cli.main(["eval", "--pred", str(stage / "objects.txt"),
-                     "--gt", str(scene_dir / "ground_truth.txt"),
-                     "--out", str(stage / "report.json")]) == 0
+def test_stagewise_equals_run(scene_dir, raw_scene_dir, tmp_path):
+    for scene in (scene_dir, raw_scene_dir):
+        stage = tmp_path / scene.name / "stage"
+        stage.mkdir(parents=True)
+        assert cli.main(["superpoints", "--scene", str(scene),
+                         "--out", str(stage / "superpoints.json")]) == 0
+        assert cli.main(["priors", "--scene", str(scene),
+                         "--out", str(stage / "priors.json")]) == 0
+        assert cli.main(["cluster", "--scene", str(scene),
+                         "--superpoints", str(stage / "superpoints.json"),
+                         "--priors", str(stage / "priors.json"),
+                         "--K", "0.6", "--T", "0.05",
+                         "--out", str(stage / "hierarchy.json")]) == 0
+        assert cli.main(["extract", "--hierarchy", str(stage / "hierarchy.json"),
+                         "--min-object-points", "30",
+                         "--objects", str(stage / "objects.txt"),
+                         "--parts", str(stage / "parts.txt")]) == 0
+        assert cli.main(["eval", "--pred", str(stage / "objects.txt"),
+                         "--gt", str(scene / "ground_truth.txt"),
+                         "--out", str(stage / "report.json")]) == 0
 
-    full = tmp_path / "full"
-    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(full),
-                     "--min-object-points", "30"]) == 0
+        full = tmp_path / scene.name / "full"
+        assert cli.main(["run", "--scene", str(scene), "--out", str(full),
+                         "--min-object-points", "30"]) == 0
 
-    for name in ["superpoints.json", "priors.json", "hierarchy.json",
-                 "objects.txt", "parts.txt", "report.json"]:
-        assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+        for name in ["superpoints.json", "priors.json", "hierarchy.json",
+                     "objects.txt", "parts.txt", "report.json"]:
+            assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_only_the_superpoints_stage_estimates_normals(raw_scene_dir, tmp_path, monkeypatch):
+    scene = str(raw_scene_dir)
+    sp, priors, h = (str(tmp_path / name) for name in ("sp.json", "priors.json", "h.json"))
+    calls = []
+    estimate = scene_io.estimate_normals
+    monkeypatch.setattr(scene_io, "estimate_normals",
+                        lambda *a, **kw: calls.append(1) or estimate(*a, **kw))
+    assert cli.main(["superpoints", "--scene", scene, "--out", sp]) == 0
+    assert len(calls) == 1
+    assert cli.main(["priors", "--scene", scene, "--out", priors]) == 0
+    assert cli.main(["cluster", "--scene", scene, "--superpoints", sp,
+                     "--priors", priors, "--out", h]) == 0
+    assert cli.main(["extract", "--hierarchy", h, "--drop-largest-planar", "1",
+                     "--scene", scene, "--objects", str(tmp_path / "o.txt"),
+                     "--parts", str(tmp_path / "p.txt")]) == 0
+    assert len(calls) == 1
 
 
 def test_run_reports_perfect_ap_on_easy_scene(scene_dir, tmp_path):
@@ -151,6 +181,29 @@ def test_run_without_frames_still_succeeds(tmp_path, caplog):
                    "--min-object-points", "1"])
     assert rc == 0
     assert json.loads((tmp_path / "o2" / "priors.json").read_text()) == []
+
+
+def test_run_on_a_missing_scene_writes_nothing(tmp_path):
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(tmp_path / "nope"), "--out", str(out))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: no scene: "), lines
+    assert "not found" in lines[0]
+    assert not out.exists()
+
+
+def test_explicit_missing_frames_dir_is_bad_input(scene_dir, tmp_path, capsys):
+    missing = str(tmp_path / "no_frames")
+    out = tmp_path / "run"
+    err = assert_bad_input(["run", "--scene", str(scene_dir), "--frames", missing,
+                            "--out", str(out)], capsys)
+    assert "no frames directory" in err
+    assert not out.exists()
+    priors = tmp_path / "priors.json"
+    assert_bad_input(["priors", "--scene", str(scene_dir), "--frames", missing,
+                      "--out", str(priors)], capsys)
+    assert not priors.exists()
 
 
 def test_bad_scene_dir_is_bad_input(tmp_path):
@@ -474,7 +527,6 @@ DEFAULT_EFFECTIVE_CONFIG = """{
   "inside_frac": 0.9,
   "outside_frac": 0.1,
   "min_object_points": 50,
-  "l2_normalize_features": false,
   "include_stalled": false,
   "drop_largest_planar": 0
 }
@@ -502,6 +554,7 @@ def test_a_bad_tunable_is_one_stderr_line(scene_dir, tmp_path):
 
 
 def test_a_stage_failure_is_one_stderr_line(scene_dir, tmp_path):
+    (tmp_path / "no_frames").mkdir()
     proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(tmp_path / "run"),
                    "--frames", str(tmp_path / "no_frames"), "--require-priors")
     assert proc.returncode == cli.EXIT_STAGE_FAILURE
@@ -521,8 +574,23 @@ COMMAND_ARGV = {
 }
 
 
-@pytest.mark.parametrize("command", list(COMMAND_ARGV))
-@pytest.mark.parametrize("flag", [["--K-fraction", "0.5"], ["--bogus"]])
+# Flags no command takes, then flags a stage does not take because it never
+# reads the tunable (or, for --l2-normalize-features, because it is gone).
+UNKNOWN_FLAGS = [
+    pytest.param(command, flag, id=f"flag{k}-{command}")
+    for k, flag in enumerate([["--K-fraction", "0.5"], ["--bogus"]])
+    for command in COMMAND_ARGV
+] + [
+    pytest.param(command, flag, id=command + flag[0])
+    for command, flag in [
+        ("priors", ["--normals-k", "8"]), ("cluster", ["--normals-k", "8"]),
+        ("cluster", ["--min-object-points", "30"]), ("extract", ["--normals-k", "8"]),
+        ("cluster", ["--l2-normalize-features"]), ("run", ["--l2-normalize-features"]),
+    ]
+]
+
+
+@pytest.mark.parametrize("command, flag", UNKNOWN_FLAGS)
 def test_unknown_flag_exits_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, *COMMAND_ARGV[command], *flag])

@@ -105,7 +105,7 @@ def test_load_scene_without_features(tmp_path):
     loaded = load_scene(tmp_path)
     assert loaded.n_points == 100
     assert loaded.semantic_features is None
-    assert loaded.normals is not None  # estimated on load
+    assert loaded.normals is None  # returned as stored; build_superpoints estimates
 
 
 def test_missing_points_file(tmp_path):

@@ -224,3 +224,12 @@ def test_missing_normals_are_estimated_with_params_normals_k():
     got = [ids.tolist() for ids in build_superpoints(bare, params)]
     assert got == [ids.tolist() for ids in build_superpoints(given, params)]
     assert got != [ids.tolist() for ids in build_superpoints(bare)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_tiny_cloud_without_normals_is_partitioned(n):
+    # Below 3 points no plane fits and every normal is (0, 0, 1); from 3 up to
+    # normals_k points the estimate uses every point as each one's neighbours.
+    cloud = SceneCloud(positions=np.random.default_rng(n).random((n, 3)))
+    check_partition(build_superpoints(cloud), n)
+    assert cloud.normals is None  # the stage estimates into its own array
