@@ -4,7 +4,7 @@ Pipeline stages, each usable on its own:
 
   scene_io     -- load/save point clouds, frames, instance manifests
   superpoints  -- layer-0 partition by seeded voxel region growing
-  features     -- cosine similarity and noise-robust feature fusion
+  features     -- noise-robust cluster feature fusion
   spatial      -- kd-tree adjacency between labelled point sets, prior boxes
   objectness   -- 2D mask tracks across frames -> 3D prior boxes
   hierarchy    -- prior-guided merge rounds; object/part collection
@@ -26,10 +26,9 @@ from .errors import (  # noqa: F401
     IndexOutOfRange,
     NonFinite,
     NonOrthonormalPose,
-    ZeroVector,
 )
 from .evaluation import ApReport, evaluate, evaluate_multi, mask_iou  # noqa: F401
-from .features import cosine_sim, fuse_feature  # noqa: F401
+from .features import fuse_feature  # noqa: F401
 from .hierarchy import (  # noqa: F401
     Hierarchy,
     MergeParams,

@@ -7,9 +7,15 @@ are the only validation; a stage command takes flags only for the
 tunables its stage reads, `run` takes them all. Configuration precedence is
 defaults < JSON config file < explicit flags. Logs go to stderr (P2O_LOG
 controls verbosity); artifacts and reports go to files only. Exit codes: 0
-ok, 2 bad input (a missing scene or --frames directory included, which `run`
-finds before it writes anything), 3 stage failure, each failure reported as
-one stderr line.
+ok, 2 bad input (a missing scene, --frames directory or --gt file included,
+which `run` finds before it writes anything), 3 stage failure, each failure
+reported as one stderr line.
+
+Within a scene, `run` builds the objectness priors (from the frames) beside
+the super-points (from the cloud), as two blocks of parallel.thread_map, and
+joins them before the merge rounds, the first stage that needs both. The two
+id-array artifacts, superpoints.json and hierarchy.json, are compact JSON;
+the small ones keep an indent of 2.
 """
 
 import argparse
@@ -85,12 +91,15 @@ def _add_config_flags(parser, names):
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
-def write_json(path, data):
+def write_json(path, data, compact=False):
+    """data as JSON plus a newline: compact for the id arrays, else indented 2."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # json.dumps, not json.dump: only a whole-string encode without indent
+    # takes the C encoder.
+    text = json.dumps(data, separators=(",", ":")) if compact else json.dumps(data, indent=2)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def priors_to_json(boxes, tracks):
@@ -137,7 +146,7 @@ def cmd_superpoints(args):
     sp_params, _, _ = load_config(args)
     cloud = scene_io.load_scene(args.scene)
     parts = superpoints.build_superpoints(cloud, sp_params)
-    write_json(args.out, [ids.tolist() for ids in parts])
+    write_json(args.out, [ids.tolist() for ids in parts], compact=True)
     log.info("%d super-points over %d points", len(parts), cloud.n_points)
     return EXIT_OK
 
@@ -162,7 +171,7 @@ def cmd_cluster(args):
         raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
     boxes = load_priors(args.priors) if args.priors else []
     h = hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params)
-    write_json(args.out, hierarchy.hierarchy_to_dict(h))
+    write_json(args.out, hierarchy.hierarchy_to_dict(h), compact=True)
     log.info("%d layers, terminal layer has %d clusters",
              len(h.layers), len(h.layers[-1]))
     return EXIT_OK
@@ -216,23 +225,36 @@ def _run_one_scene(scene_dir, out_dir, params, args):
             raise StageFailure(name, str(exc)) from exc
 
     cloud = stage("load", lambda: scene_io.load_scene(scene_dir))
-    layer0 = stage("superpoints", lambda: superpoints.build_superpoints(cloud, sp_params))
-    write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0])
-
     frames_dir = Path(args.frames) if args.frames else scene_dir
-    if scene_io.frame_ids(frames_dir):
-        frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
-        tracks = stage("priors", lambda: objectness.build_tracks(cloud, frames, match_params))
-        boxes = objectness.prior_boxes(cloud, tracks)
-    elif args.require_priors:
+    has_frames = bool(scene_io.frame_ids(frames_dir))
+    # Checked before the launch, so a doomed run builds no super-points.
+    if not has_frames and args.require_priors:
         raise StageFailure("priors", f"no frames found in {frames_dir}")
-    else:
-        log.warning("no frames in %s; clustering without priors", frames_dir)
-        tracks, boxes = [], []
-    write_json(out_dir / "priors.json", priors_to_json(boxes, tracks))
+
+    def superpoint_branch():
+        layer0 = stage("superpoints", lambda: superpoints.build_superpoints(cloud, sp_params))
+        write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0],
+                   compact=True)
+        return layer0
+
+    def priors_branch():
+        if has_frames:
+            frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
+            tracks = stage("priors", lambda: objectness.build_tracks(cloud, frames, match_params))
+            boxes = objectness.prior_boxes(cloud, tracks)
+        else:
+            log.warning("no frames in %s; clustering without priors", frames_dir)
+            tracks, boxes = [], []
+        write_json(out_dir / "priors.json", priors_to_json(boxes, tracks))
+        return boxes
+
+    # Neither branch mutates the cloud. thread_map returns in block order, so
+    # when both branches fail the super-point failure is the one raised, as
+    # in a serial run; with one CPU the blocks run serially in this order.
+    layer0, boxes = thread_map(lambda branch: branch(), [superpoint_branch, priors_branch])
 
     h = stage("cluster", lambda: hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params))
-    write_json(out_dir / "hierarchy.json", hierarchy.hierarchy_to_dict(h))
+    write_json(out_dir / "hierarchy.json", hierarchy.hierarchy_to_dict(h), compact=True)
 
     def extract():
         objects = hierarchy.collect_objects(h, merge_params)
@@ -263,6 +285,8 @@ def cmd_run(args):
         scene_io.points_file(scene)
     if args.frames:
         scene_io.frame_ids(args.frames)
+    if args.gt and not Path(args.gt).is_file():
+        raise FileNotFoundError(f"no ground truth: {args.gt} not found")
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_json(out_root / "effective_config.json",

@@ -37,10 +37,6 @@ class IndexOutOfRange(FormatError):
     pass
 
 
-class ZeroVector(ValueError):
-    """Cosine similarity requested against a zero-length vector."""
-
-
 class AllZeroFeatures(ValueError):
     """Feature fusion received only zero vectors."""
 

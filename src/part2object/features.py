@@ -1,4 +1,4 @@
-"""Cluster feature algebra: cosine similarity and noise-robust fusion.
+"""Cluster feature fusion, robust to noisy member features.
 
 A cluster's feature is a similarity-weighted average of its member point
 features: points that agree with the cluster mean get large weights, outliers
@@ -10,24 +10,13 @@ import logging
 
 import numpy as np
 
-from .errors import AllZeroFeatures, ZeroVector
+from .errors import AllZeroFeatures
 
 log = logging.getLogger(__name__)
 
 # Below this weight mass the similarity weighting is meaningless and we fall
 # back to the plain mean.
 DEGENERATE_WEIGHT_EPS = 1e-8
-
-
-def cosine_sim(a, b):
-    """Cosine similarity of two non-zero vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def fuse_feature(point_features):

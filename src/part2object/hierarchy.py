@@ -165,15 +165,14 @@ def contract_edges(edges, parent):
     return np.column_stack([keys // n, keys % n])
 
 
-def rank_filter(pairs_with_sims, k_fraction):
-    """Keep the top ceil(K * n) pairs by similarity.
+def rank_filter(pairs, sims, k_fraction):
+    """The top ceil(K * n) of the (n, 2) pairs by similarity, in rank order.
 
-    Sorts descending by similarity with ascending (i, j) as the tie-break, so
+    Ranks descending by similarity with ascending (i, j) as the tie-break, so
     equal similarities keep the lexicographically smallest pairs.
     """
-    n_keep = math.ceil(k_fraction * len(pairs_with_sims))
-    ranked = sorted(pairs_with_sims, key=lambda p: (-p[2], p[0], p[1]))
-    return ranked[:n_keep]
+    n_keep = math.ceil(k_fraction * len(pairs))
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -sims))[:n_keep]]
 
 
 def _box_membership(boxes, positions):
@@ -241,17 +240,15 @@ def run_layer(labels, feats, point_features, edges, contains, params):
     ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
     ii, jj = ii[ok], jj[ok]
     sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (norms[ii] * norms[jj]), -1.0, 1.0)
-    sim_pairs = list(zip(ii.tolist(), jj.tolist(), sims.tolist()))
-    ranked = rank_filter(sim_pairs, params.K)
+    pairs = rank_filter(edges[ok], sims, params.K)
 
-    pairs = np.array([p[:2] for p in ranked], dtype=np.int64).reshape(-1, 2)
     phi = _inside_fractions(labels, n_clusters, contains)
     vetoed = _separated(phi[pairs[:, 0]], phi[pairs[:, 1]], params.inside_frac,
                         params.outside_frac)
     union = pairs[~vetoed]
     log = LayerLog(accepted=[tuple(p) for p in union.tolist()],
                    rejected_stop=[tuple(p) for p in pairs[vetoed].tolist()],
-                   n_candidates=len(sim_pairs))
+                   n_candidates=len(sims))
     graph = coo_matrix((np.ones(len(union)), (union[:, 0], union[:, 1])),
                        shape=(n_clusters, n_clusters))
     n_next, parent = connected_components(graph, directed=False)

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from part2object import cli, parallel, scene_io, spatial, synth
+from part2object import cli, objectness, parallel, scene_io, spatial, superpoints, synth
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
 from part2object.superpoints import SuperpointParams
@@ -167,6 +168,8 @@ def test_missing_priors_with_require_flag_fails_stage(tmp_path):
     rc = cli.main(["run", "--scene", str(bare), "--out", str(tmp_path / "o"),
                    "--require-priors"])
     assert rc == cli.EXIT_STAGE_FAILURE
+    # The missing frames are found before the launch: no super-points are built.
+    assert not (tmp_path / "o" / "superpoints.json").exists()
 
 
 def test_run_without_frames_still_succeeds(tmp_path, caplog):
@@ -204,6 +207,60 @@ def test_explicit_missing_frames_dir_is_bad_input(scene_dir, tmp_path, capsys):
     assert_bad_input(["priors", "--scene", str(scene_dir), "--frames", missing,
                       "--out", str(priors)], capsys)
     assert not priors.exists()
+
+
+def test_explicit_missing_gt_file_is_bad_input(scene_dir, tmp_path):
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--gt", str(tmp_path / "nope.txt"),
+                   "--out", str(out))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: no ground truth: "), lines
+    assert "not found" in lines[0]
+    assert not out.exists()
+
+
+def fail(message, delay=0.0):
+    def raise_(*args, **kwargs):
+        time.sleep(delay)
+        raise RuntimeError(message)
+    return raise_
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_superpoint_failure_beside_working_priors_is_one_line(
+        workers, scene_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    monkeypatch.setattr(superpoints, "build_superpoints", fail("boom"))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == \
+        cli.EXIT_STAGE_FAILURE
+    assert capsys.readouterr().err.splitlines() == ["stage=superpoints: boom"]
+    assert not (out / "superpoints.json").exists()
+    assert not (out / "hierarchy.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_when_both_input_stages_fail_the_superpoint_failure_is_reported(
+        workers, scene_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    # The priors fail first in time; the report still names the super-points.
+    monkeypatch.setattr(superpoints, "build_superpoints", fail("sp boom", delay=0.2))
+    monkeypatch.setattr(objectness, "build_tracks", fail("priors boom"))
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "run")]) == \
+        cli.EXIT_STAGE_FAILURE
+    assert capsys.readouterr().err.splitlines() == ["stage=superpoints: sp boom"]
+
+
+def test_id_array_artifacts_are_compact_json(scene_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == 0
+    for name in ("superpoints.json", "hierarchy.json"):
+        text = (out / name).read_text()
+        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text, name
+    for name in ("effective_config.json", "priors.json", "report.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def test_bad_scene_dir_is_bad_input(tmp_path):

@@ -140,21 +140,35 @@ def test_candidate_pairs_match_brute_force():
 
 
 def test_rank_filter_keeps_top_fraction():
-    pairs = [(i, i + 1, 0.1 * i) for i in range(10)]
-    kept = hi.rank_filter(pairs, 0.6)
-    assert len(kept) == 6
-    assert kept[0][2] == pytest.approx(0.9)
+    pairs = np.array([(i, i + 1) for i in range(10)], dtype=np.int64)
+    sims = 0.1 * np.arange(10)
+    kept = hi.rank_filter(pairs, sims, 0.6)
+    assert kept.shape == (6, 2)
+    assert kept.tolist() == [[i, i + 1] for i in range(9, 3, -1)]
 
 
 def test_rank_filter_full_fraction_keeps_all():
-    pairs = [(0, 1, 0.5), (1, 2, 0.1)]
-    assert len(hi.rank_filter(pairs, 1.0)) == 2
+    pairs = np.array([(0, 1), (1, 2)], dtype=np.int64)
+    assert hi.rank_filter(pairs, np.array([0.5, 0.1]), 1.0).tolist() == [[0, 1], [1, 2]]
 
 
 def test_rank_filter_ties_lexicographic():
-    pairs = [(2, 3, 0.5), (0, 5, 0.5), (0, 1, 0.5), (1, 4, 0.5)]
-    kept = hi.rank_filter(pairs, 0.5)
-    assert [(i, j) for i, j, _ in kept] == [(0, 1), (0, 5)]
+    pairs = np.array([(2, 3), (0, 5), (0, 1), (1, 4)], dtype=np.int64)
+    kept = hi.rank_filter(pairs, np.full(4, 0.5), 0.5)
+    assert kept.tolist() == [[0, 1], [0, 5]]
+
+
+def test_featureless_cluster_is_never_a_candidate():
+    # Three touching clusters in a row; the middle one has an all-zero feature.
+    pos, _, sets = row_scene([(0.0, 0.1), (0.11, 0.2), (0.21, 0.3)], [0, 0, 0])
+    feats = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
+    point_feats = np.zeros((len(pos), 2), dtype=np.float32)
+    for i, ids in enumerate(sets):
+        point_feats[ids] = feats[i]
+    parent, _nf, log = run_layer_on(sets, feats, point_feats, pos, [],
+                                    hi.MergeParams(K=1.0, T=0.05))
+    assert log.n_candidates == 0 and log.accepted == []
+    assert parent.tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
