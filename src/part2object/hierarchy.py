@@ -27,7 +27,7 @@ Neither stage reads normals.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -381,7 +381,8 @@ def hierarchy_to_dict(h):
         "n_points": h.n_points,
         "layers": [{"clusters": [{"points": ids.tolist()} for ids in h.layers[0]]}]
         + [{"clusters": [{"children": c.tolist()} for c in layer]} for layer in h.layers[1:]],
-        "merge_log": [asdict(log) for log in h.merge_log],
+        "merge_log": [{"accepted": log.accepted, "rejected_stop": log.rejected_stop,
+                       "n_candidates": log.n_candidates} for log in h.merge_log],
     }
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     CorruptHeader,
@@ -39,6 +38,7 @@ from .errors import (
     NonOrthonormalPose,
 )
 from .parallel import thread_map
+from .spatial import kdtree
 
 POINTS_MAGIC = b"P2O1"
 FEATURES_MAGIC = b"P2OF"
@@ -265,21 +265,25 @@ def estimate_normals(cloud, k):
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
 
-    tree = cKDTree(pos)
+    tree = kdtree(pos)
     normals = np.empty((n, 3), dtype=np.float32)
 
     def block(rows):
         _, idx = tree.query(pos[rows], k=k)
         nb = pos[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
-        # einsum sums each entry over k in order. A batched matmul is faster
-        # but rounds differently: where the covariance has rank 1 (collinear
+        # Six entries, each an einsum that sums over k in order on strided
+        # columns. A batched matmul or a k-contiguous einsum is faster but
+        # rounds differently: where the covariance has rank 1 (collinear
         # points, or copies of two positions) the smallest eigenvalue is
         # double, and that rounding picks another normal in its plane.
-        cov = np.einsum("nki,nkj->nij", centered, centered)
+        cov = np.empty((len(rows), 3, 3))
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", centered[..., i], centered[..., j])
         _, vecs = np.linalg.eigh(cov)
         nrm = vecs[:, :, 0]
-        degenerate = np.abs(centered).max(axis=(1, 2)) == 0.0
+        # The trace, a sum of squares, is 0 only when all k points coincide.
+        degenerate = np.trace(cov, axis1=1, axis2=2) == 0.0
         nrm[degenerate] = (0.0, 0.0, 1.0)
         flip = nrm[:, 2] < 0.0
         nrm[flip] *= -1.0

@@ -1,4 +1,8 @@
-"""Kd-tree adjacency between labelled point sets, and prior boxes."""
+"""Kd-trees, adjacency between labelled point sets, and prior boxes.
+
+Every kd-tree in the package (normals, adjacency slabs, the super-point
+fallback) is built by kdtree, with one construction rule.
+"""
 
 from dataclasses import dataclass
 
@@ -12,6 +16,12 @@ from .parallel import thread_map
 # pairs of a slab instead of the whole scene, and every worker thread holds
 # one slab's.
 _SLAB_POINTS = 1 << 15
+
+
+def kdtree(points):
+    """cKDTree without median splits or shrunk node boxes: faster to build and
+    to query on these clouds, with the same neighbours up to exact ties."""
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
 def labeled_close_pairs(positions, labels, cutoff):
@@ -37,7 +47,7 @@ def labeled_close_pairs(positions, labels, cutoff):
     def slab_keys(start):
         core_end = min(start + _SLAB_POINTS, n)
         end = np.searchsorted(pos[:, 0], pos[core_end - 1, 0] + 2 * cutoff, side="right")
-        i, j = (cKDTree(pos[start:end]).query_pairs(cutoff, output_type="ndarray") + start).T
+        i, j = (kdtree(pos[start:end]).query_pairs(cutoff, output_type="ndarray") + start).T
         la, lb = lab[i], lab[j]
         keep = (i < core_end) & (la != lb)
         la, lb = la[keep], lb[keep]

@@ -16,6 +16,12 @@ joins the super-point of its nearest reached point (one kd-tree query), so
 an island attaches to the surface nearest it, not to the nearest seed
 centroid.
 
+Voxels are keyed row-major on their grid padded by one empty cell on every
+side, so each of a voxel's 26 neighbours is one constant key step away and
+never wraps into another row: a wave looks up all its candidate voxels with
+one searchsorted over the sorted occupied keys, in memory that grows with the
+occupied voxels, not with the bounding volume.
+
 The only stage that reads normals, and so the only one that estimates them
 for a cloud stored without; the cloud itself is left as loaded.
 """
@@ -23,21 +29,12 @@ for a cloud stored without; the cloud itself is left as loaded.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import scene_io
 from .errors import EmptyCloud
+from .spatial import kdtree
 
-_OFFSETS_26 = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
+_OFFSETS_26 = np.array([o for o in np.ndindex(3, 3, 3) if o != (1, 1, 1)], dtype=np.int64) - 1
 
 
 @dataclass
@@ -95,15 +92,16 @@ def build_superpoints(cloud, params=None):
     normals = normals.astype(np.float64)
     colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
 
-    # Voxelize; voxel index = rank of its (sorted unique) scalar key.
+    # Voxelize; voxel index = rank of its (sorted unique) scalar key, taken
+    # on the grid padded by one empty cell on every side.
     cells = np.floor(pos / params.voxel_size).astype(np.int64)
-    lo = cells.min(axis=0)
-    span = cells.max(axis=0) - lo + 1
-    shifted = cells - lo
-    keys = (shifted[:, 0] * span[1] + shifted[:, 1]) * span[2] + shifted[:, 2]
-    vox_keys, first_point, point_vox = np.unique(keys, return_index=True, return_inverse=True)
+    lo = cells.min(axis=0) - 1
+    span = cells.max(axis=0) - lo + 2
+    strides = np.array([span[1] * span[2], span[2], 1])
+    vox_keys, first_point, point_vox = np.unique((cells - lo) @ strides, return_index=True,
+                                                 return_inverse=True)
     n_vox = vox_keys.size
-    vox_coord = shifted[first_point]
+    step = _OFFSETS_26 @ strides  # key offsets of the 26 neighbours
 
     point_order = np.argsort(point_vox, kind="stable")
     vox_starts, vox_counts = _group_starts(point_vox, n_vox)
@@ -116,7 +114,7 @@ def build_superpoints(cloud, params=None):
         return point_order[base + local], counts
 
     # Voxel centers drive seed selection; per-voxel means drive seed features.
-    vox_center = (vox_coord + lo + 0.5) * params.voxel_size
+    vox_center = (cells[first_point] + 0.5) * params.voxel_size
 
     # One seed per occupied seed-resolution cell: the voxel nearest the cell
     # center, ties broken by lowest voxel key.
@@ -170,25 +168,12 @@ def build_superpoints(cloud, params=None):
 
     while frontier_vox.size:
         # Candidate (voxel, seed) claims: unclaimed neighbors of the frontier.
-        fc = vox_coord[frontier_vox]
-        cand_vox = []
-        cand_seed = []
-        for off in _OFFSETS_26:
-            nc = fc + off
-            ok = ((nc >= 0) & (nc < span)).all(axis=1)
-            if not ok.any():
-                continue
-            nk = (nc[ok, 0] * span[1] + nc[ok, 1]) * span[2] + nc[ok, 2]
-            vi = np.searchsorted(vox_keys, nk)
-            hit = (vi < n_vox) & (vox_keys[np.minimum(vi, n_vox - 1)] == nk)
-            vi = vi[hit]
-            unclaimed = ~vox_claimed[vi]
-            cand_vox.append(vi[unclaimed])
-            cand_seed.append(frontier_seed[ok][hit][unclaimed])
-        if not cand_vox:
-            break
-        cv = np.concatenate(cand_vox)
-        cs = np.concatenate(cand_seed)
+        # A key past the last voxel's clips to it and then fails the match.
+        nk = vox_keys[frontier_vox][:, None] + step
+        vi = np.minimum(np.searchsorted(vox_keys, nk), n_vox - 1)
+        hit = (vox_keys[vi] == nk) & ~vox_claimed[vi]
+        cv = vi[hit]
+        cs = frontier_seed[np.nonzero(hit)[0]]
         if cv.size == 0:
             break
         pair_key = cv * n_seeds + cs
@@ -206,7 +191,7 @@ def build_superpoints(cloud, params=None):
         win_pts = pts_sorted[first]
         win_seeds = seeds_rep[order][first]
         point_seed[win_pts] = win_seeds
-        vox_claimed[np.unique(cv)] = True
+        vox_claimed[cv] = True
 
         # A seed only keeps growing through voxels where it won points.
         win_key = np.unique(point_vox[win_pts] * n_seeds + win_seeds)
@@ -217,7 +202,7 @@ def build_superpoints(cloud, params=None):
     missing = point_seed < 0
     if missing.any():
         reached = np.flatnonzero(~missing)
-        _, nearest = cKDTree(pos[reached]).query(pos[missing])
+        _, nearest = kdtree(pos[reached]).query(pos[missing])
         point_seed[missing] = point_seed[reached[nearest]]
 
     order = np.argsort(point_seed, kind="stable")

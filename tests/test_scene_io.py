@@ -218,10 +218,16 @@ def reference_normals(cloud, k):
     return normals.astype(np.float32)
 
 
+def bits_equal(a, b):
+    """Bit-for-bit equality of float32 arrays; tells -0.0 from 0.0."""
+    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32),
+                                                                b.view(np.uint32))
+
+
 def assert_normals_equal_reference(cloud, k):
     got = estimate_normals(cloud, k=k)
-    assert got.dtype == np.float32 and got.shape == (cloud.n_points, 3)
-    assert np.array_equal(got, reference_normals(cloud, k))
+    assert got.shape == (cloud.n_points, 3)
+    assert bits_equal(got, reference_normals(cloud, k))
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +247,7 @@ def test_normals_equal_reference_on_room(room_normals, workers, monkeypatch):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
     cloud, want = room_normals
     got = estimate_normals(cloud, k=16)
-    assert got.dtype == np.float32 and np.array_equal(got, want)
+    assert bits_equal(got, want)
 
 
 def test_normals_equal_reference_on_coincident_points():
@@ -253,6 +259,28 @@ def test_normals_equal_reference_on_coincident_points():
     # Each stack of 8 copies is a neighbourhood with no spread.
     assert (normals[300:] == np.float32((0.0, 0.0, 1.0))).all()
     assert_normals_equal_reference(cloud, k=5)
+
+
+def test_normals_equal_reference_on_collinear_points():
+    # Rank-1 covariances: the smallest eigenvalue is double, so any rounding
+    # difference in the covariance picks another normal in its plane.
+    rng = np.random.default_rng(14)
+    t = rng.random(200)
+    lines = [np.outer(t, d) + o for d, o in (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                            ((0.3, -0.7, 0.2), (2.0, 1.0, -1.0)),
+                                            ((0.0, 0.0, 1.0), (5.0, 5.0, 5.0)))]
+    cloud = SceneCloud(positions=np.concatenate(lines).astype(np.float32))
+    assert_normals_equal_reference(cloud, k=8)
+
+
+def test_normals_equal_reference_on_copies_of_two_positions():
+    rng = np.random.default_rng(15)
+    # 30 pairs of positions about 0.05 m apart, the pairs about 1 m apart.
+    first = rng.random((30, 3)) * 4.0 - 2.0
+    second = first + rng.normal(size=(30, 3)) * 0.03
+    pos = np.concatenate([np.repeat([a, b], (5, 4), axis=0) for a, b in zip(first, second)])
+    cloud = SceneCloud(positions=pos.astype(np.float32))
+    assert_normals_equal_reference(cloud, k=7)
 
 
 def test_normals_equal_reference_when_k_is_the_point_count():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from part2object import evaluation, hierarchy, objectness, synth
 from part2object.errors import EmptyCloud
@@ -233,3 +234,217 @@ def test_tiny_cloud_without_normals_is_partitioned(n):
     cloud = SceneCloud(positions=np.random.default_rng(n).random((n, 3)))
     check_partition(build_superpoints(cloud), n)
     assert cloud.normals is None  # the stage estimates into its own array
+
+
+# ---------------------------------------------------------------------------
+# oracle: the wave with one bounds-checked lookup per neighbour offset
+
+
+_REFERENCE_OFFSETS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) != (0, 0, 0)
+]
+
+
+def reference_superpoints(cloud, params):
+    """build_superpoints as it was with a per-offset searchsorted loop over an
+    unpadded grid, kept as the oracle; the cloud must carry normals.
+
+    Returns the super-points and how many points no wave reached.
+    """
+    pos = cloud.positions.astype(np.float64)
+    n = pos.shape[0]
+    normals = cloud.normals.astype(np.float64)
+    colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
+
+    cells = np.floor(pos / params.voxel_size).astype(np.int64)
+    lo = cells.min(axis=0)
+    span = cells.max(axis=0) - lo + 1
+    shifted = cells - lo
+    keys = (shifted[:, 0] * span[1] + shifted[:, 1]) * span[2] + shifted[:, 2]
+    vox_keys, first_point, point_vox = np.unique(keys, return_index=True, return_inverse=True)
+    n_vox = vox_keys.size
+    vox_coord = shifted[first_point]
+    point_order = np.argsort(point_vox, kind="stable")
+    vox_counts = np.bincount(point_vox, minlength=n_vox)
+    vox_starts = np.concatenate(([0], np.cumsum(vox_counts)))
+
+    def points_of(vox_ids):
+        counts = vox_counts[vox_ids]
+        base = np.repeat(vox_starts[vox_ids], counts)
+        local = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        return point_order[base + local], counts
+
+    vox_center = (vox_coord + lo + 0.5) * params.voxel_size
+    seed_cell = np.floor(vox_center / params.seed_resolution).astype(np.int64)
+    s_lo = seed_cell.min(axis=0)
+    s_span = seed_cell.max(axis=0) - s_lo + 1
+    sc = seed_cell - s_lo
+    cell_keys = (sc[:, 0] * s_span[1] + sc[:, 1]) * s_span[2] + sc[:, 2]
+    cell_center = (seed_cell + 0.5) * params.seed_resolution
+    dist_to_center = np.linalg.norm(vox_center - cell_center, axis=1)
+    pick = np.lexsort((vox_keys, dist_to_center, cell_keys))
+    _, first_in_cell = np.unique(cell_keys[pick], return_index=True)
+    seed_vox = pick[first_in_cell]
+    n_seeds = seed_vox.size
+
+    seed_centroid = np.empty((n_seeds, 3))
+    seed_color = np.zeros((n_seeds, 3))
+    seed_normal = np.empty((n_seeds, 3))
+    for s, v in enumerate(seed_vox):
+        ids = point_order[vox_starts[v] : vox_starts[v] + vox_counts[v]]
+        seed_centroid[s] = pos[ids].mean(axis=0)
+        if colors is not None:
+            seed_color[s] = colors[ids].mean(axis=0)
+        mean_n = normals[ids].mean(axis=0)
+        length = np.linalg.norm(mean_n)
+        seed_normal[s] = mean_n / length if length > 0 else (0.0, 0.0, 1.0)
+
+    def mixed_distance(pts, seeds):
+        d = np.linalg.norm(pos[pts] - seed_centroid[seeds], axis=1)
+        score = params.w_spatial * d / (3.0 * params.seed_resolution)
+        if colors is not None and params.w_color > 0:
+            score = score + params.w_color * np.linalg.norm(colors[pts] - seed_color[seeds], axis=1)
+        if params.w_normal > 0:
+            dots = np.abs((normals[pts] * seed_normal[seeds]).sum(axis=1))
+            score = score + params.w_normal * (1.0 - dots)
+        return score
+
+    point_seed = np.full(n, -1, dtype=np.int64)
+    vox_claimed = np.zeros(n_vox, dtype=bool)
+    vox_claimed[seed_vox] = True
+    for s, v in enumerate(seed_vox):
+        point_seed[point_order[vox_starts[v] : vox_starts[v] + vox_counts[v]]] = s
+    frontier_vox = seed_vox.copy()
+    frontier_seed = np.arange(n_seeds, dtype=np.int64)
+
+    while frontier_vox.size:
+        fc = vox_coord[frontier_vox]
+        cand_vox = []
+        cand_seed = []
+        for off in _REFERENCE_OFFSETS:
+            nc = fc + off
+            ok = ((nc >= 0) & (nc < span)).all(axis=1)
+            if not ok.any():
+                continue
+            nk = (nc[ok, 0] * span[1] + nc[ok, 1]) * span[2] + nc[ok, 2]
+            vi = np.searchsorted(vox_keys, nk)
+            hit = (vi < n_vox) & (vox_keys[np.minimum(vi, n_vox - 1)] == nk)
+            vi = vi[hit]
+            unclaimed = ~vox_claimed[vi]
+            cand_vox.append(vi[unclaimed])
+            cand_seed.append(frontier_seed[ok][hit][unclaimed])
+        cv = np.concatenate(cand_vox) if cand_vox else np.empty(0, dtype=np.int64)
+        cs = np.concatenate(cand_seed) if cand_seed else np.empty(0, dtype=np.int64)
+        if cv.size == 0:
+            break
+        uniq_pairs = np.unique(cv * n_seeds + cs)
+        cv = uniq_pairs // n_seeds
+        cs = uniq_pairs % n_seeds
+
+        pts, counts = points_of(cv)
+        seeds_rep = np.repeat(cs, counts)
+        scores = mixed_distance(pts, seeds_rep)
+        order = np.lexsort((seeds_rep, scores, pts))
+        pts_sorted = pts[order]
+        first = np.concatenate(([True], pts_sorted[1:] != pts_sorted[:-1]))
+        win_pts = pts_sorted[first]
+        win_seeds = seeds_rep[order][first]
+        point_seed[win_pts] = win_seeds
+        vox_claimed[np.unique(cv)] = True
+        win_key = np.unique(point_vox[win_pts] * n_seeds + win_seeds)
+        frontier_vox = win_key // n_seeds
+        frontier_seed = win_key % n_seeds
+
+    missing = point_seed < 0
+    if missing.any():
+        reached = np.flatnonzero(~missing)
+        _, nearest = cKDTree(pos[reached]).query(pos[missing])
+        point_seed[missing] = point_seed[reached[nearest]]
+
+    return [np.flatnonzero(point_seed == s) for s in range(n_seeds)], int(missing.sum())
+
+
+def assert_superpoints_equal_reference(cloud, params):
+    """Label-for-label equality with the oracle; returns its unreached count."""
+    want, n_unreached = reference_superpoints(cloud, params)
+    got = build_superpoints(cloud, params)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    return n_unreached
+
+
+WEIGHT_VARIANTS = {
+    "default": {},
+    "no_color": {"w_color": 0.0},
+    "no_normal": {"w_normal": 0.0},
+}
+
+
+def with_normals(cloud, k=8):
+    return SceneCloud(positions=cloud.positions, colors=cloud.colors,
+                      normals=estimate_normals(cloud, k=k))
+
+
+@pytest.fixture(scope="module")
+def room_with_normals():
+    """The 256k-point benchmark room, with the normals the stage would estimate."""
+    spec = three_block_spec(seed=7, room=(4.0, 4.0, 1.5), points_per_m2=5750.0)
+    cloud, _, _ = synth.generate(spec)
+    assert cloud.n_points > 200_000
+    return with_normals(SceneCloud(positions=cloud.positions, colors=cloud.colors), k=16)
+
+
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_on_room(room_with_normals, variant):
+    assert_superpoints_equal_reference(room_with_normals,
+                                       SuperpointParams(**WEIGHT_VARIANTS[variant]))
+
+
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_with_unreached_islands(variant):
+    cloud, _, _ = synth.generate(three_block_spec(seed=13, room=(4.0, 4.0, 1.5),
+                                                  points_per_m2=800.0))
+    params = SuperpointParams(**WEIGHT_VARIANTS[variant])
+    assert assert_superpoints_equal_reference(cloud, params) > 1000
+
+
+def test_superpoints_equal_reference_on_the_four_point_island():
+    pos = np.array([[x, 0.5, 0.5] for x in (-2.5, -1.5, 0.2, 2.5)], dtype=np.float32)
+    cloud = SceneCloud(positions=pos, normals=np.tile(np.float32((0.0, 0.0, 1.0)), (4, 1)))
+    params = SuperpointParams(voxel_size=1.0, seed_resolution=4.0,
+                              w_spatial=1.0, w_color=0.0, w_normal=0.0)
+    assert assert_superpoints_equal_reference(cloud, params) == 1
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (7, 3, 1), (1, 6, 4), (2, 2, 9)])
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_at_every_face_of_the_grid(shape, variant):
+    # A few voxels per axis, densely filled: most voxels lie on a face of the
+    # grid's bounds, where a neighbour offset leaves the grid.
+    rng = np.random.default_rng(sum(shape))
+    pos = rng.random((40 * int(np.prod(shape)), 3)) * np.array(shape) * 0.1 - (0.33, 0.0, 2.1)
+    cloud = SceneCloud(positions=pos.astype(np.float32),
+                       colors=rng.random(pos.shape).astype(np.float32))
+    params = SuperpointParams(voxel_size=0.1, seed_resolution=0.2, **WEIGHT_VARIANTS[variant])
+    cells = np.floor(cloud.positions.astype(np.float64) / params.voxel_size).astype(np.int64)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    for axis in range(3):
+        assert (cells[:, axis] == lo[axis]).any() and (cells[:, axis] == hi[axis]).any()
+    assert_superpoints_equal_reference(with_normals(cloud), params)
+
+
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_on_a_one_voxel_thick_plane(variant):
+    rng = np.random.default_rng(9)
+    pos = np.column_stack([rng.random((4000, 2)) * 1.2, 0.3 + rng.random(4000) * 0.019])
+    cloud = SceneCloud(positions=pos.astype(np.float32),
+                       colors=rng.random((4000, 3)).astype(np.float32))
+    params = SuperpointParams(seed_resolution=0.2, **WEIGHT_VARIANTS[variant])
+    cells = np.floor(cloud.positions.astype(np.float64) / params.voxel_size).astype(np.int64)
+    assert np.unique(cells[:, 2]).size == 1
+    assert_superpoints_equal_reference(with_normals(cloud), params)
