@@ -13,6 +13,13 @@ Pipeline stages, each usable on its own:
   cli          -- the `p2o` command
 """
 
+import os
+
+# numpy's OpenBLAS would start a thread pool of its own beside
+# parallel.thread_map's; pin it to one thread unless the user set a count.
+# This takes effect only if numpy has not been imported yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401

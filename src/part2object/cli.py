@@ -13,7 +13,10 @@ reported as one stderr line.
 
 Within a scene, `run` builds the objectness priors (from the frames) beside
 the super-points (from the cloud), as two blocks of parallel.thread_map, and
-joins them before the merge rounds, the first stage that needs both. The two
+joins them before the merge rounds, the first stage that needs both; the
+stages split their own large steps over the same pool, and importing the
+package pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
+set. No option sets a thread count except --jobs, across scenes. The two
 id-array artifacts, superpoints.json and hierarchy.json, are compact JSON;
 the small ones keep an indent of 2.
 """

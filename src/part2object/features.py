@@ -43,9 +43,11 @@ def fuse_feature(point_features):
         raise AllZeroFeatures("no point features supplied")
 
     norms = np.linalg.norm(feats, axis=1)
-    feats = feats[norms > 0.0]
-    if feats.shape[0] == 0:
-        raise AllZeroFeatures("all point features are zero vectors")
+    nonzero = norms > 0.0
+    if not nonzero.all():
+        feats, norms = feats[nonzero], norms[nonzero]
+        if feats.shape[0] == 0:
+            raise AllZeroFeatures("all point features are zero vectors")
 
     mean = feats.mean(axis=0)
     mean_norm = np.linalg.norm(mean)
@@ -53,7 +55,7 @@ def fuse_feature(point_features):
         log.warning("degenerate fusion (zero mean feature); using plain mean")
         return mean.astype(np.float32)
 
-    sims = feats @ mean / (np.linalg.norm(feats, axis=1) * mean_norm)
+    sims = feats @ mean / (norms * mean_norm)
     weights = np.maximum(sims, 0.0)
     total = weights.sum()
     if total <= DEGENERATE_WEIGHT_EPS:

@@ -34,6 +34,7 @@ from scipy.sparse import coo_matrix
 
 from .errors import AllZeroFeatures, FormatError
 from .features import fuse_feature
+from .parallel import thread_map
 from .scene_io import Instance, InstanceSet
 from .spatial import labeled_close_pairs
 
@@ -270,7 +271,10 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
     layer0 must partition [0, N) into non-empty sets, as build_superpoints
     does (ValueError otherwise). Point features come from
     cloud.semantic_features, as stored; layer-0 cluster features are fused
-    from member point features.
+    from member point features. The three layer-0 inputs (the fused
+    features, the candidate_pairs edges and the point-by-box membership) are
+    built side by side as blocks of parallel.thread_map; the merge rounds
+    are serial.
     """
     params = params or MergeParams()
     if cloud.semantic_features is None:
@@ -280,11 +284,15 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
 
     labels = _partition_labels(layer0, positions.shape[0])
     layer0 = [np.sort(np.asarray(ids, dtype=np.int64)) for ids in layer0]
-    feats = np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
-                       dtype=np.float32)
-    # The only point-level adjacency scan; later rounds contract its edges.
-    edges = candidate_pairs(labels, positions, params.T)
-    contains = _box_membership(boxes, positions)
+    # Side by side, because the fusion loop holds the interpreter lock while
+    # the adjacency slabs and box tests release it. The adjacency scan is the
+    # only point-level one; later rounds contract its edges.
+    edges, feats, contains = thread_map(lambda build: build(), [
+        lambda: candidate_pairs(labels, positions, params.T),
+        lambda: np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
+                           dtype=np.float32),
+        lambda: _box_membership(boxes, positions),
+    ])
 
     h = Hierarchy(layers=[layer0], features=[feats], merge_log=[])
     while len(h.layers) < params.max_layers:

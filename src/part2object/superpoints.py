@@ -22,6 +22,13 @@ never wraps into another row: a wave looks up all its candidate voxels with
 one searchsorted over the sorted occupied keys, in memory that grows with the
 occupied voxels, not with the bounding volume.
 
+A large wave runs on every CPU (parallel.thread_map): the frontier's
+neighbour lookups are split into blocks, and the wave's (voxel, seed) claims
+are cut at voxel boundaries into blocks that each score their claims and
+pick their points' winners. Every candidate for a point lies in that point's
+own voxel, so the blocks are independent and, joined in order, give the
+same super-points for any block count.
+
 The only stage that reads normals, and so the only one that estimates them
 for a cloud stored without; the cloud itself is left as loaded.
 """
@@ -30,9 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scene_io
+from . import parallel, scene_io
 from .errors import EmptyCloud
+from .parallel import thread_map
 from .spatial import kdtree
+
+# Least work (neighbour lookups, or points of claimed voxels) per block of a
+# wave step; a smaller step runs as one block in the calling thread.
+_WAVE_BLOCK = 1 << 14
 
 _OFFSETS_26 = np.array([o for o in np.ndindex(3, 3, 3) if o != (1, 1, 1)], dtype=np.int64) - 1
 
@@ -62,11 +74,9 @@ class SuperpointParams:
             raise ValueError(f"normals_k must be at least 3, got {self.normals_k}")
 
 
-def _group_starts(labels, n_groups):
-    counts = np.bincount(labels, minlength=n_groups)
-    starts = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return starts, counts
+def _blocks(work):
+    """How many blocks a wave step of this much work is split into."""
+    return max(1, min(parallel.cpu_workers(), work // _WAVE_BLOCK))
 
 
 def build_superpoints(cloud, params=None):
@@ -92,19 +102,24 @@ def build_superpoints(cloud, params=None):
     normals = normals.astype(np.float64)
     colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
 
-    # Voxelize; voxel index = rank of its (sorted unique) scalar key, taken
-    # on the grid padded by one empty cell on every side.
+    # Voxelize with one stable sort of the scalar keys, taken on the grid
+    # padded by one empty cell on every side: voxel index = rank of its key,
+    # and each voxel's points are a run of point_order in ascending id.
     cells = np.floor(pos / params.voxel_size).astype(np.int64)
     lo = cells.min(axis=0) - 1
     span = cells.max(axis=0) - lo + 2
     strides = np.array([span[1] * span[2], span[2], 1])
-    vox_keys, first_point, point_vox = np.unique((cells - lo) @ strides, return_index=True,
-                                                 return_inverse=True)
+    keys = (cells - lo) @ strides
+    point_order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[point_order]
+    new_vox = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    vox_starts = np.flatnonzero(new_vox)
+    vox_keys = sorted_keys[vox_starts]
+    vox_counts = np.diff(vox_starts, append=n)
+    point_vox = np.empty(n, dtype=np.int64)
+    point_vox[point_order] = np.cumsum(new_vox) - 1
     n_vox = vox_keys.size
     step = _OFFSETS_26 @ strides  # key offsets of the 26 neighbours
-
-    point_order = np.argsort(point_vox, kind="stable")
-    vox_starts, vox_counts = _group_starts(point_vox, n_vox)
 
     def points_of(vox_ids):
         counts = vox_counts[vox_ids]
@@ -114,7 +129,7 @@ def build_superpoints(cloud, params=None):
         return point_order[base + local], counts
 
     # Voxel centers drive seed selection; per-voxel means drive seed features.
-    vox_center = (cells[first_point] + 0.5) * params.voxel_size
+    vox_center = (cells[point_order[vox_starts]] + 0.5) * params.voxel_size
 
     # One seed per occupied seed-resolution cell: the voxel nearest the cell
     # center, ties broken by lowest voxel key.
@@ -131,17 +146,21 @@ def build_superpoints(cloud, params=None):
     seed_vox = pick[first_in_cell]
     n_seeds = seed_vox.size
 
-    seed_centroid = np.empty((n_seeds, 3))
-    seed_color = np.zeros((n_seeds, 3))
-    seed_normal = np.empty((n_seeds, 3))
-    for s, v in enumerate(seed_vox):
-        ids = point_order[vox_starts[v] : vox_starts[v] + vox_counts[v]]
-        seed_centroid[s] = pos[ids].mean(axis=0)
-        if colors is not None:
-            seed_color[s] = colors[ids].mean(axis=0)
-        mean_n = normals[ids].mean(axis=0)
-        length = np.linalg.norm(mean_n)
-        seed_normal[s] = mean_n / length if length > 0 else (0.0, 0.0, 1.0)
+    # Seed features, one segmented sum per array over the seed voxels' points
+    # (the same additions in the same order as a mean per seed).
+    seed_pts, seed_counts = points_of(seed_vox)
+    seed_starts = np.cumsum(seed_counts) - seed_counts
+
+    def seed_mean(values):
+        return np.add.reduceat(values[seed_pts], seed_starts) / seed_counts[:, None]
+
+    seed_centroid = seed_mean(pos)
+    seed_color = seed_mean(colors) if colors is not None else None
+    mean_n = seed_mean(normals)
+    # A batched dot, as np.linalg.norm of one vector computes it.
+    length = np.sqrt(np.matmul(mean_n[:, None, :], mean_n[:, :, None]))[:, 0]
+    seed_normal = np.tile((0.0, 0.0, 1.0), (n_seeds, 1))
+    np.divide(mean_n, length, out=seed_normal, where=length > 0)
 
     def mixed_distance(pts, seeds):
         d = np.linalg.norm(pos[pts] - seed_centroid[seeds], axis=1)
@@ -160,27 +179,23 @@ def build_superpoints(cloud, params=None):
 
     # Wave 0: each seed claims its own voxel outright.
     vox_claimed[seed_vox] = True
-    for s, v in enumerate(seed_vox):
-        ids = point_order[vox_starts[v] : vox_starts[v] + vox_counts[v]]
-        point_seed[ids] = s
-    frontier_vox = seed_vox.copy()
-    frontier_seed = np.arange(n_seeds, dtype=np.int64)
+    point_seed[seed_pts] = np.repeat(np.arange(n_seeds), seed_counts)
+    frontier = seed_vox * n_seeds + np.arange(n_seeds)
 
-    while frontier_vox.size:
-        # Candidate (voxel, seed) claims: unclaimed neighbors of the frontier.
-        # A key past the last voxel's clips to it and then fails the match.
-        nk = vox_keys[frontier_vox][:, None] + step
+    def lookup(block):
+        # Unclaimed neighbours of these frontier (voxel, seed) keys, as
+        # (voxel, seed) claim keys. A key past the last voxel's clips to it
+        # and then fails the match.
+        fv, fs = np.divmod(block, n_seeds)
+        nk = vox_keys[fv][:, None] + step
         vi = np.minimum(np.searchsorted(vox_keys, nk), n_vox - 1)
         hit = (vox_keys[vi] == nk) & ~vox_claimed[vi]
-        cv = vi[hit]
-        cs = frontier_seed[np.nonzero(hit)[0]]
-        if cv.size == 0:
-            break
-        pair_key = cv * n_seeds + cs
-        uniq_pairs = np.unique(pair_key)
-        cv = uniq_pairs // n_seeds
-        cs = uniq_pairs % n_seeds
+        return vi[hit] * n_seeds + fs[np.nonzero(hit)[0]]
 
+    def claim(block):
+        # Every point of these claims' voxels goes to its best claim; returns
+        # the block's sorted (voxel, seed) keys where the seed won points.
+        cv, cs = np.divmod(block, n_seeds)
         pts, counts = points_of(cv)
         seeds_rep = np.repeat(cs, counts)
         scores = mixed_distance(pts, seeds_rep)
@@ -191,12 +206,24 @@ def build_superpoints(cloud, params=None):
         win_pts = pts_sorted[first]
         win_seeds = seeds_rep[order][first]
         point_seed[win_pts] = win_seeds
-        vox_claimed[cv] = True
-
         # A seed only keeps growing through voxels where it won points.
-        win_key = np.unique(point_vox[win_pts] * n_seeds + win_seeds)
-        frontier_vox = win_key // n_seeds
-        frontier_seed = win_key % n_seeds
+        return np.unique(point_vox[win_pts] * n_seeds + win_seeds)
+
+    while frontier.size:
+        claims = np.unique(np.concatenate(
+            thread_map(lookup, np.array_split(frontier, _blocks(26 * frontier.size)))))
+        if claims.size == 0:
+            break
+        cv = claims // n_seeds
+        # Cut the claims at voxel boundaries, near equal shares of their
+        # points: each point's candidates all lie in its own voxel, so no
+        # block's winners depend on another's.
+        reach = np.cumsum(vox_counts[cv])
+        n_blocks = _blocks(int(reach[-1]))
+        cuts = np.searchsorted(reach, reach[-1] * np.arange(1, n_blocks) // n_blocks)
+        cuts = np.unique(np.searchsorted(cv, cv[cuts]))
+        frontier = np.concatenate(thread_map(claim, np.split(claims, cuts[cuts > 0])))
+        vox_claimed[cv] = True
 
     # Voxels unreachable from every seed: the nearest reached point's seed.
     missing = point_seed < 0
@@ -206,5 +233,4 @@ def build_superpoints(cloud, params=None):
         point_seed[missing] = point_seed[reached[nearest]]
 
     order = np.argsort(point_seed, kind="stable")
-    starts, counts = _group_starts(point_seed, n_seeds)
-    return [order[starts[s] : starts[s] + counts[s]] for s in range(n_seeds)]
+    return np.split(order, np.cumsum(np.bincount(point_seed, minlength=n_seeds))[:-1])

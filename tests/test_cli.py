@@ -327,6 +327,26 @@ def test_run_jobs_do_not_change_artifacts(tmp_path, monkeypatch):
         assert serial[name] == threaded[name], name
 
 
+def test_run_artifacts_do_not_depend_on_the_worker_count(raw_scene_dir, tmp_path, monkeypatch):
+    # Small blocks split the normals, the adjacency slabs and every super-point
+    # wave step of two or more items, so each count runs its own block layout.
+    monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
+    monkeypatch.setattr(spatial, "_SLAB_POINTS", 2048)
+    monkeypatch.setattr(superpoints, "_WAVE_BLOCK", 1)
+    trees = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["run", "--scene", str(raw_scene_dir), "--out", str(out),
+                         "--min-object-points", "30"]) == 0
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) > 5 and "report.json" in trees[0]
+    for tree in trees[1:]:
+        assert list(tree) == list(trees[0])
+        for name in tree:
+            assert tree[name] == trees[0][name], name
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
     out = tmp_path / "run"

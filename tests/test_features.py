@@ -94,3 +94,52 @@ def test_fuse_all_zero_raises():
 def test_fuse_degenerate_mean_falls_back_to_plain_mean():
     out = fuse_feature([(1.0, 0.0), (-1.0, 0.0)])
     assert np.allclose(out, (0.0, 0.0))
+
+
+def fuse_reference(point_features):
+    """fuse_feature as first written: norms recomputed on the kept rows, and
+    the zero rows always filtered out by a copy. The literal reference."""
+    feats = np.atleast_2d(np.asarray(point_features, dtype=np.float64))
+    norms = np.linalg.norm(feats, axis=1)
+    feats = feats[norms > 0.0]
+    if feats.shape[0] == 0:
+        raise AllZeroFeatures("all point features are zero vectors")
+    mean = feats.mean(axis=0)
+    mean_norm = np.linalg.norm(mean)
+    if mean_norm <= 1e-8:
+        return mean.astype(np.float32)
+    sims = feats @ mean / (np.linalg.norm(feats, axis=1) * mean_norm)
+    weights = np.maximum(sims, 0.0)
+    total = weights.sum()
+    if total <= 1e-8:
+        return mean.astype(np.float32)
+    return ((weights / total) @ feats).astype(np.float32)
+
+
+def reference_cases():
+    rng = np.random.default_rng(17)
+    with_zero_rows = rng.standard_normal((300, 16)).astype(np.float32)
+    with_zero_rows[::7] = 0.0
+    yield "random", rng.standard_normal((500, 32)).astype(np.float32)
+    yield "zero_rows", with_zero_rows
+    yield "single_row", rng.standard_normal((1, 8))
+    yield "single_row_among_zeros", np.vstack([np.zeros((3, 4)), rng.standard_normal((1, 4))])
+    yield "degenerate_mean", np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)])
+    yield "degenerate_weights", np.array([(1e12, 1.0), (-1e12, 1.0)])
+    yield "large_cluster", rng.standard_normal((20_000, 32)).astype(np.float32) + 0.3
+
+
+@pytest.mark.parametrize("name, feats", list(reference_cases()),
+                         ids=[name for name, _ in reference_cases()])
+def test_fuse_is_bit_identical_to_the_literal_reference(name, feats):
+    got, want = fuse_feature(feats), fuse_reference(feats)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_fuse_all_zero_rows_raise_like_the_reference():
+    feats = np.zeros((4, 3))
+    with pytest.raises(AllZeroFeatures):
+        fuse_reference(feats)
+    with pytest.raises(AllZeroFeatures):
+        fuse_feature(feats)

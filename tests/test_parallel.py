@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import part2object
 from part2object import parallel
 from part2object.parallel import thread_map
 
@@ -32,3 +37,16 @@ def test_thread_map_raises_a_block_error():
 
     with pytest.raises(ValueError, match="block 3"):
         thread_map(fail_on_three, range(8), workers=2)
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_to_one_thread_unless_set(user_value, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(part2object.__file__).parents[1])
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = "import os, part2object; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

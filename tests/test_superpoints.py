@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from part2object import evaluation, hierarchy, objectness, synth
+from part2object import evaluation, hierarchy, objectness, parallel, superpoints, synth
 from part2object.errors import EmptyCloud
 from part2object.scene_io import SceneCloud, estimate_normals
 from part2object.superpoints import SuperpointParams, build_superpoints
@@ -413,12 +415,15 @@ def test_superpoints_equal_reference_with_unreached_islands(variant):
     assert assert_superpoints_equal_reference(cloud, params) > 1000
 
 
-def test_superpoints_equal_reference_on_the_four_point_island():
+def four_point_island():
     pos = np.array([[x, 0.5, 0.5] for x in (-2.5, -1.5, 0.2, 2.5)], dtype=np.float32)
     cloud = SceneCloud(positions=pos, normals=np.tile(np.float32((0.0, 0.0, 1.0)), (4, 1)))
-    params = SuperpointParams(voxel_size=1.0, seed_resolution=4.0,
-                              w_spatial=1.0, w_color=0.0, w_normal=0.0)
-    assert assert_superpoints_equal_reference(cloud, params) == 1
+    return cloud, SuperpointParams(voxel_size=1.0, seed_resolution=4.0,
+                                   w_spatial=1.0, w_color=0.0, w_normal=0.0)
+
+
+def test_superpoints_equal_reference_on_the_four_point_island():
+    assert assert_superpoints_equal_reference(*four_point_island()) == 1
 
 
 @pytest.mark.parametrize("shape", [(5, 5, 5), (7, 3, 1), (1, 6, 4), (2, 2, 9)])
@@ -448,3 +453,68 @@ def test_superpoints_equal_reference_on_a_one_voxel_thick_plane(variant):
     cells = np.floor(cloud.positions.astype(np.float64) / params.voxel_size).astype(np.int64)
     assert np.unique(cells[:, 2]).size == 1
     assert_superpoints_equal_reference(with_normals(cloud), params)
+
+
+# ---------------------------------------------------------------------------
+# wave split: the same super-points at any block count
+
+_REFERENCE_CACHE = {}
+
+
+def unreached_islands():
+    cloud, _, _ = synth.generate(three_block_spec(seed=13, room=(4.0, 4.0, 1.5),
+                                                  points_per_m2=800.0))
+    return cloud, SuperpointParams()
+
+
+def dense_box():
+    rng = np.random.default_rng(15)
+    pos = rng.random((5000, 3)) * 0.5 - (0.33, 0.0, 2.1)
+    cloud = SceneCloud(positions=pos.astype(np.float32),
+                       colors=rng.random(pos.shape).astype(np.float32))
+    return with_normals(cloud), SuperpointParams(voxel_size=0.1, seed_resolution=0.2)
+
+
+SPLIT_CASES = {
+    "four_point_island": four_point_island,
+    "unreached_islands": unreached_islands,
+    "dense_box": dense_box,
+    "room": None,  # the room_with_normals fixture, default params
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_superpoints_equal_reference_at_any_block_count(case, workers, request, monkeypatch):
+    # With one work item per block every wave step of two or more items
+    # splits into `workers` blocks, whatever the CPU count of the machine.
+    if SPLIT_CASES[case] is None:
+        cloud, params = request.getfixturevalue("room_with_normals"), SuperpointParams()
+    else:
+        cloud, params = SPLIT_CASES[case]()
+    if case not in _REFERENCE_CACHE:
+        _REFERENCE_CACHE[case] = reference_superpoints(cloud, params)[0]
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    monkeypatch.setattr(superpoints, "_WAVE_BLOCK", 1)
+    block_counts = []
+    thread_map = superpoints.thread_map
+
+    def counting_thread_map(fn, blocks, workers=None):
+        blocks = list(blocks)
+        block_counts.append(len(blocks))
+        return thread_map(fn, blocks, workers)
+
+    monkeypatch.setattr(superpoints, "thread_map", counting_thread_map)
+    # A short switch interval makes the blocks' writes to the shared point ->
+    # seed array interleave as finely as they can.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_superpoints(cloud, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(block_counts) == workers
+    want = _REFERENCE_CACHE[case]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
