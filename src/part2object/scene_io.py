@@ -245,31 +245,43 @@ def rle_decode(runs, shape):
 _NORMALS_BLOCK = 16384
 
 
-def estimate_normals(cloud, k):
+def estimate_normals(cloud, k, rows=None, tree=None):
     """Surface normals from the PCA of each point's k nearest neighbors.
+
+    Returns float32 normals of the point ids in `rows`, in that order, or of
+    every point in id order when `rows` is None. `tree` is a spatial.kdtree
+    over the cloud's float64 positions, built here when not given; a caller
+    that estimates rows in several calls builds it once and passes it on.
 
     The normal is the eigenvector of the neighborhood covariance with the
     smallest eigenvalue, flipped into the +z hemisphere when its z component
     is negative (dotZ == 0 keeps the eigensolver's sign). Neighborhoods where
     all k points coincide get the fallback normal (0, 0, 1).
 
-    Blocks of _NORMALS_BLOCK points, taken in kd-tree order so that a
-    block's neighborhoods lie close together in memory, run on every CPU
-    the process may use (parallel.thread_map). Each normal depends only on
-    its own neighborhood, so the result does not depend on the thread count.
+    Blocks of _NORMALS_BLOCK rows run on every CPU the process may use
+    (parallel.thread_map); the whole cloud is taken in kd-tree order, so
+    that a block's neighborhoods lie close together in memory. Each normal
+    depends only on its own neighborhood, so a row's bits do not depend on
+    the thread count or on which other rows are estimated with it.
     """
-    pos = cloud.positions.astype(np.float64)
-    n = pos.shape[0]
+    n = cloud.n_points
     if k < 3:
         raise ValueError("k must be at least 3")
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
 
-    tree = kdtree(pos)
-    normals = np.empty((n, 3), dtype=np.float32)
+    if tree is None:
+        tree = kdtree(cloud.positions.astype(np.float64))
+    pos = tree.data
+    if rows is None:
+        rows = dest = tree.indices
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        dest = np.arange(rows.size)
+    normals = np.empty((rows.size, 3), dtype=np.float32)
 
-    def block(rows):
-        _, idx = tree.query(pos[rows], k=k)
+    def block(start):
+        _, idx = tree.query(pos[rows[start : start + _NORMALS_BLOCK]], k=k)
         nb = pos[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
         # Six entries, each an einsum that sums over k in order on strided
@@ -277,7 +289,7 @@ def estimate_normals(cloud, k):
         # rounds differently: where the covariance has rank 1 (collinear
         # points, or copies of two positions) the smallest eigenvalue is
         # double, and that rounding picks another normal in its plane.
-        cov = np.empty((len(rows), 3, 3))
+        cov = np.empty((idx.shape[0], 3, 3))
         for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
             cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", centered[..., i], centered[..., j])
         _, vecs = np.linalg.eigh(cov)
@@ -288,10 +300,9 @@ def estimate_normals(cloud, k):
         flip = nrm[:, 2] < 0.0
         nrm[flip] *= -1.0
         lengths = np.linalg.norm(nrm, axis=1, keepdims=True)
-        normals[rows] = nrm / lengths
+        normals[dest[start : start + _NORMALS_BLOCK]] = nrm / lengths
 
-    order = tree.indices
-    thread_map(block, [order[s : s + _NORMALS_BLOCK] for s in range(0, n, _NORMALS_BLOCK)])
+    thread_map(block, range(0, rows.size, _NORMALS_BLOCK))
     return normals
 
 
@@ -520,10 +531,9 @@ def write_instances(path, instance_set):
     lines = []
     for k, inst in enumerate(instance_set.instances):
         rel = f"{mask_dir_name}/{k:04d}.txt"
+        ids = inst.point_ids.tolist()
         with open(path.parent / rel, "w") as fh:
-            fh.write("\n".join(map(str, inst.point_ids.tolist())))
-            if inst.point_ids.size:
-                fh.write("\n")
+            fh.write(("%d\n" * len(ids)) % tuple(ids))
         lines.append(f"{rel} {inst.kind} {inst.confidence!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

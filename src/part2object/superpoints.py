@@ -30,7 +30,14 @@ own voxel, so the blocks are independent and, joined in order, give the
 same super-points for any block count.
 
 The only stage that reads normals, and so the only one that estimates them
-for a cloud stored without; the cloud itself is left as loaded.
+for a cloud stored without. A normal only decides a claim where two or more
+seeds claim the same voxel in the same wave (an only claimant takes the
+voxel whatever its score), and through the seed normals. So the stage
+estimates the seed voxels' points up front and each wave's contested points
+before the wave is scored, all from one kd-tree it keeps until the waves
+end; every other point's normal is never computed. Each normal depends only
+on its own neighbourhood, so these are the bits a whole-cloud estimate
+gives. The cloud itself is left as loaded.
 """
 
 from dataclasses import dataclass
@@ -85,8 +92,10 @@ def build_superpoints(cloud, params=None):
     Returns a list of sorted int64 index arrays; their union is [0, N) and
     they are pairwise disjoint. Deterministic for identical inputs. A cloud
     without normals gets them from each point's params.normals_k nearest
-    neighbours (k capped at N); below 3 points, which cannot fit a plane,
-    every normal is (0, 0, 1).
+    neighbours (k capped at N), estimated only where the scores read them:
+    the seed voxels' points, and each wave's points in voxels that two or
+    more seeds claim. Below 3 points, which cannot fit a plane, every normal
+    is (0, 0, 1); with w_normal = 0 none is estimated.
     """
     params = params or SuperpointParams()
     pos = cloud.positions.astype(np.float64)
@@ -94,13 +103,23 @@ def build_superpoints(cloud, params=None):
     if n == 0:
         raise EmptyCloud("cannot build super-points from an empty cloud")
 
-    normals = cloud.normals
-    if normals is None:
+    # Colours and normals stay float32 until a gather widens the rows it
+    # reads, with the same bits as widening the whole array.
+    colors = cloud.colors
+    normals = cloud.normals if params.w_normal > 0 else None
+    tree = None
+    if normals is None and params.w_normal > 0:
+        if n < 3:
+            normals = np.tile(np.float32((0.0, 0.0, 1.0)), (n, 1))
+        else:
+            tree = kdtree(pos)
+            normals = np.empty((n, 3), dtype=np.float32)
+
+    def estimate(rows):
         # Called through the module so that a tracer wrapping it sees the call.
-        normals = (scene_io.estimate_normals(cloud, k=min(params.normals_k, n)) if n >= 3
-                   else np.tile((0.0, 0.0, 1.0), (n, 1)))
-    normals = normals.astype(np.float64)
-    colors = cloud.colors.astype(np.float64) if cloud.colors is not None else None
+        if rows.size:
+            normals[rows] = scene_io.estimate_normals(cloud, k=min(params.normals_k, n),
+                                                      rows=rows, tree=tree)
 
     # Voxelize with one stable sort of the scalar keys, taken on the grid
     # padded by one empty cell on every side: voxel index = rank of its key,
@@ -130,6 +149,7 @@ def build_superpoints(cloud, params=None):
 
     # Voxel centers drive seed selection; per-voxel means drive seed features.
     vox_center = (cells[point_order[vox_starts]] + 0.5) * params.voxel_size
+    del cells, keys, sorted_keys, new_vox
 
     # One seed per occupied seed-resolution cell: the voxel nearest the cell
     # center, ties broken by lowest voxel key.
@@ -152,25 +172,29 @@ def build_superpoints(cloud, params=None):
     seed_starts = np.cumsum(seed_counts) - seed_counts
 
     def seed_mean(values):
-        return np.add.reduceat(values[seed_pts], seed_starts) / seed_counts[:, None]
+        return (np.add.reduceat(values[seed_pts].astype(np.float64, copy=False), seed_starts)
+                / seed_counts[:, None])
 
     seed_centroid = seed_mean(pos)
     seed_color = seed_mean(colors) if colors is not None else None
-    mean_n = seed_mean(normals)
-    # A batched dot, as np.linalg.norm of one vector computes it.
-    length = np.sqrt(np.matmul(mean_n[:, None, :], mean_n[:, :, None]))[:, 0]
-    seed_normal = np.tile((0.0, 0.0, 1.0), (n_seeds, 1))
-    np.divide(mean_n, length, out=seed_normal, where=length > 0)
+    if normals is not None:
+        if tree is not None:
+            estimate(seed_pts)
+        mean_n = seed_mean(normals)
+        # A batched dot, as np.linalg.norm of one vector computes it.
+        length = np.sqrt(np.matmul(mean_n[:, None, :], mean_n[:, :, None]))[:, 0]
+        seed_normal = np.tile((0.0, 0.0, 1.0), (n_seeds, 1))
+        np.divide(mean_n, length, out=seed_normal, where=length > 0)
 
     def mixed_distance(pts, seeds):
         d = np.linalg.norm(pos[pts] - seed_centroid[seeds], axis=1)
         score = params.w_spatial * d / (3.0 * params.seed_resolution)
         if colors is not None and params.w_color > 0:
             score = score + params.w_color * np.linalg.norm(
-                colors[pts] - seed_color[seeds], axis=1
+                colors[pts].astype(np.float64) - seed_color[seeds], axis=1
             )
-        if params.w_normal > 0:
-            dots = np.abs((normals[pts] * seed_normal[seeds]).sum(axis=1))
+        if normals is not None:
+            dots = np.abs((normals[pts].astype(np.float64) * seed_normal[seeds]).sum(axis=1))
             score = score + params.w_normal * (1.0 - dots)
         return score
 
@@ -194,20 +218,26 @@ def build_superpoints(cloud, params=None):
 
     def claim(block):
         # Every point of these claims' voxels goes to its best claim; returns
-        # the block's sorted (voxel, seed) keys where the seed won points.
-        cv, cs = np.divmod(block, n_seeds)
+        # the block's (voxel, seed) keys where the seed won points.
+        block, shared = block
+        # A voxel with one claimant goes to it whole.
+        solo = block[~shared]
+        cv, cs = np.divmod(solo, n_seeds)
+        pts, counts = points_of(cv)
+        point_seed[pts] = np.repeat(cs, counts)
+        cv, cs = np.divmod(block[shared], n_seeds)
         pts, counts = points_of(cv)
         seeds_rep = np.repeat(cs, counts)
         scores = mixed_distance(pts, seeds_rep)
         # Per point: smallest score wins, ties to the lowest seed index.
         order = np.lexsort((seeds_rep, scores, pts))
         pts_sorted = pts[order]
-        first = np.concatenate(([True], pts_sorted[1:] != pts_sorted[:-1]))
+        first = np.diff(pts_sorted, prepend=-1) != 0
         win_pts = pts_sorted[first]
         win_seeds = seeds_rep[order][first]
         point_seed[win_pts] = win_seeds
         # A seed only keeps growing through voxels where it won points.
-        return np.unique(point_vox[win_pts] * n_seeds + win_seeds)
+        return np.concatenate((solo, np.unique(point_vox[win_pts] * n_seeds + win_seeds)))
 
     while frontier.size:
         claims = np.unique(np.concatenate(
@@ -215,6 +245,11 @@ def build_superpoints(cloud, params=None):
         if claims.size == 0:
             break
         cv = claims // n_seeds
+        # Claims are sorted by voxel: a voxel two or more seeds claim is a run.
+        same = cv[1:] == cv[:-1]
+        shared = np.concatenate(([False], same)) | np.concatenate((same, [False]))
+        if tree is not None:
+            estimate(points_of(np.unique(cv[1:][same]))[0])
         # Cut the claims at voxel boundaries, near equal shares of their
         # points: each point's candidates all lie in its own voxel, so no
         # block's winners depend on another's.
@@ -222,8 +257,11 @@ def build_superpoints(cloud, params=None):
         n_blocks = _blocks(int(reach[-1]))
         cuts = np.searchsorted(reach, reach[-1] * np.arange(1, n_blocks) // n_blocks)
         cuts = np.unique(np.searchsorted(cv, cv[cuts]))
-        frontier = np.concatenate(thread_map(claim, np.split(claims, cuts[cuts > 0])))
+        cuts = cuts[cuts > 0]
+        frontier = np.concatenate(thread_map(
+            claim, zip(np.split(claims, cuts), np.split(shared, cuts))))
         vox_claimed[cv] = True
+    del tree  # the fallback below builds its own
 
     # Voxels unreachable from every seed: the nearest reached point's seed.
     missing = point_seed < 0

@@ -40,3 +40,9 @@ def random_partition(rng, n_points, n_clusters):
 
 def sets_from_labels(labels, n_clusters):
     return [np.flatnonzero(labels == c) for c in range(n_clusters)]
+
+
+def bits_equal(a, b):
+    """Bit-for-bit equality of float32 arrays; tells -0.0 from 0.0."""
+    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32),
+                                                                b.view(np.uint32))

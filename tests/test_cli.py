@@ -122,14 +122,15 @@ def test_only_the_superpoints_stage_estimates_normals(raw_scene_dir, tmp_path, m
     monkeypatch.setattr(scene_io, "estimate_normals",
                         lambda *a, **kw: calls.append(1) or estimate(*a, **kw))
     assert cli.main(["superpoints", "--scene", scene, "--out", sp]) == 0
-    assert len(calls) == 1
+    assert len(calls) >= 1  # the seeds, then each wave's contested voxels
+    superpoint_calls = len(calls)
     assert cli.main(["priors", "--scene", scene, "--out", priors]) == 0
     assert cli.main(["cluster", "--scene", scene, "--superpoints", sp,
                      "--priors", priors, "--out", h]) == 0
     assert cli.main(["extract", "--hierarchy", h, "--drop-largest-planar", "1",
                      "--scene", scene, "--objects", str(tmp_path / "o.txt"),
                      "--parts", str(tmp_path / "p.txt")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == superpoint_calls
 
 
 def test_run_reports_perfect_ap_on_easy_scene(scene_dir, tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import three_block_spec
-from part2object import parallel, scene_io, synth
+from conftest import bits_equal, three_block_spec
+from part2object import parallel, scene_io, spatial, synth
 from part2object.errors import (
     CorruptHeader,
     CorruptRLE,
@@ -218,12 +218,6 @@ def reference_normals(cloud, k):
     return normals.astype(np.float32)
 
 
-def bits_equal(a, b):
-    """Bit-for-bit equality of float32 arrays; tells -0.0 from 0.0."""
-    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32),
-                                                                b.view(np.uint32))
-
-
 def assert_normals_equal_reference(cloud, k):
     got = estimate_normals(cloud, k=k)
     assert got.shape == (cloud.n_points, 3)
@@ -248,6 +242,23 @@ def test_normals_equal_reference_on_room(room_normals, workers, monkeypatch):
     cloud, want = room_normals
     got = estimate_normals(cloud, k=16)
     assert bits_equal(got, want)
+
+
+def test_normals_of_rows_equal_the_whole_cloud_on_room(room_normals):
+    # Rows in any order, one at a time or many blocks at once, with the
+    # function's own tree or a caller's.
+    cloud, want = room_normals
+    n = cloud.n_points
+    rng = np.random.default_rng(3)
+    tree = spatial.kdtree(cloud.positions.astype(np.float64))
+    for rows in (rng.permutation(n)[: 2 * scene_io._NORMALS_BLOCK + 5], np.arange(7), [n - 1]):
+        rows = np.asarray(rows)
+        for t in (None, tree):
+            got = estimate_normals(cloud, k=16, rows=rows, tree=t)
+            assert got.shape == (rows.size, 3)
+            assert bits_equal(got, want[rows])
+    assert estimate_normals(cloud, k=16, rows=np.empty(0, dtype=np.int64)).shape == (0, 3)
+    assert bits_equal(estimate_normals(cloud, k=16, tree=tree), want)
 
 
 def test_normals_equal_reference_on_coincident_points():
@@ -416,7 +427,8 @@ def test_manifest_index_out_of_range(tmp_path):
         load_instances(path, n_points=100)
 
 
-@pytest.mark.parametrize("ids", [[], [7], list(range(0, 45000, 3)), [0, 2**40, 2**63 - 1]])
+@pytest.mark.parametrize("ids", [[], [7], list(range(0, 45000, 3)), [0, 2**40, 2**63 - 1],
+                                 list(range(0, 600_000, 5))])
 def test_mask_file_bytes_match_per_id_formatting(tmp_path, ids):
     path = tmp_path / "preds.txt"
     write_instances(path, InstanceSet([Instance(np.array(ids, dtype=np.int64))]))

@@ -1,15 +1,17 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from part2object import evaluation, hierarchy, objectness, parallel, superpoints, synth
+from part2object import (evaluation, hierarchy, objectness, parallel, scene_io,
+                         superpoints, synth)
 from part2object.errors import EmptyCloud
 from part2object.scene_io import SceneCloud, estimate_normals
 from part2object.superpoints import SuperpointParams, build_superpoints
 
-from conftest import three_block_spec
+from conftest import bits_equal, three_block_spec
 
 
 def check_partition(parts, n):
@@ -255,7 +257,10 @@ def reference_superpoints(cloud, params):
     """build_superpoints as it was with a per-offset searchsorted loop over an
     unpadded grid, kept as the oracle; the cloud must carry normals.
 
-    Returns the super-points and how many points no wave reached.
+    Returns the super-points, how many points no wave reached, and the sorted
+    ids whose normals decide a claim: with w_normal > 0, the seed voxels'
+    points (the seed normals) and every point of a voxel that two or more
+    seeds claim in one wave (an only claimant wins whatever its score).
     """
     pos = cloud.positions.astype(np.float64)
     n = pos.shape[0]
@@ -296,8 +301,10 @@ def reference_superpoints(cloud, params):
     seed_centroid = np.empty((n_seeds, 3))
     seed_color = np.zeros((n_seeds, 3))
     seed_normal = np.empty((n_seeds, 3))
+    normal_rows = []
     for s, v in enumerate(seed_vox):
         ids = point_order[vox_starts[v] : vox_starts[v] + vox_counts[v]]
+        normal_rows.append(ids)
         seed_centroid[s] = pos[ids].mean(axis=0)
         if colors is not None:
             seed_color[s] = colors[ids].mean(axis=0)
@@ -346,6 +353,8 @@ def reference_superpoints(cloud, params):
         uniq_pairs = np.unique(cv * n_seeds + cs)
         cv = uniq_pairs // n_seeds
         cs = uniq_pairs % n_seeds
+        vox, n_claims = np.unique(cv, return_counts=True)
+        normal_rows.append(points_of(vox[n_claims > 1])[0])
 
         pts, counts = points_of(cv)
         seeds_rep = np.repeat(cs, counts)
@@ -367,12 +376,16 @@ def reference_superpoints(cloud, params):
         _, nearest = cKDTree(pos[reached]).query(pos[missing])
         point_seed[missing] = point_seed[reached[nearest]]
 
-    return [np.flatnonzero(point_seed == s) for s in range(n_seeds)], int(missing.sum())
+    if params.w_normal == 0:
+        normal_rows = []
+    normal_rows = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *normal_rows]))
+    parts = [np.flatnonzero(point_seed == s) for s in range(n_seeds)]
+    return parts, int(missing.sum()), normal_rows
 
 
 def assert_superpoints_equal_reference(cloud, params):
     """Label-for-label equality with the oracle; returns its unreached count."""
-    want, n_unreached = reference_superpoints(cloud, params)
+    want, n_unreached, _ = reference_superpoints(cloud, params)
     got = build_superpoints(cloud, params)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -480,7 +493,40 @@ SPLIT_CASES = {
     "unreached_islands": unreached_islands,
     "dense_box": dense_box,
     "room": None,  # the room_with_normals fixture, default params
+    # The same clouds stored without normals: the stage estimates them.
+    "unreached_islands_raw": unreached_islands,
+    "room_raw": None,
 }
+
+
+def split_case(case, request, w_normal=None):
+    """(cloud to partition, the cloud with every normal the stage would
+    estimate, the oracle's super-points and normal rows, params).
+
+    A _raw case drops the cloud's normals; its oracle reads the normals the
+    stage estimates. w_normal, when given, replaces the case's weight.
+    """
+    raw = case.endswith("_raw")
+    if SPLIT_CASES[case] is None:
+        cloud, params = request.getfixturevalue("room_with_normals"), SuperpointParams()
+    else:
+        cloud, params = SPLIT_CASES[case]()
+    if raw:
+        cloud = SceneCloud(positions=cloud.positions, colors=cloud.colors)
+    if w_normal is not None:
+        params = dataclasses.replace(params, w_normal=w_normal)
+    key = (case, params.w_normal)
+    if key not in _REFERENCE_CACHE:
+        given = with_normals(cloud, k=min(params.normals_k, cloud.n_points)) if raw else cloud
+        _REFERENCE_CACHE[key] = given, reference_superpoints(given, params)
+    given, (want, _, normal_rows) = _REFERENCE_CACHE[key]
+    return cloud, given, want, normal_rows, params
+
+
+def assert_parts_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -488,12 +534,7 @@ SPLIT_CASES = {
 def test_superpoints_equal_reference_at_any_block_count(case, workers, request, monkeypatch):
     # With one work item per block every wave step of two or more items
     # splits into `workers` blocks, whatever the CPU count of the machine.
-    if SPLIT_CASES[case] is None:
-        cloud, params = request.getfixturevalue("room_with_normals"), SuperpointParams()
-    else:
-        cloud, params = SPLIT_CASES[case]()
-    if case not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[case] = reference_superpoints(cloud, params)[0]
+    cloud, _, want, _, params = split_case(case, request)
     monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
     monkeypatch.setattr(superpoints, "_WAVE_BLOCK", 1)
     block_counts = []
@@ -514,7 +555,46 @@ def test_superpoints_equal_reference_at_any_block_count(case, workers, request, 
     finally:
         sys.setswitchinterval(interval)
     assert max(block_counts) == workers
-    want = _REFERENCE_CACHE[case]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    assert_parts_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# normals estimated only where a claim reads them
+
+
+def recorded_estimates(monkeypatch):
+    """(rows, normals) of every scene_io.estimate_normals call from now on."""
+    calls = []
+    estimate = scene_io.estimate_normals
+
+    def record(*args, **kwargs):
+        normals = estimate(*args, **kwargs)
+        calls.append((np.asarray(kwargs["rows"]), normals))
+        return normals
+
+    monkeypatch.setattr(scene_io, "estimate_normals", record)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["room_raw", "unreached_islands_raw"])
+def test_normals_are_estimated_once_on_the_rows_the_claims_read(case, request, monkeypatch):
+    cloud, given, want, normal_rows, params = split_case(case, request)
+    calls = recorded_estimates(monkeypatch)
+    got = build_superpoints(cloud, params)
+    assert_parts_equal(got, want)
+    assert len(calls) > 1  # the seeds, then the waves with contested voxels
+    rows = np.concatenate([r for r, _ in calls])
+    assert np.unique(rows).size == rows.size  # no row twice
+    assert np.array_equal(np.sort(rows), normal_rows)
+    assert rows.size < cloud.n_points
+    assert bits_equal(np.concatenate([nrm for _, nrm in calls]), given.normals[rows])
+
+
+@pytest.mark.parametrize("case", ["room_raw", "unreached_islands_raw"])
+def test_w_normal_zero_estimates_no_normals(case, request, monkeypatch):
+    cloud, _, want, normal_rows, params = split_case(case, request, w_normal=0.0)
+    assert normal_rows.size == 0
+    calls = recorded_estimates(monkeypatch)
+    got = build_superpoints(cloud, params)
+    assert calls == []
+    assert_parts_equal(got, want)
