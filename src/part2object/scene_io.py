@@ -37,7 +37,7 @@ from .errors import (
     NonFinite,
     NonOrthonormalPose,
 )
-from .parallel import thread_map
+from . import parallel
 from .spatial import kdtree
 
 POINTS_MAGIC = b"P2O1"
@@ -240,9 +240,11 @@ def rle_decode(runs, shape):
 # normals
 
 
-# Points per estimate_normals block. A block holds (block, k, 3) float64
-# neighbourhoods; every worker thread holds one block's.
+# Most points per estimate_normals block. A block holds (block, k, 3)
+# float64 neighbourhoods; every worker thread holds one block's.
 _NORMALS_BLOCK = 16384
+# Fewest points a block is cut down to so that every CPU gets one.
+_NORMALS_MIN_BLOCK = 1024
 
 
 def estimate_normals(cloud, k, rows=None, tree=None):
@@ -258,11 +260,13 @@ def estimate_normals(cloud, k, rows=None, tree=None):
     is negative (dotZ == 0 keeps the eigensolver's sign). Neighborhoods where
     all k points coincide get the fallback normal (0, 0, 1).
 
-    Blocks of _NORMALS_BLOCK rows run on every CPU the process may use
-    (parallel.thread_map); the whole cloud is taken in kd-tree order, so
-    that a block's neighborhoods lie close together in memory. Each normal
-    depends only on its own neighborhood, so a row's bits do not depend on
-    the thread count or on which other rows are estimated with it.
+    The rows are cut into near-equal blocks of at most _NORMALS_BLOCK rows,
+    one per CPU the process may use while each keeps _NORMALS_MIN_BLOCK
+    rows, and the blocks run on those CPUs (parallel.thread_map). The whole
+    cloud is taken in kd-tree order, so that a block's neighborhoods lie
+    close together in memory. Each normal depends only on its own
+    neighborhood, so a row's bits do not depend on the thread count, the
+    block cuts or which other rows are estimated with it.
     """
     n = cloud.n_points
     if k < 3:
@@ -280,8 +284,8 @@ def estimate_normals(cloud, k, rows=None, tree=None):
         dest = np.arange(rows.size)
     normals = np.empty((rows.size, 3), dtype=np.float32)
 
-    def block(start):
-        _, idx = tree.query(pos[rows[start : start + _NORMALS_BLOCK]], k=k)
+    def block(span):
+        _, idx = tree.query(pos[rows[span]], k=k)
         nb = pos[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
         # Six entries, each an einsum that sums over k in order on strided
@@ -300,9 +304,12 @@ def estimate_normals(cloud, k, rows=None, tree=None):
         flip = nrm[:, 2] < 0.0
         nrm[flip] *= -1.0
         lengths = np.linalg.norm(nrm, axis=1, keepdims=True)
-        normals[dest[start : start + _NORMALS_BLOCK]] = nrm / lengths
+        normals[dest[span]] = nrm / lengths
 
-    thread_map(block, range(0, rows.size, _NORMALS_BLOCK))
+    n_blocks = max(-(-rows.size // _NORMALS_BLOCK),
+                   min(parallel.cpu_workers(), rows.size // _NORMALS_MIN_BLOCK))
+    bounds = np.linspace(0, rows.size, n_blocks + 1, dtype=np.int64)
+    parallel.thread_map(block, map(slice, bounds[:-1], bounds[1:]))
     return normals
 
 
@@ -541,6 +548,37 @@ def write_instances(path, instance_set):
             fh.write("\n")
 
 
+# The bytes write_instances writes: ASCII digits, and the ASCII whitespace
+# that both str.split and np.fromstring(sep=" ") split on.
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
+# np.fromstring saturates a token of 19 or more digits at INT64_MAX without
+# an error; every value below this bound has at most 18 digits.
+_EXACT_BELOW = 10**18
+
+
+def _read_ids(mask_path):
+    """A mask file's ids, as np.array(text.split(), dtype=np.int64) reads them.
+
+    A file of ASCII digits and whitespace whose values all lie below
+    _EXACT_BELOW is parsed in one C-level pass; any other file goes through
+    _ids_from_text, with int()'s rules and errors.
+    """
+    data = mask_path.read_bytes()
+    if not data.translate(None, _DIGITS_AND_SPACE):
+        if not data.strip():
+            # fromstring reads a whitespace-only input as [0].
+            return np.empty(0, dtype=np.int64)
+        ids = np.fromstring(data, dtype=np.int64, sep=" ")
+        if ids.max() < _EXACT_BELOW:
+            return ids
+    return _ids_from_text(mask_path.read_text())
+
+
+def _ids_from_text(text):
+    """The reference parse: int()'s rules for each whitespace-separated token."""
+    return np.array(text.split(), dtype=np.int64)
+
+
 def load_instances(path, n_points=None):
     """Load an instance manifest written by write_instances."""
     path = Path(path)
@@ -566,7 +604,7 @@ def load_instances(path, n_points=None):
             if not mask_path.exists():
                 raise FileNotFoundError(str(mask_path))
             try:
-                ids = np.array(mask_path.read_text().split(), dtype=np.int64)
+                ids = _read_ids(mask_path)
             except ValueError as exc:
                 raise FormatError(f"{rel}: non-integer point index") from exc
             except OverflowError as exc:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from part2object import cli, objectness, parallel, scene_io, spatial, superpoints, synth
+from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
 from part2object.superpoints import SuperpointParams
@@ -396,6 +397,30 @@ def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):
     assert proc.returncode == cli.EXIT_BAD_INPUT
     assert "point index out of range" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_report_equals_evaluate_multi_of_the_written_sets(tmp_path):
+    rng = np.random.default_rng(17)
+    pairs, argv = [], ["eval"]
+    for s in range(3):
+        labelled = rng.permutation(600)[:450]
+        gt = [np.sort(part) for part in np.array_split(labelled, 4)]
+        preds = [np.unique(np.concatenate([ids[rng.random(ids.size) < 0.8],
+                                           rng.choice(600, 15, replace=False)]))
+                 for ids in gt[: 3 - s % 2]]
+        preds.append(np.sort(rng.choice(600, 60, replace=False)))
+        pair = (scene_io.InstanceSet([scene_io.Instance(ids, float(rng.random()))
+                                      for ids in preds]),
+                scene_io.InstanceSet([scene_io.Instance(ids) for ids in gt]))
+        for flag, name, instances in zip(("--pred", "--gt"), ("pred.txt", "gt.txt"), pair):
+            scene_io.write_instances(tmp_path / f"scene{s}" / name, instances)
+            argv += [flag, str(tmp_path / f"scene{s}" / name)]
+        pairs.append(pair)
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    cli.write_json(tmp_path / "want.json", evaluate_multi(pairs).to_dict())
+    got = (tmp_path / "report.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+    assert 0.0 < json.loads(got)["ap25"] < 1.0
 
 
 def test_info_and_eval_do_not_load_the_clustering_graph_code(tmp_path):

@@ -305,6 +305,29 @@ def test_normals_equal_reference_below_one_block():
     assert_normals_equal_reference(SceneCloud(positions=pos), k=16)
 
 
+@pytest.mark.parametrize("n_rows,workers,sizes", [
+    (3000, 4, [1500, 1500]),  # two blocks of at least _NORMALS_MIN_BLOCK rows
+    (900, 4, [900]),
+    (25150, 2, [12575, 12575]),  # not 16,384 + 8,766
+    (40000, 2, [13333, 13333, 13334]),  # no block above _NORMALS_BLOCK
+])
+def test_normals_blocks_are_near_equal(room_normals, n_rows, workers, sizes, monkeypatch):
+    cloud, want = room_normals
+    spans = []
+    thread_map = parallel.thread_map
+
+    def recording_thread_map(fn, blocks):
+        blocks = list(blocks)
+        spans.extend(blocks)
+        return thread_map(fn, blocks)
+
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "thread_map", recording_thread_map)
+    rows = np.random.default_rng(4).permutation(cloud.n_points)[:n_rows]
+    assert bits_equal(estimate_normals(cloud, k=16, rows=rows), want[rows])
+    assert [s.stop - s.start for s in spans] == sizes
+
+
 def test_normals_k_bounds():
     cloud = SceneCloud(positions=np.random.default_rng(0).random((10, 3)))
     with pytest.raises(ValueError):
@@ -465,6 +488,96 @@ def test_mask_file_non_integer_tokens_rejected(tmp_path, token):
 def test_mask_file_out_of_int64_range_is_format_error(tmp_path, token):
     with pytest.raises(FormatError, match="point index out of range"):
         load_instances(write_mask_file(tmp_path, f"0\n{token}\n"))
+
+
+def reference_ids(text):
+    """What np.array(text.split(), dtype=np.int64) returns, or (class, message) of its error."""
+    try:
+        return np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def read_ids_or_error(path):
+    try:
+        return scene_io._read_ids(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_like_reference(path):
+    got, want = read_ids_or_error(path), reference_ids(path.read_text())
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+SEPARATORS = (" ", "\t", "\n", "\r\n", "\x0b", "\x0c")
+
+
+def random_mask_text(rng):
+    """Ids in [0, 2**62) of random magnitude, some with leading zeros, between
+    runs of random separators, with and without leading and trailing ones."""
+
+    def space(least):
+        return "".join(rng.choice(SEPARATORS) for _ in range(int(rng.integers(least, 3))))
+
+    text = space(0)
+    for _ in range(int(rng.integers(0, 40))):
+        zeros = "0" * int(rng.integers(1, 4)) if rng.random() < 0.2 else ""
+        text += zeros + str(int(rng.integers(0, 2 ** int(rng.integers(1, 63))))) + space(1)
+    return text.rstrip() if rng.random() < 0.5 else text
+
+
+def test_mask_file_parse_equals_reference_on_random_files(tmp_path, monkeypatch):
+    calls = []
+    ids_from_text = scene_io._ids_from_text
+    monkeypatch.setattr(scene_io, "_ids_from_text",
+                        lambda text: calls.append(text) or ids_from_text(text))
+    rng = np.random.default_rng(21)
+    path = tmp_path / "m.txt"
+    n_files = 400
+    for _ in range(n_files):
+        path.write_bytes(random_mask_text(rng).encode())
+        assert_reads_like_reference(path)
+    # Both the C-level parse and the int() fallback are exercised.
+    assert 0 < len(calls) < n_files
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", " \t\n", "\r\n\r\n", "0", "0\n", "000\n",
+    "123456789012345678\n999999999999999999\n", "999999999999999999 0",
+    f"{10**18 - 1}\n{10**18}\n", f"1\n{2**63 - 1}\n", f"{2**63}\n", f"0 {2**63 - 1}0\n",
+    "12345678901234567890\n", "00000000000000000000000000042\n",
+    "1\xa02\n", "1\x852\n", "1\x1f2\n", " 1 2",
+    "+2\n", "1_0\n", "-1\n", "1.5\n", "0\nabc\n", "1e3", "\x00",
+])
+def test_mask_file_parse_equals_reference_on_edge_cases(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    assert_reads_like_reference(path)
+
+
+def test_write_instances_output_takes_the_c_level_parse(tmp_path, monkeypatch):
+    def fallback(text):
+        raise AssertionError("fell back to the int() parse")
+
+    monkeypatch.setattr(scene_io, "_ids_from_text", fallback)
+    rng = np.random.default_rng(5)
+    original = InstanceSet([
+        Instance(np.array([], dtype=np.int64)),
+        Instance(np.array([0])),
+        Instance(np.sort(rng.choice(10**6, 5000, replace=False)), confidence=0.25),
+        Instance(np.array([7, 10**17, 10**18 - 1]), kind="part"),
+    ])
+    path = tmp_path / "preds.txt"
+    write_instances(path, original)
+    loaded = load_instances(path)
+    for a, b in zip(original.instances, loaded.instances, strict=True):
+        assert b.point_ids.dtype == np.int64
+        assert np.array_equal(a.point_ids, b.point_ids)
 
 
 def test_instance_requires_sorted_unique_ids():
