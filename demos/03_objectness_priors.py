@@ -12,9 +12,9 @@ import numpy as np
 from part2object import synth
 from part2object.objectness import (
     MatchParams,
-    build_priors,
     build_tracks,
     match_adjacent,
+    prior_boxes,
 )
 
 spec = synth.SynthSpec(
@@ -39,7 +39,7 @@ for k, track in enumerate(tracks):
     frames_seen = sorted({fid for fid, _ in track.members})
     print(f"track {k}: masks in frames {frames_seen}, {track.point_ids.size} pooled points")
 
-boxes = build_priors(cloud, frames)
+boxes = prior_boxes(cloud, tracks)
 pos = cloud.positions.astype(np.float64)
 for k, box in enumerate(boxes):
     extent = np.round(box.max_corner - box.min_corner, 3)

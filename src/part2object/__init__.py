@@ -49,9 +49,9 @@ from .hierarchy import (  # noqa: F401
 from .objectness import (  # noqa: F401
     MatchParams,
     ObjectTrack,
-    build_priors,
     build_tracks,
     match_adjacent,
+    prior_boxes,
     project_mask_points,
     propagate_sameness,
 )

@@ -104,12 +104,21 @@ def evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
     instances). Empty ground truth yields zero APs with gt_empty set. The
     matching and all reported numbers are deterministic.
     """
-    gt_sets = [inst.point_ids for inst in gt.instances]
-    order = sorted(
-        range(len(preds.instances)),
-        key=lambda k: (-preds.instances[k].confidence, -preds.instances[k].point_ids.size, k),
+    return _score(
+        [inst.point_ids for inst in preds.instances],
+        [inst.confidence for inst in preds.instances],
+        [inst.point_ids for inst in gt.instances],
+        thresholds,
     )
-    pred_sets = [preds.instances[k].point_ids for k in order]
+
+
+def _score(pred_ids, confidences, gt_sets, thresholds):
+    """evaluate's scoring of id arrays that Instance has already checked."""
+    order = sorted(
+        range(len(pred_ids)),
+        key=lambda k: (-confidences[k], -pred_ids[k].size, k),
+    )
+    pred_sets = [pred_ids[k] for k in order]
     iou = _iou_matrix(pred_sets, gt_sets)
 
     ap_by_threshold = {}
@@ -117,7 +126,7 @@ def evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
     matches = {}
     gt_empty = not gt_sets
     for theta in thresholds:
-        assigned = [None] * len(preds.instances)
+        assigned = [None] * len(pred_ids)
         gt_taken = np.zeros(len(gt_sets), dtype=bool)
         tp = np.zeros(len(pred_sets))
         if not gt_empty:
@@ -160,11 +169,11 @@ def evaluate_multi(scene_pairs, thresholds=DEFAULT_THRESHOLDS):
 
     Point ids are namespaced per scene by offsetting, so instances never
     match across scenes. Pooled tie-breaks follow scene order then manifest
-    order, matching the single-scene convention.
+    order, matching the single-scene convention. The instances were checked
+    when they were made, and an offset keeps ids sorted and non-negative, so
+    the pooled id arrays are scored as they are.
     """
-    from .scene_io import Instance, InstanceSet
-
-    pooled_preds, pooled_gt = [], []
+    pred_ids, confidences, gt_sets = [], [], []
     offset = 0
     for preds, gt in scene_pairs:
         top = 0
@@ -172,12 +181,8 @@ def evaluate_multi(scene_pairs, thresholds=DEFAULT_THRESHOLDS):
             if inst.point_ids.size:
                 top = max(top, int(inst.point_ids.max()) + 1)
         for inst in preds.instances:
-            pooled_preds.append(
-                Instance(inst.point_ids + offset, inst.confidence, inst.kind)
-            )
-        for inst in gt.instances:
-            pooled_gt.append(Instance(inst.point_ids + offset, inst.confidence, inst.kind))
+            pred_ids.append(inst.point_ids + offset)
+            confidences.append(inst.confidence)
+        gt_sets.extend(inst.point_ids + offset for inst in gt.instances)
         offset += top
-    return evaluate(
-        InstanceSet(instances=pooled_preds), InstanceSet(instances=pooled_gt), thresholds
-    )
+    return _score(pred_ids, confidences, gt_sets, thresholds)

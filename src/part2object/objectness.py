@@ -8,7 +8,9 @@ picking a single 3D overlap criterion for objects of all sizes.
 
 Projection is split in two: each frame that shows a surviving track is
 projected and depth-tested once (``visible_points``), and each of its masks
-then only indexes its bitmap at those visible pixels.
+then only indexes its flattened bitmap at those visible pixels. The frames
+are independent blocks of ``parallel.thread_map``; their results are joined
+in frame order, so the tracks do not depend on the thread count.
 
 MatchParams is the one definition of this stage's tunables: the matching
 threshold tau and mutual best-match rule, the projection's depth_tol, and
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 
+from .parallel import thread_map
 from .spatial import PriorBox
 
 
@@ -105,43 +108,48 @@ def propagate_sameness(nodes, edges):
 def camera_project(positions, intrinsics, extrinsics, image_shape):
     """Project world points to pixels under nearest-pixel rounding.
 
-    Returns (row, col, depth, in_image); row/col are only meaningful where
-    in_image is set, which requires positive camera-space depth and a pixel
-    inside the image. Extrinsics are camera-to-world.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    ext = np.asarray(extrinsics, dtype=np.float64)
-    cam = (pos - ext[:3, 3]) @ ext[:3, :3]
-    z = cam[:, 2]
-    ok = z > 0.0
+    Returns (row, col, depth, in_image); row/col are int64 and only
+    meaningful where in_image is set, which requires positive camera-space
+    depth and a pixel inside the image. Extrinsics are camera-to-world.
 
-    fx, fy = intrinsics[0, 0], intrinsics[1, 1]
-    cx, cy = intrinsics[0, 2], intrinsics[1, 2]
+    Each pixel coordinate is computed in one buffer, in place, in the order
+    floor(f * x / z + c + 0.5), and the bounds are checked on the floored
+    floats: fresh whole-cloud temporaries cost more than the arithmetic.
+    """
+    ext = np.asarray(extrinsics, dtype=np.float64)
+    cam = np.subtract(positions, ext[:3, 3], dtype=np.float64) @ ext[:3, :3]
+    z = cam[:, 2]
     h, w = image_shape
-    col = np.full(pos.shape[0], -1, dtype=np.int64)
-    row = np.full(pos.shape[0], -1, dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        col[ok] = np.floor(fx * cam[ok, 0] / z[ok] + cx + 0.5).astype(np.int64)
-        row[ok] = np.floor(fy * cam[ok, 1] / z[ok] + cy + 0.5).astype(np.int64)
-    ok &= (col >= 0) & (col < w) & (row >= 0) & (row < h)
-    return row, col, z, ok
+    # Points at or behind the camera divide by z <= 0; in_image drops them.
+    with np.errstate(all="ignore"):
+        col = np.multiply(cam[:, 0], intrinsics[0, 0])
+        row = np.multiply(cam[:, 1], intrinsics[1, 1])
+        for px, centre in ((col, intrinsics[0, 2]), (row, intrinsics[1, 2])):
+            px /= z
+            px += centre
+            px += 0.5
+            np.floor(px, out=px)
+        ok = z > 0.0
+        ok &= (col >= 0.0) & (col < w) & (row >= 0.0) & (row < h)
+        return row.astype(np.int64), col.astype(np.int64), z, ok
 
 
 def visible_points(cloud, frame, depth_tol=MatchParams.depth_tol):
-    """Point ids that frame sees, ascending, with their pixel rows and cols.
+    """Point ids that frame sees, ascending, with their flat pixel indices.
 
     A point is visible when it is in front of the camera, projects inside the
     image, and agrees with the rendered depth at its pixel within depth_tol (a
-    zero depth pixel never matches).
+    zero depth pixel never matches). Its flat index is row * width + col, so
+    any (height, width) image of the frame reads it as image.ravel()[flat].
     """
     row, col, z, ok = camera_project(
         cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
     )
     idx = np.flatnonzero(ok)
-    d = frame.depth[row[idx], col[idx]].astype(np.float64)
+    flat = row[idx] * frame.depth.shape[1] + col[idx]
+    d = frame.depth.ravel()[flat].astype(np.float64)
     good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
-    idx = idx[good]
-    return idx, row[idx], col[idx]
+    return idx[good], flat[good]
 
 
 def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_tol,
@@ -153,8 +161,8 @@ def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_to
     """
     if visible is None:
         visible = visible_points(cloud, frame, depth_tol)
-    idx, row, col = visible
-    return idx[frame.masks[mask_index].bitmap[row, col]]
+    idx, flat = visible
+    return idx[frame.masks[mask_index].bitmap.ravel()[flat]]
 
 
 def build_tracks(cloud, frames, params=None):
@@ -163,8 +171,9 @@ def build_tracks(cloud, frames, params=None):
     Adjacent frames are matched by match_adjacent with params.tau and
     params.mutual. Tracks seen in fewer than min_track_frames distinct frames
     are dropped before any projection, so a frame is projected at most once
-    and only when it holds a member of a surviving track. Tracks with fewer
-    than min_track_points pooled points are dropped afterwards.
+    and only when it holds a member of a surviving track; those frames run as
+    blocks of thread_map. Tracks with fewer than min_track_points pooled
+    points are dropped afterwards.
     """
     params = params or MatchParams()
     frames = sorted(frames, key=lambda f: f.frame_id)
@@ -184,14 +193,20 @@ def build_tracks(cloud, frames, params=None):
     for k, track in enumerate(tracks):
         for fid, mi in track.members:
             members_by_frame.setdefault(fid, []).append((k, mi))
-    pooled = [[] for _ in tracks]
-    for fid, members in sorted(members_by_frame.items()):
+
+    def project_frame(item):
+        fid, members = item
         frame = by_id[fid]
         visible = visible_points(cloud, frame, params.depth_tol)
-        for k, mi in members:
-            pooled[k].append(
-                project_mask_points(cloud, frame, mi, params.depth_tol, visible=visible)
-            )
+        return [
+            (k, project_mask_points(cloud, frame, mi, params.depth_tol, visible=visible))
+            for k, mi in members
+        ]
+
+    pooled = [[] for _ in tracks]
+    for projected in thread_map(project_frame, sorted(members_by_frame.items())):
+        for k, ids in projected:
+            pooled[k].append(ids)
 
     kept = []
     for track, ids in zip(tracks, pooled):
@@ -210,8 +225,3 @@ def prior_boxes(cloud, tracks):
         PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))
         for t in tracks
     ]
-
-
-def build_priors(cloud, frames, params=None):
-    """Tight axis-aligned boxes of the surviving tracks' pooled points."""
-    return prior_boxes(cloud, build_tracks(cloud, frames, params))

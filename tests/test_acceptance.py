@@ -126,7 +126,7 @@ def test_c3_partition_invariants_on_random_scenes():
         spec = random_scene_spec(rng)
         cloud, _gt, frames = synth.generate(spec)
         layer0 = superpoints.build_superpoints(cloud)
-        boxes = objectness.build_priors(cloud, frames)
+        boxes = objectness.prior_boxes(cloud, objectness.build_tracks(cloud, frames))
         params = hierarchy.MergeParams(min_object_points=20)
         h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from part2object import evaluation
 from part2object.evaluation import (
     DEFAULT_THRESHOLDS,
     STRICT_THRESHOLDS,
@@ -387,10 +386,32 @@ def test_matrix_evaluate_equals_reference_on_edge_cases(preds, gt):
     assert report_json(evaluate(preds, gt)) == report_json(reference_evaluate(preds, gt))
 
 
+def reference_evaluate_multi(scene_pairs):
+    """evaluate_multi as first written: offset copies as new Instances."""
+    pooled_preds, pooled_gt = [], []
+    offset = 0
+    for preds, gt in scene_pairs:
+        top = 0
+        for inst in list(preds.instances) + list(gt.instances):
+            if inst.point_ids.size:
+                top = max(top, int(inst.point_ids.max()) + 1)
+        for inst in preds.instances:
+            pooled_preds.append(Instance(inst.point_ids + offset, inst.confidence, inst.kind))
+        for inst in gt.instances:
+            pooled_gt.append(Instance(inst.point_ids + offset, inst.confidence, inst.kind))
+        offset += top
+    return reference_evaluate(InstanceSet(pooled_preds), InstanceSet(pooled_gt))
+
+
 def test_evaluate_multi_equals_reference_over_scenes(monkeypatch):
     rng = np.random.default_rng(55)
     cases = [[random_case(rng) for _ in range(int(rng.integers(3, 6)))] for _ in range(20)]
+    want = [report_json(reference_evaluate_multi(pairs)) for pairs in cases]
+
+    # the pooled arrays are scored as they are: no instance is made again
+    def no_new_instances(self):
+        raise AssertionError("evaluate_multi built an Instance")
+
+    monkeypatch.setattr(Instance, "__post_init__", no_new_instances)
     got = [report_json(evaluate_multi(pairs)) for pairs in cases]
-    monkeypatch.setattr(evaluation, "evaluate", reference_evaluate)
-    want = [report_json(evaluate_multi(pairs)) for pairs in cases]
     assert got == want

@@ -536,7 +536,7 @@ def synth_hierarchies():
     for spec in specs:
         cloud, _gt, frames = synth.generate(spec)
         layer0 = build_superpoints(cloud)
-        boxes = objectness.build_priors(cloud, frames)
+        boxes = objectness.prior_boxes(cloud, objectness.build_tracks(cloud, frames))
         out.append((cloud, layer0, boxes, params,
                     hi.run_hierarchy(layer0, cloud, boxes, params)))
     return out

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from part2object import objectness as ob
+from part2object import parallel
 from part2object.scene_io import FrameObservation, MaskEntry, SceneCloud
 
 
@@ -246,14 +249,14 @@ def test_point_behind_camera_excluded():
 
 def test_zero_frames_yield_no_priors():
     cloud = SceneCloud(positions=np.zeros((1, 3), dtype=np.float32))
-    assert ob.build_priors(cloud, []) == []
+    assert ob.prior_boxes(cloud, ob.build_tracks(cloud, [])) == []
 
 
 def test_priors_on_synthetic_scene(three_block_scene):
     cloud, gt, frames = three_block_scene
     params = ob.MatchParams()
     tracks = ob.build_tracks(cloud, frames, params)
-    boxes = ob.build_priors(cloud, frames, params)
+    boxes = ob.prior_boxes(cloud, tracks)
     assert len(boxes) == 3
     pos = cloud.positions.astype(np.float64)
     for track, box in zip(tracks, boxes):
@@ -290,9 +293,92 @@ def test_match_params_validation():
 # build_tracks against the whole-cloud projection per member
 
 
+def reference_camera_project(positions, intrinsics, extrinsics, image_shape):
+    """camera_project as first written: masked gathers, -1 off the image."""
+    pos = np.asarray(positions, dtype=np.float64)
+    ext = np.asarray(extrinsics, dtype=np.float64)
+    cam = (pos - ext[:3, 3]) @ ext[:3, :3]
+    z = cam[:, 2]
+    ok = z > 0.0
+
+    fx, fy = intrinsics[0, 0], intrinsics[1, 1]
+    cx, cy = intrinsics[0, 2], intrinsics[1, 2]
+    h, w = image_shape
+    col = np.full(pos.shape[0], -1, dtype=np.int64)
+    row = np.full(pos.shape[0], -1, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        col[ok] = np.floor(fx * cam[ok, 0] / z[ok] + cx + 0.5).astype(np.int64)
+        row[ok] = np.floor(fy * cam[ok, 1] / z[ok] + cy + 0.5).astype(np.int64)
+    ok &= (col >= 0) & (col < w) & (row >= 0) & (row < h)
+    return row, col, z, ok
+
+
+def assert_same_projection(positions, intrinsics, extrinsics, image_shape):
+    """camera_project equals the reference wherever the contract holds it."""
+    want_row, want_col, want_z, want_ok = reference_camera_project(
+        positions, intrinsics, extrinsics, image_shape)
+    row, col, z, ok = ob.camera_project(positions, intrinsics, extrinsics, image_shape)
+    assert row.dtype == col.dtype == np.int64
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(z, want_z)
+    assert np.array_equal(row[ok], want_row[ok])
+    assert np.array_equal(col[ok], want_col[ok])
+    return ok
+
+
+def test_camera_project_equals_reference_on_random_cameras():
+    rng = np.random.default_rng(808)
+    behind = inside = outside = 0
+    for _ in range(300):
+        h, w = (int(v) for v in rng.integers(1, 40, 2))
+        f = rng.uniform(2.0, 60.0, 2)
+        intrinsics = np.array([[f[0], 0, rng.uniform(-2, w + 2)],
+                               [0, f[1], rng.uniform(-2, h + 2)], [0, 0, 1]])
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        extrinsics = np.eye(4)
+        extrinsics[:3, :3] = q
+        extrinsics[:3, 3] = rng.uniform(-1, 1, 3)
+        positions = rng.uniform(-3, 3, (int(rng.integers(0, 200)), 3))
+        if rng.random() < 0.5:
+            positions = positions.astype(np.float32)
+        ok = assert_same_projection(positions, intrinsics, extrinsics, (h, w))
+        z = reference_camera_project(positions, intrinsics, extrinsics, (h, w))[2]
+        behind += int((z <= 0).sum())
+        inside += int(ok.sum())
+        outside += int(((z > 0) & ~ok).sum())
+    assert behind and inside and outside
+
+
+def test_camera_project_edges():
+    # f = 8 and c = 7.5 on a 16 x 16 image: x / z = -1 lands on u = -0.5,
+    # which rounds into column 0, and x / z = 1 on u = w - 0.5, which rounds
+    # to column 16, off the image; likewise for rows.
+    h = w = 16
+    intrinsics = np.array([[8.0, 0, 7.5], [0, 8.0, 7.5], [0, 0, 1]])
+    positions = np.array([
+        [-1.0, 0.0, 1.0],   # u = -0.5: column 0
+        [1.0, 0.0, 1.0],    # u = w - 0.5: column w
+        [0.0, -2.0, 2.0],   # v = -0.5: row 0
+        [0.0, 2.0, 2.0],    # v = h - 0.5: row h
+        [0.0, 0.0, 0.0],    # z = 0 at the camera centre
+        [1.0, 1.0, 0.0],    # z = 0 off the axis
+        [0.0, 0.0, -1.0],   # behind, on the axis
+        [-0.5, 0.5, -1.0],  # behind, would mirror into the image
+        [0.0, 0.0, 1.0],    # image centre
+    ])
+    moved = np.eye(4)
+    moved[:3, 3] = (0.25, -0.5, 1.5)  # the same points seen from a moved camera
+    for extrinsics, world in ((np.eye(4), positions), (moved, positions + moved[:3, 3])):
+        for pos in (world, world.astype(np.float32)):
+            ok = assert_same_projection(pos, intrinsics, extrinsics, (h, w))
+            assert ok.tolist() == [True, False, True, False, False, False, False, False, True]
+    row, col, _, _ = ob.camera_project(positions, intrinsics, np.eye(4), (h, w))
+    assert (row[[0, 2, 8]].tolist(), col[[0, 2, 8]].tolist()) == ([8, 0, 8], [0, 8, 8])
+
+
 def reference_project_mask_points(cloud, frame, mask_index, depth_tol):
     """The projection as written before frames were shared: one per mask."""
-    row, col, z, ok = ob.camera_project(
+    row, col, z, ok = reference_camera_project(
         cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
     )
     idx = np.flatnonzero(ok)
@@ -386,13 +472,18 @@ def random_tracking_scene(rng, h=12, w=16):
     return cloud, [frames[k] for k in order]
 
 
-def record_projections(monkeypatch):
-    """Patch camera_project to log the id of each call's extrinsics array."""
+def record_projections(monkeypatch, threads=None):
+    """Patch camera_project to log the id of each call's extrinsics array.
+
+    When a set is given as threads, the calling thread's id is added to it.
+    """
     calls = []
     real_project = ob.camera_project
 
     def counting_project(positions, intrinsics, extrinsics, image_shape):
         calls.append(id(extrinsics))
+        if threads is not None:
+            threads.add(threading.get_ident())
         return real_project(positions, intrinsics, extrinsics, image_shape)
 
     monkeypatch.setattr(ob, "camera_project", counting_project)
@@ -400,50 +491,57 @@ def record_projections(monkeypatch):
 
 
 def test_build_tracks_equals_per_member_projection(monkeypatch):
-    calls = record_projections(monkeypatch)
-    rng = np.random.default_rng(404)
-    seen = dict.fromkeys(
-        ["overlap", "all_false", "no_masks", "behind", "zero_depth",
-         "dropped_frames", "dropped_points", "kept"], 0)
-    for _ in range(150):
-        cloud, frames = random_tracking_scene(rng)
-        params = ob.MatchParams(
-            tau=float(rng.uniform(0.0, 0.8)),
-            depth_tol=float(rng.uniform(0.02, 0.3)),
-            min_track_frames=int(rng.integers(1, 4)),
-            min_track_points=int(rng.integers(1, 40)),
-        )
-        want, long_enough, n_formed = reference_build_tracks(cloud, frames, params)
+    """At 1, 2 and 3 workers: the reference's tracks, one projection a frame."""
+    threads = set()
+    calls = record_projections(monkeypatch, threads)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda workers=workers: workers)
+        threads.clear()
+        rng = np.random.default_rng(404)
+        seen = dict.fromkeys(
+            ["overlap", "all_false", "no_masks", "behind", "zero_depth",
+             "dropped_frames", "dropped_points", "kept"], 0)
+        for _ in range(150):
+            cloud, frames = random_tracking_scene(rng)
+            params = ob.MatchParams(
+                tau=float(rng.uniform(0.0, 0.8)),
+                depth_tol=float(rng.uniform(0.02, 0.3)),
+                min_track_frames=int(rng.integers(1, 4)),
+                min_track_points=int(rng.integers(1, 40)),
+            )
+            want, long_enough, n_formed = reference_build_tracks(cloud, frames, params)
 
-        calls.clear()
-        got = ob.build_tracks(cloud, frames, params)
-        projected = list(calls)
+            calls.clear()
+            got = ob.build_tracks(cloud, frames, params)
+            projected = list(calls)
 
-        assert [t.members for t in got] == [t.members for t in want]
-        for g, w in zip(got, want):
-            assert g.point_ids.dtype == w.point_ids.dtype
-            assert np.array_equal(g.point_ids, w.point_ids)
+            assert [t.members for t in got] == [t.members for t in want]
+            for g, w in zip(got, want):
+                assert g.point_ids.dtype == w.point_ids.dtype
+                assert np.array_equal(g.point_ids, w.point_ids)
 
-        # one projection per frame holding a member of a track that passed
-        # min_track_frames, and none for any other frame
-        by_id = {f.frame_id: f for f in frames}
-        needed = {fid for t in long_enough for fid, _ in t.members}
-        assert sorted(projected) == sorted(id(by_id[fid].extrinsics) for fid in needed)
+            # one projection per frame holding a member of a track that passed
+            # min_track_frames, and none for any other frame
+            by_id = {f.frame_id: f for f in frames}
+            needed = {fid for t in long_enough for fid, _ in t.members}
+            assert sorted(projected) == sorted(id(by_id[fid].extrinsics) for fid in needed)
 
-        seen["dropped_frames"] += len(long_enough) < n_formed
-        seen["dropped_points"] += len(want) < len(long_enough)
-        seen["kept"] += len(want) > 0
-        seen["no_masks"] += any(not f.masks for f in frames)
-        seen["all_false"] += any(not m.bitmap.any() for f in frames for m in f.masks)
-        seen["zero_depth"] += any((f.depth == 0).any() for f in frames)
-        for f in frames:
-            _, _, z, _ = ob.camera_project(cloud.positions, f.intrinsics, f.extrinsics,
-                                           f.depth.shape)
-            seen["behind"] += bool((z <= 0).any())
-            if len(f.masks) > 1:
-                stack = np.stack([m.bitmap for m in f.masks])
-                seen["overlap"] += bool((stack.sum(axis=0) > 1).any())
-    assert all(count > 0 for count in seen.values()), seen
+            seen["dropped_frames"] += len(long_enough) < n_formed
+            seen["dropped_points"] += len(want) < len(long_enough)
+            seen["kept"] += len(want) > 0
+            seen["no_masks"] += any(not f.masks for f in frames)
+            seen["all_false"] += any(not m.bitmap.any() for f in frames for m in f.masks)
+            seen["zero_depth"] += any((f.depth == 0).any() for f in frames)
+            for f in frames:
+                _, _, z, _ = ob.camera_project(cloud.positions, f.intrinsics, f.extrinsics,
+                                               f.depth.shape)
+                seen["behind"] += bool((z <= 0).any())
+                if len(f.masks) > 1:
+                    stack = np.stack([m.bitmap for m in f.masks])
+                    seen["overlap"] += bool((stack.sum(axis=0) > 1).any())
+        assert all(count > 0 for count in seen.values()), seen
+        # frames run on the pool's threads whenever more than one worker exists
+        assert (threads == {threading.get_ident()}) == (workers == 1)
 
 
 def test_frames_of_dropped_tracks_are_never_projected(monkeypatch):
