@@ -44,7 +44,7 @@ pos = cloud.positions.astype(np.float64)
 for k, box in enumerate(boxes):
     extent = np.round(box.max_corner - box.min_corner, 3)
     covered = [
-        round(box.fraction_inside(pos[inst.point_ids]), 3) for inst in gt.instances
+        round(float(box.contains(pos[inst.point_ids]).mean()), 3) for inst in gt.instances
     ]
     print(f"box {k}: extent {extent.tolist()}, gt containment per object {covered}")
 

@@ -7,11 +7,9 @@ alone cannot separate them: turn the priors off and let every candidate
 through, and the blocks fuse into one object.
 """
 
-import numpy as np
-
 from part2object import evaluation, synth
 from part2object.hierarchy import MergeParams, collect_objects, collect_parts, run_hierarchy
-from part2object.spatial import PriorBox
+from part2object.objectness import prior_boxes
 from part2object.superpoints import build_superpoints
 
 step = 0.54  # 0.5 m blocks with 0.04 m gaps, closer than the 0.05 m threshold
@@ -26,11 +24,7 @@ spec = synth.SynthSpec(
 )
 cloud, gt, _ = synth.generate(spec)
 layer0 = build_superpoints(cloud)
-pos = cloud.positions.astype(np.float64)
-boxes = [
-    PriorBox(pos[g.point_ids].min(axis=0), pos[g.point_ids].max(axis=0))
-    for g in gt.instances
-]
+boxes = prior_boxes(cloud, gt.instances)  # ground-truth boxes, the perfect priors
 print(f"{cloud.n_points} points, {len(layer0)} super-points, {len(boxes)} prior boxes")
 
 params = MergeParams(min_object_points=30)

@@ -270,7 +270,7 @@ def _run_one_scene(scene_dir, out_dir, params, args):
 
     gt_path = Path(args.gt) if args.gt else scene_dir / "ground_truth.txt"
     if gt_path.exists():
-        gt = stage("eval", lambda: scene_io.load_instances(gt_path))
+        gt = stage("eval", lambda: scene_io.load_instances(gt_path, cloud.n_points))
         gt = scene_io.InstanceSet([i for i in gt.instances if i.kind == "object"])
         report = stage("eval", lambda: evaluation.evaluate(objects, gt))
         write_json(out_dir / "report.json", report.to_dict())

@@ -7,16 +7,17 @@ prior box, and unions the survivors into the next layer. Clusters that stop
 merging are the objects; the children that formed an object are its parts.
 
 Two clusters are adjacent after a union exactly when some pair of their
-members was adjacent before it, so point-level adjacency is computed once,
-between the layer-0 super-points, and each round contracts that edge list
-onto the next layer instead of scanning the points again.
+members was adjacent before it, and a cluster's count of points inside a
+prior box is the sum of its children's. So adjacency and box counts are
+computed once from the points, on the layer-0 super-points, and each round
+contracts them onto the next layer instead of scanning the points again.
 
 A round works on arrays: a point -> cluster label array for the current
-layer, the layer's contracted (E, 2) edge list, and the round's parent array
-(cluster -> next-layer cluster, numbered by smallest child). The Hierarchy
-keeps only the lineage, in the shape hierarchy.json stores: super-point ids
-at layer 0 and child indices above it. Point sets of higher layers are
-derived on demand by Hierarchy.clusters(t).
+layer, the layer's contracted (E, 2) edges and (C, B + 1) box counts, and
+the round's parent array (cluster -> next-layer cluster, numbered by
+smallest child). The Hierarchy keeps only the lineage, in the shape
+hierarchy.json stores: super-point ids at layer 0 and child indices above
+it; Hierarchy.clusters(t) derives the point sets of higher layers.
 
 MergeParams is the one definition of this stage's tunables: the merge
 rounds' K, T, max_layers and veto fractions, which run_hierarchy reads, and
@@ -176,24 +177,19 @@ def rank_filter(pairs, sims, k_fraction):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -sims))[:n_keep]]
 
 
-def _box_membership(boxes, positions):
-    """(N, B) bool matrix: point n lies inside box b."""
-    if not boxes:
-        return np.zeros((positions.shape[0], 0), dtype=bool)
-    return np.column_stack([box.contains(positions) for box in boxes])
+def _box_counts(labels, n_clusters, positions, boxes):
+    """(C, B + 1) float64: each cluster's points inside each box, then its size."""
+    columns = [box.contains(positions) for box in boxes] + [np.ones(labels.size)]
+    return np.column_stack([np.bincount(labels, weights=c, minlength=n_clusters)
+                            for c in columns])
 
 
-def _inside_fractions(labels, n_clusters, contains):
-    """(C, B) fraction of each cluster's points inside each box.
-
-    Equals PriorBox.fraction_inside exactly: both are count / size in
-    float64. A cluster with no points reads 0.0.
-    """
-    sizes = np.bincount(labels, minlength=n_clusters)
-    counts = np.zeros((n_clusters, contains.shape[1]))
-    for b in range(contains.shape[1]):
-        counts[:, b] = np.bincount(labels, weights=contains[:, b], minlength=n_clusters)
-    return counts / np.maximum(sizes, 1)[:, None]
+def contract_counts(counts, parent, n_next):
+    """Box counts of the next layer: each row summed into its parent's row,
+    exactly, as the counts are integers below 2**53."""
+    out = np.zeros((n_next, counts.shape[1]))
+    np.add.at(out, parent, counts)
+    return out
 
 
 def _separated(fa, fb, inside_frac, outside_frac):
@@ -217,18 +213,19 @@ def _cluster_feature(point_features, ids):
         return np.zeros(point_features.shape[1], dtype=np.float32)
 
 
-def run_layer(labels, feats, point_features, edges, contains, params):
+def run_layer(labels, feats, point_features, edges, counts, params):
     """One merge round: returns (parent, next features, LayerLog).
 
     labels maps each point to its cluster in this layer, feats holds one row
     per cluster, edges is the layer's (E, 2) adjacency (candidate_pairs or
-    contract_edges) and contains the point-by-box membership matrix.
-    Candidate pairs (both features non-zero) are ranked by similarity, the
-    top K fraction survive, pairs vetoed by a prior box are dropped, and the
-    rest are unioned transitively. parent[c] is the next-layer index of
-    cluster c; next-layer clusters are numbered by their smallest child.
-    Untouched clusters carry their feature forward; merged clusters re-fuse
-    theirs from their member point features in ascending point order.
+    contract_edges) and counts its (C, B + 1) box counts (_box_counts or
+    contract_counts). Candidate pairs (both features non-zero) are ranked by
+    similarity, the top K fraction survive, pairs vetoed by a prior box (on
+    the fractions count / size) are dropped, and the rest are unioned
+    transitively. parent[c] is the next-layer index of cluster c; next-layer
+    clusters are numbered by their smallest child. Untouched clusters carry
+    their feature forward; merged clusters re-fuse theirs from their member
+    point features in ascending point order.
     """
     # Imported here, not at module level: commands that never cluster would
     # otherwise pay for loading it.
@@ -243,7 +240,7 @@ def run_layer(labels, feats, point_features, edges, contains, params):
     sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (norms[ii] * norms[jj]), -1.0, 1.0)
     pairs = rank_filter(edges[ok], sims, params.K)
 
-    phi = _inside_fractions(labels, n_clusters, contains)
+    phi = counts[:, :-1] / counts[:, -1:]
     vetoed = _separated(phi[pairs[:, 0]], phi[pairs[:, 1]], params.inside_frac,
                         params.outside_frac)
     union = pairs[~vetoed]
@@ -272,9 +269,9 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
     does (ValueError otherwise). Point features come from
     cloud.semantic_features, as stored; layer-0 cluster features are fused
     from member point features. The three layer-0 inputs (the fused
-    features, the candidate_pairs edges and the point-by-box membership) are
-    built side by side as blocks of parallel.thread_map; the merge rounds
-    are serial.
+    features, the candidate_pairs edges and the box counts) are built side
+    by side as blocks of parallel.thread_map; the merge rounds are serial
+    and contract the edges and the counts through each parent array.
     """
     params = params or MergeParams()
     if cloud.semantic_features is None:
@@ -285,18 +282,18 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
     labels = _partition_labels(layer0, positions.shape[0])
     layer0 = [np.sort(np.asarray(ids, dtype=np.int64)) for ids in layer0]
     # Side by side, because the fusion loop holds the interpreter lock while
-    # the adjacency slabs and box tests release it. The adjacency scan is the
-    # only point-level one; later rounds contract its edges.
-    edges, feats, contains = thread_map(lambda build: build(), [
+    # the adjacency slabs and box tests release it. These are the only
+    # point-level scans; later rounds contract the edges and the counts.
+    edges, feats, counts = thread_map(lambda build: build(), [
         lambda: candidate_pairs(labels, positions, params.T),
         lambda: np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
                            dtype=np.float32),
-        lambda: _box_membership(boxes, positions),
+        lambda: _box_counts(labels, len(layer0), positions, boxes),
     ])
 
     h = Hierarchy(layers=[layer0], features=[feats], merge_log=[])
     while len(h.layers) < params.max_layers:
-        parent, feats, log = run_layer(labels, feats, point_features, edges, contains,
+        parent, feats, log = run_layer(labels, feats, point_features, edges, counts,
                                        params)
         if not log.accepted:
             break
@@ -305,6 +302,7 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
         h.merge_log.append(log)
         labels = parent[labels]
         edges = contract_edges(edges, parent)
+        counts = contract_counts(counts, parent, len(feats))
     return h
 
 

@@ -219,7 +219,10 @@ def build_tracks(cloud, frames, params=None):
 
 
 def prior_boxes(cloud, tracks):
-    """Tight axis-aligned box of each track's pooled points, in track order."""
+    """Tight axis-aligned box of each track's pooled points, in track order.
+
+    Reads only .point_ids: prior_boxes(cloud, gt.instances) boxes the ground truth.
+    """
     pos = cloud.positions.astype(np.float64)
     return [
         PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))

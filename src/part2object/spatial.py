@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import NonFinite
 from .parallel import thread_map
 
 # Points per core in labeled_close_pairs. A kd-tree query materialises every
@@ -70,6 +71,8 @@ class PriorBox:
         mx = np.asarray(self.max_corner, dtype=np.float64)
         if mn.shape != (3,) or mx.shape != (3,):
             raise ValueError("box corners must be 3-vectors")
+        if not (np.isfinite(mn).all() and np.isfinite(mx).all()):
+            raise NonFinite("box corners contain non-finite values")
         if (mn > mx).any():
             raise ValueError("box min corner exceeds max corner")
         object.__setattr__(self, "min_corner", mn)
@@ -79,9 +82,3 @@ class PriorBox:
         """Boolean mask of points inside the closed box."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return ((p >= self.min_corner) & (p <= self.max_corner)).all(axis=1)
-
-    def fraction_inside(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if p.shape[0] == 0:
-            return 0.0
-        return float(self.contains(p).mean())

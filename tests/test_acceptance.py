@@ -83,7 +83,7 @@ def test_c2_layer_merges_match_brute_force():
         _parent, _nf, log = hierarchy.run_layer(
             labels, feats.astype(np.float32), point_feats,
             hierarchy.candidate_pairs(labels, pos, params.T),
-            hierarchy._box_membership(boxes, pos), params,
+            hierarchy._box_counts(labels, n_clusters, pos, boxes), params,
         )
         want = brute_accepted(sets, feats, pos, boxes, params)
         assert set(log.accepted) == want, f"trial {trial}: {set(log.accepted)} != {want}"
@@ -156,11 +156,7 @@ def test_c4_priors_separate_adjacent_objects():
     # everything through.
     spec = three_block_spec(seed=7, gap=0.04)
     cloud, gt, _frames = synth.generate(spec)
-    pos = cloud.positions.astype(np.float64)
-    perfect = [
-        PriorBox(pos[g.point_ids].min(axis=0), pos[g.point_ids].max(axis=0))
-        for g in gt.instances
-    ]
+    perfect = objectness.prior_boxes(cloud, gt.instances)
     layer0 = superpoints.build_superpoints(cloud)
 
     guided_params = hierarchy.MergeParams(min_object_points=30)

@@ -578,6 +578,8 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     [{"max": [1.0, 1.0, 1.0]}],
     [[0.0, 0.0, 0.0]],
     {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
+    [{"min": [float("nan"), 0.0, 0.0], "max": [1.0, 1.0, 1.0]}],
+    [{"min": [0.0, 0.0, 0.0], "max": [float("inf"), 1.0, 1.0]}],
 ])
 def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
     sp = tmp_path / "sp.json"
@@ -663,6 +665,19 @@ def test_a_stage_failure_is_one_stderr_line(scene_dir, tmp_path):
     assert proc.returncode == cli.EXIT_STAGE_FAILURE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("stage=priors: no frames found"), lines
+
+
+def test_ground_truth_outside_the_scene_fails_the_eval_stage(scene_dir, scene_points, tmp_path):
+    gt = tmp_path / "gt" / "ground_truth.txt"
+    scene_io.write_instances(gt, scene_io.InstanceSet(
+        [scene_io.Instance(np.array([0, scene_points]), kind="object")]))
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(out), "--gt", str(gt))
+    assert proc.returncode == cli.EXIT_STAGE_FAILURE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("stage=eval: "), lines
+    assert f"references point {scene_points}" in lines[0]
+    assert not (out / "report.json").exists()
 
 
 COMMAND_ARGV = {

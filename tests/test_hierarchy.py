@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from part2object import hierarchy as hi
+from part2object.objectness import prior_boxes
 from part2object.scene_io import SceneCloud
 from part2object.spatial import PriorBox
 
@@ -100,7 +101,7 @@ def run_layer_on(sets, feats, point_feats, pos, boxes, params):
     """run_layer over the layer the point sets form, edges found from the points."""
     labels = labels_of(sets)
     return hi.run_layer(labels, feats, point_feats, hi.candidate_pairs(labels, pos, params.T),
-                        hi._box_membership(boxes, pos), params)
+                        hi._box_counts(labels, len(sets), pos, boxes), params)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +376,7 @@ def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene)
 
     cloud, gt, _frames = three_block_scene
     pos = cloud.positions.astype(np.float64)
-    boxes = [
-        PriorBox(pos[i.point_ids].min(axis=0), pos[i.point_ids].max(axis=0))
-        for i in gt.instances
-    ]
+    boxes = prior_boxes(cloud, gt.instances)
     layer0 = build_superpoints(cloud)
     params = hi.MergeParams(min_object_points=30)
     h = hi.run_hierarchy(layer0, cloud, boxes, params)
@@ -413,11 +411,7 @@ def scene_hierarchy(three_block_scene):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, _frames = three_block_scene
-    pos = cloud.positions.astype(np.float64)
-    boxes = [
-        PriorBox(pos[i.point_ids].min(axis=0), pos[i.point_ids].max(axis=0))
-        for i in gt.instances
-    ]
+    boxes = prior_boxes(cloud, gt.instances)
     layer0 = build_superpoints(cloud)
     params = hi.MergeParams(min_object_points=30)
     return cloud, gt, hi.run_hierarchy(layer0, cloud, boxes, params), params
@@ -451,11 +445,7 @@ def test_hierarchy_determinism(scene_hierarchy):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, h, params = scene_hierarchy
-    pos = cloud.positions.astype(np.float64)
-    boxes = [
-        PriorBox(pos[i.point_ids].min(axis=0), pos[i.point_ids].max(axis=0))
-        for i in gt.instances
-    ]
+    boxes = prior_boxes(cloud, gt.instances)
     h2 = hi.run_hierarchy(build_superpoints(cloud), cloud, boxes, params)
     assert hi.hierarchy_to_dict(h) == hi.hierarchy_to_dict(h2)
 
@@ -553,17 +543,18 @@ def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
     for cloud, layer0, boxes, params, h in synth_hierarchies:
         positions = cloud.positions.astype(np.float64)
         point_feats = cloud.semantic_features
-        contains = hi._box_membership(boxes, positions)
         layers = [[np.sort(ids) for ids in layer0]]
         labels = labels_of(layers[0])
         features = [np.asarray([hi._cluster_feature(point_feats, ids) for ids in layers[0]],
                                dtype=np.float32)]
         merge_log = []
         while len(layers) < params.max_layers:
-            # Edges scanned from the points of this layer, not contracted.
+            # Edges and box counts scanned from the points of this layer, not
+            # contracted.
             parent, nxt_feats, log = hi.run_layer(
                 labels, features[-1], point_feats,
-                hi.candidate_pairs(labels, positions, params.T), contains, params,
+                hi.candidate_pairs(labels, positions, params.T),
+                hi._box_counts(labels, len(features[-1]), positions, boxes), params,
             )
             if not log.accepted:
                 break
@@ -580,26 +571,134 @@ def test_run_hierarchy_scans_points_once(monkeypatch, three_block_scene):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, _frames = three_block_scene
-    pos = cloud.positions.astype(np.float64)
-    boxes = [
-        PriorBox(pos[i.point_ids].min(axis=0), pos[i.point_ids].max(axis=0))
-        for i in gt.instances
-    ]
-    calls = []
-    real = hi.labeled_close_pairs
+    boxes = prior_boxes(cloud, gt.instances)
+    calls = {"pairs": 0, "box": 0}
+    real_pairs, real_contains = hi.labeled_close_pairs, PriorBox.contains
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_pairs(*args, **kwargs):
+        calls["pairs"] += 1
+        return real_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(hi, "labeled_close_pairs", counting)
+    def counting_contains(box, points):
+        calls["box"] += 1
+        return real_contains(box, points)
+
+    monkeypatch.setattr(hi, "labeled_close_pairs", counting_pairs)
+    monkeypatch.setattr(PriorBox, "contains", counting_contains)
     h = hi.run_hierarchy(build_superpoints(cloud), cloud, boxes,
                          hi.MergeParams(min_object_points=30))
     assert len(h.merge_log) >= 2
-    assert len(calls) == 1
+    # One adjacency scan and one point test per box, both on layer 0.
+    assert calls == {"pairs": 1, "box": len(boxes)}
+
+
+# ---------------------------------------------------------------------------
+# box counts contracted round by round instead of rescanned from the points
+
+
+def rescanned_counts(labels, positions, boxes):
+    """Literal reference: each cluster's points inside each box, then its size."""
+    rows = []
+    for c in range(int(labels.max()) + 1):
+        pts = positions[labels == c]
+        rows.append([int(box.contains(pts).sum()) for box in boxes] + [len(pts)])
+    return np.array(rows, dtype=np.float64)
+
+
+def record_rounds(monkeypatch):
+    """(labels, counts, log) of every run_layer call run_hierarchy makes."""
+    rounds = []
+    real = hi.run_layer
+
+    def recording(labels, feats, point_features, edges, counts, params):
+        parent, nxt, log = real(labels, feats, point_features, edges, counts, params)
+        rounds.append((labels, counts, log))
+        return parent, nxt, log
+
+    monkeypatch.setattr(hi, "run_layer", recording)
+    return rounds
+
+
+def assert_counts_rescan_exactly(monkeypatch, layer0, cloud, boxes, params):
+    """run_hierarchy with every round's counts checked against a rescan; returns
+    the rounds and the hierarchy."""
+    rounds = record_rounds(monkeypatch)
+    h = hi.run_hierarchy(layer0, cloud, boxes, params)
+    monkeypatch.undo()
+    positions = cloud.positions.astype(np.float64)
+    for labels, counts, _log in rounds:
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, rescanned_counts(labels, positions, boxes))
+    return rounds, h
+
+
+def test_contracted_box_counts_match_rescanned_counts_on_synth_scenes(monkeypatch,
+                                                                      synth_hierarchies):
+    for cloud, layer0, boxes, params, h in synth_hierarchies:
+        pos = cloud.positions.astype(np.float64)
+        # A box that holds no point and one that holds every point: neither
+        # can separate two clusters, so the hierarchy stays the same.
+        extra = [PriorBox(pos.max(axis=0) + 1.0, pos.max(axis=0) + 2.0),
+                 PriorBox(pos.min(axis=0), pos.max(axis=0))]
+        for scene_boxes in (boxes, boxes + extra, []):
+            rounds, got = assert_counts_rescan_exactly(monkeypatch, layer0, cloud,
+                                                       scene_boxes, params)
+            assert len(rounds) >= 2
+            if scene_boxes:
+                assert hi.hierarchy_to_dict(got) == hi.hierarchy_to_dict(h)
+
+
+def test_contracted_box_counts_match_rescanned_counts_on_random_layers(monkeypatch):
+    from conftest import random_partition
+
+    rng = np.random.default_rng(59)
+    multi_round = 0
+    for trial in range(20):
+        n_clusters = int(rng.integers(2, 30))
+        n = n_clusters * int(rng.integers(3, 9))
+        pos = rng.random((n, 3)) * 0.4
+        labels = random_partition(rng, n, n_clusters)
+        base = rng.standard_normal((3, 4))
+        feats = base[rng.integers(0, 3, n_clusters)][labels] + 0.3 * rng.standard_normal((n, 4))
+        boxes = []
+        for _ in range(trial % 4):  # B = 0 every fourth trial
+            corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
+            boxes.append(PriorBox(corners[0], corners[1]))
+        params = hi.MergeParams(K=float(rng.uniform(0.3, 1.0)), T=0.08,
+                                inside_frac=0.8, outside_frac=0.2, min_object_points=1)
+        rounds, _h = assert_counts_rescan_exactly(
+            monkeypatch, [np.flatnonzero(labels == c) for c in range(n_clusters)],
+            make_cloud(pos, feats), boxes, params)
+        multi_round += len(rounds) >= 3
+    assert multi_round >= 5
+
+
+def test_contracted_box_counts_reach_the_veto_thresholds_exactly(monkeypatch):
+    # Round 1: a1 (8 of 10 points in the box) joins a2 (10 of 10); a2 and b
+    # (1 of 10) are vetoed. Round 2: a1 + a2 holds 18 of 20 points, exactly
+    # inside_frac = 0.9, and b exactly outside_frac = 0.1, so that pair is
+    # vetoed too.
+    pos, feats, sets = row_scene([(0.0, 0.1), (0.11, 0.2), (0.21, 0.3)], [0, 0, 0], pts_per=10)
+    cloud = make_cloud(pos, feats)
+    pos = cloud.positions.astype(np.float64)
+    a1_x, b_x = np.sort(pos[sets[0], 0]), np.sort(pos[sets[2], 0])
+    box = PriorBox((a1_x[2], -1.0, -1.0), (b_x[0], 1.0, 1.0))
+    rounds, h = assert_counts_rescan_exactly(monkeypatch, sets, cloud, [box],
+                                             hi.MergeParams(K=1.0, min_object_points=1))
+    assert [counts.tolist() for _labels, counts, _log in rounds] == [
+        [[8.0, 10.0], [10.0, 10.0], [1.0, 10.0]],
+        [[18.0, 20.0], [1.0, 10.0]],
+    ]
+    assert [(log.accepted, log.rejected_stop) for _l, _c, log in rounds] == [
+        ([(0, 1)], [(1, 2)]),
+        ([], [(0, 1)]),
+    ]
+    assert len(h.layers) == 2
 
 
 def test_inside_fractions_equal_fraction_inside():
+    # The fractions run_layer vetoes on, count / size from _box_counts, equal
+    # the literal per-cluster fraction: the mean of box.contains over its points.
     rng = np.random.default_rng(8)
     pos = rng.random((300, 3))
     boxes = []
@@ -607,15 +706,17 @@ def test_inside_fractions_equal_fraction_inside():
         corners = np.sort(rng.random((2, 3)), axis=0)
         boxes.append(PriorBox(corners[0], corners[1]))
     sets = [np.flatnonzero(rng.random(300) < 0.2) for _ in range(6)] + [np.empty(0, int)]
-    contains = hi._box_membership(boxes, pos)
-    got = []
+    got, want = [], []
     for ids in sets:
         # Cluster 0 is the set, cluster 1 every other point.
         labels = np.ones(300, dtype=np.int64)
         labels[ids] = 0
-        got.append(hi._inside_fractions(labels, 2, contains)[0].tolist())
-    want = [[box.fraction_inside(pos[ids]) for box in boxes] for ids in sets]
-    assert got == want
+        counts = hi._box_counts(labels, 2, pos, boxes)
+        assert counts[0].tolist() == [box.contains(pos[ids]).sum() for box in boxes] + [ids.size]
+        if ids.size:
+            got.append((counts[:, :-1] / counts[:, -1:])[0].tolist())
+            want.append([float(box.contains(pos[ids]).mean()) for box in boxes])
+    assert len(got) == 6 and got == want
 
 
 # ---------------------------------------------------------------------------

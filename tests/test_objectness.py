@@ -264,7 +264,7 @@ def test_priors_on_synthetic_scene(three_block_scene):
         assert box.contains(pos[track.point_ids]).all()
         # each box encloses >= 95% of exactly one ground-truth object
         # (pooled points alone cannot: some faces are hidden in every view)
-        fractions = [box.fraction_inside(pos[g.point_ids]) for g in gt.instances]
+        fractions = [box.contains(pos[g.point_ids]).mean() for g in gt.instances]
         assert max(fractions) >= 0.95
 
 
