@@ -189,6 +189,9 @@ def cmd_extract(args):
         if not args.scene:
             raise FormatError("--drop-largest-planar needs --scene for positions")
         cloud = scene_io.load_scene(args.scene)
+        if cloud.n_points != h.n_points:
+            raise FormatError(f"--scene has {cloud.n_points} points, the hierarchy "
+                              f"{h.n_points}")
         objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
     parts = hierarchy.collect_parts(h, objects)
     scene_io.write_instances(args.objects, objects)

@@ -2,16 +2,18 @@
 
 Surfaces of simple solids (plus an optional floor-and-walls room) are point
 sampled, every point carries its object's feature vector plus Gaussian noise,
-and cameras render depth maps by splat z-buffering the sampled points. Each
-visible object contributes one ground-truth mask per frame, so the generator
-doubles as the oracle for the projection, prior and end-to-end tests.
+and cameras render depth maps by splat z-buffering the sampled points: each
+point covers the splat_px x splat_px square around its pixel, and a pixel
+shows the nearest z, then the lowest id, over every point whose splat covers
+it. Each visible object contributes one ground-truth mask per frame, so the
+generator doubles as the oracle for the projection, prior and end-to-end tests.
 
 Everything is a pure function of the spec, including its seed.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .objectness import camera_project
 from .scene_io import FrameObservation, Instance, InstanceSet, MaskEntry, SceneCloud
 
 log = logging.getLogger(__name__)
+
+_NO_ID = np.iinfo(np.int64).max  # the id of a pixel that no point covers
 
 
 @dataclass
@@ -65,6 +69,11 @@ class SynthSpec:
     splat_px: int = 3
     allow_similar_features: bool = False
 
+    def __post_init__(self):
+        px = self.splat_px
+        if isinstance(px, bool) or not isinstance(px, int) or px < 1 or px % 2 == 0:
+            raise ValueError(f"splat_px must be a positive odd integer, got {px!r}")
+
     def to_dict(self):
         return {
             "seed": self.seed,
@@ -82,14 +91,7 @@ class SynthSpec:
             "room": None if self.room is None else list(self.room),
             "points_per_m2": self.points_per_m2,
             "cameras": [[float(v) for v in np.asarray(c).ravel()] for c in self.cameras],
-            "camera_model": {
-                "width": self.camera_model.width,
-                "height": self.camera_model.height,
-                "fx": self.camera_model.fx,
-                "fy": self.camera_model.fy,
-                "cx": self.camera_model.cx,
-                "cy": self.camera_model.cy,
-            },
+            "camera_model": asdict(self.camera_model),
             "feature_dim": self.feature_dim,
             "feature_noise": self.feature_noise,
             "position_jitter": self.position_jitter,
@@ -122,7 +124,7 @@ class SynthSpec:
             feature_dim=int(data.get("feature_dim", 16)),
             feature_noise=float(data.get("feature_noise", 0.02)),
             position_jitter=float(data.get("position_jitter", 0.002)),
-            splat_px=int(data.get("splat_px", 3)),
+            splat_px=data.get("splat_px", 3),
             allow_similar_features=bool(data.get("allow_similar_features", False)),
         )
 
@@ -154,14 +156,17 @@ def _yaw_matrix(yaw):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _sample_rect(rng, density, origin, edge_u, edge_v, normal):
-    """Uniform samples on a parallelogram patch; returns (points, normals)."""
-    area = np.linalg.norm(np.cross(edge_u, edge_v))
-    count = max(1, int(round(area * density)))
-    uv = rng.random((count, 2))
-    pts = origin + uv[:, :1] * edge_u + uv[:, 1:] * edge_v
-    nrm = np.tile(normal / np.linalg.norm(normal), (count, 1))
-    return pts, nrm
+def _sample_patches(rng, density, patches):
+    """Uniform samples on parallelogram patches (origin, edge_u, edge_v,
+    normal), patch by patch; returns (points, normals)."""
+    pts, nrm = [], []
+    for origin, edge_u, edge_v, normal in np.asarray(patches, dtype=np.float64):
+        area = np.linalg.norm(np.cross(edge_u, edge_v))
+        count = max(1, int(round(area * density)))
+        uv = rng.random((count, 2))
+        pts.append(origin + uv[:, :1] * edge_u + uv[:, 1:] * edge_v)
+        nrm.append(np.tile(normal / np.linalg.norm(normal), (count, 1)))
+    return np.vstack(pts), np.vstack(nrm)
 
 
 def _sample_cuboid(rng, density, size):
@@ -175,15 +180,7 @@ def _sample_cuboid(rng, density, size):
         ((-hx, -hy, -hz), (sx, 0, 0), (0, 0, sz), (0, -1, 0)),  # -y
         ((-hx, hy, -hz), (sx, 0, 0), (0, 0, sz), (0, 1, 0)),    # +y
     ]
-    pts, nrm = [], []
-    for origin, eu, ev, n in faces:
-        p, v = _sample_rect(
-            rng, density, np.asarray(origin, float), np.asarray(eu, float),
-            np.asarray(ev, float), np.asarray(n, float),
-        )
-        pts.append(p)
-        nrm.append(v)
-    return np.vstack(pts), np.vstack(nrm)
+    return _sample_patches(rng, density, faces)
 
 
 def _sample_cylinder(rng, density, size):
@@ -224,15 +221,7 @@ def _sample_room(rng, density, room):
             ((-hx, -hy, 0.0), (0, ly, 0), (0, 0, wall_h), (1, 0, 0)),
             ((hx, -hy, 0.0), (0, ly, 0), (0, 0, wall_h), (-1, 0, 0)),
         ]
-    pts, nrm = [], []
-    for origin, eu, ev, n in patches:
-        p, v = _sample_rect(
-            rng, density, np.asarray(origin, float), np.asarray(eu, float),
-            np.asarray(ev, float), np.asarray(n, float),
-        )
-        pts.append(p)
-        nrm.append(v)
-    return np.vstack(pts), np.vstack(nrm)
+    return _sample_patches(rng, density, patches)
 
 
 def _assign_features(spec, rng):
@@ -272,48 +261,51 @@ def _assign_features(spec, rng):
 
 
 def _render_frame(spec, frame_id, pose, positions, owner, object_feats, rng):
-    """Depth map + per-visible-object masks by splat z-buffering."""
+    """Depth map + per-visible-object masks by splat z-buffering.
+
+    A pixel's winner is the nearest z, then the lowest id, over every point
+    whose splat covers the pixel. That is the (z, id) minimum over the centre
+    pixels within splat_px // 2, of each centre pixel's own (z, id) minimum:
+    two np.minimum.at passes over the visible points, then one shifted
+    compare per splat offset over the image.
+    """
     model = spec.camera_model
     h, w = model.height, model.width
     row, col, z, ok = camera_project(positions, model.intrinsics, pose, (h, w))
 
     idx = np.flatnonzero(ok)
-    reach = spec.splat_px // 2
-    entries_pix = []
-    entries_z = []
-    entries_idx = []
-    for dr in range(-reach, reach + 1):
-        for dc in range(-reach, reach + 1):
-            r = row[idx] + dr
-            c = col[idx] + dc
-            good = (r >= 0) & (r < h) & (c >= 0) & (c < w)
-            entries_pix.append(r[good] * w + c[good])
-            entries_z.append(z[idx][good])
-            entries_idx.append(idx[good])
-    pix = np.concatenate(entries_pix)
-    zs = np.concatenate(entries_z)
-    ids = np.concatenate(entries_idx)
+    pix = row[idx] * w + col[idx]
+    zs = z[idx]
+    near_z = np.full(h * w, np.inf)
+    np.minimum.at(near_z, pix, zs)
+    tie = zs == near_z[pix]
+    near_id = np.full(h * w, _NO_ID)
+    np.minimum.at(near_id, pix[tie], idx[tie])
 
-    depth = np.zeros(h * w, dtype=np.float32)
-    winner = np.full(h * w, -1, dtype=np.int64)
-    if pix.size:
-        order = np.lexsort((ids, zs, pix))
-        pix_s = pix[order]
-        first = np.concatenate(([True], pix_s[1:] != pix_s[:-1]))
-        depth[pix_s[first]] = zs[order][first]
-        winner[pix_s[first]] = ids[order][first]
-    depth = depth.reshape(h, w)
-    winner = winner.reshape(h, w)
+    # Padding with (inf, _NO_ID) clips the splats at the image edge.
+    reach = spec.splat_px // 2
+    pad_z = np.pad(near_z.reshape(h, w), reach, constant_values=np.inf)
+    pad_id = np.pad(near_id.reshape(h, w), reach, constant_values=_NO_ID)
+    best_z = np.full((h, w), np.inf)
+    winner = np.full((h, w), _NO_ID)
+    for dr in range(2 * reach + 1):
+        for dc in range(2 * reach + 1):
+            cz = pad_z[dr:dr + h, dc:dc + w]
+            ci = pad_id[dr:dr + h, dc:dc + w]
+            better = (cz < best_z) | ((cz == best_z) & (ci < winner))
+            np.copyto(best_z, cz, where=better)
+            np.copyto(winner, ci, where=better)
+    hit = winner != _NO_ID
+    depth = np.where(hit, best_z, 0.0).astype(np.float32)
+    won_owner = np.where(hit, owner[np.where(hit, winner, 0)], -1)
 
     masks = []
     visible = set()
-    won = winner.ravel()
-    won_owner = np.where(won >= 0, owner[np.maximum(won, 0)], -1)
     # One feature-noise draw per object regardless of visibility keeps the
     # random stream independent of camera placement.
     noises = rng.standard_normal((len(object_feats), spec.feature_dim)) * spec.feature_noise
     for k, feat in enumerate(object_feats):
-        bitmap = (won_owner == k).reshape(h, w)
+        bitmap = won_owner == k
         if not bitmap.any():
             continue
         visible.add(k)
@@ -394,10 +386,11 @@ def generate(spec):
 
     frames = []
     ever_visible = set()
+    # Frames render the positions as stored (float32), widened once.
+    stored = cloud.positions.astype(np.float64)
     for cam_idx, pose in enumerate(spec.cameras):
         frame, visible = _render_frame(
-            spec, cam_idx, np.asarray(pose, dtype=np.float64),
-            cloud.positions.astype(np.float64), owner, feats, rng,
+            spec, cam_idx, np.asarray(pose, dtype=np.float64), stored, owner, feats, rng,
         )
         frames.append(frame)
         ever_visible |= visible

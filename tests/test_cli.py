@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from part2object import cli, objectness, parallel, scene_io, spatial, superpoints, synth
+from part2object import cli, hierarchy, objectness, parallel, scene_io, spatial, superpoints, synth
 from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
@@ -462,6 +462,21 @@ def test_extract_planar_drop_requires_scene(scene_dir, tmp_path):
                    "--objects", str(stage / "o.txt"),
                    "--parts", str(stage / "p.txt")])
     assert rc == cli.EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("extra", [-1, 1000])
+def test_extract_planar_drop_rejects_a_scene_of_another_size(
+        extra, scene_dir, scene_points, tmp_path, capsys):
+    n = scene_points + extra
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"schema": hierarchy.HIERARCHY_SCHEMA, "n_points": n,
+                             "layers": [{"clusters": [{"points": list(range(n))}]}],
+                             "merge_log": []}))
+    err = assert_bad_input(["extract", "--hierarchy", str(h), "--drop-largest-planar", "1",
+                            "--scene", str(scene_dir), "--objects", str(tmp_path / "o.txt"),
+                            "--parts", str(tmp_path / "p.txt")], capsys)
+    assert f"{scene_points} points" in err and err.count("\n") == 1
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_console_entry_point_runs():

@@ -1,10 +1,11 @@
+import json
 import logging
 
 import numpy as np
 import pytest
 
-from part2object import synth
-from part2object.objectness import project_mask_points
+from part2object import cli, synth
+from part2object.objectness import camera_project, project_mask_points
 from conftest import three_block_spec
 
 
@@ -142,3 +143,97 @@ def test_spec_json_round_trip():
     a = synth.generate(spec)
     b = synth.generate(back)
     assert a[0].positions.tobytes() == b[0].positions.tobytes()
+
+
+def _lexsort_render(spec, pose, positions):
+    """Reference splat z-buffer: one (pixel, z, id) entry per pixel each
+    visible point's splat covers, a 3-key lexsort, and the first entry of
+    every pixel wins. Returns (depth, winner) with 0 / -1 where none does."""
+    model = spec.camera_model
+    h, w = model.height, model.width
+    row, col, z, ok = camera_project(positions, model.intrinsics, pose, (h, w))
+    idx = np.flatnonzero(ok)
+    reach = spec.splat_px // 2
+    pix, zs, ids = [], [], []
+    for dr in range(-reach, reach + 1):
+        for dc in range(-reach, reach + 1):
+            r, c = row[idx] + dr, col[idx] + dc
+            good = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+            pix.append(r[good] * w + c[good])
+            zs.append(z[idx][good])
+            ids.append(idx[good])
+    pix, zs, ids = (np.concatenate(a) for a in (pix, zs, ids))
+    depth = np.zeros(h * w, dtype=np.float32)
+    winner = np.full(h * w, -1, dtype=np.int64)
+    if pix.size:
+        order = np.lexsort((ids, zs, pix))
+        first = np.concatenate(([True], pix[order][1:] != pix[order][:-1]))
+        depth[pix[order][first]] = zs[order][first]
+        winner[pix[order][first]] = ids[order][first]
+    return depth.reshape(h, w), winner.reshape(h, w)
+
+
+def _oracle_points(case, model):
+    """Camera-frame points (pose is the identity) on a few depth planes, so
+    that z ties across neighbouring pixels are common."""
+    rng = np.random.default_rng(11)
+    n = 300
+    z = rng.choice([-1.0, 0.0, 1.0, 2.0, 3.0], n)  # <= 0: behind the camera
+    if case == "behind":
+        z = -np.abs(z) - 0.5
+    # pixel targets from a margin outside the image, so splats clip at edges
+    u = rng.uniform(-2.0, model.width + 1.0, n)
+    v = rng.uniform(-2.0, model.height + 1.0, n)
+    corners = [(0, 0), (model.width - 1, 0), (0, model.height - 1),
+               (model.width - 1, model.height - 1), (model.width // 2, 0),
+               (0, model.height // 2), (model.width - 1, model.height // 2),
+               (model.width // 2, model.height - 1)]
+    if case != "behind":
+        u = np.concatenate((u, [c[0] for c in corners]))
+        v = np.concatenate((v, [c[1] for c in corners]))
+        z = np.concatenate((z, np.full(len(corners), 1.5)))
+    pos = np.column_stack(((u - model.cx) * z / model.fx, (v - model.cy) * z / model.fy, z))
+    # coincident copies: the same (pixel, z) as lower ids, so the lowest id
+    # must win every tie
+    return np.vstack((pos, pos[:40], pos[:20]))
+
+
+@pytest.mark.parametrize("splat_px", [1, 3, 5])
+@pytest.mark.parametrize("case", ["mixed", "behind"])
+def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
+    model = synth.CameraModel(width=12, height=9, fx=10.0, fy=10.0, cx=5.5, cy=4.0)
+    spec = synth.SynthSpec(camera_model=model, splat_px=splat_px, feature_dim=2)
+    pose = np.eye(4)
+    positions = _oracle_points(case, model)
+    n = positions.shape[0]
+    # every point is its own object, so each mask is one point's winning pixels
+    owner = np.arange(n)
+    feats = [np.zeros(2)] * n
+    frame, visible = synth._render_frame(
+        spec, 0, pose, positions, owner, feats, np.random.default_rng(0))
+
+    depth, winner = _lexsort_render(spec, pose, positions)
+    assert frame.depth.tobytes() == depth.tobytes()
+    want = [k for k in range(n) if (winner == k).any()]
+    assert visible == set(want)
+    assert [m.bitmap.tobytes() for m in frame.masks] == [
+        (winner == k).tobytes() for k in want]
+    if case == "behind":
+        assert not depth.any() and visible == set()
+    else:
+        # the case holds z ties in view and a point at every corner
+        ok = camera_project(positions, model.intrinsics, pose, depth.shape)[3]
+        assert ok[n - 60:].any()
+        assert (winner[[0, 0, -1, -1], [0, -1, 0, -1]] >= 0).all()
+
+
+@pytest.mark.parametrize("splat_px", [0, 2, 4, -1, 3.0, True, "3"])
+def test_splat_px_must_be_a_positive_odd_integer(splat_px, tmp_path, capsys):
+    with pytest.raises(ValueError, match="splat_px"):
+        synth.SynthSpec(splat_px=splat_px)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"splat_px": splat_px}))
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "splat_px" in err and err.count("\n") == 1
