@@ -61,23 +61,9 @@ def load_config(args):
     values = {}
     path = getattr(args, "config", None)
     if path:
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FormatError(f"{path}: config must be a JSON object")
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in data.items():
-            kind = _CONFIG_FIELDS[key][1]
-            # A JSON boolean fits only a bool field, though bool is an int in Python.
-            if isinstance(value, bool) != (kind is bool) or not isinstance(
-                    value, (int, float) if kind is float else kind):
-                raise FormatError(f"{path}: {key}={value!r} is not a JSON {kind.__name__}")
-            values[key] = kind(value)
+        values = scene_io.check_fields(
+            scene_io.load_json(path), {k: kind for k, (_, kind) in _CONFIG_FIELDS.items()},
+            path, "config")
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -117,11 +103,15 @@ def priors_to_json(boxes, tracks):
     ]
 
 
+# The keys of a priors.json entry; p2o cluster reads only the corners.
+_PRIOR_FIELDS = {"min": list, "max": list, "track_size": int, "frame_span": int}
+
+
 def load_priors(path):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = scene_io.load_json(path)
     try:
-        return [PriorBox(np.asarray(e["min"]), np.asarray(e["max"])) for e in data]
+        entries = [scene_io.check_fields(e, _PRIOR_FIELDS, path, "prior") for e in data]
+        return [PriorBox(np.asarray(e["min"]), np.asarray(e["max"])) for e in entries]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: each prior needs \"min\" and \"max\" corners") from exc
 
@@ -131,8 +121,7 @@ def load_priors(path):
 
 
 def cmd_synth(args):
-    with open(args.spec) as fh:
-        spec = synth.SynthSpec.from_dict(json.load(fh))
+    spec = synth.SynthSpec.from_dict(scene_io.load_json(args.spec), args.spec)
     if args.seed is not None:
         spec.seed = args.seed
     cloud, gt, frames = synth.generate(spec)
@@ -168,8 +157,7 @@ def cmd_priors(args):
 def cmd_cluster(args):
     _, _, merge_params = load_config(args)
     cloud = scene_io.load_scene(args.scene)
-    with open(args.superpoints) as fh:
-        layer0 = json.load(fh)
+    layer0 = scene_io.load_json(args.superpoints)
     if not isinstance(layer0, list):
         raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
     boxes = load_priors(args.priors) if args.priors else []
@@ -182,8 +170,7 @@ def cmd_cluster(args):
 
 def cmd_extract(args):
     _, _, merge_params = load_config(args)
-    with open(args.hierarchy) as fh:
-        h = hierarchy.hierarchy_from_dict(json.load(fh))
+    h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.hierarchy), args.hierarchy)
     objects = hierarchy.collect_objects(h, merge_params)
     if merge_params.drop_largest_planar > 0:
         if not args.scene:
@@ -432,7 +419,7 @@ def main(argv=None):
     except StageFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_STAGE_FAILURE
-    except (FileNotFoundError, FormatError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -36,7 +36,7 @@ from scipy.sparse import coo_matrix
 from .errors import AllZeroFeatures, FormatError
 from .features import fuse_feature
 from .parallel import thread_map
-from .scene_io import Instance, InstanceSet
+from .scene_io import Instance, InstanceSet, check_fields
 from .spatial import labeled_close_pairs
 
 HIERARCHY_SCHEMA = "p2o.hierarchy/1"
@@ -91,7 +91,6 @@ class Hierarchy:
     """
 
     layers: list
-    features: list
     merge_log: list
 
     @property
@@ -291,14 +290,13 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
         lambda: _box_counts(labels, len(layer0), positions, boxes),
     ])
 
-    h = Hierarchy(layers=[layer0], features=[feats], merge_log=[])
+    h = Hierarchy(layers=[layer0], merge_log=[])
     while len(h.layers) < params.max_layers:
         parent, feats, log = run_layer(labels, feats, point_features, edges, counts,
                                        params)
         if not log.accepted:
             break
         h.layers.append(_groups(parent, len(feats)))
-        h.features.append(feats)
         h.merge_log.append(log)
         labels = parent[labels]
         edges = contract_edges(edges, parent)
@@ -392,26 +390,35 @@ def hierarchy_to_dict(h):
     }
 
 
-def hierarchy_from_dict(data):
-    """Hierarchy from hierarchy_to_dict output; FormatError unless every layer
-    partitions the one below it (layer 0: the n_points point ids)."""
-    if not isinstance(data, dict) or data.get("schema") != HIERARCHY_SCHEMA:
-        schema = data.get("schema") if isinstance(data, dict) else None
-        raise FormatError(f"unsupported hierarchy schema {schema!r}")
+# The keys of hierarchy.json and of each of its merge_log entries.
+_HIERARCHY_FIELDS = {"schema": str, "n_points": int, "layers": list, "merge_log": list}
+_LOG_FIELDS = {"accepted": list, "rejected_stop": list, "n_candidates": int}
+
+
+def hierarchy_from_dict(data, where="hierarchy"):
+    """Hierarchy from hierarchy_to_dict output; FormatError, prefixed by
+    `where` (the file), unless n_points and every n_candidates are JSON
+    integers and every layer partitions the one below it (layer 0: the
+    n_points point ids)."""
+    data = check_fields(data, _HIERARCHY_FIELDS, where, "hierarchy")
+    if data.get("schema") != HIERARCHY_SCHEMA:
+        raise FormatError(f"{where}: unsupported hierarchy schema {data.get('schema')!r}")
     try:
-        n_points = int(data["n_points"])
+        n_points = data["n_points"]
         layers = [[np.asarray(c["points"])
                    for c in data["layers"][0]["clusters"]]]
         layers += [[np.asarray(c["children"]) for c in layer["clusters"]]
                    for layer in data["layers"][1:]]
+        logs = [check_fields(log, _LOG_FIELDS, where, "merge_log entry")
+                for log in data["merge_log"]]
         merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
                               [tuple(p) for p in log["rejected_stop"]],
-                              int(log["n_candidates"])) for log in data["merge_log"]]
+                              log["n_candidates"]) for log in logs]
     except (KeyError, IndexError, TypeError) as exc:
-        raise FormatError(f"malformed hierarchy: {exc!r}") from exc
+        raise FormatError(f"{where}: malformed hierarchy: {exc!r}") from exc
     for t, layer in enumerate(layers):
         try:
             _partition_labels(layer, len(layers[t - 1]) if t else n_points)
         except ValueError as exc:
-            raise FormatError(f"hierarchy layer {t}: {exc}") from exc
-    return Hierarchy(layers=layers, features=[], merge_log=merge_log)
+            raise FormatError(f"{where}: hierarchy layer {t}: {exc}") from exc
+    return Hierarchy(layers=layers, merge_log=merge_log)

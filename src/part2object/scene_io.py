@@ -405,7 +405,50 @@ def load_scene(dir_path):
 
 
 # ---------------------------------------------------------------------------
+# JSON inputs
+
+
+def load_json(path, error=FormatError):
+    """The decoded JSON in path; a syntax error raises `error` naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: {exc}") from exc
+
+
+def check_fields(data, kinds, where, what, error=FormatError):
+    """The JSON object data, each value checked against kinds (key -> type).
+
+    A bool field takes only a JSON boolean, an int field only an integer and
+    a float field any number, returned as a float; other values pass as
+    decoded. A non-object, an unknown key or a wrongly typed value raises
+    `error` naming `where` (the file) and `what` or the key.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where}: {what} must be a JSON object")
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise error(f"{where}: unknown {what} keys {sorted(unknown)}")
+    out = dict(data)
+    for key, value in data.items():
+        kind = kinds[key]
+        if kind not in (bool, int, float):
+            continue
+        # A JSON boolean fits only a bool field, though bool is an int in Python.
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise error(f"{where}: {key}={value!r} is not a JSON {kind.__name__}")
+        out[key] = kind(value)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # frame files
+
+# The keys of a frame_<id>.cam file.
+_CAM_FIELDS = {"fx": float, "fy": float, "cx": float, "cy": float,
+               "width": int, "height": int, "extrinsics": list}
 
 
 def write_frames(dir_path, frames):
@@ -442,13 +485,10 @@ def write_frames(dir_path, frames):
 def _load_one_frame(dir_path, frame_id):
     stem = f"frame_{frame_id}"
     cam_path = dir_path / f"{stem}.cam"
-    with open(cam_path) as fh:
-        try:
-            cam = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptHeader(f"{cam_path.name}: {exc}") from exc
+    cam = check_fields(load_json(cam_path, CorruptHeader), _CAM_FIELDS, cam_path, "camera",
+                       CorruptHeader)
     try:
-        width, height = int(cam["width"]), int(cam["height"])
+        width, height = cam["width"], cam["height"]
         intrinsics = np.array(
             [[cam["fx"], 0.0, cam["cx"]], [0.0, cam["fy"], cam["cy"]], [0.0, 0.0, 1.0]]
         )

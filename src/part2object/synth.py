@@ -13,12 +13,12 @@ Everything is a pure function of the spec, including its seed.
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .objectness import camera_project
-from .scene_io import FrameObservation, Instance, InstanceSet, MaskEntry, SceneCloud
+from .scene_io import FrameObservation, Instance, InstanceSet, MaskEntry, SceneCloud, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -74,59 +74,21 @@ class SynthSpec:
         if isinstance(px, bool) or not isinstance(px, int) or px < 1 or px % 2 == 0:
             raise ValueError(f"splat_px must be a positive odd integer, got {px!r}")
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "objects": [
-                {
-                    "shape": o.shape,
-                    "center": list(o.center),
-                    "size": list(o.size),
-                    "yaw": o.yaw,
-                    "color": list(o.color),
-                    "feature": None if o.feature is None else [float(v) for v in o.feature],
-                }
-                for o in self.objects
-            ],
-            "room": None if self.room is None else list(self.room),
-            "points_per_m2": self.points_per_m2,
-            "cameras": [[float(v) for v in np.asarray(c).ravel()] for c in self.cameras],
-            "camera_model": asdict(self.camera_model),
-            "feature_dim": self.feature_dim,
-            "feature_noise": self.feature_noise,
-            "position_jitter": self.position_jitter,
-            "splat_px": self.splat_px,
-            "allow_similar_features": self.allow_similar_features,
-        }
-
     @classmethod
-    def from_dict(cls, data):
-        objects = [
-            SynthObject(
-                shape=o.get("shape", "cuboid"),
-                center=tuple(o.get("center", (0, 0, 0))),
-                size=tuple(o.get("size", (0.5, 0.5, 0.5))),
-                yaw=float(o.get("yaw", 0.0)),
-                color=tuple(o.get("color", (0.5, 0.5, 0.5))),
-                feature=None if o.get("feature") is None else np.asarray(o["feature"]),
-            )
-            for o in data.get("objects", [])
-        ]
-        cam = data.get("camera_model", {})
-        cameras = [np.asarray(c, dtype=np.float64).reshape(4, 4) for c in data.get("cameras", [])]
-        return cls(
-            seed=int(data.get("seed", 0)),
-            objects=objects,
-            room=None if data.get("room") is None else tuple(data["room"]),
-            points_per_m2=float(data.get("points_per_m2", 2000.0)),
-            cameras=cameras,
-            camera_model=CameraModel(**cam) if cam else CameraModel(),
-            feature_dim=int(data.get("feature_dim", 16)),
-            feature_noise=float(data.get("feature_noise", 0.02)),
-            position_jitter=float(data.get("position_jitter", 0.002)),
-            splat_px=data.get("splat_px", 3),
-            allow_similar_features=bool(data.get("allow_similar_features", False)),
-        )
+    def from_dict(cls, data, where="spec"):
+        """A SynthSpec from its JSON form, checked by scene_io.check_fields
+        (`where` names the file); a camera is 16 floats or 4 rows of 4."""
+        def build(kind, value, at, what):
+            kinds = {f.name: f.type for f in fields(kind)}
+            return kind(**check_fields(value, kinds, at, what))
+
+        spec = build(cls, data, where, "spec")
+        spec.objects = [build(SynthObject, o, f"{where}: objects[{k}]", "object")
+                        for k, o in enumerate(spec.objects)]
+        if "camera_model" in data:
+            spec.camera_model = build(CameraModel, data["camera_model"], where, "camera_model")
+        spec.cameras = [np.asarray(c, dtype=np.float64).reshape(4, 4) for c in spec.cameras]
+        return spec
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,11 @@ def three_block_spec(seed=7, gap=0.14, room=None, points_per_m2=3000.0):
             synth.look_at((0.0, 2.5, 1.5), (0.0, 0.0, 0.3)),
         ],
     )
+
+
+def spec_json(spec):
+    """A SynthSpec as the JSON `p2o synth --spec` reads, cameras as 4 rows of 4."""
+    return json.dumps(asdict(spec), default=lambda a: a.tolist())
 
 
 @pytest.fixture(scope="session")

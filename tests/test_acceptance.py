@@ -5,7 +5,6 @@ lines. Oracles here are deliberately independent re-implementations (plain
 loops) of the documented contracts.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from part2object import evaluation, hierarchy, objectness, scene_io, superpoints
 from part2object.features import fuse_feature
 from part2object.spatial import PriorBox
 
-from conftest import three_block_spec
+from conftest import spec_json, three_block_spec
 from test_evaluation import instset, oracle_ap
 from test_features import fuse_oracle
 from test_hierarchy import brute_accepted
@@ -314,7 +313,7 @@ def test_c8_cli_run_is_deterministic_and_fast(tmp_path):
     spec = three_block_spec(seed=13, room=(4.0, 4.0, 1.5), points_per_m2=1150.0)
     scene = tmp_path / "scene"
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec.to_dict()))
+    spec_path.write_text(spec_json(spec))
     subprocess.run(
         [sys.executable, "-m", "part2object", "synth", "--spec", str(spec_path),
          "--out", str(scene)],

@@ -13,14 +13,14 @@ from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
 from part2object.superpoints import SuperpointParams
-from conftest import three_block_spec
+from conftest import spec_json, three_block_spec
 
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
     spec_path = out / "spec.json"
-    spec_path.write_text(json.dumps(three_block_spec(seed=9).to_dict()))
+    spec_path.write_text(spec_json(three_block_spec(seed=9)))
     rc = cli.main(["synth", "--spec", str(spec_path), "--out", str(out)])
     assert rc == 0
     return out
@@ -492,7 +492,7 @@ def assert_bad_input(argv, capsys):
     """The command exits 2 with a one-line error and no traceback."""
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     return err
 
 
@@ -556,6 +556,8 @@ def test_extract_reads_a_hand_written_hierarchy(tmp_path):
     "no_layers", "no_clusters", "child_out_of_range", "child_twice", "child_missing",
     "empty_children", "point_out_of_range", "point_twice", "wrong_n_points",
     "fractional_point", "nested_points", "fractional_child", "nested_children",
+    "fractional_n_points", "string_n_points", "bool_n_points", "fractional_n_candidates",
+    "unknown_key",
 ])
 def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     data = json.loads(json.dumps(HIERARCHY))
@@ -584,9 +586,22 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
         layer1[0]["children"] = [0.5, 1]
     elif mutation == "nested_children":
         layer1[0]["children"] = [[0, 1]]
+    elif mutation == "fractional_n_points":
+        data["n_points"] = 3.9
+    elif mutation == "string_n_points":
+        data["n_points"] = "3"
+    elif mutation == "bool_n_points":
+        data["n_points"] = True
+    elif mutation == "fractional_n_candidates":
+        data["merge_log"][0]["n_candidates"] = 1.7
+    elif mutation == "unknown_key":
+        data["features"] = []
     else:
         data["n_points"] = 4
-    assert_bad_input(extract_argv(tmp_path, data), capsys)
+    err = assert_bad_input(extract_argv(tmp_path, data), capsys)
+    if mutation in ("fractional_n_points", "string_n_points", "bool_n_points",
+                    "fractional_n_candidates"):
+        assert f"{tmp_path / 'h.json'}: {mutation.split('_', 1)[1]}=" in err
 
 
 @pytest.mark.parametrize("priors", [
@@ -595,6 +610,8 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
     [{"min": [float("nan"), 0.0, 0.0], "max": [1.0, 1.0, 1.0]}],
     [{"min": [0.0, 0.0, 0.0], "max": [float("inf"), 1.0, 1.0]}],
+    [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "track_size": 2.5}],
+    [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "label": "chair"}],
 ])
 def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
     sp = tmp_path / "sp.json"
@@ -615,6 +632,44 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     cfg.write_text(text)
     assert_bad_input(["superpoints", "--scene", str(scene_dir),
                       "--out", str(tmp_path / "x.json"), "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"allow_similar_features": "false"}, "allow_similar_features"),
+    ({"feature_dim": 16.7}, "feature_dim"),
+    ({"seed": 2.9}, "seed"),
+    ({"seeds": 3}, "seeds"),
+    ({"objects": [{"yaw": "0.5"}]}, "yaw"),
+    ({"objects": [{"colour": [1.0, 0.0, 0.0]}]}, "colour"),
+    ({"camera_model": {"width": 160.5}}, "width"),
+    ({"camera_model": {"fx": "140"}}, "fx"),
+])
+def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    err = assert_bad_input(["synth", "--spec", str(path), "--out", str(out)], capsys)
+    assert err.startswith(f"error: {path}: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--superpoints", "--priors", "--hierarchy",
+                                  "--config"])
+def test_a_json_syntax_error_names_the_file(flag, scene_dir, tmp_path, capsys):
+    bad = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text('{"seed": 1,')
+    (tmp_path / "sp.json").write_text("[]")
+    out = str(tmp_path / "out")
+    cluster = ["cluster", "--scene", str(scene_dir), "--out", out]
+    argv = {
+        "--spec": ["synth", "--spec", bad, "--out", out],
+        "--superpoints": cluster + ["--superpoints", bad],
+        "--priors": cluster + ["--superpoints", str(tmp_path / "sp.json"), "--priors", bad],
+        "--hierarchy": ["extract", "--hierarchy", bad, "--objects", out, "--parts", out],
+        "--config": ["superpoints", "--scene", str(scene_dir), "--out", out, "--config", bad],
+    }[flag]
+    assert assert_bad_input(argv, capsys).startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_float_field_takes_an_integer(tmp_path):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -383,6 +386,28 @@ def test_corrupt_rle_in_mask_file(tmp_path):
     raw[16:20] = np.uint32(999).tobytes()
     (tmp_path / "frame_0.masks").write_bytes(bytes(raw))
     with pytest.raises(CorruptRLE):
+        load_frames(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", "10"), ("width", 10.7), ("height", True), ("fx", "5.0"), ("cy", None),
+    ("depth_scale", 1000.0),
+])
+def test_cam_values_are_checked_not_coerced(key, value, tmp_path):
+    write_frames(tmp_path, [identity_frame()])
+    cam_path = tmp_path / "frame_0.cam"
+    cam = json.loads(cam_path.read_text())
+    cam[key] = value
+    cam_path.write_text(json.dumps(cam))
+    with pytest.raises(CorruptHeader, match=f"^{re.escape(str(cam_path))}: .*{key}"):
+        load_frames(tmp_path)
+
+
+def test_cam_json_syntax_error_names_the_file(tmp_path):
+    write_frames(tmp_path, [identity_frame()])
+    cam_path = tmp_path / "frame_0.cam"
+    cam_path.write_text(cam_path.read_text()[:-5])
+    with pytest.raises(CorruptHeader, match=f"^{re.escape(str(cam_path))}: "):
         load_frames(tmp_path)
 
 

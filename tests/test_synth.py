@@ -4,9 +4,9 @@ import logging
 import numpy as np
 import pytest
 
-from part2object import cli, synth
+from part2object import cli, scene_io, synth
 from part2object.objectness import camera_project, project_mask_points
-from conftest import three_block_spec
+from conftest import spec_json, three_block_spec
 
 
 def test_single_cuboid_single_camera():
@@ -136,13 +136,26 @@ def test_cylinder_sampling():
     assert abs(pos[:, 2]).max() < 0.45
 
 
-def test_spec_json_round_trip():
+@pytest.mark.parametrize("flat_cameras", [False, True], ids=["4x4", "16-floats"])
+def test_p2o_synth_writes_what_generate_and_the_writers_write(flat_cameras, tmp_path):
     spec = three_block_spec(room=(4.0, 4.0, 1.0))
-    data = spec.to_dict()
-    back = synth.SynthSpec.from_dict(data)
-    a = synth.generate(spec)
-    b = synth.generate(back)
-    assert a[0].positions.tobytes() == b[0].positions.tobytes()
+    want = tmp_path / "want"
+    cloud, gt, frames = synth.generate(spec)
+    scene_io.write_scene(want, cloud)
+    scene_io.write_frames(want, frames)
+    scene_io.write_instances(want / "ground_truth.txt", gt)
+
+    data = json.loads(spec_json(spec))
+    if flat_cameras:
+        data["cameras"] = [sum(pose, []) for pose in data["cameras"]]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    got = tmp_path / "got"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(got)]) == 0
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert tree(got) == tree(want)
 
 
 def _lexsort_render(spec, pose, positions):
