@@ -104,7 +104,7 @@ def priors_to_json(boxes, tracks):
 
 
 # The keys of a priors.json entry; p2o cluster reads only the corners.
-_PRIOR_FIELDS = {"min": list, "max": list, "track_size": int, "frame_span": int}
+_PRIOR_FIELDS = {"min": tuple, "max": tuple, "track_size": int, "frame_span": int}
 
 
 def load_priors(path):

@@ -19,6 +19,7 @@ import numpy as np
 
 REPORT_SCHEMA = "p2o.report/1"
 
+# Every report scores these IoU thresholds; mean_ap averages the strict ones.
 STRICT_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 DEFAULT_THRESHOLDS = (0.25,) + STRICT_THRESHOLDS
 
@@ -97,75 +98,18 @@ def _interpolated_ap(recalls, precisions):
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def evaluate(preds, gt, thresholds=DEFAULT_THRESHOLDS):
+def evaluate(preds, gt):
     """Score predictions against disjoint ground-truth instances.
 
     Both arguments are InstanceSets; kinds are not inspected (pass object
     instances). Empty ground truth yields zero APs with gt_empty set. The
     matching and all reported numbers are deterministic.
     """
-    return _score(
-        [inst.point_ids for inst in preds.instances],
-        [inst.confidence for inst in preds.instances],
-        [inst.point_ids for inst in gt.instances],
-        thresholds,
-    )
+    return evaluate_multi([(preds, gt)])
 
 
-def _score(pred_ids, confidences, gt_sets, thresholds):
-    """evaluate's scoring of id arrays that Instance has already checked."""
-    order = sorted(
-        range(len(pred_ids)),
-        key=lambda k: (-confidences[k], -pred_ids[k].size, k),
-    )
-    pred_sets = [pred_ids[k] for k in order]
-    iou = _iou_matrix(pred_sets, gt_sets)
-
-    ap_by_threshold = {}
-    curves = {}
-    matches = {}
-    gt_empty = not gt_sets
-    for theta in thresholds:
-        assigned = [None] * len(pred_ids)
-        gt_taken = np.zeros(len(gt_sets), dtype=bool)
-        tp = np.zeros(len(pred_sets))
-        if not gt_empty:
-            for rank, row in enumerate(iou):
-                # argmax keeps the first (lowest-index) ground truth on a tie
-                free = np.where(gt_taken, 0.0, row)
-                best_g = int(free.argmax())
-                if free[best_g] > 0.0 and free[best_g] >= theta:
-                    gt_taken[best_g] = True
-                    tp[rank] = 1.0
-                    assigned[order[rank]] = best_g
-        if gt_empty or not pred_sets:
-            recalls = np.zeros(len(pred_sets))
-            precisions = np.zeros(len(pred_sets))
-            ap = 0.0
-        else:
-            cum_tp = np.cumsum(tp)
-            cum_fp = np.cumsum(1.0 - tp)
-            recalls = cum_tp / len(gt_sets)
-            precisions = cum_tp / (cum_tp + cum_fp)
-            ap = _interpolated_ap(recalls, precisions)
-        ap_by_threshold[theta] = ap
-        curves[theta] = (recalls.tolist(), precisions.tolist())
-        matches[theta] = assigned
-
-    strict = [ap_by_threshold[t] for t in STRICT_THRESHOLDS if t in ap_by_threshold]
-    return ApReport(
-        ap25=ap_by_threshold.get(0.25, 0.0),
-        ap50=ap_by_threshold.get(0.50, 0.0),
-        mean_ap=float(np.mean(strict)) if strict else 0.0,
-        ap_by_threshold=ap_by_threshold,
-        curves=curves,
-        matches=matches,
-        gt_empty=gt_empty,
-    )
-
-
-def evaluate_multi(scene_pairs, thresholds=DEFAULT_THRESHOLDS):
-    """Pool several scenes' (preds, gt) into one AP curve.
+def evaluate_multi(scene_pairs):
+    """Pool several scenes' (preds, gt) into one AP curve, as evaluate scores one.
 
     Point ids are namespaced per scene by offsetting, so instances never
     match across scenes. Pooled tie-breaks follow scene order then manifest
@@ -185,4 +129,51 @@ def evaluate_multi(scene_pairs, thresholds=DEFAULT_THRESHOLDS):
             confidences.append(inst.confidence)
         gt_sets.extend(inst.point_ids + offset for inst in gt.instances)
         offset += top
-    return _score(pred_ids, confidences, gt_sets, thresholds)
+
+    order = sorted(
+        range(len(pred_ids)),
+        key=lambda k: (-confidences[k], -pred_ids[k].size, k),
+    )
+    pred_sets = [pred_ids[k] for k in order]
+    iou = _iou_matrix(pred_sets, gt_sets)
+
+    ap_by_threshold = {}
+    curves = {}
+    matches = {}
+    gt_empty = not gt_sets
+    for theta in DEFAULT_THRESHOLDS:
+        assigned = [None] * len(pred_ids)
+        gt_taken = np.zeros(len(gt_sets), dtype=bool)
+        tp = np.zeros(len(pred_sets))
+        if not gt_empty:
+            for rank, row in enumerate(iou):
+                # argmax keeps the first (lowest-index) ground truth on a tie
+                free = np.where(gt_taken, 0.0, row)
+                best_g = int(free.argmax())
+                if free[best_g] >= theta:
+                    gt_taken[best_g] = True
+                    tp[rank] = 1.0
+                    assigned[order[rank]] = best_g
+        if gt_empty or not pred_sets:
+            recalls = np.zeros(len(pred_sets))
+            precisions = np.zeros(len(pred_sets))
+            ap = 0.0
+        else:
+            cum_tp = np.cumsum(tp)
+            cum_fp = np.cumsum(1.0 - tp)
+            recalls = cum_tp / len(gt_sets)
+            precisions = cum_tp / (cum_tp + cum_fp)
+            ap = _interpolated_ap(recalls, precisions)
+        ap_by_threshold[theta] = ap
+        curves[theta] = (recalls.tolist(), precisions.tolist())
+        matches[theta] = assigned
+
+    return ApReport(
+        ap25=ap_by_threshold[0.25],
+        ap50=ap_by_threshold[0.50],
+        mean_ap=float(np.mean([ap_by_threshold[t] for t in STRICT_THRESHOLDS])),
+        ap_by_threshold=ap_by_threshold,
+        curves=curves,
+        matches=matches,
+        gt_empty=gt_empty,
+    )

@@ -1,7 +1,7 @@
 """Scene inputs and outputs: point clouds, RGB-D frames, instance manifests.
 
-All binary formats are little-endian, magic-tagged, and flat so golden-file
-tests stay trivial:
+All binary formats are little-endian and flat so golden-file tests stay
+trivial; all but the depth map are magic-tagged:
 
   points.p2o      "P2O1" | u32 N | u8 flags (bit0 colors, bit1 normals)
                   | Nx3 f32 positions [| Nx3 f32 colors] [| Nx3 f32 normals]
@@ -22,8 +22,10 @@ line. Loading inverts writing exactly, order preserved.
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -143,6 +145,8 @@ class FrameObservation:
         self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64)
         if self.intrinsics.shape != (3, 3):
             raise DimensionMismatch("intrinsics must be 3x3")
+        if not (np.isfinite(self.intrinsics).all() and (self.intrinsics[[0, 1], [0, 1]] > 0).all()):
+            raise FormatError("intrinsics must be finite with fx, fy > 0")
         if self.extrinsics.shape != (4, 4):
             raise DimensionMismatch("extrinsics must be 4x4")
         if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0), atol=1e-6):
@@ -194,14 +198,6 @@ class InstanceSet:
     """An ordered collection of instances over one scene's points."""
 
     instances: list = field(default_factory=list)
-
-    def validate_against(self, n_points):
-        for k, inst in enumerate(self.instances):
-            if inst.point_ids.size and inst.point_ids.max() >= n_points:
-                raise IndexOutOfRange(
-                    f"instance {k} references point {int(inst.point_ids.max())} "
-                    f"but scene has {n_points} points"
-                )
 
     def __len__(self):
         return len(self.instances)
@@ -317,11 +313,37 @@ def estimate_normals(cloud, k, rows=None, tree=None):
 # point cloud files
 
 
-def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise CorruptHeader(f"truncated file while reading {what}")
-    return data
+@contextmanager
+def _named(where):
+    """Re-raise a FormatError from the block with `where: ` in front."""
+    try:
+        yield
+    except FormatError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _tagged(path, tag):
+    """Check the binary file at path (a Path) for its tag, then yield
+    take(dtype, shape, what): the next values, one fh.read and np.frombuffer.
+    A wrong tag, a take past the end of the file or bytes left after the
+    block raise CorruptHeader; every FormatError from the block names path."""
+    with open(path, "rb") as fh, _named(path):
+        left = path.stat().st_size - len(tag)
+
+        def take(dtype, shape, what):
+            nonlocal left
+            size = dtype.itemsize * math.prod(shape)
+            if size > left:
+                raise CorruptHeader(f"truncated file while reading {what}")
+            left -= size
+            return np.frombuffer(fh.read(size), dtype=dtype).reshape(shape)
+
+        if fh.read(len(tag)) != tag:
+            raise CorruptHeader(f"bad tag, expected {tag!r}")
+        yield take
+        if left:
+            raise CorruptHeader(f"{left} trailing byte(s)")
 
 
 def write_scene(dir_path, cloud):
@@ -331,19 +353,14 @@ def write_scene(dir_path, cloud):
     n = cloud.n_points
     flags = (1 if cloud.colors is not None else 0) | (2 if cloud.normals is not None else 0)
     with open(dir_path / "points.p2o", "wb") as fh:
-        fh.write(POINTS_MAGIC)
-        fh.write(np.uint32(n).astype(_U32).tobytes())
-        fh.write(bytes([flags]))
-        fh.write(cloud.positions.astype(_F32).tobytes())
-        if cloud.colors is not None:
-            fh.write(cloud.colors.astype(_F32).tobytes())
-        if cloud.normals is not None:
-            fh.write(cloud.normals.astype(_F32).tobytes())
+        fh.write(POINTS_MAGIC + np.asarray([n], dtype=_U32).tobytes() + bytes([flags]))
+        for values in (cloud.positions, cloud.colors, cloud.normals):
+            if values is not None:
+                fh.write(values.astype(_F32).tobytes())
     if cloud.semantic_features is not None:
         feats = cloud.semantic_features
         with open(dir_path / "features.f32", "wb") as fh:
-            fh.write(FEATURES_MAGIC)
-            fh.write(np.asarray([n, feats.shape[1]], dtype=_U32).tobytes())
+            fh.write(FEATURES_MAGIC + np.asarray([n, feats.shape[1]], dtype=_U32).tobytes())
             fh.write(feats.astype(_F32).tobytes())
 
 
@@ -362,46 +379,28 @@ def load_scene(dir_path):
     that reads them, estimates missing ones.
     """
     dir_path = Path(dir_path)
-    points_path = points_file(dir_path)
-
-    with open(points_path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != POINTS_MAGIC:
-            raise CorruptHeader(f"bad magic {magic!r} in {points_path.name}")
-        n = int(np.frombuffer(_read_exact(fh, 4, "count"), dtype=_U32)[0])
+    with _tagged(points_file(dir_path), POINTS_MAGIC) as take:
+        (n,) = take(_U32, (1,), "count").tolist()
         if n < 1:
             raise CorruptHeader("point count must be >= 1")
-        flags = _read_exact(fh, 1, "flags")[0]
+        (flags,) = take(np.dtype("u1"), (1,), "flags").tolist()
         if flags & ~0b11:
             raise CorruptHeader(f"unknown flag bits {flags:#x}")
-        positions = np.frombuffer(_read_exact(fh, n * 12, "positions"), dtype=_F32).reshape(n, 3)
-        colors = None
-        normals = None
-        if flags & 1:
-            colors = np.frombuffer(_read_exact(fh, n * 12, "colors"), dtype=_F32).reshape(n, 3)
-        if flags & 2:
-            normals = np.frombuffer(_read_exact(fh, n * 12, "normals"), dtype=_F32).reshape(n, 3)
-        if fh.read(1):
-            raise CorruptHeader(f"trailing bytes in {points_path.name}")
+        positions = take(_F32, (n, 3), "positions")
+        colors = take(_F32, (n, 3), "colors") if flags & 1 else None
+        normals = take(_F32, (n, 3), "normals") if flags & 2 else None
 
     features = None
-    features_path = dir_path / "features.f32"
-    if features_path.exists():
-        with open(features_path, "rb") as fh:
-            magic = _read_exact(fh, 4, "magic")
-            if magic != FEATURES_MAGIC:
-                raise CorruptHeader(f"bad magic {magic!r} in {features_path.name}")
-            rows, cols = (int(v) for v in np.frombuffer(_read_exact(fh, 8, "dims"), dtype=_U32))
+    if (dir_path / "features.f32").exists():
+        with _tagged(dir_path / "features.f32", FEATURES_MAGIC) as take:
+            rows, cols = take(_U32, (2,), "dims").tolist()
             if rows != n:
                 raise DimensionMismatch(f"feature rows ({rows}) != point count ({n})")
-            features = np.frombuffer(
-                _read_exact(fh, rows * cols * 4, "features"), dtype=_F32
-            ).reshape(rows, cols)
-            if fh.read(1):
-                raise CorruptHeader(f"trailing bytes in {features_path.name}")
+            features = take(_F32, (rows, cols), "features")
 
-    return SceneCloud(positions=positions, colors=colors, normals=normals,
-                      semantic_features=features)
+    with _named(dir_path):
+        return SceneCloud(positions=positions, colors=colors, normals=normals,
+                          semantic_features=features)
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +416,40 @@ def load_json(path, error=FormatError):
             raise error(f"{path}: {exc}") from exc
 
 
+# The JSON each checked field type takes; values of other types pass as decoded.
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", tuple: "array of 3 numbers", type(None): "null"}
+
+
+def _fits(value, kind):
+    if kind is tuple:
+        return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
+    # A JSON boolean fits only a bool field, though bool is an int in Python.
+    return kind not in _JSON_KINDS or (isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind))
+
+
 def check_fields(data, kinds, where, what, error=FormatError):
     """The JSON object data, each value checked against kinds (key -> type).
 
-    A bool field takes only a JSON boolean, an int field only an integer and
-    a float field any number, returned as a float; other values pass as
-    decoded. A non-object, an unknown key or a wrongly typed value raises
-    `error` naming `where` (the file) and `what` or the key.
+    A bool field takes only a JSON boolean, an int field only an integer, a
+    float field any number (returned as a float), a str, list or tuple field
+    a string, an array or an array of 3 numbers, and `X | None` also null. A
+    non-object, an unknown key or a wrongly typed value raises `error`
+    naming `where` (the file) and `what` or the key.
     """
     if not isinstance(data, dict):
         raise error(f"{where}: {what} must be a JSON object")
     unknown = set(data) - set(kinds)
     if unknown:
         raise error(f"{where}: unknown {what} keys {sorted(unknown)}")
-    out = dict(data)
+    out = {}
     for key, value in data.items():
-        kind = kinds[key]
-        if kind not in (bool, int, float):
-            continue
-        # A JSON boolean fits only a bool field, though bool is an int in Python.
-        if isinstance(value, bool) != (kind is bool) or not isinstance(
-                value, (int, float) if kind is float else kind):
-            raise error(f"{where}: {key}={value!r} is not a JSON {kind.__name__}")
-        out[key] = kind(value)
+        options = get_args(kinds[key]) or (kinds[key],)
+        if not any(_fits(value, kind) for kind in options):
+            raise error(f"{where}: {key}={value!r} is not a JSON "
+                        + " or ".join(_JSON_KINDS[kind] for kind in options))
+        out[key] = float(value) if kinds[key] is float else value
     return out
 
 
@@ -469,16 +479,13 @@ def write_frames(dir_path, frames):
         with open(dir_path / f"{stem}.cam", "w") as fh:
             json.dump(cam, fh, indent=2)
             fh.write("\n")
-        with open(dir_path / f"{stem}.depth", "wb") as fh:
-            fh.write(frame.depth.astype(_F32).tobytes())
+        (dir_path / f"{stem}.depth").write_bytes(frame.depth.astype(_F32).tobytes())
         feat_dim = frame.masks[0].feature.size if frame.masks else 0
         with open(dir_path / f"{stem}.masks", "wb") as fh:
-            fh.write(MASKS_MAGIC)
-            fh.write(np.asarray([len(frame.masks), feat_dim], dtype=_U32).tobytes())
+            fh.write(MASKS_MAGIC + np.asarray([len(frame.masks), feat_dim], dtype=_U32).tobytes())
             for mask in frame.masks:
                 runs = rle_encode(mask.bitmap)
-                fh.write(np.uint32(runs.size).astype(_U32).tobytes())
-                fh.write(runs.tobytes())
+                fh.write(np.asarray([runs.size], dtype=_U32).tobytes() + runs.tobytes())
                 fh.write(mask.feature.astype(_F32).tobytes())
 
 
@@ -493,41 +500,25 @@ def _load_one_frame(dir_path, frame_id):
             [[cam["fx"], 0.0, cam["cx"]], [0.0, cam["fy"], cam["cy"]], [0.0, 0.0, 1.0]]
         )
         extrinsics = np.asarray(cam["extrinsics"], dtype=np.float64).reshape(4, 4)
+        if width < 1 or height < 1:
+            raise ValueError(f"width and height must be >= 1, got {width}x{height}")
     except (KeyError, ValueError) as exc:
-        raise CorruptHeader(f"{cam_path.name}: missing or malformed field ({exc})") from exc
+        raise CorruptHeader(f"{cam_path}: missing or malformed field ({exc})") from exc
 
-    depth_path = dir_path / f"{stem}.depth"
-    if not depth_path.exists():
-        raise FileNotFoundError(str(depth_path))
-    raw = depth_path.read_bytes()
-    if len(raw) != height * width * 4:
-        raise DimensionMismatch(
-            f"{depth_path.name}: {len(raw)} bytes, expected {height * width * 4}"
-        )
-    depth = np.frombuffer(raw, dtype=_F32).reshape(height, width)
-
-    masks_path = dir_path / f"{stem}.masks"
-    if not masks_path.exists():
-        raise FileNotFoundError(str(masks_path))
+    with _tagged(dir_path / f"{stem}.depth", b"") as take:
+        depth = take(_F32, (height, width), f"{height}x{width} depth")
     masks = []
-    with open(masks_path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MASKS_MAGIC:
-            raise CorruptHeader(f"bad magic {magic!r} in {masks_path.name}")
-        count, feat_dim = (int(v) for v in np.frombuffer(_read_exact(fh, 8, "dims"), dtype=_U32))
+    with _tagged(dir_path / f"{stem}.masks", MASKS_MAGIC) as take:
+        count, feat_dim = take(_U32, (2,), "dims").tolist()
         for _ in range(count):
-            rle_len = int(np.frombuffer(_read_exact(fh, 4, "rle length"), dtype=_U32)[0])
-            runs = np.frombuffer(_read_exact(fh, rle_len * 4, "rle runs"), dtype=_U32)
-            bitmap = rle_decode(runs, (height, width))
-            feature = np.frombuffer(_read_exact(fh, feat_dim * 4, "mask feature"), dtype=_F32)
+            (rle_len,) = take(_U32, (1,), "rle length").tolist()
+            bitmap = rle_decode(take(_U32, (rle_len,), "rle runs"), (height, width))
+            feature = take(_F32, (feat_dim,), "mask feature")
             masks.append(MaskEntry(bitmap=bitmap, feature=feature))
-        if fh.read(1):
-            raise CorruptHeader(f"trailing bytes in {masks_path.name}")
 
-    return FrameObservation(
-        frame_id=frame_id, intrinsics=intrinsics, extrinsics=extrinsics,
-        depth=depth, masks=masks,
-    )
+    with _named(dir_path / stem):
+        return FrameObservation(frame_id=frame_id, intrinsics=intrinsics,
+                                extrinsics=extrinsics, depth=depth, masks=masks)
 
 
 def frame_ids(dir_path):
@@ -545,17 +536,13 @@ def frame_ids(dir_path):
 
 def load_frames(dir_path):
     """Load all frame_<id>.* triplets, sorted ascending by frame id."""
-    frames = [_load_one_frame(Path(dir_path), fid) for fid in frame_ids(dir_path)]
-
-    feat_dim = None
-    for frame in frames:
-        for mask in frame.masks:
-            if feat_dim is None:
-                feat_dim = mask.feature.size
-            elif mask.feature.size != feat_dim:
-                raise InconsistentMaskFeatureDim(
-                    f"frame {frame.frame_id}: mask feature dim {mask.feature.size} != {feat_dim}"
-                )
+    dir_path = Path(dir_path)
+    frames = [_load_one_frame(dir_path, fid) for fid in frame_ids(dir_path)]
+    dims = [(frame.frame_id, m.feature.size) for frame in frames for m in frame.masks]
+    for frame_id, dim in dims:
+        if dim != dims[0][1]:
+            raise InconsistentMaskFeatureDim(f"{dir_path / f'frame_{frame_id}.masks'}: "
+                                             f"mask feature dim {dim} != {dims[0][1]}")
     return frames
 
 
@@ -620,37 +607,34 @@ def _ids_from_text(text):
 
 
 def load_instances(path, n_points=None):
-    """Load an instance manifest written by write_instances."""
+    """Load an instance manifest written by write_instances; every FormatError
+    names the manifest and the line (``<path>:<line>: ...``)."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     instances = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path.name}:{lineno}: expected 3 fields, got {len(parts)}")
-            rel, kind, conf_text = parts
-            try:
-                confidence = float(conf_text)
-            except ValueError as exc:
-                raise FormatError(f"{path.name}:{lineno}: bad confidence {conf_text!r}") from exc
-            if not math.isfinite(confidence):
-                raise FormatError(f"{path.name}:{lineno}: non-finite confidence")
-            mask_path = path.parent / rel
-            if not mask_path.exists():
-                raise FileNotFoundError(str(mask_path))
-            try:
-                ids = _read_ids(mask_path)
-            except ValueError as exc:
-                raise FormatError(f"{rel}: non-integer point index") from exc
-            except OverflowError as exc:
-                raise IndexOutOfRange(f"{rel}: point index out of range") from exc
-            instances.append(Instance(point_ids=ids, confidence=confidence, kind=kind))
-    result = InstanceSet(instances=instances)
-    if n_points is not None:
-        result.validate_against(n_points)
-    return result
+            if not parts:
+                continue
+            with _named(f"{path}:{lineno}"):
+                if len(parts) != 3:
+                    raise FormatError(f"expected 3 fields, got {len(parts)}")
+                rel, kind, conf_text = parts
+                try:
+                    confidence = float(conf_text)
+                except ValueError as exc:
+                    raise FormatError(f"bad confidence {conf_text!r}") from exc
+                if not math.isfinite(confidence):
+                    raise FormatError("non-finite confidence")
+                try:
+                    ids = _read_ids(path.parent / rel)
+                except ValueError as exc:
+                    raise FormatError(f"{rel}: non-integer point index") from exc
+                except OverflowError as exc:
+                    raise IndexOutOfRange(f"{rel}: point index out of range") from exc
+                inst = Instance(point_ids=ids, confidence=confidence, kind=kind)
+                if n_points is not None and ids.size and ids[-1] >= n_points:
+                    raise IndexOutOfRange(f"{rel} references point {ids[-1]} but scene has "
+                                          f"{n_points} points")
+                instances.append(inst)
+    return InstanceSet(instances=instances)

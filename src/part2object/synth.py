@@ -34,6 +34,12 @@ class CameraModel:
     cx: float = 79.5
     cy: float = 59.5
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"width and height must be >= 1, got {self.width}x{self.height}")
+        if not all(math.isfinite(f) and f > 0 for f in (self.fx, self.fy)):
+            raise ValueError(f"fx and fy must be finite and > 0, got {self.fx}, {self.fy}")
+
     @property
     def intrinsics(self):
         return np.array(
@@ -79,8 +85,11 @@ class SynthSpec:
         """A SynthSpec from its JSON form, checked by scene_io.check_fields
         (`where` names the file); a camera is 16 floats or 4 rows of 4."""
         def build(kind, value, at, what):
-            kinds = {f.name: f.type for f in fields(kind)}
-            return kind(**check_fields(value, kinds, at, what))
+            value = check_fields(value, {f.name: f.type for f in fields(kind)}, at, what)
+            try:
+                return kind(**value)
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from exc
 
         spec = build(cls, data, where, "spec")
         spec.objects = [build(SynthObject, o, f"{where}: objects[{k}]", "object")

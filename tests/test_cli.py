@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -643,6 +644,18 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"objects": [{"colour": [1.0, 0.0, 0.0]}]}, "colour"),
     ({"camera_model": {"width": 160.5}}, "width"),
     ({"camera_model": {"fx": "140"}}, "fx"),
+    ({"objects": 5}, "objects"),
+    ({"cameras": 5}, "cameras"),
+    ({"room": 5}, "room"),
+    ({"room": [4.0, 4.0, "high"]}, "room"),
+    ({"objects": [{"size": "big"}]}, "size"),
+    ({"objects": [{"center": 5}]}, "center"),
+    ({"objects": [{"color": [1.0, 0.0]}]}, "color"),
+    ({"camera_model": {"width": 0}}, "width"),
+    ({"camera_model": {"height": 0}}, "height"),
+    ({"camera_model": {"width": -5}}, "width"),
+    ({"camera_model": {"fx": 0}}, "fx"),
+    ({"camera_model": {"fx": -140}}, "fx"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -735,6 +748,27 @@ def test_a_stage_failure_is_one_stderr_line(scene_dir, tmp_path):
     assert proc.returncode == cli.EXIT_STAGE_FAILURE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("stage=priors: no frames found"), lines
+
+
+def test_a_corrupt_scene_file_fails_the_load_stage_in_one_line(scene_dir, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    points = scene / "points.p2o"
+    points.write_bytes(points.read_bytes()[:-4])
+    proc = run_p2o("run", "--scene", str(scene), "--out", str(tmp_path / "run"))
+    assert proc.returncode == cli.EXIT_STAGE_FAILURE
+    assert proc.stderr.splitlines() == [
+        f"stage=load: {points}: truncated file while reading normals"]
+
+
+def test_a_corrupt_frame_file_is_one_line_of_bad_input(scene_dir, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    masks = scene / "frame_0.masks"
+    masks.write_bytes(masks.read_bytes() + b"\0")
+    proc = run_p2o("priors", "--scene", str(scene), "--out", str(tmp_path / "priors.json"))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert proc.stderr.splitlines() == [f"error: {masks}: 1 trailing byte(s)"]
 
 
 def test_ground_truth_outside_the_scene_fails_the_eval_stage(scene_dir, scene_points, tmp_path):

@@ -14,6 +14,7 @@ from part2object.errors import (
     FormatError,
     InconsistentMaskFeatureDim,
     IndexOutOfRange,
+    NonFinite,
     NonOrthonormalPose,
 )
 from part2object.scene_io import (
@@ -116,32 +117,63 @@ def test_missing_points_file(tmp_path):
         load_scene(tmp_path)
 
 
-def test_bad_magic(tmp_path):
-    (tmp_path / "points.p2o").write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(CorruptHeader):
-        load_scene(tmp_path)
-
-
-def test_truncated_positions(tmp_path):
+def write_binary_scene(dir_path):
+    """points.p2o with colors and normals, features.f32 and one 8x10 frame."""
     rng = np.random.default_rng(3)
-    write_scene(tmp_path, make_cloud(rng, with_features=False))
-    raw = (tmp_path / "points.p2o").read_bytes()
-    (tmp_path / "points.p2o").write_bytes(raw[:-8])
-    with pytest.raises(CorruptHeader):
-        load_scene(tmp_path)
+    cloud = make_cloud(rng, n=20)
+    cloud.normals = estimate_normals(cloud, k=8)
+    write_scene(dir_path, cloud)
+    bitmap = np.zeros((8, 10), dtype=bool)
+    bitmap[2, 3] = True
+    write_frames(dir_path, [identity_frame(masks=[MaskEntry(bitmap, np.ones(4, np.float32))])])
 
 
-def test_feature_row_mismatch(tmp_path):
-    rng = np.random.default_rng(4)
-    write_scene(tmp_path, make_cloud(rng, n=100, with_features=True))
-    # Rewrite the feature file claiming (and holding) 99 rows.
-    feats = rng.standard_normal((99, 8)).astype("<f4")
-    with open(tmp_path / "features.f32", "wb") as fh:
-        fh.write(b"P2OF")
-        fh.write(np.asarray([99, 8], dtype="<u4").tobytes())
-        fh.write(feats.tobytes())
-    with pytest.raises(DimensionMismatch):
-        load_scene(tmp_path)
+def u32(*values):
+    return np.asarray(values, dtype="<u4").tobytes()
+
+
+# fault -> (file, edit of its bytes, error raised)
+BINARY_FAULTS = {
+    "points-bad-tag": ("points.p2o", lambda b: b"P2OF" + b[4:], CorruptHeader),
+    "points-truncated-header": ("points.p2o", lambda b: b[:6], CorruptHeader),
+    "points-truncated-payload": ("points.p2o", lambda b: b[:-1], CorruptHeader),
+    "points-trailing-byte": ("points.p2o", lambda b: b + b"\0", CorruptHeader),
+    "points-unknown-flag-bits": ("points.p2o", lambda b: b[:8] + b"\x07" + b[9:], CorruptHeader),
+    "points-zero-count": ("points.p2o", lambda b: b[:4] + u32(0) + b[8:], CorruptHeader),
+    "features-bad-tag": ("features.f32", lambda b: b"P2O1" + b[4:], CorruptHeader),
+    "features-truncated-header": ("features.f32", lambda b: b[:10], CorruptHeader),
+    "features-truncated-payload": ("features.f32", lambda b: b[:-1], CorruptHeader),
+    "features-trailing-byte": ("features.f32", lambda b: b + b"\0", CorruptHeader),
+    "features-rows-not-n": ("features.f32", lambda b: b[:4] + u32(19) + b[8:], DimensionMismatch),
+    "masks-bad-tag": ("frame_0.masks", lambda b: b"NOPE" + b[4:], CorruptHeader),
+    "masks-truncated-header": ("frame_0.masks", lambda b: b[:8], CorruptHeader),
+    "masks-truncated-payload": ("frame_0.masks", lambda b: b[:-1], CorruptHeader),
+    "masks-trailing-byte": ("frame_0.masks", lambda b: b + b"\0", CorruptHeader),
+    "depth-truncated-payload": ("frame_0.depth", lambda b: b[:-1], CorruptHeader),
+    "depth-trailing-byte": ("frame_0.depth", lambda b: b + b"\0", CorruptHeader),
+    "depth-of-another-size": ("frame_0.depth", lambda b: b[:4 * 4 * 5], CorruptHeader),
+}
+
+
+@pytest.mark.parametrize("fault", list(BINARY_FAULTS))
+def test_a_rejected_binary_file_is_named_by_its_full_path(fault, tmp_path):
+    name, edit, error = BINARY_FAULTS[fault]
+    write_binary_scene(tmp_path)
+    load_frames(tmp_path)
+    load_scene(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+        load_frames(tmp_path) if name.startswith("frame_") else load_scene(tmp_path)
+
+
+def test_missing_frame_files_are_named(tmp_path):
+    write_binary_scene(tmp_path)
+    for suffix in ("masks", "depth"):
+        path = tmp_path / f"frame_0.{suffix}"
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            load_frames(tmp_path)
 
 
 def test_non_finite_positions_rejected():
@@ -385,7 +417,7 @@ def test_corrupt_rle_in_mask_file(tmp_path):
     # First run count lives right after magic, mask_count, C2 and rle_len.
     raw[16:20] = np.uint32(999).tobytes()
     (tmp_path / "frame_0.masks").write_bytes(bytes(raw))
-    with pytest.raises(CorruptRLE):
+    with pytest.raises(CorruptRLE, match=f"^{re.escape(str(tmp_path / 'frame_0.masks'))}: "):
         load_frames(tmp_path)
 
 
@@ -421,6 +453,42 @@ def test_non_orthonormal_pose_rejected():
         )
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 0, 0.0), (1, 1, -5.0), (0, 2, np.nan),
+                                            (1, 2, np.inf)])
+def test_intrinsics_must_be_finite_with_positive_focal_lengths(row, col, value):
+    k = np.array([[5.0, 0, 4.5], [0, 5.0, 3.5], [0, 0, 1]])
+    k[row, col] = value
+    with pytest.raises(FormatError, match="intrinsics"):
+        FrameObservation(frame_id=0, intrinsics=k, extrinsics=np.eye(4),
+                         depth=np.ones((4, 4), dtype=np.float32))
+
+
+@pytest.mark.parametrize("key, value, error, named", [
+    ("fx", 0.0, FormatError, "frame_0"), ("fy", -140.0, FormatError, "frame_0"),
+    ("width", 0, CorruptHeader, "frame_0.cam"), ("height", -5, CorruptHeader, "frame_0.cam"),
+])
+def test_a_camera_out_of_range_is_rejected(key, value, error, named, tmp_path):
+    write_frames(tmp_path, [identity_frame()])
+    cam_path = tmp_path / "frame_0.cam"
+    cam = json.loads(cam_path.read_text())
+    cam[key] = value
+    cam_path.write_text(json.dumps(cam))
+    with pytest.raises(error, match=f"^{re.escape(str(tmp_path / named))}: "):
+        load_frames(tmp_path)
+
+
+def test_value_errors_name_the_frame_or_the_scene(tmp_path):
+    write_binary_scene(tmp_path)
+    (tmp_path / "frame_0.depth").write_bytes(np.full((8, 10), np.nan, "<f4").tobytes())
+    with pytest.raises(NonFinite, match=f"^{re.escape(str(tmp_path / 'frame_0'))}: depth"):
+        load_frames(tmp_path)
+    raw = bytearray((tmp_path / "points.p2o").read_bytes())
+    raw[9:13] = np.float32(np.nan).tobytes()  # the first position's x
+    (tmp_path / "points.p2o").write_bytes(bytes(raw))
+    with pytest.raises(NonFinite, match=f"^{re.escape(str(tmp_path))}: positions"):
+        load_scene(tmp_path)
+
+
 def test_inconsistent_mask_feature_dims(tmp_path):
     bitmap = np.zeros((8, 10), dtype=bool)
     bitmap[0, 0] = True
@@ -428,7 +496,8 @@ def test_inconsistent_mask_feature_dims(tmp_path):
     f1 = identity_frame(masks=[MaskEntry(bitmap, np.ones(5, dtype=np.float32))])
     f1.frame_id = 1
     write_frames(tmp_path, [f0, f1])
-    with pytest.raises(InconsistentMaskFeatureDim):
+    with pytest.raises(InconsistentMaskFeatureDim,
+                       match=f"^{re.escape(str(tmp_path / 'frame_1.masks'))}: "):
         load_frames(tmp_path)
 
 
@@ -472,6 +541,27 @@ def test_manifest_index_out_of_range(tmp_path):
     path = tmp_path / "preds.txt"
     write_instances(path, InstanceSet([Instance(np.array([5, 900]))]))
     with pytest.raises(IndexOutOfRange):
+        load_instances(path, n_points=100)
+
+
+@pytest.mark.parametrize("line, mask, error", [
+    ("m.txt object", "1\n", FormatError),
+    ("m.txt object x", "1\n", FormatError),
+    ("m.txt object nan", "1\n", FormatError),
+    ("m.txt object 1.5", "1\n", FormatError),
+    ("m.txt chair 1.0", "1\n", FormatError),
+    ("m.txt object 1.0", "2\n1\n", FormatError),
+    ("m.txt object 1.0", "-1\n", IndexOutOfRange),
+    ("m.txt object 1.0", "1.5\n", FormatError),
+    ("m.txt object 1.0", "99999999999999999999\n", IndexOutOfRange),
+    ("m.txt object 1.0", "100\n", IndexOutOfRange),
+])
+def test_every_manifest_error_names_the_manifest_and_line(line, mask, error, tmp_path):
+    (tmp_path / "ok.txt").write_text("0\n")
+    (tmp_path / "m.txt").write_text(mask)
+    path = tmp_path / "preds.txt"
+    path.write_text(f"ok.txt object 1.0\n\n{line}\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:3: "):
         load_instances(path, n_points=100)
 
 

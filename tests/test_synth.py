@@ -250,3 +250,10 @@ def test_splat_px_must_be_a_positive_odd_integer(splat_px, tmp_path, capsys):
         == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "splat_px" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("width", 0), ("height", 0), ("width", -5),
+                                          ("fx", 0.0), ("fx", -140.0), ("fy", float("nan"))])
+def test_camera_model_ranges_are_checked(field, value):
+    with pytest.raises(ValueError, match=field):
+        synth.CameraModel(**{field: value})
