@@ -172,14 +172,6 @@ def cmd_extract(args):
     _, _, merge_params = load_config(args)
     h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.hierarchy), args.hierarchy)
     objects = hierarchy.collect_objects(h, merge_params)
-    if merge_params.drop_largest_planar > 0:
-        if not args.scene:
-            raise FormatError("--drop-largest-planar needs --scene for positions")
-        cloud = scene_io.load_scene(args.scene)
-        if cloud.n_points != h.n_points:
-            raise FormatError(f"--scene has {cloud.n_points} points, the hierarchy "
-                              f"{h.n_points}")
-        objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
     parts = hierarchy.collect_parts(h, objects)
     scene_io.write_instances(args.objects, objects)
     scene_io.write_instances(args.parts, parts)
@@ -251,7 +243,6 @@ def _run_one_scene(scene_dir, out_dir, params, args):
 
     def extract():
         objects = hierarchy.collect_objects(h, merge_params)
-        objects = hierarchy.drop_most_planar(objects, cloud, merge_params.drop_largest_planar)
         return objects, hierarchy.collect_parts(h, objects)
 
     objects, parts = stage("extract", extract)
@@ -372,10 +363,9 @@ def build_parser():
 
     p = command("extract", help="collect objects and parts from a hierarchy")
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--scene", default=None, help="needed for --drop-largest-planar")
     p.add_argument("--objects", required=True, help="output objects manifest")
     p.add_argument("--parts", required=True, help="output parts manifest")
-    _add_config_flags(p, ["min_object_points", "include_stalled", "drop_largest_planar"])
+    _add_config_flags(p, ["min_object_points"])
     p.set_defaults(fn=cmd_extract)
 
     p = command("eval", help="score predictions against ground truth")

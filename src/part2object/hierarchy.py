@@ -21,10 +21,8 @@ it; Hierarchy.clusters(t) derives the point sets of higher layers.
 
 MergeParams is the one definition of this stage's tunables: the merge
 rounds' K, T, max_layers and veto fractions, which run_hierarchy reads, and
-the extraction's min_object_points, include_stalled and drop_largest_planar
-(the number of most planar large objects `p2o` drops, see
-drop_most_planar), which collect_objects and the CLI's extract stage read.
-Neither stage reads normals.
+the extraction's min_object_points, which collect_objects reads. Extraction
+reads nothing but the hierarchy, and neither stage reads normals.
 """
 
 import math
@@ -50,8 +48,6 @@ class MergeParams:
     inside_frac: float = 0.9
     outside_frac: float = 0.1
     min_object_points: int = 50
-    include_stalled: bool = False
-    drop_largest_planar: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.K <= 1.0):
@@ -68,8 +64,6 @@ class MergeParams:
             raise ValueError("outside_frac must be < inside_frac")
         if self.min_object_points < 1:
             raise ValueError("min_object_points must be >= 1")
-        if self.drop_largest_planar < 0:
-            raise ValueError(f"drop_largest_planar must be >= 0, got {self.drop_largest_planar}")
 
 
 @dataclass
@@ -305,74 +299,44 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
 
 
 def collect_objects(h, params=None):
-    """Terminal clusters (those that never merge again) as object instances.
-
-    Every terminal-layer cluster whose size clears min_object_points becomes
-    one object with confidence 1.0. With params.include_stalled, clusters that
-    sat out at least one full round before being absorbed later are emitted
-    too (an experimental, non-default reading of "stopped merging").
-    """
+    """Terminal clusters (those that never merge again) of at least
+    params.min_object_points points, as object instances of confidence 1.0."""
     params = params or MergeParams()
-    labels = h._point_labels()
-    objects = list(_groups(labels[-1], len(h.layers[-1])))
-    if params.include_stalled:
-        for t in range(1, len(h.layers) - 1):
-            sets = _groups(labels[t], len(h.layers[t]))
-            # Absorbed at t + 1 after surviving >= 1 round untouched.
-            objects += [sets[c] for parent in h.layers[t + 1] if len(parent) > 1
-                        for c in parent if len(h.layers[t][c]) == 1]
     return InstanceSet(instances=[
         Instance(point_ids=ids, confidence=1.0, kind="object")
-        for ids in objects if ids.size >= params.min_object_points
+        for ids in h.clusters(-1) if ids.size >= params.min_object_points
     ])
 
 
 def collect_parts(h, objects):
-    """Children of the cluster each object was assembled as.
+    """The children each object formed from, as part instances.
 
-    An object is located at the lowest layer where the cluster holding its
-    first point equals it, and its parts are that cluster's children. An
-    object found at layer 0 (a super-point) is its own sole part. Parts of
-    one object exactly partition it.
+    Every object must be a terminal cluster (ValueError otherwise). The walk
+    starts at that cluster and descends while the cluster has exactly one
+    child, which holds the same points; where it stops, the object's parts
+    are the cluster's children. An object that reaches layer 0 (a
+    super-point) is its own sole part. Parts of one object exactly partition
+    it.
     """
     labels = h._point_labels()
-    sets = [_groups(lab, len(layer)) for lab, layer in zip(labels, h.layers)]
+    terminal = _groups(labels[-1], len(h.layers[-1]))
     parts = []
     for inst in objects.instances:
         ids = inst.point_ids
-        t = next((t for t, lab in enumerate(labels)
-                  if ids.size and np.array_equal(sets[t][lab[ids[0]]], ids)), None)
-        if t is None:
-            raise ValueError("object does not correspond to any cluster in the hierarchy")
-        pieces = [ids] if t == 0 else [sets[t - 1][c] for c in h.layers[t][labels[t][ids[0]]]]
+        c = labels[-1][ids[0]] if ids.size and 0 <= ids[0] < labels[-1].size else None
+        if c is None or not np.array_equal(terminal[c], ids):
+            raise ValueError("object is not a terminal cluster of the hierarchy")
+        t = len(h.layers) - 1
+        while t > 0 and len(h.layers[t][c]) == 1:
+            c, t = h.layers[t][c][0], t - 1
+        if t == 0:
+            pieces = [ids]
+        else:
+            below = labels[t - 1][ids]
+            pieces = [ids[below == k] for k in h.layers[t][c]]
         parts += [Instance(point_ids=p, confidence=inst.confidence, kind="part")
                   for p in pieces]
     return InstanceSet(instances=parts)
-
-
-def drop_most_planar(objects, cloud, n_drop, min_points=500):
-    """Remove the n most planar large instances (walls, floors).
-
-    Planarity is the ratio of the two smallest PCA eigenvalues of the
-    instance's positions; only instances with at least min_points points are
-    candidates. Used by the extraction stage's --drop-largest-planar flag.
-    """
-    if n_drop <= 0:
-        return objects
-    pos = cloud.positions.astype(np.float64)
-    scores = []
-    for k, inst in enumerate(objects.instances):
-        if inst.point_ids.size < min_points:
-            continue
-        pts = pos[inst.point_ids]
-        centered = pts - pts.mean(axis=0)
-        vals = np.linalg.eigvalsh(centered.T @ centered / pts.shape[0])
-        flatness = vals[0] / vals[1] if vals[1] > 0 else 0.0
-        scores.append((flatness, k))
-    scores.sort()
-    dropped = {k for _, k in scores[:n_drop]}
-    kept = [inst for k, inst in enumerate(objects.instances) if k not in dropped]
-    return InstanceSet(instances=kept)
 
 
 # ---------------------------------------------------------------------------

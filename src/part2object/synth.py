@@ -59,6 +59,14 @@ class SynthObject:
     def __post_init__(self):
         if self.shape not in ("cuboid", "cylinder"):
             raise ValueError(f"unknown shape {self.shape!r}")
+        if not all(math.isfinite(v) and v > 0 for v in self.size):
+            raise ValueError(f"size must be finite and > 0, got {list(self.size)}")
+        if self.feature is not None:
+            try:
+                self.feature = np.asarray(self.feature, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"feature must be an array of numbers, got "
+                                 f"{self.feature!r}") from None
 
 
 @dataclass
@@ -79,11 +87,14 @@ class SynthSpec:
         px = self.splat_px
         if isinstance(px, bool) or not isinstance(px, int) or px < 1 or px % 2 == 0:
             raise ValueError(f"splat_px must be a positive odd integer, got {px!r}")
+        if not (math.isfinite(self.points_per_m2) and self.points_per_m2 > 0):
+            raise ValueError(f"points_per_m2 must be finite and > 0, got {self.points_per_m2}")
 
     @classmethod
     def from_dict(cls, data, where="spec"):
         """A SynthSpec from its JSON form, checked by scene_io.check_fields
-        (`where` names the file); a camera is 16 floats or 4 rows of 4."""
+        (`where` names the file); it needs an object or a room, and a camera
+        is 16 floats or 4 rows of 4."""
         def build(kind, value, at, what):
             value = check_fields(value, {f.name: f.type for f in fields(kind)}, at, what)
             try:
@@ -97,6 +108,8 @@ class SynthSpec:
         if "camera_model" in data:
             spec.camera_model = build(CameraModel, data["camera_model"], where, "camera_model")
         spec.cameras = [np.asarray(c, dtype=np.float64).reshape(4, 4) for c in spec.cameras]
+        if not spec.objects and spec.room is None:
+            raise ValueError(f"{where}: a spec needs at least one object or a room")
         return spec
 
 

@@ -1,5 +1,8 @@
+import argparse
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from part2object import cli, hierarchy, objectness, parallel, scene_io, spatial, superpoints, synth
+from part2object import cli, objectness, parallel, scene_io, spatial, superpoints, synth
 from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
@@ -129,8 +132,7 @@ def test_only_the_superpoints_stage_estimates_normals(raw_scene_dir, tmp_path, m
     assert cli.main(["priors", "--scene", scene, "--out", priors]) == 0
     assert cli.main(["cluster", "--scene", scene, "--superpoints", sp,
                      "--priors", priors, "--out", h]) == 0
-    assert cli.main(["extract", "--hierarchy", h, "--drop-largest-planar", "1",
-                     "--scene", scene, "--objects", str(tmp_path / "o.txt"),
+    assert cli.main(["extract", "--hierarchy", h, "--objects", str(tmp_path / "o.txt"),
                      "--parts", str(tmp_path / "p.txt")]) == 0
     assert len(calls) == superpoint_calls
 
@@ -361,7 +363,7 @@ def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag", [
     ("--voxel-size", "0"), ("--tau", "2"), ("--K", "0"), ("--T", "-1"),
     ("--max-layers", "0"), ("--min-object-points", "0"), ("--normals-k", "2"),
-    ("--drop-largest-planar", "-1"), ("--min-track-frames", "0"), ("--min-track-points", "0"),
+    ("--min-track-frames", "0"), ("--min-track-points", "0"),
     ("--w-color", "-1"),
 ])
 def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
@@ -450,34 +452,48 @@ def test_pipeline_defaults_match_documented_values():
     assert merge.max_layers == 10 and merge.min_object_points == 50
 
 
-def test_extract_planar_drop_requires_scene(scene_dir, tmp_path):
-    stage = tmp_path / "s"
-    stage.mkdir()
-    assert cli.main(["superpoints", "--scene", str(scene_dir),
-                     "--out", str(stage / "sp.json")]) == 0
-    assert cli.main(["cluster", "--scene", str(scene_dir),
-                     "--superpoints", str(stage / "sp.json"),
-                     "--out", str(stage / "h.json")]) == 0
-    rc = cli.main(["extract", "--hierarchy", str(stage / "h.json"),
-                   "--drop-largest-planar", "1",
-                   "--objects", str(stage / "o.txt"),
-                   "--parts", str(stage / "p.txt")])
-    assert rc == cli.EXIT_BAD_INPUT
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("extra", [-1, 1000])
-def test_extract_planar_drop_rejects_a_scene_of_another_size(
-        extra, scene_dir, scene_points, tmp_path, capsys):
-    n = scene_points + extra
-    h = tmp_path / "h.json"
-    h.write_text(json.dumps({"schema": hierarchy.HIERARCHY_SCHEMA, "n_points": n,
-                             "layers": [{"clusters": [{"points": list(range(n))}]}],
-                             "merge_log": []}))
-    err = assert_bad_input(["extract", "--hierarchy", str(h), "--drop-largest-planar", "1",
-                            "--scene", str(scene_dir), "--objects", str(tmp_path / "o.txt"),
-                            "--parts", str(tmp_path / "p.txt")], capsys)
-    assert f"{scene_points} points" in err and err.count("\n") == 1
-    assert not (tmp_path / "o.txt").exists()
+def readme_table(header):
+    """The body rows of the README table whose header row starts with `header`."""
+    lines = README.read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_tables_name_every_tunable_and_stage_flag():
+    # Adding or deleting a tunable must update both README tables.
+    fields = {cls.__name__: sorted(f.name for f in dataclasses.fields(cls))
+              for cls in cli._PARAM_CLASSES}
+    total = sum(map(len, fields.values()))
+    documented = {}
+    for first, *_ in readme_table("| parameter |"):
+        names = [n.strip() for n in re.split("[,/]", first.replace("`", "").strip("*"))]
+        if first.startswith("**"):
+            documented[names[0]] = group = []
+        else:
+            group += names
+    assert {cls: sorted(names) for cls, names in documented.items()} == fields
+    assert f"There are {total}, and no others." in README.read_text()
+
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    tunable_flags = {name: [a.option_strings[0] for a in sub._actions
+                            if a.dest in cli._CONFIG_FIELDS]
+                     for name, sub in commands.items()}
+    table = {command.strip("`"): flags for command, flags in readme_table("| command |")}
+    assert set(table) == {name for name, flags in tunable_flags.items() if flags}
+    for command, flags in table.items():
+        if command == "run":
+            assert flags == f"all {total}" and len(tunable_flags["run"]) == total
+        else:
+            assert flags.strip("`").split() == tunable_flags[command], command
 
 
 def test_console_entry_point_runs():
@@ -656,6 +672,12 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"camera_model": {"width": -5}}, "width"),
     ({"camera_model": {"fx": 0}}, "fx"),
     ({"camera_model": {"fx": -140}}, "fx"),
+    ({"objects": [{}], "points_per_m2": -5}, "points_per_m2"),
+    ({"room": [4.0, 4.0, 1.0], "points_per_m2": 0}, "points_per_m2"),
+    ({"objects": [{"size": [-1.0, 0.5, 0.5]}]}, "size"),
+    ({"objects": [{"size": [0.5, 0.0, 0.5]}]}, "size"),
+    ({}, "a spec needs at least one object or a room"),
+    ({"objects": [{"feature": "x"}]}, "objects[0]: feature"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -714,9 +736,7 @@ DEFAULT_EFFECTIVE_CONFIG = """{
   "max_layers": 10,
   "inside_frac": 0.9,
   "outside_frac": 0.1,
-  "min_object_points": 50,
-  "include_stalled": false,
-  "drop_largest_planar": 0
+  "min_object_points": 50
 }
 """
 
@@ -797,7 +817,8 @@ COMMAND_ARGV = {
 
 
 # Flags no command takes, then flags a stage does not take because it never
-# reads the tunable (or, for --l2-normalize-features, because it is gone).
+# reads the tunable (or, for --l2-normalize-features, --include-stalled,
+# --drop-largest-planar and extract --scene, because they are gone).
 UNKNOWN_FLAGS = [
     pytest.param(command, flag, id=f"flag{k}-{command}")
     for k, flag in enumerate([["--K-fraction", "0.5"], ["--bogus"]])
@@ -808,6 +829,9 @@ UNKNOWN_FLAGS = [
         ("priors", ["--normals-k", "8"]), ("cluster", ["--normals-k", "8"]),
         ("cluster", ["--min-object-points", "30"]), ("extract", ["--normals-k", "8"]),
         ("cluster", ["--l2-normalize-features"]), ("run", ["--l2-normalize-features"]),
+        ("extract", ["--include-stalled"]), ("run", ["--include-stalled"]),
+        ("extract", ["--drop-largest-planar", "1"]), ("run", ["--drop-largest-planar", "1"]),
+        ("extract", ["--scene", "s"]),
     ]
 ]
 
@@ -830,7 +854,8 @@ def test_run_takes_no_seed_and_no_flag_prefix(capsys):
 
 
 @pytest.mark.parametrize("command", ["superpoints", "priors", "cluster", "extract", "run"])
-@pytest.mark.parametrize("key", ["K_fraction", "seed", "voxel-size"])
+@pytest.mark.parametrize("key", ["K_fraction", "seed", "voxel-size", "include_stalled",
+                                 "drop_largest_planar"])
 def test_unknown_config_key_exits_2(command, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 1}))

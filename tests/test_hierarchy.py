@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -797,42 +796,24 @@ def test_two_part_object_traces_back_through_carry_forward():
     assert got == want
 
 
-def test_include_stalled_emits_absorbed_plateau_clusters():
-    ranges = [(0.0, 0.1), (0.11, 0.2), (1.0, 1.1), (1.11, 1.2), (1.21, 1.3)]
-    angles = [0, 3, 45, 57, 77]
-    pos, feats, sets = row_scene(ranges, angles)
-    cloud = make_cloud(pos, feats)
-    params = hi.MergeParams(K=0.6, min_object_points=1)
-    h = hi.run_hierarchy(sets, cloud, [], params)
-    base = hi.collect_objects(h, params)
-    extended = hi.collect_objects(h, replace(params, include_stalled=True))
-    assert len(extended) >= len(base)
-
-
-def reference_objects_and_parts(data, min_points, include_stalled):
-    """Objects and parts read literally off hierarchy.json (points and children)."""
+def reference_objects_and_parts(data, min_points):
+    """Objects, parts and the layer each object formed at, read literally off
+    hierarchy.json (points and children)."""
     layers = [layer["clusters"] for layer in data["layers"]]
     sets = [[sorted(c["points"]) for c in layers[0]]]
     for layer in layers[1:]:
         sets.append([sorted(p for c in cl["children"] for p in sets[-1][c]) for cl in layer])
     objects = [ids for ids in sets[-1] if len(ids) >= min_points]
-    if include_stalled:
-        # Carried forward into layer t (one child), then absorbed at t + 1.
-        for t in range(1, len(layers) - 1):
-            for parent in layers[t + 1]:
-                if len(parent["children"]) > 1:
-                    objects += [sets[t][c] for c in parent["children"]
-                                if len(layers[t][c]["children"]) == 1
-                                and len(sets[t][c]) >= min_points]
-    parts = []
+    parts, formed = [], []
     for ids in objects:
         t = next(t for t in range(len(sets)) if ids in sets[t])
+        formed.append(t)
         if t == 0:
             parts.append(ids)
         else:
             children = layers[t][sets[t].index(ids)]["children"]
             parts += [sets[t - 1][c] for c in children]
-    return objects, parts
+    return objects, parts, formed
 
 
 def carry_forward_row_hierarchy():
@@ -845,24 +826,33 @@ def carry_forward_row_hierarchy():
 def test_objects_and_parts_equal_literal_reference(synth_hierarchies):
     cases = [(h, params) for _c, _l, _b, params, h in synth_hierarchies]
     cases.append(carry_forward_row_hierarchy())
-    stalled_seen = 0
+    descended = at_layer0 = 0
     for h, params in cases:
         data = hi.hierarchy_to_dict(h)
         for min_points in (1, params.min_object_points):
-            for include_stalled in (False, True):
-                p = hi.MergeParams(min_object_points=min_points)
-                objs = hi.collect_objects(h, replace(p, include_stalled=include_stalled))
-                parts = hi.collect_parts(h, objs)
-                want_objs, want_parts = reference_objects_and_parts(
-                    data, min_points, include_stalled)
-                assert [o.point_ids.tolist() for o in objs.instances] == want_objs
-                assert [q.point_ids.tolist() for q in parts.instances] == want_parts
-                assert all(o.kind == "object" for o in objs.instances)
-                assert all(q.kind == "part" for q in parts.instances)
-                if include_stalled:
-                    stalled_seen += len(objs) - len(hi.collect_objects(h, p))
-    # include_stalled adds objects on these scenes, so the comparison covers them.
-    assert stalled_seen > 0
+            objs = hi.collect_objects(h, hi.MergeParams(min_object_points=min_points))
+            parts = hi.collect_parts(h, objs)
+            want_objs, want_parts, formed = reference_objects_and_parts(data, min_points)
+            assert [o.point_ids.tolist() for o in objs.instances] == want_objs
+            assert [q.point_ids.tolist() for q in parts.instances] == want_parts
+            assert all(o.kind == "object" for o in objs.instances)
+            assert all(q.kind == "part" for q in parts.instances)
+            descended += sum(0 < t < len(h.layers) - 1 for t in formed)
+            at_layer0 += formed.count(0)
+    # Some objects formed below the terminal layer and some are super-points,
+    # so the walk's descent and its layer-0 exit are both compared.
+    assert descended > 0 and at_layer0 > 0
+
+
+def test_collect_parts_rejects_an_object_that_is_not_a_terminal_cluster():
+    from part2object.scene_io import Instance, InstanceSet
+
+    h, _params = carry_forward_row_hierarchy()
+    merged = next(c for c in h.layers[1] if len(c) > 1)
+    superpoint = h.layers[0][merged[0]]
+    for ids in (superpoint, np.empty(0, dtype=np.int64)):
+        with pytest.raises(ValueError, match="not a terminal cluster"):
+            hi.collect_parts(h, InstanceSet([Instance(ids)]))
 
 
 def test_run_layer_numbers_next_clusters_by_smallest_member():
@@ -929,18 +919,3 @@ def test_hierarchy_from_dict_rejects_layers_that_do_not_partition(mutation):
             clusters.append({key: []})
         with pytest.raises(FormatError, match=f"hierarchy layer {t}"):
             hi.hierarchy_from_dict(broken)
-
-
-def test_drop_most_planar_removes_flat_sheet():
-    rng = np.random.default_rng(5)
-    sheet = np.column_stack([rng.random(600), rng.random(600), np.zeros(600)])
-    blob = rng.random((600, 3)) * 0.3 + (2.0, 0.0, 0.0)
-    cloud = SceneCloud(positions=np.vstack([sheet, blob]).astype(np.float32))
-    from part2object.scene_io import Instance, InstanceSet
-
-    objs = InstanceSet(
-        [Instance(np.arange(600)), Instance(np.arange(600, 1200))]
-    )
-    kept = hi.drop_most_planar(objs, cloud, n_drop=1, min_points=100)
-    assert len(kept) == 1
-    assert kept.instances[0].point_ids[0] == 600
