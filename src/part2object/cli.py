@@ -3,22 +3,24 @@
 Every tunable is a field of one stage parameter class (SuperpointParams,
 MatchParams, MergeParams). Flag types, config-file keys and
 effective_config.json come from those fields, and the classes' own checks
-are the only validation; a stage command takes flags only for the
-tunables its stage reads, `run` takes them all. Configuration precedence is
-defaults < JSON config file < explicit flags. Logs go to stderr (P2O_LOG
-controls verbosity); artifacts and reports go to files only. Exit codes: 0
-ok, 2 bad input (a missing scene, --frames directory or --gt file included,
-which `run` finds before it writes anything), 3 stage failure, each failure
-reported as one stderr line.
+are the only validation; a stage command takes flags only for the tunables
+its stage reads, `run` takes them all. Configuration precedence is defaults
+< JSON config file < explicit flags. Logs go to stderr (P2O_LOG controls
+verbosity); artifacts and reports go to files only. Exit codes: 0 ok, 2 bad
+input or an OS error (`run` finds a missing scene, --frames directory or
+--gt file before it writes anything), 3 stage failure (in `run`, a failed
+artifact write included), each failure reported as one stderr line.
 
-Within a scene, `run` builds the objectness priors (from the frames) beside
-the super-points (from the cloud), as two blocks of parallel.thread_map, and
-joins them before the merge rounds, the first stage that needs both; the
-stages split their own large steps over the same pool, and importing the
-package pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
-set. No option sets a thread count except --jobs, across scenes. The two
-id-array artifacts, superpoints.json and hierarchy.json, are compact JSON;
-the small ones keep an indent of 2.
+Each stage is one function that computes its result, writes its artifact and
+returns the result; its command loads the inputs from files, `run` passes
+them on through `stage`. Within a scene, `run` builds the objectness priors
+(from the frames, if any) beside the super-points (from the cloud), as two
+blocks of parallel.thread_map, and joins them before the merge rounds, the
+first stage that needs both; the stages split their own large steps over the
+same pool, and importing the package pins numpy's OpenBLAS to one thread
+unless OPENBLAS_NUM_THREADS is set. No option sets a thread count except
+--jobs, across scenes. The two id-array artifacts, superpoints.json and
+hierarchy.json, are compact JSON; the small ones keep an indent of 2.
 """
 
 import argparse
@@ -46,7 +48,6 @@ EXIT_STAGE_FAILURE = 3
 class StageFailure(RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"stage={stage}: {message}")
-        self.stage = stage
 
 
 # Every tunable is a field of one stage parameter class: name -> (class, type).
@@ -74,9 +75,8 @@ def load_config(args):
 
 def _add_config_flags(parser, names):
     for name in names:
-        kind = _CONFIG_FIELDS[name][1]
-        opts = dict(action="store_true") if kind is bool else dict(type=kind)
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **opts)
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                            type=_CONFIG_FIELDS[name][1])
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -116,15 +116,69 @@ def load_priors(path):
         raise FormatError(f"{path}: each prior needs \"min\" and \"max\" corners") from exc
 
 
+def stage(name, fn, *inputs):
+    """fn(*inputs); any failure becomes one StageFailure naming the stage."""
+    try:
+        return fn(*inputs)
+    except Exception as exc:
+        raise StageFailure(name, str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each writes its artifact, logs a count line and returns what `run` passes on
+
+
+def superpoints_stage(cloud, params, out):
+    layer0 = superpoints.build_superpoints(cloud, params)
+    write_json(out, [ids.tolist() for ids in layer0], compact=True)
+    log.info("%d super-points over %d points", len(layer0), cloud.n_points)
+    return layer0
+
+
+def priors_stage(cloud, frames_dir, params, out):
+    frames = scene_io.load_frames(frames_dir)
+    if not frames:
+        log.warning("no frames in %s; clustering without priors", frames_dir)
+    tracks = objectness.build_tracks(cloud, frames, params)
+    boxes = objectness.prior_boxes(cloud, tracks)
+    write_json(out, priors_to_json(boxes, tracks))
+    log.info("%d prior boxes from %d frames", len(boxes), len(frames))
+    return boxes
+
+
+def cluster_stage(layer0, cloud, boxes, params, out):
+    h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
+    write_json(out, hierarchy.hierarchy_to_dict(h), compact=True)
+    log.info("%d layers, terminal layer has %d clusters", len(h.layers), len(h.layers[-1]))
+    return h
+
+
+def extract_stage(h, params, objects_path, parts_path):
+    objects = hierarchy.collect_objects(h, params)
+    parts = hierarchy.collect_parts(h, objects)
+    scene_io.write_instances(objects_path, objects)
+    scene_io.write_instances(parts_path, parts)
+    log.info("%d objects, %d parts", len(objects), len(parts))
+    return objects
+
+
+def _instances(path, kind, n_points=None):
+    found = scene_io.load_instances(path, n_points)
+    return scene_io.InstanceSet([i for i in found.instances if i.kind == kind])
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each loads its inputs (config first) and calls its stage
 
 
 def cmd_synth(args):
     spec = synth.SynthSpec.from_dict(scene_io.load_json(args.spec), args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    cloud, gt, frames = synth.generate(spec)
+    try:
+        cloud, gt, frames = synth.generate(spec)
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from exc
     out = Path(args.out)
     scene_io.write_scene(out, cloud)
     scene_io.write_frames(out, frames)
@@ -136,21 +190,13 @@ def cmd_synth(args):
 
 def cmd_superpoints(args):
     sp_params, _, _ = load_config(args)
-    cloud = scene_io.load_scene(args.scene)
-    parts = superpoints.build_superpoints(cloud, sp_params)
-    write_json(args.out, [ids.tolist() for ids in parts], compact=True)
-    log.info("%d super-points over %d points", len(parts), cloud.n_points)
+    superpoints_stage(scene_io.load_scene(args.scene), sp_params, args.out)
     return EXIT_OK
 
 
 def cmd_priors(args):
     _, match_params, _ = load_config(args)
-    cloud = scene_io.load_scene(args.scene)
-    frames = scene_io.load_frames(args.frames or args.scene)
-    tracks = objectness.build_tracks(cloud, frames, match_params)
-    boxes = objectness.prior_boxes(cloud, tracks)
-    write_json(args.out, priors_to_json(boxes, tracks))
-    log.info("%d prior boxes from %d frames", len(boxes), len(frames))
+    priors_stage(scene_io.load_scene(args.scene), args.frames or args.scene, match_params, args.out)
     return EXIT_OK
 
 
@@ -161,36 +207,22 @@ def cmd_cluster(args):
     if not isinstance(layer0, list):
         raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
     boxes = load_priors(args.priors) if args.priors else []
-    h = hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params)
-    write_json(args.out, hierarchy.hierarchy_to_dict(h), compact=True)
-    log.info("%d layers, terminal layer has %d clusters",
-             len(h.layers), len(h.layers[-1]))
+    cluster_stage(layer0, cloud, boxes, merge_params, args.out)
     return EXIT_OK
 
 
 def cmd_extract(args):
     _, _, merge_params = load_config(args)
     h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.hierarchy), args.hierarchy)
-    objects = hierarchy.collect_objects(h, merge_params)
-    parts = hierarchy.collect_parts(h, objects)
-    scene_io.write_instances(args.objects, objects)
-    scene_io.write_instances(args.parts, parts)
-    log.info("%d objects, %d parts", len(objects), len(parts))
+    extract_stage(h, merge_params, args.objects, args.parts)
     return EXIT_OK
 
 
 def cmd_eval(args):
     if len(args.pred) != len(args.gt):
         raise FormatError("--pred and --gt must be given the same number of times")
-    pairs = []
-    for pred_path, gt_path in zip(args.pred, args.gt):
-        preds = scene_io.load_instances(pred_path)
-        gt = scene_io.load_instances(gt_path)
-        preds = scene_io.InstanceSet(
-            [i for i in preds.instances if i.kind == args.kind]
-        )
-        gt = scene_io.InstanceSet([i for i in gt.instances if i.kind == args.kind])
-        pairs.append((preds, gt))
+    pairs = [(_instances(pred, args.kind), _instances(gt, args.kind))
+             for pred, gt in zip(args.pred, args.gt)]
     report = evaluation.evaluate_multi(pairs)
     write_json(args.out, report.to_dict())
     log.info("ap25=%.4f ap50=%.4f mean_ap=%.4f", report.ap25, report.ap50, report.mean_ap)
@@ -198,65 +230,30 @@ def cmd_eval(args):
 
 
 def _run_one_scene(scene_dir, out_dir, params, args):
+    """Every stage on one scene: (objects, object ground truth), or None without it."""
     sp_params, match_params, merge_params = params
-    scene_dir = Path(scene_dir)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise StageFailure(name, str(exc)) from exc
-
-    cloud = stage("load", lambda: scene_io.load_scene(scene_dir))
-    frames_dir = Path(args.frames) if args.frames else scene_dir
-    has_frames = bool(scene_io.frame_ids(frames_dir))
-    # Checked before the launch, so a doomed run builds no super-points.
-    if not has_frames and args.require_priors:
-        raise StageFailure("priors", f"no frames found in {frames_dir}")
-
-    def superpoint_branch():
-        layer0 = stage("superpoints", lambda: superpoints.build_superpoints(cloud, sp_params))
-        write_json(out_dir / "superpoints.json", [ids.tolist() for ids in layer0],
-                   compact=True)
-        return layer0
-
-    def priors_branch():
-        if has_frames:
-            frames = stage("priors", lambda: scene_io.load_frames(frames_dir))
-            tracks = stage("priors", lambda: objectness.build_tracks(cloud, frames, match_params))
-            boxes = objectness.prior_boxes(cloud, tracks)
-        else:
-            log.warning("no frames in %s; clustering without priors", frames_dir)
-            tracks, boxes = [], []
-        write_json(out_dir / "priors.json", priors_to_json(boxes, tracks))
-        return boxes
-
-    # Neither branch mutates the cloud. thread_map returns in block order, so
-    # when both branches fail the super-point failure is the one raised, as
-    # in a serial run; with one CPU the blocks run serially in this order.
-    layer0, boxes = thread_map(lambda branch: branch(), [superpoint_branch, priors_branch])
-
-    h = stage("cluster", lambda: hierarchy.run_hierarchy(layer0, cloud, boxes, merge_params))
-    write_json(out_dir / "hierarchy.json", hierarchy.hierarchy_to_dict(h), compact=True)
-
-    def extract():
-        objects = hierarchy.collect_objects(h, merge_params)
-        return objects, hierarchy.collect_parts(h, objects)
-
-    objects, parts = stage("extract", extract)
-    scene_io.write_instances(out_dir / "objects.txt", objects)
-    scene_io.write_instances(out_dir / "parts.txt", parts)
+    cloud = stage("load", scene_io.load_scene, scene_dir)
+    # Neither block mutates the cloud. thread_map returns in block order, so
+    # when both blocks fail the super-point failure is the one raised, as in
+    # a serial run; with one CPU the blocks run serially in this order.
+    layer0, boxes = thread_map(lambda block: stage(*block), [
+        ("superpoints", superpoints_stage, cloud, sp_params, out_dir / "superpoints.json"),
+        ("priors", priors_stage, cloud, args.frames or scene_dir, match_params,
+         out_dir / "priors.json"),
+    ])
+    h = stage("cluster", cluster_stage, layer0, cloud, boxes, merge_params,
+              out_dir / "hierarchy.json")
+    objects = stage("extract", extract_stage, h, merge_params,
+                    out_dir / "objects.txt", out_dir / "parts.txt")
 
     gt_path = Path(args.gt) if args.gt else scene_dir / "ground_truth.txt"
-    if gt_path.exists():
-        gt = stage("eval", lambda: scene_io.load_instances(gt_path, cloud.n_points))
-        gt = scene_io.InstanceSet([i for i in gt.instances if i.kind == "object"])
-        report = stage("eval", lambda: evaluation.evaluate(objects, gt))
-        write_json(out_dir / "report.json", report.to_dict())
-        return report, (objects, gt)
-    return None, None
+    if not gt_path.exists():
+        return None
+    gt = stage("eval", _instances, gt_path, "object", cloud.n_points)
+    report = stage("eval", evaluation.evaluate, objects, gt)
+    stage("eval", write_json, out_dir / "report.json", report.to_dict())
+    log.info("ap50=%.4f", report.ap50)
+    return objects, gt
 
 
 def cmd_run(args):
@@ -267,19 +264,19 @@ def cmd_run(args):
     scenes = [Path(s) for s in args.scene]
     for scene in scenes:
         scene_io.points_file(scene)
-    if args.frames:
-        scene_io.frame_ids(args.frames)
     if args.gt and not Path(args.gt).is_file():
         raise FileNotFoundError(f"no ground truth: {args.gt} not found")
+    # frame_ids rejects a missing --frames dir; a doomed run builds no super-points.
+    for frames_dir in [Path(args.frames)] if args.frames else scenes:
+        if not scene_io.frame_ids(frames_dir) and args.require_priors:
+            raise StageFailure("priors", f"no frames found in {frames_dir}")
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_json(out_root / "effective_config.json",
                {k: v for p in params for k, v in dataclasses.asdict(p).items()})
 
     if len(scenes) == 1:
-        report, _ = _run_one_scene(scenes[0], out_root, params, args)
-        if report is not None:
-            log.info("ap50=%.4f", report.ap50)
+        _run_one_scene(scenes[0], out_root, params, args)
         return EXIT_OK
 
     # Unique output subdir per scene even when directory names collide.
@@ -298,21 +295,25 @@ def cmd_run(args):
         range(len(scenes)), workers=args.jobs,
     )
 
-    pairs = [pair for _, pair in results if pair is not None]
+    pairs = [pair for pair in results if pair is not None]
     if pairs:
-        pooled = evaluation.evaluate_multi(pairs)
-        write_json(out_root / "report.json", pooled.to_dict())
+        pooled = stage("eval", evaluation.evaluate_multi, pairs)
+        stage("eval", write_json, out_root / "report.json", pooled.to_dict())
         log.info("pooled ap50=%.4f over %d scenes", pooled.ap50, len(pairs))
     return EXIT_OK
 
 
 def cmd_info(args):
+    formats = {"points.p2o": scene_io.POINTS_MAGIC.decode(),
+               "features.f32": scene_io.FEATURES_MAGIC.decode(),
+               "frame masks": scene_io.MASKS_MAGIC.decode(),
+               "hierarchy json": hierarchy.HIERARCHY_SCHEMA,
+               "report json": evaluation.REPORT_SCHEMA}
     if args.json:
-        print(json.dumps({"formats": scene_io.FORMAT_VERSIONS}, indent=2))
+        print(json.dumps({"formats": formats}, indent=2))
     else:
-        print("on-disk format versions:")
-        for name, version in scene_io.FORMAT_VERSIONS.items():
-            print(f"  {name:<20} {version}")
+        print("on-disk format versions:", *(f"  {k:<20} {v}" for k, v in formats.items()),
+              sep="\n")
     return EXIT_OK
 
 
@@ -349,8 +350,7 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--frames", default=None, help="frames dir (default: scene dir)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, ["tau", "depth_tol", "min_track_frames", "min_track_points",
-                          "mutual"])
+    _add_config_flags(p, ["tau", "depth_tol", "min_track_frames", "min_track_points"])
     p.set_defaults(fn=cmd_priors)
 
     p = command("cluster", help="run hierarchical clustering")
@@ -409,7 +409,7 @@ def main(argv=None):
     except StageFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_STAGE_FAILURE
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -13,8 +13,8 @@ are independent blocks of ``parallel.thread_map``; their results are joined
 in frame order, so the tracks do not depend on the thread count.
 
 MatchParams is the one definition of this stage's tunables: the matching
-threshold tau and mutual best-match rule, the projection's depth_tol, and
-the min_track_frames / min_track_points floors.
+threshold tau, the projection's depth_tol, and the min_track_frames /
+min_track_points floors.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +32,6 @@ class MatchParams:
     depth_tol: float = 0.05
     min_track_frames: int = 2
     min_track_points: int = 30
-    mutual: bool = False
 
     def __post_init__(self):
         if not (-1.0 < self.tau < 1.0):
@@ -53,13 +52,13 @@ class ObjectTrack:
     point_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
-def match_adjacent(frame_a, frame_b, tau, mutual=False):
+def match_adjacent(frame_a, frame_b, tau):
     """Greedy links (i in a, j in b) by highest mask-feature similarity.
 
     Each mask in frame_a links to its most similar mask in frame_b when that
     similarity exceeds tau; argmax ties go to the lowest j. Matching is
     one-directional, so several masks of frame_a may link to one mask of
-    frame_b. With mutual=True a link also requires i to be j's best match.
+    frame_b.
     """
     if not frame_a.masks or not frame_b.masks:
         return []
@@ -69,16 +68,7 @@ def match_adjacent(frame_a, frame_b, tau, mutual=False):
     fb /= np.linalg.norm(fb, axis=1, keepdims=True)
     sims = fa @ fb.T
     best_j = sims.argmax(axis=1)
-    links = []
-    if mutual:
-        best_i = sims.argmax(axis=0)
-    for i, j in enumerate(best_j):
-        if sims[i, j] <= tau:
-            continue
-        if mutual and best_i[j] != i:
-            continue
-        links.append((i, int(j)))
-    return links
+    return [(i, int(j)) for i, j in enumerate(best_j) if sims[i, j] > tau]
 
 
 def propagate_sameness(nodes, edges):
@@ -168,8 +158,7 @@ def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_to
 def build_tracks(cloud, frames, params=None):
     """Group masks across frames, project each group, pool the points.
 
-    Adjacent frames are matched by match_adjacent with params.tau and
-    params.mutual. Tracks seen in fewer than min_track_frames distinct frames
+    Adjacent frames are matched by match_adjacent with params.tau. Tracks seen in fewer than min_track_frames distinct frames
     are dropped before any projection, so a frame is projected at most once
     and only when it holds a member of a surviving track; those frames run as
     blocks of thread_map. Tracks with fewer than min_track_points pooled
@@ -182,7 +171,7 @@ def build_tracks(cloud, frames, params=None):
     nodes = [(f.frame_id, m) for f in frames for m in range(len(f.masks))]
     edges = []
     for a, b in zip(frames, frames[1:]):
-        for i, j in match_adjacent(a, b, params.tau, mutual=params.mutual):
+        for i, j in match_adjacent(a, b, params.tau):
             edges.append(((a.frame_id, i), (b.frame_id, j)))
 
     tracks = [

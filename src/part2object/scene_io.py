@@ -46,15 +46,6 @@ POINTS_MAGIC = b"P2O1"
 FEATURES_MAGIC = b"P2OF"
 MASKS_MAGIC = b"P2OM"
 
-FORMAT_VERSIONS = {
-    "points.p2o": "P2O1",
-    "features.f32": "P2OF",
-    "frame masks": "P2OM",
-    "instance manifest": "p2o.manifest/1",
-    "hierarchy json": "p2o.hierarchy/1",
-    "report json": "p2o.report/1",
-}
-
 _U32 = np.dtype("<u4")
 _F32 = np.dtype("<f4")
 

@@ -89,12 +89,18 @@ class SynthSpec:
             raise ValueError(f"splat_px must be a positive odd integer, got {px!r}")
         if not (math.isfinite(self.points_per_m2) and self.points_per_m2 > 0):
             raise ValueError(f"points_per_m2 must be finite and > 0, got {self.points_per_m2}")
+        dim = self.feature_dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"feature_dim must be an integer >= 1, got {dim!r}")
+        for name in ("feature_noise", "position_jitter"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_dict(cls, data, where="spec"):
         """A SynthSpec from its JSON form, checked by scene_io.check_fields
-        (`where` names the file); it needs an object or a room, and a camera
-        is 16 floats or 4 rows of 4."""
+        (`where` names the file); a camera is 16 numbers or 4 rows of 4."""
         def build(kind, value, at, what):
             value = check_fields(value, {f.name: f.type for f in fields(kind)}, at, what)
             try:
@@ -107,9 +113,12 @@ class SynthSpec:
                         for k, o in enumerate(spec.objects)]
         if "camera_model" in data:
             spec.camera_model = build(CameraModel, data["camera_model"], where, "camera_model")
-        spec.cameras = [np.asarray(c, dtype=np.float64).reshape(4, 4) for c in spec.cameras]
-        if not spec.objects and spec.room is None:
-            raise ValueError(f"{where}: a spec needs at least one object or a room")
+        for k, pose in enumerate(spec.cameras):
+            try:
+                spec.cameras[k] = np.asarray(pose, dtype=np.float64).reshape(4, 4)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: cameras[{k}] must be 16 numbers or 4 rows of 4, "
+                                 f"got {pose!r}") from None
         return spec
 
 
@@ -308,6 +317,8 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, rng):
 
 def generate(spec):
     """Build (SceneCloud, ground truth InstanceSet, frames) from a spec."""
+    if not spec.objects and spec.room is None:
+        raise ValueError("a spec needs at least one object or a room")
     rng = np.random.default_rng(spec.seed)
     feats, bg_feat = _assign_features(spec, rng)
 

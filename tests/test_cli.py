@@ -42,6 +42,16 @@ def raw_scene_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def frameless_scene_dir(tmp_path_factory):
+    """The scene_dir scene and its ground truth without frames."""
+    out = tmp_path_factory.mktemp("frameless_scene")
+    cloud, gt, _ = synth.generate(three_block_spec(seed=9))
+    scene_io.write_scene(out, cloud)
+    scene_io.write_instances(out / "ground_truth.txt", gt)
+    return out
+
+
 def tree_bytes(root):
     out = {}
     for path in sorted(Path(root).rglob("*")):
@@ -89,8 +99,8 @@ def test_synth_outputs_loadable(scene_dir):
     assert len(gt) == 3
 
 
-def test_stagewise_equals_run(scene_dir, raw_scene_dir, tmp_path):
-    for scene in (scene_dir, raw_scene_dir):
+def test_stagewise_equals_run(scene_dir, raw_scene_dir, frameless_scene_dir, tmp_path):
+    for scene in (scene_dir, raw_scene_dir, frameless_scene_dir):
         stage = tmp_path / scene.name / "stage"
         stage.mkdir(parents=True)
         assert cli.main(["superpoints", "--scene", str(scene),
@@ -117,6 +127,7 @@ def test_stagewise_equals_run(scene_dir, raw_scene_dir, tmp_path):
         for name in ["superpoints.json", "priors.json", "hierarchy.json",
                      "objects.txt", "parts.txt", "report.json"]:
             assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+    assert (full / "priors.json").read_text() == "[]\n"
 
 
 def test_only_the_superpoints_stage_estimates_normals(raw_scene_dir, tmp_path, monkeypatch):
@@ -640,7 +651,7 @@ def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [
-    '{"mutual": "false"}', '{"mutual": 0}', '{"K": true}', '{"K": "0.5"}',
+    '{"K": true}', '{"K": "0.5"}',
     '{"min_object_points": 10.7}', '{"min_object_points": false}', '{"depth_tol": null}',
     "3", "[1, 2]",
 ])
@@ -678,6 +689,14 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"objects": [{"size": [0.5, 0.0, 0.5]}]}, "size"),
     ({}, "a spec needs at least one object or a room"),
     ({"objects": [{"feature": "x"}]}, "objects[0]: feature"),
+    ({"room": [2, 2, 1], "feature_dim": 0}, "feature_dim"),
+    ({"objects": [{}], "feature_noise": -1}, "feature_noise"),
+    ({"objects": [{}], "position_jitter": -0.5}, "position_jitter"),
+    ({"objects": [{}], "cameras": [[1, 2, 3]]}, "cameras[0]"),
+    ({"objects": [{}, {}], "feature_dim": 2}, "2 objects need auto features"),
+    ({"objects": [{"feature": [1.0, 0.0]}]}, "object 0: feature has dim"),
+    ({"objects": [{"feature": [1.0] + [0.0] * 15}, {"feature": [0.99, 0.1] + [0.0] * 14}]},
+     "objects 0 and 1 have feature similarity"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -709,12 +728,12 @@ def test_a_json_syntax_error_names_the_file(flag, scene_dir, tmp_path, capsys):
 
 def test_config_float_field_takes_an_integer(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"T": 1, "mutual": true, "normals_k": 8}')
+    cfg.write_text('{"T": 1, "normals_k": 8}')
     args = cli.build_parser().parse_args(
         ["run", "--scene", "s", "--out", "o", "--config", str(cfg)])
     sp, match, merge = cli.load_config(args)
     assert merge.T == 1.0 and isinstance(merge.T, float)
-    assert match.mutual is True and sp.normals_k == 8
+    assert sp.normals_k == 8
 
 
 # The file a default `p2o run` writes, byte for byte: every tunable, in the
@@ -730,7 +749,6 @@ DEFAULT_EFFECTIVE_CONFIG = """{
   "depth_tol": 0.05,
   "min_track_frames": 2,
   "min_track_points": 30,
-  "mutual": false,
   "K": 0.6,
   "T": 0.05,
   "max_layers": 10,
@@ -768,6 +786,31 @@ def test_a_stage_failure_is_one_stderr_line(scene_dir, tmp_path):
     assert proc.returncode == cli.EXIT_STAGE_FAILURE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("stage=priors: no frames found"), lines
+
+
+@pytest.mark.parametrize("artifact, stage", [("hierarchy.json", "cluster"),
+                                             ("objects.txt", "extract")])
+def test_an_artifact_run_cannot_write_fails_its_stage_in_one_line(
+        artifact, stage, scene_dir, tmp_path):
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(out))
+    assert proc.returncode == cli.EXIT_STAGE_FAILURE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"stage={stage}: "), lines
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["superpoints", "run"])
+def test_an_os_error_outside_a_stage_is_one_line_of_bad_input(command, scene_dir, tmp_path):
+    # superpoints --out names a directory; run --out lies below a file.
+    (tmp_path / "file").write_text("")
+    out = {"superpoints": tmp_path, "run": tmp_path / "file" / "sub"}[command]
+    proc = run_p2o(command, "--scene", str(scene_dir), "--out", str(out))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in proc.stderr
 
 
 def test_a_corrupt_scene_file_fails_the_load_stage_in_one_line(scene_dir, tmp_path):
@@ -818,7 +861,7 @@ COMMAND_ARGV = {
 
 # Flags no command takes, then flags a stage does not take because it never
 # reads the tunable (or, for --l2-normalize-features, --include-stalled,
-# --drop-largest-planar and extract --scene, because they are gone).
+# --drop-largest-planar, --mutual and extract --scene, because they are gone).
 UNKNOWN_FLAGS = [
     pytest.param(command, flag, id=f"flag{k}-{command}")
     for k, flag in enumerate([["--K-fraction", "0.5"], ["--bogus"]])
@@ -832,6 +875,7 @@ UNKNOWN_FLAGS = [
         ("extract", ["--include-stalled"]), ("run", ["--include-stalled"]),
         ("extract", ["--drop-largest-planar", "1"]), ("run", ["--drop-largest-planar", "1"]),
         ("extract", ["--scene", "s"]),
+        ("priors", ["--mutual"]), ("run", ["--mutual"]),
     ]
 ]
 
@@ -855,7 +899,7 @@ def test_run_takes_no_seed_and_no_flag_prefix(capsys):
 
 @pytest.mark.parametrize("command", ["superpoints", "priors", "cluster", "extract", "run"])
 @pytest.mark.parametrize("key", ["K_fraction", "seed", "voxel-size", "include_stalled",
-                                 "drop_largest_planar"])
+                                 "drop_largest_planar", "mutual"])
 def test_unknown_config_key_exits_2(command, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 1}))

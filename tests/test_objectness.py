@@ -79,15 +79,6 @@ def test_match_equals_brute_force_on_random_features():
         assert got == brute_links(fa, fb, tau)
 
 
-def test_mutual_flag_requires_symmetric_best():
-    fa = frame_with_features(0, [(1.0, 0.0), (0.9, 0.1)])
-    fb = frame_with_features(1, [(1.0, 0.05)])
-    plain = ob.match_adjacent(fa, fb, 0.3)
-    mutual = ob.match_adjacent(fa, fb, 0.3, mutual=True)
-    assert len(plain) == 2
-    assert len(mutual) == 1
-
-
 # ---------------------------------------------------------------------------
 # propagate_sameness
 

@@ -110,6 +110,11 @@ def test_similar_explicit_features_rejected():
     synth.generate(spec)  # override works
 
 
+def test_a_spec_without_objects_or_room_is_rejected_by_generate():
+    with pytest.raises(ValueError, match="a spec needs at least one object or a room"):
+        synth.generate(synth.SynthSpec())
+
+
 def test_hidden_object_warns_and_omits_masks(caplog):
     spec = synth.SynthSpec(
         seed=2,
