@@ -6,11 +6,12 @@ scored with the all-points interpolated area under the precision-recall
 curve. mean_ap averages the IoU thresholds 0.50:0.95 in steps of 0.05;
 ap25/ap50 are read at fixed thresholds.
 
-Cost: the pooled ground-truth ids are sorted once, each prediction's ids are
-looked up in them once (searchsorted) to find the ground truth it touches,
-each touching pair is scored once by mask_iou to fill a P x G IoU matrix
-(all other pairs are 0), and each threshold then makes one greedy pass over
-the rows of that matrix.
+Cost: each scene is scored on its own. Its ground-truth ids are sorted once
+(one stable argsort) and each prediction's ids are looked up in them once
+(searchsorted) to find the ground truths it touches, i.e. shares an id with;
+only those pairs are scored, each once by mask_iou, and kept as a short list
+per prediction. Each threshold then makes one greedy pass over those lists.
+Memory grows with the ids plus the touching pairs, never with P x G.
 """
 
 from dataclasses import dataclass, field
@@ -25,38 +26,47 @@ DEFAULT_THRESHOLDS = (0.25,) + STRICT_THRESHOLDS
 
 
 def mask_iou(a, b):
-    """Intersection over union of two point-id sets (both empty -> 0)."""
+    """Intersection over union of two point-id sets (both empty -> 0).
+
+    The intersection is counted as the equal neighbours of one stable sort
+    of both arrays, which merges two sorted inputs in linear time.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.size == 0 and b.size == 0:
         return 0.0
-    inter = np.intersect1d(a, b, assume_unique=True).size
+    both = np.sort(np.concatenate((a, b)), kind="stable")
+    inter = int(np.count_nonzero(both[1:] == both[:-1]))
     union = a.size + b.size - inter
     return inter / union
 
 
-def _iou_matrix(pred_sets, gt_sets):
-    """P x G IoU of point-id arrays; pairs that share no id read 0.
+def _touching(pred_sets, gt_sets, first_g):
+    """For each prediction of one scene, its (IoU, ground truth) pairs, best first.
 
-    Every array must hold distinct ids, and the ground-truth arrays must be
-    pairwise disjoint (ValueError otherwise), so that each prediction id
-    lands in at most one ground-truth instance. Only the pairs that share an
-    id are scored, each by mask_iou.
+    A pair is listed only when the two share an id, and is scored by
+    mask_iou; ground truths are numbered from first_g, and equal IoUs list
+    the lower number first. Every array must hold distinct ids, and the
+    ground-truth arrays must be pairwise disjoint (ValueError otherwise), so
+    that each prediction id lands in at most one ground-truth instance.
     """
-    gt_sizes = np.array([g.size for g in gt_sets], dtype=np.int64)
-    iou = np.zeros((len(pred_sets), gt_sizes.size))
     pooled = np.concatenate([np.empty(0, dtype=np.int64), *gt_sets])
     order = np.argsort(pooled, kind="stable")
     ids = pooled[order]
     if np.any(ids[1:] == ids[:-1]):
         raise ValueError("ground-truth instances must be pairwise disjoint")
-    labels = np.repeat(np.arange(gt_sizes.size), gt_sizes)[order]
-    if ids.size:
-        for row, pset in zip(iou, pred_sets):
+    labels = np.repeat(np.arange(len(gt_sets)), [g.size for g in gt_sets])[order]
+    pairs = []
+    for pset in pred_sets:
+        touched = []
+        if ids.size:
             pos = np.minimum(np.searchsorted(ids, pset), ids.size - 1)
-            for g in np.unique(labels[pos[ids[pos] == pset]]):
-                row[g] = mask_iou(pset, gt_sets[g])
-    return iou
+            hits = np.bincount(labels[pos[ids[pos] == pset]], minlength=len(gt_sets))
+            touched = [(mask_iou(pset, gt_sets[g]), first_g + int(g))
+                       for g in np.flatnonzero(hits)]
+            touched.sort(key=lambda pair: -pair[0])
+        pairs.append(touched)
+    return pairs
 
 
 @dataclass
@@ -92,8 +102,7 @@ def _interpolated_ap(recalls, precisions):
     """Area under the precision envelope (all-points interpolation)."""
     mrec = np.concatenate(([0.0], recalls, [1.0]))
     mpre = np.concatenate(([0.0], precisions, [0.0]))
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
@@ -111,57 +120,50 @@ def evaluate(preds, gt):
 def evaluate_multi(scene_pairs):
     """Pool several scenes' (preds, gt) into one AP curve, as evaluate scores one.
 
-    Point ids are namespaced per scene by offsetting, so instances never
-    match across scenes. Pooled tie-breaks follow scene order then manifest
-    order, matching the single-scene convention. The instances were checked
-    when they were made, and an offset keeps ids sorted and non-negative, so
-    the pooled id arrays are scored as they are.
+    Each scene's pairs are found within that scene, so instances never match
+    across scenes. Pooled tie-breaks follow scene order then manifest order,
+    matching the single-scene convention, and ground truth is numbered the
+    same way. The instances were checked when they were made, so their id
+    arrays are scored as they are.
     """
-    pred_ids, confidences, gt_sets = [], [], []
-    offset = 0
+    confidences, sizes, touching = [], [], []
+    n_gt = 0
     for preds, gt in scene_pairs:
-        top = 0
-        for inst in list(preds.instances) + list(gt.instances):
-            if inst.point_ids.size:
-                top = max(top, int(inst.point_ids.max()) + 1)
-        for inst in preds.instances:
-            pred_ids.append(inst.point_ids + offset)
-            confidences.append(inst.confidence)
-        gt_sets.extend(inst.point_ids + offset for inst in gt.instances)
-        offset += top
+        pred_sets = [inst.point_ids for inst in preds.instances]
+        gt_sets = [inst.point_ids for inst in gt.instances]
+        touching += _touching(pred_sets, gt_sets, n_gt)
+        confidences += [inst.confidence for inst in preds.instances]
+        sizes += [p.size for p in pred_sets]
+        n_gt += len(gt_sets)
 
-    order = sorted(
-        range(len(pred_ids)),
-        key=lambda k: (-confidences[k], -pred_ids[k].size, k),
-    )
-    pred_sets = [pred_ids[k] for k in order]
-    iou = _iou_matrix(pred_sets, gt_sets)
+    order = sorted(range(len(touching)), key=lambda k: (-confidences[k], -sizes[k], k))
 
     ap_by_threshold = {}
     curves = {}
     matches = {}
-    gt_empty = not gt_sets
+    gt_empty = n_gt == 0
     for theta in DEFAULT_THRESHOLDS:
-        assigned = [None] * len(pred_ids)
-        gt_taken = np.zeros(len(gt_sets), dtype=bool)
-        tp = np.zeros(len(pred_sets))
-        if not gt_empty:
-            for rank, row in enumerate(iou):
-                # argmax keeps the first (lowest-index) ground truth on a tie
-                free = np.where(gt_taken, 0.0, row)
-                best_g = int(free.argmax())
-                if free[best_g] >= theta:
-                    gt_taken[best_g] = True
-                    tp[rank] = 1.0
-                    assigned[order[rank]] = best_g
-        if gt_empty or not pred_sets:
-            recalls = np.zeros(len(pred_sets))
-            precisions = np.zeros(len(pred_sets))
+        assigned = [None] * len(order)
+        taken = set()
+        tp = np.zeros(len(order))
+        for rank, k in enumerate(order):
+            # touching[k] lists the best first, and every other IoU is 0 < theta:
+            # the first untaken one is the argmax over the untaken ground truth
+            for iou, g in touching[k]:
+                if g not in taken:
+                    if iou >= theta:
+                        taken.add(g)
+                        tp[rank] = 1.0
+                        assigned[k] = g
+                    break
+        if gt_empty or not order:
+            recalls = np.zeros(len(order))
+            precisions = np.zeros(len(order))
             ap = 0.0
         else:
             cum_tp = np.cumsum(tp)
             cum_fp = np.cumsum(1.0 - tp)
-            recalls = cum_tp / len(gt_sets)
+            recalls = cum_tp / n_gt
             precisions = cum_tp / (cum_tp + cum_fp)
             ap = _interpolated_ap(recalls, precisions)
         ap_by_threshold[theta] = ap

@@ -95,6 +95,10 @@ def propagate_sameness(nodes, edges):
     return [ObjectTrack(members=m) for m in members]
 
 
+# Values per row of camera_project's subtraction: 256 points.
+_ROW = 768
+
+
 def camera_project(positions, intrinsics, extrinsics, image_shape):
     """Project world points to pixels under nearest-pixel rounding.
 
@@ -105,9 +109,18 @@ def camera_project(positions, intrinsics, extrinsics, image_shape):
     Each pixel coordinate is computed in one buffer, in place, in the order
     floor(f * x / z + c + 0.5), and the bounds are checked on the floored
     floats: fresh whole-cloud temporaries cost more than the arithmetic.
+    The camera position is subtracted over rows of _ROW values, a tiled copy
+    per row, so numpy runs one long loop per row, not a length-3 loop per
+    point; each difference is the same float as the broadcast's.
     """
     ext = np.asarray(extrinsics, dtype=np.float64)
-    cam = np.subtract(positions, ext[:3, 3], dtype=np.float64) @ ext[:3, :3]
+    pos = np.asarray(positions)
+    rel = np.empty(pos.shape, dtype=np.float64)
+    full = pos.shape[0] - pos.shape[0] % (_ROW // 3)
+    np.subtract(pos[:full].reshape(-1, _ROW), np.tile(ext[:3, 3], _ROW // 3),
+                out=rel[:full].reshape(-1, _ROW), dtype=np.float64)
+    np.subtract(pos[full:], ext[:3, 3], out=rel[full:], dtype=np.float64)
+    cam = rel @ ext[:3, :3]
     z = cam[:, 2]
     h, w = image_shape
     # Points at or behind the camera divide by z <= 0; in_image drops them.

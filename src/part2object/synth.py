@@ -96,6 +96,12 @@ class SynthSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.room is not None:
+            lx, ly, wall_h = self.room
+            if not (all(math.isfinite(v) and v > 0 for v in (lx, ly))
+                    and math.isfinite(wall_h) and wall_h >= 0):
+                raise ValueError(f"room lengths must be finite and > 0 and its wall height "
+                                 f"finite and >= 0, got {list(self.room)}")
 
     @classmethod
     def from_dict(cls, data, where="spec"):

@@ -685,6 +685,9 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"camera_model": {"fx": -140}}, "fx"),
     ({"objects": [{}], "points_per_m2": -5}, "points_per_m2"),
     ({"room": [4.0, 4.0, 1.0], "points_per_m2": 0}, "points_per_m2"),
+    ({"objects": [{}], "room": [4, 4, -1]}, "room"),
+    ({"objects": [{}], "room": [-4, 4, 1]}, "room"),
+    ({"objects": [{}], "room": [0, 0, 0]}, "room"),
     ({"objects": [{"size": [-1.0, 0.5, 0.5]}]}, "size"),
     ({"objects": [{"size": [0.5, 0.0, 0.5]}]}, "size"),
     ({}, "a spec needs at least one object or a room"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ def test_iou_half_overlap():
 
 def test_iou_both_empty_is_zero():
     assert mask_iou([], []) == 0.0
+
+
+def test_iou_equals_reference_on_unsorted_ids():
+    rng = np.random.default_rng(91)
+    for _ in range(300):
+        universe = int(rng.choice([3, 40, 2000]))
+        a, b = (rng.permutation(universe)[: int(rng.integers(0, universe + 1))]
+                for _ in range(2))
+        if rng.random() < 0.3:  # repeated ids, as in no instance
+            a = rng.integers(0, universe, size=int(rng.integers(0, universe + 1)))
+        assert mask_iou(a, b) == reference_mask_iou(a, b)
+        assert mask_iou(list(b), list(a)) == reference_mask_iou(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +427,36 @@ def test_evaluate_multi_equals_reference_over_scenes(monkeypatch):
     monkeypatch.setattr(Instance, "__post_init__", no_new_instances)
     got = [report_json(evaluate_multi(pairs)) for pairs in cases]
     assert got == want
+
+
+def test_scoring_stays_sparse_over_many_scenes():
+    # 250 scenes of 20 predictions and 20 ground truths of a few ids each:
+    # a dense P x G IoU matrix alone would be 5,000 x 5,000 floats (200 MB)
+    gt = instset(*[range(3 * g, 3 * g + 3) for g in range(20)])
+    preds = instset(*[range(3 * g, 3 * g + 3 + g % 3) for g in range(20)],
+                    confs=[1.0 - 0.01 * k for k in range(20)])
+    pairs = [(preds, gt)] * 250
+    tracemalloc.start()
+    try:
+        pooled = evaluate_multi(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    single = evaluate(preds, gt)
+    assert pooled.ap_by_threshold == single.ap_by_threshold
+    for ms in pooled.matches.values():
+        # every match stays in its own scene: prediction k of scene s is
+        # index 20 s + k, and so is its ground truth
+        assert all(g is None or g // 20 == k // 20 for k, g in enumerate(ms))
+
+
+def test_scenes_sharing_ids_never_match_across():
+    a_preds, a_gt = instset(range(10)), instset(range(20, 30))
+    b_preds, b_gt = instset(range(40, 50)), instset(range(10))
+    report = evaluate_multi([(a_preds, a_gt), (b_preds, b_gt)])
+    assert report.ap25 == 0.0
+    assert report.matches[0.25] == [None, None]
+    # with the ids of scene a's prediction also in scene b's, only b's prediction matches
+    report = evaluate_multi([(a_preds, a_gt), (instset(range(10)), b_gt)])
+    assert report.matches[0.25] == [None, 1]

@@ -340,6 +340,23 @@ def test_camera_project_equals_reference_on_random_cameras():
     assert behind and inside and outside
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_camera_project_subtracts_as_the_broadcast(n):
+    # the subtraction runs over rows of 256 points plus a tail
+    rng = np.random.default_rng(n)
+    intrinsics = np.array([[30.0, 0, 20.0], [0, 30.0, 15.0], [0, 0, 1]])
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    extrinsics = np.eye(4)
+    extrinsics[:3, :3] = q
+    extrinsics[:3, 3] = rng.uniform(-1, 1, 3)
+    wide = rng.uniform(-3, 3, (n, 4))
+    for positions in (wide[:, :3].astype(np.float32), wide[:, :3], np.ascontiguousarray(wide[:, 1:])):
+        cam = np.subtract(positions, extrinsics[:3, 3], dtype=np.float64) @ extrinsics[:3, :3]
+        _, _, z, _ = ob.camera_project(positions, intrinsics, extrinsics, (30, 40))
+        assert np.array_equal(z, cam[:, 2])
+        assert_same_projection(positions, intrinsics, extrinsics, (30, 40))
+
+
 def test_camera_project_edges():
     # f = 8 and c = 7.5 on a 16 x 16 image: x / z = -1 lands on u = -0.5,
     # which rounds into column 0, and x / z = 1 on u = w - 0.5, which rounds
