@@ -685,9 +685,6 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"camera_model": {"fx": -140}}, "fx"),
     ({"objects": [{}], "points_per_m2": -5}, "points_per_m2"),
     ({"room": [4.0, 4.0, 1.0], "points_per_m2": 0}, "points_per_m2"),
-    ({"objects": [{}], "room": [4, 4, -1]}, "room"),
-    ({"objects": [{}], "room": [-4, 4, 1]}, "room"),
-    ({"objects": [{}], "room": [0, 0, 0]}, "room"),
     ({"objects": [{"size": [-1.0, 0.5, 0.5]}]}, "size"),
     ({"objects": [{"size": [0.5, 0.0, 0.5]}]}, "size"),
     ({}, "a spec needs at least one object or a room"),
@@ -700,6 +697,9 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"objects": [{"feature": [1.0, 0.0]}]}, "object 0: feature has dim"),
     ({"objects": [{"feature": [1.0] + [0.0] * 15}, {"feature": [0.99, 0.1] + [0.0] * 14}]},
      "objects 0 and 1 have feature similarity"),
+    ({"objects": [{}], "room": [4, 4, -1]}, "room"),
+    ({"objects": [{}], "room": [-4, 4, 1]}, "room"),
+    ({"objects": [{}], "room": [0, 0, 0]}, "room"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
