@@ -11,16 +11,16 @@ input or an OS error (`run` finds a missing scene, --frames directory or
 --gt file before it writes anything), 3 stage failure (in `run`, a failed
 artifact write included), each failure reported as one stderr line.
 
-Each stage is one function that computes its result, writes its artifact and
-returns the result; its command loads the inputs from files, `run` passes
-them on through `stage`. Within a scene, `run` builds the objectness priors
-(from the frames, if any) beside the super-points (from the cloud), as two
-blocks of parallel.thread_map, and joins them before the merge rounds, the
-first stage that needs both; the stages split their own large steps over the
-same pool, and importing the package pins numpy's OpenBLAS to one thread
-unless OPENBLAS_NUM_THREADS is set. No option sets a thread count except
---jobs, across scenes. The two id-array artifacts, superpoints.json and
-hierarchy.json, are compact JSON; the small ones keep an indent of 2.
+Each stage is one function that computes its result, writes its artifact
+(the super-point stage writes none) and returns it; its command loads the
+inputs from files, `run` passes them on through `stage`. Super-points are
+stored only as layer 0 of a p2o.hierarchy/1 file: `superpoints` writes a
+one-layer hierarchy, `cluster --superpoints` reads layers[0] of any. Within a
+scene, `run` builds the priors beside the super-points as two blocks of
+parallel.thread_map, joined before the merge rounds; the stages split their
+large steps over the same pool, and importing the package pins numpy's
+OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set. Only --jobs, across
+scenes, sets a thread count. hierarchy.json is compact JSON, the rest indent 2.
 """
 
 import argparse
@@ -91,18 +91,6 @@ def write_json(path, data, compact=False):
         fh.write(text + "\n")
 
 
-def priors_to_json(boxes, tracks):
-    return [
-        {
-            "min": [float(v) for v in box.min_corner],
-            "max": [float(v) for v in box.max_corner],
-            "track_size": int(track.point_ids.size),
-            "frame_span": len({fid for fid, _ in track.members}),
-        }
-        for box, track in zip(boxes, tracks)
-    ]
-
-
 # The keys of a priors.json entry; p2o cluster reads only the corners.
 _PRIOR_FIELDS = {"min": tuple, "max": tuple, "track_size": int, "frame_span": int}
 
@@ -111,9 +99,11 @@ def load_priors(path):
     data = scene_io.load_json(path)
     try:
         entries = [scene_io.check_fields(e, _PRIOR_FIELDS, path, "prior") for e in data]
-        return [PriorBox(np.asarray(e["min"]), np.asarray(e["max"])) for e in entries]
+        corners = [(np.asarray(e["min"]), np.asarray(e["max"])) for e in entries]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: each prior needs \"min\" and \"max\" corners") from exc
+    with scene_io._named(path):
+        return [PriorBox(*c) for c in corners]
 
 
 def stage(name, fn, *inputs):
@@ -125,12 +115,11 @@ def stage(name, fn, *inputs):
 
 
 # ---------------------------------------------------------------------------
-# stages: each writes its artifact, logs a count line and returns what `run` passes on
+# stages: each writes its artifact (but superpoints), logs a count line and returns
 
 
-def superpoints_stage(cloud, params, out):
+def superpoints_stage(cloud, params):
     layer0 = superpoints.build_superpoints(cloud, params)
-    write_json(out, [ids.tolist() for ids in layer0], compact=True)
     log.info("%d super-points over %d points", len(layer0), cloud.n_points)
     return layer0
 
@@ -141,7 +130,10 @@ def priors_stage(cloud, frames_dir, params, out):
         log.warning("no frames in %s; clustering without priors", frames_dir)
     tracks = objectness.build_tracks(cloud, frames, params)
     boxes = objectness.prior_boxes(cloud, tracks)
-    write_json(out, priors_to_json(boxes, tracks))
+    write_json(out, [{"min": box.min_corner.tolist(), "max": box.max_corner.tolist(),
+                      "track_size": int(track.point_ids.size),
+                      "frame_span": len({fid for fid, _ in track.members})}
+                     for box, track in zip(boxes, tracks)])
     log.info("%d prior boxes from %d frames", len(boxes), len(frames))
     return boxes
 
@@ -190,7 +182,8 @@ def cmd_synth(args):
 
 def cmd_superpoints(args):
     sp_params, _, _ = load_config(args)
-    superpoints_stage(scene_io.load_scene(args.scene), sp_params, args.out)
+    h = hierarchy.Hierarchy([superpoints_stage(scene_io.load_scene(args.scene), sp_params)], [])
+    write_json(args.out, hierarchy.hierarchy_to_dict(h), compact=True)
     return EXIT_OK
 
 
@@ -203,11 +196,12 @@ def cmd_priors(args):
 def cmd_cluster(args):
     _, _, merge_params = load_config(args)
     cloud = scene_io.load_scene(args.scene)
-    layer0 = scene_io.load_json(args.superpoints)
-    if not isinstance(layer0, list):
-        raise FormatError(f"{args.superpoints}: expected an array of point-id arrays")
+    h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.superpoints), args.superpoints)
+    if h.n_points != cloud.n_points:
+        raise FormatError(f"{args.superpoints}: n_points is {h.n_points}, but scene "
+                          f"{args.scene} has {cloud.n_points} points")
     boxes = load_priors(args.priors) if args.priors else []
-    cluster_stage(layer0, cloud, boxes, merge_params, args.out)
+    cluster_stage(h.layers[0], cloud, boxes, merge_params, args.out)
     return EXIT_OK
 
 
@@ -237,7 +231,7 @@ def _run_one_scene(scene_dir, out_dir, params, args):
     # when both blocks fail the super-point failure is the one raised, as in
     # a serial run; with one CPU the blocks run serially in this order.
     layer0, boxes = thread_map(lambda block: stage(*block), [
-        ("superpoints", superpoints_stage, cloud, sp_params, out_dir / "superpoints.json"),
+        ("superpoints", superpoints_stage, cloud, sp_params),
         ("priors", priors_stage, cloud, args.frames or scene_dir, match_params,
          out_dir / "priors.json"),
     ])
@@ -264,6 +258,8 @@ def cmd_run(args):
     scenes = [Path(s) for s in args.scene]
     for scene in scenes:
         scene_io.points_file(scene)
+    if args.gt and len(scenes) > 1:
+        raise FormatError("--gt takes one --scene; each of several reads its ground_truth.txt")
     if args.gt and not Path(args.gt).is_file():
         raise FileNotFoundError(f"no ground truth: {args.gt} not found")
     # frame_ids rejects a missing --frames dir; a doomed run builds no super-points.

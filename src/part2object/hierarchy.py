@@ -369,8 +369,7 @@ def hierarchy_from_dict(data, where="hierarchy"):
         raise FormatError(f"{where}: unsupported hierarchy schema {data.get('schema')!r}")
     try:
         n_points = data["n_points"]
-        layers = [[np.asarray(c["points"])
-                   for c in data["layers"][0]["clusters"]]]
+        layers = [[np.asarray(c["points"]) for c in data["layers"][0]["clusters"]]]
         layers += [[np.asarray(c["children"]) for c in layer["clusters"]]
                    for layer in data["layers"][1:]]
         logs = [check_fields(log, _LOG_FIELDS, where, "merge_log entry")
@@ -378,7 +377,9 @@ def hierarchy_from_dict(data, where="hierarchy"):
         merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
                               [tuple(p) for p in log["rejected_stop"]],
                               log["n_candidates"]) for log in logs]
-    except (KeyError, IndexError, TypeError) as exc:
+    except FormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError: ragged ids
         raise FormatError(f"{where}: malformed hierarchy: {exc!r}") from exc
     for t, layer in enumerate(layers):
         try:

@@ -513,13 +513,14 @@ def _load_one_frame(dir_path, frame_id):
 
 
 def frame_ids(dir_path):
-    """Ascending ids of the frame_<id>.cam files in dir_path, which must exist."""
+    """Ascending ids of the frame_<id>.cam files in dir_path, which must exist;
+    an id is ASCII digits without a leading zero, as write_frames writes it."""
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise FileNotFoundError(f"no frames directory: {dir_path} not found")
     ids = []
     for path in dir_path.glob("frame_*.cam"):
-        m = re.fullmatch(r"frame_(\d+)\.cam", path.name)
+        m = re.fullmatch(r"frame_(0|[1-9][0-9]*)\.cam", path.name)
         if m:
             ids.append(int(m.group(1)))
     return sorted(ids)

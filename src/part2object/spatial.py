@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NonFinite
+from .errors import FormatError, NonFinite
 from .parallel import thread_map
 
 # Points per core in labeled_close_pairs. A kd-tree query materialises every
@@ -70,11 +70,11 @@ class PriorBox:
         mn = np.asarray(self.min_corner, dtype=np.float64)
         mx = np.asarray(self.max_corner, dtype=np.float64)
         if mn.shape != (3,) or mx.shape != (3,):
-            raise ValueError("box corners must be 3-vectors")
+            raise FormatError("box corners must be 3-vectors")
         if not (np.isfinite(mn).all() and np.isfinite(mx).all()):
             raise NonFinite("box corners contain non-finite values")
         if (mn > mx).any():
-            raise ValueError("box min corner exceeds max corner")
+            raise FormatError("box min corner exceeds max corner")
         object.__setattr__(self, "min_corner", mn)
         object.__setattr__(self, "max_corner", mx)
 

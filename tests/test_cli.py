@@ -104,11 +104,11 @@ def test_stagewise_equals_run(scene_dir, raw_scene_dir, frameless_scene_dir, tmp
         stage = tmp_path / scene.name / "stage"
         stage.mkdir(parents=True)
         assert cli.main(["superpoints", "--scene", str(scene),
-                         "--out", str(stage / "superpoints.json")]) == 0
+                         "--out", str(stage / "sp.json")]) == 0
         assert cli.main(["priors", "--scene", str(scene),
                          "--out", str(stage / "priors.json")]) == 0
         assert cli.main(["cluster", "--scene", str(scene),
-                         "--superpoints", str(stage / "superpoints.json"),
+                         "--superpoints", str(stage / "sp.json"),
                          "--priors", str(stage / "priors.json"),
                          "--K", "0.6", "--T", "0.05",
                          "--out", str(stage / "hierarchy.json")]) == 0
@@ -124,9 +124,20 @@ def test_stagewise_equals_run(scene_dir, raw_scene_dir, frameless_scene_dir, tmp
         assert cli.main(["run", "--scene", str(scene), "--out", str(full),
                          "--min-object-points", "30"]) == 0
 
-        for name in ["superpoints.json", "priors.json", "hierarchy.json",
-                     "objects.txt", "parts.txt", "report.json"]:
+        for name in ["priors.json", "hierarchy.json", "objects.txt", "parts.txt",
+                     "report.json"]:
             assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+        # The super-points are stored once: layer 0 of a hierarchy file.
+        sp = json.loads((stage / "sp.json").read_text())
+        assert sp["merge_log"] == [] and len(sp["layers"]) == 1
+        assert sp["layers"] == json.loads((full / "hierarchy.json").read_text())["layers"][:1]
+        assert not (full / "superpoints.json").exists()
+        # Any hierarchy file holds super-points: re-clustering a run's rewrites it.
+        assert cli.main(["cluster", "--scene", str(scene),
+                         "--superpoints", str(full / "hierarchy.json"),
+                         "--priors", str(full / "priors.json"),
+                         "--out", str(stage / "again.json")]) == 0
+        assert (stage / "again.json").read_bytes() == (full / "hierarchy.json").read_bytes()
     assert (full / "priors.json").read_text() == "[]\n"
 
 
@@ -184,8 +195,8 @@ def test_missing_priors_with_require_flag_fails_stage(tmp_path):
     rc = cli.main(["run", "--scene", str(bare), "--out", str(tmp_path / "o"),
                    "--require-priors"])
     assert rc == cli.EXIT_STAGE_FAILURE
-    # The missing frames are found before the launch: no super-points are built.
-    assert not (tmp_path / "o" / "superpoints.json").exists()
+    # The missing frames are found before the launch: nothing is written.
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_without_frames_still_succeeds(tmp_path, caplog):
@@ -236,6 +247,17 @@ def test_explicit_missing_gt_file_is_bad_input(scene_dir, tmp_path):
     assert not out.exists()
 
 
+def test_one_gt_for_several_scenes_is_bad_input(scene_dir, tmp_path):
+    # One manifest cannot be every scene's ground truth.
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--scene", str(scene_dir),
+                   "--gt", str(scene_dir / "ground_truth.txt"), "--out", str(out))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --gt takes one --scene"), lines
+    assert not out.exists()
+
+
 def fail(message, delay=0.0):
     def raise_(*args, **kwargs):
         time.sleep(delay)
@@ -252,7 +274,6 @@ def test_a_superpoint_failure_beside_working_priors_is_one_line(
     assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == \
         cli.EXIT_STAGE_FAILURE
     assert capsys.readouterr().err.splitlines() == ["stage=superpoints: boom"]
-    assert not (out / "superpoints.json").exists()
     assert not (out / "hierarchy.json").exists()
 
 
@@ -271,9 +292,11 @@ def test_when_both_input_stages_fail_the_superpoint_failure_is_reported(
 def test_id_array_artifacts_are_compact_json(scene_dir, tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == 0
-    for name in ("superpoints.json", "hierarchy.json"):
-        text = (out / name).read_text()
-        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text, name
+    assert cli.main(["superpoints", "--scene", str(scene_dir),
+                     "--out", str(tmp_path / "sp.json")]) == 0
+    for path in (out / "hierarchy.json", tmp_path / "sp.json"):
+        text = path.read_text()
+        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text, path
     for name in ("effective_config.json", "priors.json", "report.json"):
         text = (out / name).read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", name
@@ -507,6 +530,16 @@ def test_readme_tables_name_every_tunable_and_stage_flag():
             assert flags.strip("`").split() == tunable_flags[command], command
 
 
+def test_run_writes_exactly_the_artifacts_the_readme_lists(scene_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == 0
+    written = {p.name + "/" * p.is_dir() for p in out.iterdir()}
+    documented = {name.strip().strip("`")
+                  for first, *_ in readme_table("| `p2o run --out` holds |")
+                  for name in first.split(",")}
+    assert written == documented
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "part2object", "info"],
@@ -529,11 +562,18 @@ def scene_points(scene_dir):
     return scene_io.load_scene(scene_dir).n_points
 
 
+def one_layer_hierarchy(sets, n_points):
+    """The dict of a super-point file, as `p2o superpoints` writes it."""
+    return {"schema": "p2o.hierarchy/1", "n_points": n_points,
+            "layers": [{"clusters": [{"points": ids} for ids in sets]}], "merge_log": []}
+
+
 @pytest.mark.parametrize("mutation", ["out_of_range", "overlap", "gap", "empty", "not_a_list",
-                                      "fractional", "nested"])
+                                      "fractional", "nested", "ragged", "n_points",
+                                      "bare_array"])
 def test_cluster_rejects_superpoints_that_do_not_partition(
         mutation, scene_dir, scene_points, tmp_path, capsys):
-    n = scene_points
+    n = n_points = scene_points
     sets = [list(range(0, n // 2)), list(range(n // 2, n))]
     if mutation == "out_of_range":
         sets[1].append(n)
@@ -547,12 +587,26 @@ def test_cluster_rejects_superpoints_that_do_not_partition(
         sets[0][0] = 0.5
     elif mutation == "nested":
         sets[0] = [sets[0]]
-    else:
-        sets = n
+    elif mutation == "ragged":
+        sets[0][0] = [0]
+    elif mutation == "not_a_list":
+        sets[0] = n
+    elif mutation == "n_points":
+        # A partition of one more point than the scene has.
+        sets[1].append(n)
+        n_points = n + 1
+    data = sets if mutation == "bare_array" else one_layer_hierarchy(sets, n_points)
     path = tmp_path / "sp.json"
-    path.write_text(json.dumps(sets))
-    assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(path),
-                      "--out", str(tmp_path / "h.json")], capsys)
+    path.write_text(json.dumps(data))
+    err = assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(path),
+                            "--out", str(tmp_path / "h.json")], capsys)
+    assert err.startswith(f"error: {path}: "), err
+    if mutation == "n_points":
+        assert f"n_points is {n + 1}, but scene {scene_dir} has {n} points" in err
+    elif mutation == "bare_array":
+        assert "must be a JSON object" in err
+    else:
+        assert "layer 0" in err or "malformed hierarchy" in err
     assert not (tmp_path / "h.json").exists()
 
 
@@ -640,14 +694,16 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     [{"min": [0.0, 0.0, 0.0], "max": [float("inf"), 1.0, 1.0]}],
     [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "track_size": 2.5}],
     [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "label": "chair"}],
+    [{"min": [0.0, 2.0, 0.0], "max": [1.0, 1.0, 1.0]}],
 ])
 def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
     sp = tmp_path / "sp.json"
     assert cli.main(["superpoints", "--scene", str(scene_dir), "--out", str(sp)]) == 0
     path = tmp_path / "priors.json"
     path.write_text(json.dumps(priors))
-    assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(sp),
-                      "--priors", str(path), "--out", str(tmp_path / "h.json")], capsys)
+    err = assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(sp),
+                            "--priors", str(path), "--out", str(tmp_path / "h.json")], capsys)
+    assert err.startswith(f"error: {path}: "), err
 
 
 @pytest.mark.parametrize("text", [
@@ -712,10 +768,11 @@ def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--spec", "--superpoints", "--priors", "--hierarchy",
                                   "--config"])
-def test_a_json_syntax_error_names_the_file(flag, scene_dir, tmp_path, capsys):
+def test_a_json_syntax_error_names_the_file(flag, scene_dir, scene_points, tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
     (tmp_path / "bad.json").write_text('{"seed": 1,')
-    (tmp_path / "sp.json").write_text("[]")
+    (tmp_path / "sp.json").write_text(
+        json.dumps(one_layer_hierarchy([list(range(scene_points))], scene_points)))
     out = str(tmp_path / "out")
     cluster = ["cluster", "--scene", str(scene_dir), "--out", out]
     argv = {

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -406,6 +407,30 @@ def test_frames_with_no_masks(tmp_path):
     loaded = load_frames(tmp_path)
     assert len(loaded) == 2
     assert all(not f.masks for f in loaded)
+
+
+def test_only_canonical_frame_names_are_frames(tmp_path):
+    # frame_01 and frame_١ (an Arabic-Indic one) would both read as id 1 and
+    # load frame_1.*; they are not frames, so frame 1 loads once.
+    frames = [identity_frame(), identity_frame()]
+    frames[1].frame_id = 1
+    frames[1].depth = np.full((8, 10), 2.0, dtype=np.float32)
+    write_frames(tmp_path, frames)
+    for name in ("frame_01", "frame_١", "frame_x"):
+        for suffix in ("cam", "depth", "masks"):
+            shutil.copy(tmp_path / f"frame_1.{suffix}", tmp_path / f"{name}.{suffix}")
+    assert scene_io.frame_ids(tmp_path) == [0, 1]
+    loaded = load_frames(tmp_path)
+    assert [f.frame_id for f in loaded] == [0, 1]
+    assert (loaded[1].depth == 2.0).all()
+
+
+def test_a_lone_non_canonical_frame_is_not_a_frame(tmp_path):
+    # Alone, frame_01.cam once made the loader look for frame_1.cam.
+    write_frames(tmp_path, [identity_frame()])
+    for suffix in ("cam", "depth", "masks"):
+        (tmp_path / f"frame_0.{suffix}").rename(tmp_path / f"frame_01.{suffix}")
+    assert load_frames(tmp_path) == []
 
 
 def test_corrupt_rle_in_mask_file(tmp_path):
