@@ -4,6 +4,13 @@ A cluster's feature is a similarity-weighted average of its member point
 features: points that agree with the cluster mean get large weights, outliers
 get small ones. Weights are clamped at zero so the result stays a convex
 combination of the members.
+
+Every point's float64 norm is computed once per scene (point_norms), and a
+fusion reads its members' norms from that array. The members' rows are
+gathered block by block straight into one float64 matrix, so no float32 copy
+of the cluster and no x*x temporary is held beside it. The mean, both matrix
+products and the weight sum still run on that whole matrix, so every bit is
+that of fusing the widened rows in one piece.
 """
 
 import logging
@@ -18,36 +25,54 @@ log = logging.getLogger(__name__)
 # back to the plain mean.
 DEGENERATE_WEIGHT_EPS = 1e-8
 
+# Rows per block of point_norms and of fuse_feature's gather: the largest
+# temporary either holds beside its result.
+BLOCK_ROWS = 1 << 14
 
-def fuse_feature(point_features):
-    """Fuse member point features into one cluster feature.
 
-    Zero vectors are dropped before fusion (they carry no signal, e.g. points
-    never covered by a 2D projection). The remaining members are weighted by
-    their cosine similarity to the member mean, clamped at zero, normalized to
-    sum to one, and summed. If the total weight collapses (all members nearly
-    orthogonal to the mean, or the mean itself is zero) the plain mean is
-    returned instead and a warning is logged.
+def point_norms(point_features):
+    """(N,) float64 norm of each row of the (N, C) point features.
+
+    Computed in blocks of BLOCK_ROWS rows. A row's norm depends on that row
+    alone, so this is bitwise np.linalg.norm(F.astype(np.float64), axis=1).
+    """
+    norms = np.empty(len(point_features))
+    for start in range(0, len(point_features), BLOCK_ROWS):
+        block = np.asarray(point_features[start:start + BLOCK_ROWS], dtype=np.float64)
+        norms[start:start + BLOCK_ROWS] = np.linalg.norm(block, axis=1)
+    return norms
+
+
+def fuse_feature(point_features, ids, norms):
+    """Fuse the features of the points `ids` into one cluster feature.
+
+    norms is point_norms(point_features). Zero vectors are dropped before
+    fusion (they carry no signal, e.g. points never covered by a 2D
+    projection). The remaining members are weighted by their cosine
+    similarity to the member mean, clamped at zero, normalized to sum to one,
+    and summed. If the total weight collapses (all members nearly orthogonal
+    to the mean, or the mean itself is zero) the plain mean is returned
+    instead and a warning is logged.
 
     Args:
-        point_features: (m, C) array-like of member features, m >= 1.
+        point_features: (N, C) point features.
+        ids: (m,) integer rows of the members.
+        norms: (N,) float64 row norms of point_features.
 
     Returns:
         (C,) float32 fused feature.
 
     Raises:
-        AllZeroFeatures: every member is a zero vector.
+        AllZeroFeatures: no member is a non-zero vector.
     """
-    feats = np.atleast_2d(np.asarray(point_features, dtype=np.float64))
-    if feats.shape[0] == 0:
-        raise AllZeroFeatures("no point features supplied")
-
-    norms = np.linalg.norm(feats, axis=1)
-    nonzero = norms > 0.0
-    if not nonzero.all():
-        feats, norms = feats[nonzero], norms[nonzero]
-        if feats.shape[0] == 0:
-            raise AllZeroFeatures("all point features are zero vectors")
+    ids = np.asarray(ids)
+    kept = ids[norms[ids] > 0.0]
+    if kept.size == 0:
+        raise AllZeroFeatures("no point feature is a non-zero vector")
+    feats = np.empty((kept.size, point_features.shape[1]))
+    for start in range(0, kept.size, BLOCK_ROWS):
+        feats[start:start + BLOCK_ROWS] = point_features[kept[start:start + BLOCK_ROWS]]
+    norms = norms[kept]
 
     mean = feats.mean(axis=0)
     mean_norm = np.linalg.norm(mean)

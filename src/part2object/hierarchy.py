@@ -19,6 +19,10 @@ smallest child). The Hierarchy keeps only the lineage, in the shape
 hierarchy.json stores: super-point ids at layer 0 and child indices above
 it; Hierarchy.clusters(t) derives the point sets of higher layers.
 
+A merged cluster's feature is re-fused from its member points: point norms
+are computed once (features.point_norms), rows are gathered straight into
+float64, and the fusion's full-matrix steps keep the bits.
+
 MergeParams is the one definition of this stage's tunables: the merge
 rounds' K, T, max_layers and veto fractions, which run_hierarchy reads, and
 the extraction's min_object_points, which collect_objects reads. Extraction
@@ -32,10 +36,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .errors import AllZeroFeatures, FormatError
-from .features import fuse_feature
+from .features import fuse_feature, point_norms
 from .parallel import thread_map
 from .scene_io import Instance, InstanceSet, check_fields
-from .spatial import labeled_close_pairs
+from .spatial import labeled_close_pairs, sorted_unique
 
 HIERARCHY_SCHEMA = "p2o.hierarchy/1"
 
@@ -156,7 +160,7 @@ def contract_edges(edges, parent):
     lo, hi = mapped.min(axis=1), mapped.max(axis=1)
     keep = lo < hi
     n = int(parent.max()) + 1
-    keys = np.unique(lo[keep] * n + hi[keep])
+    keys = sorted_unique(lo[keep] * n + hi[keep])
     return np.column_stack([keys // n, keys % n])
 
 
@@ -198,27 +202,30 @@ def _separated(fa, fb, inside_frac, outside_frac):
     ).any(axis=-1)
 
 
-def _cluster_feature(point_features, ids):
+def _cluster_feature(point_features, ids, norms):
     try:
-        return fuse_feature(point_features[ids])
+        return fuse_feature(point_features, ids, norms)
     except AllZeroFeatures:
         # Featureless clusters never merge by similarity but stay in the layer.
         return np.zeros(point_features.shape[1], dtype=np.float32)
 
 
-def run_layer(labels, feats, point_features, edges, counts, params):
+def run_layer(labels, feats, point_features, norms, edges, counts, params):
     """One merge round: returns (parent, next features, LayerLog).
 
     labels maps each point to its cluster in this layer, feats holds one row
-    per cluster, edges is the layer's (E, 2) adjacency (candidate_pairs or
-    contract_edges) and counts its (C, B + 1) box counts (_box_counts or
-    contract_counts). Candidate pairs (both features non-zero) are ranked by
-    similarity, the top K fraction survive, pairs vetoed by a prior box (on
-    the fractions count / size) are dropped, and the rest are unioned
-    transitively. parent[c] is the next-layer index of cluster c; next-layer
-    clusters are numbered by their smallest child. Untouched clusters carry
-    their feature forward; merged clusters re-fuse theirs from their member
-    point features in ascending point order.
+    per cluster, norms each point's feature norm (features.point_norms,
+    computed once by run_hierarchy), edges is the layer's (E, 2) adjacency
+    (candidate_pairs or contract_edges) and counts its (C, B + 1) box counts
+    (_box_counts or contract_counts). Candidate pairs (both features
+    non-zero) are ranked by similarity, the top K fraction survive, pairs
+    vetoed by a prior box (on the fractions count / size) are dropped, and
+    the rest are unioned transitively. parent[c] is the next-layer index of
+    cluster c; next-layer clusters are numbered by their smallest child.
+    Untouched clusters carry their feature forward; merged clusters re-fuse
+    theirs from their member point features in ascending point order, their
+    rows gathered straight into float64; the fusion's full-matrix steps keep
+    the bits.
     """
     # Imported here, not at module level: commands that never cluster would
     # otherwise pay for loading it.
@@ -226,11 +233,11 @@ def run_layer(labels, feats, point_features, edges, counts, params):
 
     n_clusters = len(feats)
     f64 = feats.astype(np.float64)
-    norms = np.linalg.norm(f64, axis=1)
+    f_norms = np.linalg.norm(f64, axis=1)
     ii, jj = edges[:, 0], edges[:, 1]
-    ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
+    ok = (f_norms[ii] > 0.0) & (f_norms[jj] > 0.0)
     ii, jj = ii[ok], jj[ok]
-    sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (norms[ii] * norms[jj]), -1.0, 1.0)
+    sims = np.clip((f64[ii] * f64[jj]).sum(axis=1) / (f_norms[ii] * f_norms[jj]), -1.0, 1.0)
     pairs = rank_filter(edges[ok], sims, params.K)
 
     phi = counts[:, :-1] / counts[:, -1:]
@@ -251,7 +258,7 @@ def run_layer(labels, feats, point_features, edges, counts, params):
         point_sets = _groups(parent[labels], n_next)
         for k, c in enumerate(children):
             if c.size > 1:
-                next_feats[k] = _cluster_feature(point_features, point_sets[k])
+                next_feats[k] = _cluster_feature(point_features, point_sets[k], norms)
     return parent, next_feats, log
 
 
@@ -260,8 +267,9 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
 
     layer0 must partition [0, N) into non-empty sets, as build_superpoints
     does (ValueError otherwise). Point features come from
-    cloud.semantic_features, as stored; layer-0 cluster features are fused
-    from member point features. The three layer-0 inputs (the fused
+    cloud.semantic_features, as stored, and their norms are computed once
+    for every round; layer-0 cluster features are fused from member point
+    features. The three layer-0 inputs (the fused
     features, the candidate_pairs edges and the box counts) are built side
     by side as blocks of parallel.thread_map; the merge rounds are serial
     and contract the edges and the counts through each parent array.
@@ -274,20 +282,21 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
 
     labels = _partition_labels(layer0, positions.shape[0])
     layer0 = [np.sort(np.asarray(ids, dtype=np.int64)) for ids in layer0]
+    norms = point_norms(point_features)
     # Side by side, because the fusion loop holds the interpreter lock while
     # the adjacency slabs and box tests release it. These are the only
     # point-level scans; later rounds contract the edges and the counts.
     edges, feats, counts = thread_map(lambda build: build(), [
         lambda: candidate_pairs(labels, positions, params.T),
-        lambda: np.asarray([_cluster_feature(point_features, ids) for ids in layer0],
+        lambda: np.asarray([_cluster_feature(point_features, ids, norms) for ids in layer0],
                            dtype=np.float32),
         lambda: _box_counts(labels, len(layer0), positions, boxes),
     ])
 
     h = Hierarchy(layers=[layer0], merge_log=[])
     while len(h.layers) < params.max_layers:
-        parent, feats, log = run_layer(labels, feats, point_features, edges, counts,
-                                       params)
+        parent, feats, log = run_layer(labels, feats, point_features, norms, edges,
+                                       counts, params)
         if not log.accepted:
             break
         h.layers.append(_groups(parent, len(feats)))

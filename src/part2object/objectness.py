@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .parallel import thread_map
-from .spatial import PriorBox
+from .spatial import PriorBox, sorted_unique
 
 
 @dataclass
@@ -212,7 +212,7 @@ def build_tracks(cloud, frames, params=None):
 
     kept = []
     for track, ids in zip(tracks, pooled):
-        ids = np.unique(np.concatenate(ids))
+        ids = sorted_unique(np.concatenate(ids))
         if ids.size < params.min_track_points:
             continue
         track.point_ids = ids

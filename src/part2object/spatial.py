@@ -1,7 +1,9 @@
-"""Kd-trees, adjacency between labelled point sets, and prior boxes.
+"""Kd-trees, adjacency between labelled point sets, prior boxes, and the
+package's unique-id rule.
 
 Every kd-tree in the package (normals, adjacency slabs, the super-point
-fallback) is built by kdtree, with one construction rule.
+fallback) is built by kdtree, with one construction rule. Every id array the
+hot paths deduplicate goes through sorted_unique.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,19 @@ from .parallel import thread_map
 # pairs of a slab instead of the whole scene, and every worker thread holds
 # one slab's.
 _SLAB_POINTS = 1 << 15
+
+
+def sorted_unique(values):
+    """np.unique of a 1-D integer array, from one sort and a neighbour mask.
+
+    numpy 2's np.unique deduplicates through a hash table and then sorts the
+    result, several times slower on these id and key arrays.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def kdtree(points):
@@ -52,10 +67,10 @@ def labeled_close_pairs(positions, labels, cutoff):
         la, lb = lab[i], lab[j]
         keep = (i < core_end) & (la != lb)
         la, lb = la[keep], lb[keep]
-        return np.unique(np.minimum(la, lb) * base + np.maximum(la, lb))
+        return sorted_unique(np.minimum(la, lb) * base + np.maximum(la, lb))
 
     keys = [np.empty(0, dtype=np.int64), *thread_map(slab_keys, range(0, n, _SLAB_POINTS))]
-    keys = np.unique(np.concatenate(keys))
+    keys = sorted_unique(np.concatenate(keys))
     return np.column_stack([keys // base, keys % base])
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from . import parallel, scene_io
 from .errors import EmptyCloud
 from .parallel import thread_map
-from .spatial import kdtree
+from .spatial import kdtree, sorted_unique
 
 # Least work (neighbour lookups, or points of claimed voxels) per block of a
 # wave step; a smaller step runs as one block in the calling thread.
@@ -237,10 +237,10 @@ def build_superpoints(cloud, params=None):
         win_seeds = seeds_rep[order][first]
         point_seed[win_pts] = win_seeds
         # A seed only keeps growing through voxels where it won points.
-        return np.concatenate((solo, np.unique(point_vox[win_pts] * n_seeds + win_seeds)))
+        return np.concatenate((solo, sorted_unique(point_vox[win_pts] * n_seeds + win_seeds)))
 
     while frontier.size:
-        claims = np.unique(np.concatenate(
+        claims = sorted_unique(np.concatenate(
             thread_map(lookup, np.array_split(frontier, _blocks(26 * frontier.size)))))
         if claims.size == 0:
             break
@@ -249,14 +249,14 @@ def build_superpoints(cloud, params=None):
         same = cv[1:] == cv[:-1]
         shared = np.concatenate(([False], same)) | np.concatenate((same, [False]))
         if tree is not None:
-            estimate(points_of(np.unique(cv[1:][same]))[0])
+            estimate(points_of(sorted_unique(cv[1:][same]))[0])
         # Cut the claims at voxel boundaries, near equal shares of their
         # points: each point's candidates all lie in its own voxel, so no
         # block's winners depend on another's.
         reach = np.cumsum(vox_counts[cv])
         n_blocks = _blocks(int(reach[-1]))
         cuts = np.searchsorted(reach, reach[-1] * np.arange(1, n_blocks) // n_blocks)
-        cuts = np.unique(np.searchsorted(cv, cv[cuts]))
+        cuts = sorted_unique(np.searchsorted(cv, cv[cuts]))
         cuts = cuts[cuts > 0]
         frontier = np.concatenate(thread_map(
             claim, zip(np.split(claims, cuts), np.split(shared, cuts))))

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from part2object import evaluation, hierarchy, objectness, scene_io, superpoints, synth
-from part2object.features import fuse_feature
+from part2object.features import point_norms
 from part2object.spatial import PriorBox
 
 from conftest import spec_json, three_block_spec
 from test_evaluation import instset, oracle_ap
-from test_features import fuse_oracle
+from test_features import fuse, fuse_oracle
 from test_hierarchy import brute_accepted
 from test_objectness import bfs_components, brute_links
 
@@ -41,7 +41,7 @@ def test_c1_fusion_matches_direct_evaluation():
         dim = int(rng.integers(2, 65))
         size = int(rng.integers(1, 201))
         feats = rng.standard_normal((size, dim))
-        got = fuse_feature(feats).astype(np.float64)
+        got = fuse(feats).astype(np.float64)
         want = fuse_oracle(feats)
         scale = max(np.linalg.norm(want), 1e-12)
         worst = max(worst, float(np.linalg.norm(got - want)) / scale)
@@ -80,7 +80,7 @@ def test_c2_layer_merges_match_brute_force():
         for i, ids in enumerate(sets):
             point_feats[ids] = feats[i]
         _parent, _nf, log = hierarchy.run_layer(
-            labels, feats.astype(np.float32), point_feats,
+            labels, feats.astype(np.float32), point_feats, point_norms(point_feats),
             hierarchy.candidate_pairs(labels, pos, params.T),
             hierarchy._box_counts(labels, n_clusters, pos, boxes), params,
         )

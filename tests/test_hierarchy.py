@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from part2object import hierarchy as hi
+from part2object.features import fuse_feature, point_norms
 from part2object.objectness import prior_boxes
 from part2object.scene_io import SceneCloud
 from part2object.spatial import PriorBox
@@ -99,7 +100,8 @@ def labels_of(sets):
 def run_layer_on(sets, feats, point_feats, pos, boxes, params):
     """run_layer over the layer the point sets form, edges found from the points."""
     labels = labels_of(sets)
-    return hi.run_layer(labels, feats, point_feats, hi.candidate_pairs(labels, pos, params.T),
+    return hi.run_layer(labels, feats, point_feats, point_norms(point_feats),
+                        hi.candidate_pairs(labels, pos, params.T),
                         hi._box_counts(labels, len(sets), pos, boxes), params)
 
 
@@ -211,7 +213,8 @@ def test_stop_criteria_straddling_clusters_pass():
 
 
 def _layer_feats(sets, point_features):
-    return np.asarray([hi._cluster_feature(point_features, ids) for ids in sets],
+    norms = point_norms(point_features)
+    return np.asarray([hi._cluster_feature(point_features, ids, norms) for ids in sets],
                       dtype=np.float32)
 
 
@@ -313,8 +316,7 @@ def test_requires_semantic_features():
 def reference_hierarchy(sets, feats_by_cluster, positions, boxes, params,
                         point_feats):
     """Straight-line re-implementation used as the oracle for run_hierarchy."""
-    from part2object.features import fuse_feature
-
+    norms = point_norms(point_feats)
     layers = [list(map(np.asarray, sets))]
     cluster_feats = [np.asarray(f, dtype=np.float64) for f in feats_by_cluster]
     while len(layers) < params.max_layers:
@@ -337,7 +339,7 @@ def reference_hierarchy(sets, feats_by_cluster, positions, boxes, params,
             if len(g) == 1:
                 nxt_feats.append(cluster_feats[next(iter(g))])
             else:
-                nxt_feats.append(fuse_feature(point_feats[ids]).astype(np.float64))
+                nxt_feats.append(fuse_feature(point_feats, ids, norms).astype(np.float64))
         layers.append(nxt)
         cluster_feats = nxt_feats
     return layers
@@ -385,8 +387,9 @@ def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene)
     original = me.brute_closest
     me.brute_closest = lambda pa, pb: float(cdist(pa, pb).min())
     try:
+        norms = point_norms(cloud.semantic_features)
         feats0 = [
-            hi._cluster_feature(cloud.semantic_features, np.sort(ids))
+            hi._cluster_feature(cloud.semantic_features, np.sort(ids), norms)
             for ids in layer0
         ]
         ref = reference_hierarchy(
@@ -542,16 +545,17 @@ def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
     for cloud, layer0, boxes, params, h in synth_hierarchies:
         positions = cloud.positions.astype(np.float64)
         point_feats = cloud.semantic_features
+        norms = point_norms(point_feats)
         layers = [[np.sort(ids) for ids in layer0]]
         labels = labels_of(layers[0])
-        features = [np.asarray([hi._cluster_feature(point_feats, ids) for ids in layers[0]],
-                               dtype=np.float32)]
+        features = [np.asarray([hi._cluster_feature(point_feats, ids, norms)
+                                for ids in layers[0]], dtype=np.float32)]
         merge_log = []
         while len(layers) < params.max_layers:
             # Edges and box counts scanned from the points of this layer, not
             # contracted.
             parent, nxt_feats, log = hi.run_layer(
-                labels, features[-1], point_feats,
+                labels, features[-1], point_feats, norms,
                 hi.candidate_pairs(labels, positions, params.T),
                 hi._box_counts(labels, len(features[-1]), positions, boxes), params,
             )
@@ -608,8 +612,8 @@ def record_rounds(monkeypatch):
     rounds = []
     real = hi.run_layer
 
-    def recording(labels, feats, point_features, edges, counts, params):
-        parent, nxt, log = real(labels, feats, point_features, edges, counts, params)
+    def recording(labels, feats, point_features, norms, edges, counts, params):
+        parent, nxt, log = real(labels, feats, point_features, norms, edges, counts, params)
         rounds.append((labels, counts, log))
         return parent, nxt, log
 

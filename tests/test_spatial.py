@@ -3,7 +3,7 @@ import pytest
 
 from part2object import parallel, spatial
 from part2object.errors import NonFinite
-from part2object.spatial import PriorBox, labeled_close_pairs
+from part2object.spatial import PriorBox, labeled_close_pairs, sorted_unique
 
 
 def brute_label_pairs(pts, labels, cutoff):
@@ -112,3 +112,21 @@ def test_prior_box_rejects_non_finite_corners(corner, value):
     corners[corner][1] = value
     with pytest.raises(NonFinite):
         PriorBox(*corners)
+
+
+def unique_cases():
+    rng = np.random.default_rng(31)
+    yield "empty", np.empty(0, dtype=np.int64)
+    yield "one", np.array([7], dtype=np.int64)
+    yield "all_equal", np.full(50, -3, dtype=np.int64)
+    yield "sorted", np.repeat(np.arange(-5, 40, dtype=np.int64), 3)
+    yield "random", np.concatenate([rng.integers(-2**62, 2**62, 500),
+                                    rng.integers(-20, 20, 500)])
+
+
+@pytest.mark.parametrize("name, values", list(unique_cases()),
+                         ids=[name for name, _ in unique_cases()])
+def test_sorted_unique_equals_np_unique(name, values):
+    got, want = sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
