@@ -1,21 +1,16 @@
-"""From 2D masks to 3D prior boxes, grouping first and projecting second.
+"""From 2D masks to 3D priors, grouping first and projecting second.
 
 Consecutive frames see the same objects, so masks are matched frame to frame
 by feature similarity and the matches are propagated into tracks. Only then
-is each track projected into 3D; the tight bounding box of its pooled points
-becomes an objectness prior. Matching in 2D first avoids ever having to pick
-a 3D overlap threshold that works for both mugs and sofas.
+is each track projected into 3D; its pooled point ids become an objectness
+prior. Matching in 2D first avoids ever having to pick a 3D overlap
+threshold that works for both mugs and sofas.
 """
 
 import numpy as np
 
 from part2object import synth
-from part2object.objectness import (
-    MatchParams,
-    build_tracks,
-    match_adjacent,
-    prior_boxes,
-)
+from part2object.objectness import MatchParams, build_tracks, match_adjacent
 
 spec = synth.SynthSpec(
     seed=11,
@@ -38,15 +33,11 @@ tracks = build_tracks(cloud, frames, MatchParams())
 for k, track in enumerate(tracks):
     frames_seen = sorted({fid for fid, _ in track.members})
     print(f"track {k}: masks in frames {frames_seen}, {track.point_ids.size} pooled points")
+    held = [round(float(np.isin(inst.point_ids, track.point_ids).mean()), 3)
+            for inst in gt.instances]
+    print(f"  share of each gt object's points the track holds: {held}")
 
-boxes = prior_boxes(cloud, tracks)
-pos = cloud.positions.astype(np.float64)
-for k, box in enumerate(boxes):
-    extent = np.round(box.max_corner - box.min_corner, 3)
-    covered = [
-        round(float(box.contains(pos[inst.point_ids]).mean()), 3) for inst in gt.instances
-    ]
-    print(f"box {k}: extent {extent.tolist()}, gt containment per object {covered}")
-
-# The boxes only veto merges; they never have to be pixel-perfect. What
-# matters is that each encloses one object and not its neighbor.
+# A track holds only the points its frames see, here under half of each
+# object. The priors only veto merges, through the tight box of their points,
+# so they never have to be complete. What matters is that each holds one
+# object and not its neighbor.

@@ -1,7 +1,7 @@
 """Prior-guided merge rounds, and what breaks without the priors.
 
 Each round pairs spatially adjacent clusters, keeps the most similar top-K
-fraction, drops pairs whose clusters sit on opposite sides of a prior box,
+fraction, drops pairs whose clusters sit on opposite sides of a prior's box,
 and unions the rest. The blocks in this scene nearly touch, so adjacency
 alone cannot separate them: turn the priors off and let every candidate
 through, and the blocks fuse into one object.
@@ -9,7 +9,6 @@ through, and the blocks fuse into one object.
 
 from part2object import evaluation, synth
 from part2object.hierarchy import MergeParams, collect_objects, collect_parts, run_hierarchy
-from part2object.objectness import prior_boxes
 from part2object.superpoints import build_superpoints
 
 step = 0.54  # 0.5 m blocks with 0.04 m gaps, closer than the 0.05 m threshold
@@ -24,11 +23,11 @@ spec = synth.SynthSpec(
 )
 cloud, gt, _ = synth.generate(spec)
 layer0 = build_superpoints(cloud)
-boxes = prior_boxes(cloud, gt.instances)  # ground-truth boxes, the perfect priors
-print(f"{cloud.n_points} points, {len(layer0)} super-points, {len(boxes)} prior boxes")
+priors = [g.point_ids for g in gt.instances]  # the ground truth, the perfect priors
+print(f"{cloud.n_points} points, {len(layer0)} super-points, {len(priors)} priors")
 
 params = MergeParams(min_object_points=30)
-guided = run_hierarchy(layer0, cloud, boxes, params)
+guided = run_hierarchy(layer0, cloud, priors, params)
 print("\nwith priors:")
 for t, log in enumerate(guided.merge_log):
     print(f"  round {t}: {len(log.accepted)} merges, "

@@ -5,8 +5,8 @@ Pipeline stages, each usable on its own:
   scene_io     -- load/save point clouds, frames, instance manifests
   superpoints  -- layer-0 partition by seeded voxel region growing
   features     -- noise-robust cluster feature fusion
-  spatial      -- kd-tree adjacency between labelled point sets, prior boxes
-  objectness   -- 2D mask tracks across frames -> 3D prior boxes
+  spatial      -- kd-tree adjacency between labelled point sets
+  objectness   -- 2D mask tracks across frames -> 3D priors (point ids)
   hierarchy    -- prior-guided merge rounds; object/part collection
   evaluation   -- class-agnostic instance segmentation AP
   synth        -- deterministic synthetic scenes for testing
@@ -51,7 +51,6 @@ from .objectness import (  # noqa: F401
     ObjectTrack,
     build_tracks,
     match_adjacent,
-    prior_boxes,
     project_mask_points,
     propagate_sameness,
 )
@@ -69,6 +68,5 @@ from .scene_io import (  # noqa: F401
     write_instances,
     write_scene,
 )
-from .spatial import PriorBox  # noqa: F401
 from .superpoints import SuperpointParams, build_superpoints  # noqa: F401
 from .synth import CameraModel, SynthObject, SynthSpec, generate, look_at  # noqa: F401

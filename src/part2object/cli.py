@@ -15,12 +15,15 @@ Each stage is one function that computes its result, writes its artifact
 (the super-point stage writes none) and returns it; its command loads the
 inputs from files, `run` passes them on through `stage`. Super-points are
 stored only as layer 0 of a p2o.hierarchy/1 file: `superpoints` writes a
-one-layer hierarchy, `cluster --superpoints` reads layers[0] of any. Within a
+one-layer hierarchy, `cluster --superpoints` reads layers[0] of any. A prior
+is one track's sorted point ids, from the priors stage to the merge rounds;
+`cluster --priors` checks them against the scene it loads. Within a
 scene, `run` builds the priors beside the super-points as two blocks of
 parallel.thread_map, joined before the merge rounds; the stages split their
 large steps over the same pool, and importing the package pins numpy's
 OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set. Only --jobs, across
-scenes, sets a thread count. hierarchy.json is compact JSON, the rest indent 2.
+scenes, sets a thread count. hierarchy.json and priors.json are compact JSON,
+the rest indent 2.
 """
 
 import argparse
@@ -36,7 +39,6 @@ import numpy as np
 from . import evaluation, hierarchy, objectness, scene_io, superpoints, synth
 from .errors import FormatError
 from .parallel import thread_map
-from .spatial import PriorBox
 
 log = logging.getLogger("p2o")
 
@@ -91,19 +93,27 @@ def write_json(path, data, compact=False):
         fh.write(text + "\n")
 
 
-# The keys of a priors.json entry; p2o cluster reads only the corners.
-_PRIOR_FIELDS = {"min": tuple, "max": tuple, "track_size": int, "frame_span": int}
-
-
-def load_priors(path):
+def load_priors(path, n_points, scene):
+    """Each prior's point ids from a priors.json; FormatError naming path
+    unless each entry's point_ids is a non-empty, strictly ascending array of
+    ids of the scene's n_points points."""
     data = scene_io.load_json(path)
-    try:
-        entries = [scene_io.check_fields(e, _PRIOR_FIELDS, path, "prior") for e in data]
-        corners = [(np.asarray(e["min"]), np.asarray(e["max"])) for e in entries]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: each prior needs \"min\" and \"max\" corners") from exc
-    with scene_io._named(path):
-        return [PriorBox(*c) for c in corners]
+    if not isinstance(data, list):
+        raise FormatError(f"{path}: priors must be a JSON array")
+    priors = []
+    for k, entry in enumerate(data):
+        ids = scene_io.check_fields(entry, {"point_ids": list, "frame_span": int},
+                                    path, "prior").get("point_ids")
+        # type(v) is int: a JSON boolean is a bool, a fraction a float.
+        if not ids or not all(type(v) is int for v in ids):
+            raise FormatError(f"{path}: prior {k} needs point_ids, a non-empty array of integers")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise FormatError(f"{path}: prior {k}: point_ids are not strictly ascending")
+        if ids[0] < 0 or ids[-1] >= n_points:
+            raise FormatError(f"{path}: prior {k}: point id {ids[0] if ids[0] < 0 else ids[-1]} "
+                              f"is outside [0, {n_points}), the points of scene {scene}")
+        priors.append(np.asarray(ids, dtype=np.int64))
+    return priors
 
 
 def stage(name, fn, *inputs):
@@ -129,17 +139,15 @@ def priors_stage(cloud, frames_dir, params, out):
     if not frames:
         log.warning("no frames in %s; clustering without priors", frames_dir)
     tracks = objectness.build_tracks(cloud, frames, params)
-    boxes = objectness.prior_boxes(cloud, tracks)
-    write_json(out, [{"min": box.min_corner.tolist(), "max": box.max_corner.tolist(),
-                      "track_size": int(track.point_ids.size),
-                      "frame_span": len({fid for fid, _ in track.members})}
-                     for box, track in zip(boxes, tracks)])
-    log.info("%d prior boxes from %d frames", len(boxes), len(frames))
-    return boxes
+    write_json(out, [{"point_ids": t.point_ids.tolist(),
+                      "frame_span": len({fid for fid, _ in t.members})} for t in tracks],
+               compact=True)
+    log.info("%d priors from %d frames", len(tracks), len(frames))
+    return [t.point_ids for t in tracks]
 
 
-def cluster_stage(layer0, cloud, boxes, params, out):
-    h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
+def cluster_stage(layer0, cloud, priors, params, out):
+    h = hierarchy.run_hierarchy(layer0, cloud, priors, params)
     write_json(out, hierarchy.hierarchy_to_dict(h), compact=True)
     log.info("%d layers, terminal layer has %d clusters", len(h.layers), len(h.layers[-1]))
     return h
@@ -200,8 +208,8 @@ def cmd_cluster(args):
     if h.n_points != cloud.n_points:
         raise FormatError(f"{args.superpoints}: n_points is {h.n_points}, but scene "
                           f"{args.scene} has {cloud.n_points} points")
-    boxes = load_priors(args.priors) if args.priors else []
-    cluster_stage(h.layers[0], cloud, boxes, merge_params, args.out)
+    priors = load_priors(args.priors, cloud.n_points, args.scene) if args.priors else []
+    cluster_stage(h.layers[0], cloud, priors, merge_params, args.out)
     return EXIT_OK
 
 
@@ -230,12 +238,12 @@ def _run_one_scene(scene_dir, out_dir, params, args):
     # Neither block mutates the cloud. thread_map returns in block order, so
     # when both blocks fail the super-point failure is the one raised, as in
     # a serial run; with one CPU the blocks run serially in this order.
-    layer0, boxes = thread_map(lambda block: stage(*block), [
+    layer0, priors = thread_map(lambda block: stage(*block), [
         ("superpoints", superpoints_stage, cloud, sp_params),
         ("priors", priors_stage, cloud, args.frames or scene_dir, match_params,
          out_dir / "priors.json"),
     ])
-    h = stage("cluster", cluster_stage, layer0, cloud, boxes, merge_params,
+    h = stage("cluster", cluster_stage, layer0, cloud, priors, merge_params,
               out_dir / "hierarchy.json")
     objects = stage("extract", extract_stage, h, merge_params,
                     out_dir / "objects.txt", out_dir / "parts.txt")

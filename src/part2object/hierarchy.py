@@ -3,12 +3,15 @@
 Each round pairs up clusters that are spatially adjacent (closest points
 within T) and semantically similar (similarity rank within the top K fraction
 of this round's candidate pairs), vetoes pairs that straddle an objectness
-prior box, and unions the survivors into the next layer. Clusters that stop
-merging are the objects; the children that formed an object are its parts.
+prior's box, and unions the survivors into the next layer. A prior is a
+track's sorted point ids; its box, the tight axis-aligned box of those
+points, is derived only where points are tested against it (_box_counts).
+Clusters that stop merging are the objects; the children that formed an
+object are its parts.
 
 Two clusters are adjacent after a union exactly when some pair of their
 members was adjacent before it, and a cluster's count of points inside a
-prior box is the sum of its children's. So adjacency and box counts are
+prior's box is the sum of its children's. So adjacency and box counts are
 computed once from the points, on the layer-0 super-points, and each round
 contracts them onto the next layer instead of scanning the points again.
 
@@ -174,11 +177,13 @@ def rank_filter(pairs, sims, k_fraction):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0], -sims))[:n_keep]]
 
 
-def _box_counts(labels, n_clusters, positions, boxes):
-    """(C, B + 1) float64: each cluster's points inside each box, then its size."""
-    columns = [box.contains(positions) for box in boxes] + [np.ones(labels.size)]
+def _box_counts(labels, n_clusters, positions, priors):
+    """(C, B + 1) float64: each cluster's points inside each prior's box (the
+    tight box of the prior's points, closed on every face), then its size."""
+    boxes = [(positions[ids].min(axis=0), positions[ids].max(axis=0)) for ids in priors]
+    columns = [((positions >= lo) & (positions <= hi)).all(axis=1) for lo, hi in boxes]
     return np.column_stack([np.bincount(labels, weights=c, minlength=n_clusters)
-                            for c in columns])
+                            for c in columns + [np.ones(labels.size)]])
 
 
 def contract_counts(counts, parent, n_next):
@@ -216,10 +221,11 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
     labels maps each point to its cluster in this layer, feats holds one row
     per cluster, norms each point's feature norm (features.point_norms,
     computed once by run_hierarchy), edges is the layer's (E, 2) adjacency
-    (candidate_pairs or contract_edges) and counts its (C, B + 1) box counts
-    (_box_counts or contract_counts). Candidate pairs (both features
-    non-zero) are ranked by similarity, the top K fraction survive, pairs
-    vetoed by a prior box (on the fractions count / size) are dropped, and
+    (candidate_pairs or contract_edges) and counts its (C, B + 1) counts of
+    points inside each prior's box (_box_counts or contract_counts).
+    Candidate pairs (both features non-zero) are ranked by similarity, the
+    top K fraction survive, pairs a prior's box separates (on the fractions
+    count / size) are dropped, and
     the rest are unioned transitively. parent[c] is the next-layer index of
     cluster c; next-layer clusters are numbered by their smallest child.
     Untouched clusters carry their feature forward; merged clusters re-fuse
@@ -262,11 +268,12 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
     return parent, next_feats, log
 
 
-def run_hierarchy(layer0, cloud, boxes, params=None):
+def run_hierarchy(layer0, cloud, priors, params=None):
     """Merge rounds until a fixpoint or params.max_layers layers exist.
 
     layer0 must partition [0, N) into non-empty sets, as build_superpoints
-    does (ValueError otherwise). Point features come from
+    does (ValueError otherwise). Each prior is a non-empty array of point
+    ids, as a track's point_ids. Point features come from
     cloud.semantic_features, as stored, and their norms are computed once
     for every round; layer-0 cluster features are fused from member point
     features. The three layer-0 inputs (the fused
@@ -290,7 +297,7 @@ def run_hierarchy(layer0, cloud, boxes, params=None):
         lambda: candidate_pairs(labels, positions, params.T),
         lambda: np.asarray([_cluster_feature(point_features, ids, norms) for ids in layer0],
                            dtype=np.float32),
-        lambda: _box_counts(labels, len(layer0), positions, boxes),
+        lambda: _box_counts(labels, len(layer0), positions, priors),
     ])
 
     h = Hierarchy(layers=[layer0], merge_log=[])

@@ -2,9 +2,10 @@
 
 Masks of the same object are grouped across frames first (greedy
 adjacent-frame matching on mask features, then transitive propagation), and
-only then projected to 3D, where each group's points form one axis-aligned
-prior box. Grouping before projection sidesteps the impossible task of
-picking a single 3D overlap criterion for objects of all sizes.
+only then projected to 3D, where each group's pooled, sorted point ids are
+one prior (the merge rounds box them, hierarchy._box_counts). Grouping
+before projection sidesteps the impossible task of picking a single 3D
+overlap criterion for objects of all sizes.
 
 Projection is split in two: each frame that shows a surviving track is
 projected and depth-tested once (``visible_points``), and each of its masks
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .parallel import thread_map
-from .spatial import PriorBox, sorted_unique
+from .spatial import sorted_unique
 
 
 @dataclass
@@ -219,14 +220,3 @@ def build_tracks(cloud, frames, params=None):
         kept.append(track)
     return kept
 
-
-def prior_boxes(cloud, tracks):
-    """Tight axis-aligned box of each track's pooled points, in track order.
-
-    Reads only .point_ids: prior_boxes(cloud, gt.instances) boxes the ground truth.
-    """
-    pos = cloud.positions.astype(np.float64)
-    return [
-        PriorBox(pos[t.point_ids].min(axis=0), pos[t.point_ids].max(axis=0))
-        for t in tracks
-    ]

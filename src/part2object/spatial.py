@@ -1,17 +1,14 @@
-"""Kd-trees, adjacency between labelled point sets, prior boxes, and the
-package's unique-id rule.
+"""Kd-trees, adjacency between labelled point sets, and the package's
+unique-id rule.
 
 Every kd-tree in the package (normals, adjacency slabs, the super-point
 fallback) is built by kdtree, with one construction rule. Every id array the
 hot paths deduplicate goes through sorted_unique.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FormatError, NonFinite
 from .parallel import thread_map
 
 # Points per core in labeled_close_pairs. A kd-tree query materialises every
@@ -73,27 +70,3 @@ def labeled_close_pairs(positions, labels, cutoff):
     keys = sorted_unique(np.concatenate(keys))
     return np.column_stack([keys // base, keys % base])
 
-
-@dataclass(frozen=True)
-class PriorBox:
-    """Axis-aligned world-frame bounding box (closed on all faces)."""
-
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self):
-        mn = np.asarray(self.min_corner, dtype=np.float64)
-        mx = np.asarray(self.max_corner, dtype=np.float64)
-        if mn.shape != (3,) or mx.shape != (3,):
-            raise FormatError("box corners must be 3-vectors")
-        if not (np.isfinite(mn).all() and np.isfinite(mx).all()):
-            raise NonFinite("box corners contain non-finite values")
-        if (mn > mx).any():
-            raise FormatError("box min corner exceeds max corner")
-        object.__setattr__(self, "min_corner", mn)
-        object.__setattr__(self, "max_corner", mx)
-
-    def contains(self, points):
-        """Boolean mask of points inside the closed box."""
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return ((p >= self.min_corner) & (p <= self.max_corner)).all(axis=1)

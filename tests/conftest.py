@@ -46,6 +46,11 @@ def random_partition(rng, n_points, n_clusters):
     return labels
 
 
+def points_in_box(pos, lo, hi):
+    """Which rows of pos lie in the axis-aligned box [lo, hi], closed on every face."""
+    return ((pos >= lo) & (pos <= hi)).all(axis=1)
+
+
 def sets_from_labels(labels, n_clusters):
     return [np.flatnonzero(labels == c) for c in range(n_clusters)]
 

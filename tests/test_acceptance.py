@@ -16,12 +16,11 @@ import pytest
 
 from part2object import evaluation, hierarchy, objectness, scene_io, superpoints, synth
 from part2object.features import point_norms
-from part2object.spatial import PriorBox
 
-from conftest import spec_json, three_block_spec
+from conftest import points_in_box, spec_json, three_block_spec
 from test_evaluation import instset, oracle_ap
 from test_features import fuse, fuse_oracle
-from test_hierarchy import brute_accepted
+from test_hierarchy import box_priors, brute_accepted
 from test_objectness import bfs_components, brute_links
 
 
@@ -65,10 +64,8 @@ def test_c2_layer_merges_match_brute_force():
         labels[:n_clusters] = np.arange(n_clusters)
         sets = [np.flatnonzero(labels == c) for c in range(n_clusters)]
         feats = rng.standard_normal((n_clusters, 5))
-        boxes = []
-        for _ in range(int(rng.integers(0, 4))):
-            corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
-            boxes.append(PriorBox(corners[0], corners[1]))
+        priors = box_priors(pos, [np.sort(rng.random((2, 3)) * 0.4, axis=0)
+                                  for _ in range(int(rng.integers(0, 4)))])
         params = hierarchy.MergeParams(
             K=float(rng.uniform(0.1, 1.0)),
             T=float(rng.uniform(0.03, 0.12)),
@@ -82,9 +79,9 @@ def test_c2_layer_merges_match_brute_force():
         _parent, _nf, log = hierarchy.run_layer(
             labels, feats.astype(np.float32), point_feats, point_norms(point_feats),
             hierarchy.candidate_pairs(labels, pos, params.T),
-            hierarchy._box_counts(labels, n_clusters, pos, boxes), params,
+            hierarchy._box_counts(labels, n_clusters, pos, priors), params,
         )
-        want = brute_accepted(sets, feats, pos, boxes, params)
+        want = brute_accepted(sets, feats, pos, priors, params)
         assert set(log.accepted) == want, f"trial {trial}: {set(log.accepted)} != {want}"
     report("2 merge-rule oracle: PASS (200 random layers, exact match)")
 
@@ -125,9 +122,9 @@ def test_c3_partition_invariants_on_random_scenes():
         spec = random_scene_spec(rng)
         cloud, _gt, frames = synth.generate(spec)
         layer0 = superpoints.build_superpoints(cloud)
-        boxes = objectness.prior_boxes(cloud, objectness.build_tracks(cloud, frames))
+        priors = [t.point_ids for t in objectness.build_tracks(cloud, frames)]
         params = hierarchy.MergeParams(min_object_points=20)
-        h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
+        h = hierarchy.run_hierarchy(layer0, cloud, priors, params)
 
         universe = np.arange(cloud.n_points)
         for t in range(len(h.layers)):
@@ -150,12 +147,12 @@ def test_c3_partition_invariants_on_random_scenes():
 
 
 def test_c4_priors_separate_adjacent_objects():
-    # Blocks 0.04 m apart: within the adjacency threshold, so only the prior
-    # boxes can stop cross-object merging once the rank filter lets
+    # Blocks 0.04 m apart: within the adjacency threshold, so only the
+    # priors can stop cross-object merging once the rank filter lets
     # everything through.
     spec = three_block_spec(seed=7, gap=0.04)
     cloud, gt, _frames = synth.generate(spec)
-    perfect = objectness.prior_boxes(cloud, gt.instances)
+    perfect = [g.point_ids for g in gt.instances]
     layer0 = superpoints.build_superpoints(cloud)
 
     guided_params = hierarchy.MergeParams(min_object_points=30)
@@ -383,14 +380,16 @@ def test_c9_large_scene_clustering_under_budget():
     cloud = scene_io.SceneCloud(
         positions=positions.astype(np.float32), semantic_features=features
     )
-    boxes = [
-        PriorBox((ox * 1.4, oy * 1.4, 0.0), (ox * 1.4 + 1.0, oy * 1.4 + 1.0, 0.5))
+    pos = cloud.positions.astype(np.float64)
+    priors = [
+        np.flatnonzero(points_in_box(pos, (ox * 1.4, oy * 1.4, 0.0),
+                                     (ox * 1.4 + 1.0, oy * 1.4 + 1.0, 0.5)))
         for ox in range(3) for oy in range(3)
     ]
     params = hierarchy.MergeParams(min_object_points=50)
 
     t0 = time.monotonic()
-    h = hierarchy.run_hierarchy(layer0, cloud, boxes, params)
+    h = hierarchy.run_hierarchy(layer0, cloud, priors, params)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"clustering took {elapsed:.1f}s (limit 120s)"
     assert len(h.layers[-1]) < len(layer0)

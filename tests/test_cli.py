@@ -294,10 +294,14 @@ def test_id_array_artifacts_are_compact_json(scene_dir, tmp_path):
     assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out)]) == 0
     assert cli.main(["superpoints", "--scene", str(scene_dir),
                      "--out", str(tmp_path / "sp.json")]) == 0
-    for path in (out / "hierarchy.json", tmp_path / "sp.json"):
+    assert cli.main(["priors", "--scene", str(scene_dir),
+                     "--out", str(tmp_path / "priors.json")]) == 0
+    for path in (out / "hierarchy.json", tmp_path / "sp.json", out / "priors.json",
+                 tmp_path / "priors.json"):
         text = path.read_text()
         assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text, path
-    for name in ("effective_config.json", "priors.json", "report.json"):
+    assert json.loads((out / "priors.json").read_text())
+    for name in ("effective_config.json", "report.json"):
         text = (out / name).read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
@@ -686,24 +690,33 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
         assert f"{tmp_path / 'h.json'}: {mutation.split('_', 1)[1]}=" in err
 
 
+# "N" stands for the scene's point count, the first id past its points.
 @pytest.mark.parametrize("priors", [
-    [{"max": [1.0, 1.0, 1.0]}],
-    [[0.0, 0.0, 0.0]],
-    {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
-    [{"min": [float("nan"), 0.0, 0.0], "max": [1.0, 1.0, 1.0]}],
-    [{"min": [0.0, 0.0, 0.0], "max": [float("inf"), 1.0, 1.0]}],
-    [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "track_size": 2.5}],
-    [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "label": "chair"}],
-    [{"min": [0.0, 2.0, 0.0], "max": [1.0, 1.0, 1.0]}],
+    {"point_ids": [0, 1], "frame_span": 2},
+    [[0, 1]],
+    [{"frame_span": 2}],
+    [{"point_ids": [0, 1], "label": "chair"}],
+    [{"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0], "track_size": 2, "frame_span": 2}],
+    [{"point_ids": [0, 1.5]}],
+    [{"point_ids": [0, True]}],
+    [{"point_ids": [[0, 1]]}],
+    [{"point_ids": []}],
+    [{"point_ids": [1, 0]}],
+    [{"point_ids": [0, 0, 1]}],
+    [{"point_ids": [-1, 0]}],
+    [{"point_ids": [0, "N"]}],
 ])
-def test_cluster_rejects_malformed_priors(priors, scene_dir, tmp_path, capsys):
+def test_cluster_rejects_malformed_priors(priors, scene_dir, scene_points, tmp_path, capsys):
     sp = tmp_path / "sp.json"
     assert cli.main(["superpoints", "--scene", str(scene_dir), "--out", str(sp)]) == 0
     path = tmp_path / "priors.json"
-    path.write_text(json.dumps(priors))
+    text = json.dumps(priors)
+    path.write_text(text.replace('"N"', str(scene_points)))
     err = assert_bad_input(["cluster", "--scene", str(scene_dir), "--superpoints", str(sp),
                             "--priors", str(path), "--out", str(tmp_path / "h.json")], capsys)
     assert err.startswith(f"error: {path}: "), err
+    if '"N"' in text:
+        assert f"point id {scene_points} " in err and str(scene_dir) in err, err
 
 
 @pytest.mark.parametrize("text", [

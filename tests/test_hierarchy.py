@@ -6,9 +6,9 @@ import pytest
 
 from part2object import hierarchy as hi
 from part2object.features import fuse_feature, point_norms
-from part2object.objectness import prior_boxes
 from part2object.scene_io import SceneCloud
-from part2object.spatial import PriorBox
+
+from conftest import points_in_box
 
 # ---------------------------------------------------------------------------
 # independent straight-line oracle
@@ -22,16 +22,24 @@ def brute_closest(pa, pb):
     return best
 
 
-def brute_phi(pts, box):
+def tight_box(positions, prior):
+    """A prior's box: the tight axis-aligned box of its points."""
+    held = positions[prior]
+    return held.min(axis=0), held.max(axis=0)
+
+
+def brute_phi(pts, lo, hi):
     inside = 0
     for p in pts:
-        if (p >= box.min_corner).all() and (p <= box.max_corner).all():
+        if (p >= lo).all() and (p <= hi).all():
             inside += 1
     return inside / len(pts)
 
 
-def brute_accepted(point_sets, feats, positions, boxes, params):
-    """Literal merge rule: dist <= T, similarity rank within top K, no veto."""
+def brute_accepted(point_sets, feats, positions, priors, params):
+    """Literal merge rule: dist <= T, similarity rank within top K, no veto
+    by the tight box of any prior's points."""
+    boxes = [tight_box(positions, prior) for prior in priors]
     cands = []
     for i in range(len(point_sets)):
         for j in range(i + 1, len(point_sets)):
@@ -50,8 +58,8 @@ def brute_accepted(point_sets, feats, positions, boxes, params):
     for i, j, _s in kept:
         vetoed = False
         for box in boxes:
-            fa = brute_phi(positions[point_sets[i]], box)
-            fb = brute_phi(positions[point_sets[j]], box)
+            fa = brute_phi(positions[point_sets[i]], *box)
+            fb = brute_phi(positions[point_sets[j]], *box)
             if (fa >= params.inside_frac and fb <= params.outside_frac) or (
                 fb >= params.inside_frac and fa <= params.outside_frac
             ):
@@ -97,12 +105,19 @@ def labels_of(sets):
     return labels
 
 
-def run_layer_on(sets, feats, point_feats, pos, boxes, params):
+def run_layer_on(sets, feats, point_feats, pos, priors, params):
     """run_layer over the layer the point sets form, edges found from the points."""
     labels = labels_of(sets)
     return hi.run_layer(labels, feats, point_feats, point_norms(point_feats),
                         hi.candidate_pairs(labels, pos, params.T),
-                        hi._box_counts(labels, len(sets), pos, boxes), params)
+                        hi._box_counts(labels, len(sets), pos, priors), params)
+
+
+def box_priors(pos, corners):
+    """The points of each (lo, hi) box, as priors; a box that holds no point
+    is left out, as it cannot veto."""
+    priors = [np.flatnonzero(points_in_box(pos, lo, hi)) for lo, hi in corners]
+    return [ids for ids in priors if ids.size]
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +192,11 @@ def test_featureless_cluster_is_never_a_candidate():
 # the prior-box veto
 
 
-def stop_criteria(a_ids, b_ids, boxes, pos):
+def stop_criteria(a_ids, b_ids, priors, pos):
     """True when run_layer vetoes the one candidate pair (a, b) at K = 1."""
     feats = np.ones((2, 2), dtype=np.float32)
     _parent, _nf, log = run_layer_on([np.array(a_ids), np.array(b_ids)], feats,
-                                     np.ones((len(pos), 2), dtype=np.float32), pos, boxes,
+                                     np.ones((len(pos), 2), dtype=np.float32), pos, priors,
                                      hi.MergeParams(K=1.0, T=100.0))
     assert log.n_candidates == 1
     return log.rejected_stop == [(0, 1)]
@@ -194,18 +209,18 @@ def test_stop_criteria_no_boxes_never_rejects():
 
 def test_stop_criteria_inside_outside():
     pos = np.array([[0.5, 0.5, 0.5], [0.4, 0.4, 0.4], [5.0, 5, 5], [5.1, 5, 5]])
-    box = PriorBox((0, 0, 0), (1, 1, 1))
-    assert stop_criteria([0, 1], [2, 3], [box], pos) is True
-    assert stop_criteria([2, 3], [0, 1], [box], pos) is True
+    prior = np.array([0, 1])
+    assert stop_criteria([0, 1], [2, 3], [prior], pos) is True
+    assert stop_criteria([2, 3], [0, 1], [prior], pos) is True
 
 
 def test_stop_criteria_straddling_clusters_pass():
     # Both clusters half in, half out: phi = 0.5 for each.
     pos = np.array([[0.5, 0.5, 0.5], [2.0, 2, 2], [0.4, 0.4, 0.4], [3.0, 3, 3]])
-    box = PriorBox((0, 0, 0), (1, 1, 1))
-    assert stop_criteria([0, 1], [2, 3], [box], pos) is False
-    assert brute_phi(pos[[0, 1]], box) == 0.5
-    assert brute_phi(pos[[2, 3]], box) == 0.5
+    prior = np.array([0, 2])
+    assert stop_criteria([0, 1], [2, 3], [prior], pos) is False
+    assert brute_phi(pos[[0, 1]], *tight_box(pos, prior)) == 0.5
+    assert brute_phi(pos[[2, 3]], *tight_box(pos, prior)) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +257,11 @@ def test_run_layer_transitive_union():
 
 
 def test_run_layer_rejects_cross_object_pairs():
+    # Each cluster is one prior, so each prior's box separates the pair.
     pos, feats, sets = row_scene([(0.0, 0.1), (0.11, 0.2)], [0, 2])
-    box_a = PriorBox((-0.01, -0.01, -0.01), (0.105, 0.03, 0.03))
-    box_b = PriorBox((0.106, -0.01, -0.01), (0.21, 0.03, 0.03))
     cf = _layer_feats(sets, feats.astype(np.float32))
     parent, _nf, log = run_layer_on(
-        sets, cf, feats.astype(np.float32), pos, [box_a, box_b],
-        hi.MergeParams(K=1.0),
+        sets, cf, feats.astype(np.float32), pos, sets, hi.MergeParams(K=1.0),
     )
     assert log.accepted == []
     assert log.rejected_stop == [(0, 1)]
@@ -266,10 +279,8 @@ def test_run_layer_accepted_set_matches_brute_force():
         sets = [np.flatnonzero(labels == c) for c in range(n_clusters)]
         # float32 features on both sides so the oracle sees the same rounding
         feats = rng.standard_normal((n_clusters, 6)).astype(np.float32)
-        boxes = []
-        for _ in range(int(rng.integers(0, 3))):
-            corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
-            boxes.append(PriorBox(corners[0], corners[1]))
+        priors = box_priors(pos, [np.sort(rng.random((2, 3)) * 0.4, axis=0)
+                                  for _ in range(int(rng.integers(0, 3)))])
         params = hi.MergeParams(
             K=float(rng.uniform(0.2, 1.0)),
             T=0.08,
@@ -281,9 +292,9 @@ def test_run_layer_accepted_set_matches_brute_force():
         for i, ids in enumerate(sets):
             point_feats[ids] = feats[i]
         _parent, _nf, log = run_layer_on(
-            sets, feats.astype(np.float32), point_feats, pos, boxes, params
+            sets, feats.astype(np.float32), point_feats, pos, priors, params
         )
-        want = brute_accepted(sets, feats, pos, boxes, params)
+        want = brute_accepted(sets, feats, pos, priors, params)
         assert set(log.accepted) == want, f"trial {trial}"
 
 
@@ -313,7 +324,7 @@ def test_requires_semantic_features():
         hi.run_hierarchy([np.arange(4)], cloud, [], hi.MergeParams())
 
 
-def reference_hierarchy(sets, feats_by_cluster, positions, boxes, params,
+def reference_hierarchy(sets, feats_by_cluster, positions, priors, params,
                         point_feats):
     """Straight-line re-implementation used as the oracle for run_hierarchy."""
     norms = point_norms(point_feats)
@@ -321,7 +332,7 @@ def reference_hierarchy(sets, feats_by_cluster, positions, boxes, params,
     cluster_feats = [np.asarray(f, dtype=np.float64) for f in feats_by_cluster]
     while len(layers) < params.max_layers:
         cur = layers[-1]
-        accepted = brute_accepted(cur, cluster_feats, positions, boxes, params)
+        accepted = brute_accepted(cur, cluster_feats, positions, priors, params)
         if not accepted:
             break
         groups = [{i} for i in range(len(cur))]
@@ -368,7 +379,8 @@ def test_run_hierarchy_matches_reference_implementation():
 
 
 def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene):
-    # Same straight-line oracle, but on the rendered scene with prior boxes.
+    # Same straight-line oracle, but on the rendered scene with the ground
+    # truth as priors.
     # (Feature fusion inside the oracle reuses fuse_feature; its correctness
     # is covered separately by the hand/loop fusion oracle.)
     from scipy.spatial.distance import cdist
@@ -377,10 +389,10 @@ def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene)
 
     cloud, gt, _frames = three_block_scene
     pos = cloud.positions.astype(np.float64)
-    boxes = prior_boxes(cloud, gt.instances)
+    priors = [g.point_ids for g in gt.instances]
     layer0 = build_superpoints(cloud)
     params = hi.MergeParams(min_object_points=30)
-    h = hi.run_hierarchy(layer0, cloud, boxes, params)
+    h = hi.run_hierarchy(layer0, cloud, priors, params)
 
     import test_hierarchy as me
 
@@ -393,7 +405,7 @@ def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene)
             for ids in layer0
         ]
         ref = reference_hierarchy(
-            [np.sort(ids) for ids in layer0], feats0, pos, boxes, params,
+            [np.sort(ids) for ids in layer0], feats0, pos, priors, params,
             cloud.semantic_features,
         )
     finally:
@@ -413,10 +425,10 @@ def scene_hierarchy(three_block_scene):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, _frames = three_block_scene
-    boxes = prior_boxes(cloud, gt.instances)
     layer0 = build_superpoints(cloud)
     params = hi.MergeParams(min_object_points=30)
-    return cloud, gt, hi.run_hierarchy(layer0, cloud, boxes, params), params
+    priors = [g.point_ids for g in gt.instances]
+    return cloud, gt, hi.run_hierarchy(layer0, cloud, priors, params), params
 
 
 def test_every_layer_is_a_partition(scene_hierarchy):
@@ -447,8 +459,8 @@ def test_hierarchy_determinism(scene_hierarchy):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, h, params = scene_hierarchy
-    boxes = prior_boxes(cloud, gt.instances)
-    h2 = hi.run_hierarchy(build_superpoints(cloud), cloud, boxes, params)
+    priors = [g.point_ids for g in gt.instances]
+    h2 = hi.run_hierarchy(build_superpoints(cloud), cloud, priors, params)
     assert hi.hierarchy_to_dict(h) == hi.hierarchy_to_dict(h2)
 
 
@@ -528,21 +540,21 @@ def synth_hierarchies():
     for spec in specs:
         cloud, _gt, frames = synth.generate(spec)
         layer0 = build_superpoints(cloud)
-        boxes = objectness.prior_boxes(cloud, objectness.build_tracks(cloud, frames))
-        out.append((cloud, layer0, boxes, params,
-                    hi.run_hierarchy(layer0, cloud, boxes, params)))
+        priors = [t.point_ids for t in objectness.build_tracks(cloud, frames)]
+        out.append((cloud, layer0, priors, params,
+                    hi.run_hierarchy(layer0, cloud, priors, params)))
     return out
 
 
 def test_contracted_edges_match_candidate_pairs_on_synth_scenes(synth_hierarchies):
-    for cloud, _layer0, _boxes, params, h in synth_hierarchies:
+    for cloud, _layer0, _priors, params, h in synth_hierarchies:
         assert len(h.layers) > 1
         labels, parents = lineage(h)
         assert_contraction_exact(labels, parents, cloud.positions.astype(np.float64), params.T)
 
 
 def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
-    for cloud, layer0, boxes, params, h in synth_hierarchies:
+    for cloud, layer0, priors, params, h in synth_hierarchies:
         positions = cloud.positions.astype(np.float64)
         point_feats = cloud.semantic_features
         norms = point_norms(point_feats)
@@ -557,7 +569,7 @@ def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
             parent, nxt_feats, log = hi.run_layer(
                 labels, features[-1], point_feats, norms,
                 hi.candidate_pairs(labels, positions, params.T),
-                hi._box_counts(labels, len(features[-1]), positions, boxes), params,
+                hi._box_counts(labels, len(features[-1]), positions, priors), params,
             )
             if not log.accepted:
                 break
@@ -573,37 +585,39 @@ def test_run_hierarchy_scans_points_once(monkeypatch, three_block_scene):
     from part2object.superpoints import build_superpoints
 
     cloud, gt, _frames = three_block_scene
-    boxes = prior_boxes(cloud, gt.instances)
+    priors = [g.point_ids for g in gt.instances]
     calls = {"pairs": 0, "box": 0}
-    real_pairs, real_contains = hi.labeled_close_pairs, PriorBox.contains
+    real_pairs, real_counts = hi.labeled_close_pairs, hi._box_counts
 
     def counting_pairs(*args, **kwargs):
         calls["pairs"] += 1
         return real_pairs(*args, **kwargs)
 
-    def counting_contains(box, points):
+    def counting_counts(*args, **kwargs):
         calls["box"] += 1
-        return real_contains(box, points)
+        return real_counts(*args, **kwargs)
 
     monkeypatch.setattr(hi, "labeled_close_pairs", counting_pairs)
-    monkeypatch.setattr(PriorBox, "contains", counting_contains)
-    h = hi.run_hierarchy(build_superpoints(cloud), cloud, boxes,
+    monkeypatch.setattr(hi, "_box_counts", counting_counts)
+    h = hi.run_hierarchy(build_superpoints(cloud), cloud, priors,
                          hi.MergeParams(min_object_points=30))
     assert len(h.merge_log) >= 2
-    # One adjacency scan and one point test per box, both on layer 0.
-    assert calls == {"pairs": 1, "box": len(boxes)}
+    # One adjacency scan and one box test of the points, both on layer 0.
+    assert calls == {"pairs": 1, "box": 1}
 
 
 # ---------------------------------------------------------------------------
 # box counts contracted round by round instead of rescanned from the points
 
 
-def rescanned_counts(labels, positions, boxes):
-    """Literal reference: each cluster's points inside each box, then its size."""
+def rescanned_counts(labels, positions, priors):
+    """Literal reference: each cluster's points inside the tight box of each
+    prior's points, then its size."""
+    boxes = [tight_box(positions, prior) for prior in priors]
     rows = []
     for c in range(int(labels.max()) + 1):
         pts = positions[labels == c]
-        rows.append([int(box.contains(pts).sum()) for box in boxes] + [len(pts)])
+        rows.append([int(points_in_box(pts, *box).sum()) for box in boxes] + [len(pts)])
     return np.array(rows, dtype=np.float64)
 
 
@@ -621,32 +635,66 @@ def record_rounds(monkeypatch):
     return rounds
 
 
-def assert_counts_rescan_exactly(monkeypatch, layer0, cloud, boxes, params):
+def assert_counts_rescan_exactly(monkeypatch, layer0, cloud, priors, params):
     """run_hierarchy with every round's counts checked against a rescan; returns
     the rounds and the hierarchy."""
     rounds = record_rounds(monkeypatch)
-    h = hi.run_hierarchy(layer0, cloud, boxes, params)
+    h = hi.run_hierarchy(layer0, cloud, priors, params)
     monkeypatch.undo()
     positions = cloud.positions.astype(np.float64)
     for labels, counts, _log in rounds:
         assert counts.dtype == np.float64
-        assert np.array_equal(counts, rescanned_counts(labels, positions, boxes))
+        assert np.array_equal(counts, rescanned_counts(labels, positions, priors))
     return rounds, h
+
+
+def test_box_counts_equal_a_rescan_against_each_priors_tight_box():
+    # Random point sets as priors: their tight boxes also hold other points.
+    from conftest import random_partition
+
+    rng = np.random.default_rng(67)
+    wider = 0
+    for trial in range(20):
+        n_clusters = int(rng.integers(1, 12))
+        n = n_clusters * int(rng.integers(2, 12))
+        pos = rng.random((n, 3))
+        labels = random_partition(rng, n, n_clusters)
+        priors = [np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.3)) for _ in range(4)]
+        # A one-point prior's box has no volume.
+        priors = [ids for ids in priors if ids.size] + [rng.integers(0, n, 1)]
+        got = hi._box_counts(labels, n_clusters, pos, priors)
+        assert got.dtype == np.float64, trial
+        assert np.array_equal(got, rescanned_counts(labels, pos, priors)), trial
+        wider += (got[:, :-1].sum(axis=0) > [ids.size for ids in priors]).any()
+    assert wider >= 10
+
+
+def test_every_track_point_counts_inside_its_prior(three_block_scene):
+    # The derived box is closed on every face: a track's extreme points, which
+    # lie on its box's faces, count as inside.
+    from part2object.objectness import build_tracks
+
+    cloud, _gt, frames = three_block_scene
+    priors = [t.point_ids for t in build_tracks(cloud, frames)]
+    assert len(priors) == 3
+    pos = cloud.positions.astype(np.float64)
+    for k, ids in enumerate(priors):
+        labels = np.ones(cloud.n_points, dtype=np.int64)
+        labels[ids] = 0
+        assert hi._box_counts(labels, 2, pos, priors)[0, k] == ids.size
 
 
 def test_contracted_box_counts_match_rescanned_counts_on_synth_scenes(monkeypatch,
                                                                       synth_hierarchies):
-    for cloud, layer0, boxes, params, h in synth_hierarchies:
-        pos = cloud.positions.astype(np.float64)
-        # A box that holds no point and one that holds every point: neither
-        # can separate two clusters, so the hierarchy stays the same.
-        extra = [PriorBox(pos.max(axis=0) + 1.0, pos.max(axis=0) + 2.0),
-                 PriorBox(pos.min(axis=0), pos.max(axis=0))]
-        for scene_boxes in (boxes, boxes + extra, []):
+    for cloud, layer0, priors, params, h in synth_hierarchies:
+        # A prior of every point cannot separate two clusters, so the
+        # hierarchy stays the same.
+        everything = [np.arange(cloud.n_points)]
+        for scene_priors in (priors, priors + everything, []):
             rounds, got = assert_counts_rescan_exactly(monkeypatch, layer0, cloud,
-                                                       scene_boxes, params)
+                                                       scene_priors, params)
             assert len(rounds) >= 2
-            if scene_boxes:
+            if scene_priors:
                 assert hi.hierarchy_to_dict(got) == hi.hierarchy_to_dict(h)
 
 
@@ -662,15 +710,15 @@ def test_contracted_box_counts_match_rescanned_counts_on_random_layers(monkeypat
         labels = random_partition(rng, n, n_clusters)
         base = rng.standard_normal((3, 4))
         feats = base[rng.integers(0, 3, n_clusters)][labels] + 0.3 * rng.standard_normal((n, 4))
-        boxes = []
-        for _ in range(trial % 4):  # B = 0 every fourth trial
-            corners = np.sort(rng.random((2, 3)) * 0.4, axis=0)
-            boxes.append(PriorBox(corners[0], corners[1]))
+        cloud = make_cloud(pos, feats)
+        # B = 0 every fourth trial.
+        priors = box_priors(cloud.positions.astype(np.float64),
+                            [np.sort(rng.random((2, 3)) * 0.4, axis=0) for _ in range(trial % 4)])
         params = hi.MergeParams(K=float(rng.uniform(0.3, 1.0)), T=0.08,
                                 inside_frac=0.8, outside_frac=0.2, min_object_points=1)
         rounds, _h = assert_counts_rescan_exactly(
             monkeypatch, [np.flatnonzero(labels == c) for c in range(n_clusters)],
-            make_cloud(pos, feats), boxes, params)
+            cloud, priors, params)
         multi_round += len(rounds) >= 3
     assert multi_round >= 5
 
@@ -684,8 +732,8 @@ def test_contracted_box_counts_reach_the_veto_thresholds_exactly(monkeypatch):
     cloud = make_cloud(pos, feats)
     pos = cloud.positions.astype(np.float64)
     a1_x, b_x = np.sort(pos[sets[0], 0]), np.sort(pos[sets[2], 0])
-    box = PriorBox((a1_x[2], -1.0, -1.0), (b_x[0], 1.0, 1.0))
-    rounds, h = assert_counts_rescan_exactly(monkeypatch, sets, cloud, [box],
+    prior = np.flatnonzero(points_in_box(pos, (a1_x[2], -1.0, -1.0), (b_x[0], 1.0, 1.0)))
+    rounds, h = assert_counts_rescan_exactly(monkeypatch, sets, cloud, [prior],
                                              hi.MergeParams(K=1.0, min_object_points=1))
     assert [counts.tolist() for _labels, counts, _log in rounds] == [
         [[8.0, 10.0], [10.0, 10.0], [1.0, 10.0]],
@@ -700,24 +748,24 @@ def test_contracted_box_counts_reach_the_veto_thresholds_exactly(monkeypatch):
 
 def test_inside_fractions_equal_fraction_inside():
     # The fractions run_layer vetoes on, count / size from _box_counts, equal
-    # the literal per-cluster fraction: the mean of box.contains over its points.
+    # the literal per-cluster fraction: the share of its points inside each
+    # prior's tight box.
     rng = np.random.default_rng(8)
     pos = rng.random((300, 3))
-    boxes = []
-    for _ in range(4):
-        corners = np.sort(rng.random((2, 3)), axis=0)
-        boxes.append(PriorBox(corners[0], corners[1]))
+    priors = box_priors(pos, [np.sort(rng.random((2, 3)), axis=0) for _ in range(4)])
+    boxes = [tight_box(pos, prior) for prior in priors]
     sets = [np.flatnonzero(rng.random(300) < 0.2) for _ in range(6)] + [np.empty(0, int)]
     got, want = [], []
     for ids in sets:
         # Cluster 0 is the set, cluster 1 every other point.
         labels = np.ones(300, dtype=np.int64)
         labels[ids] = 0
-        counts = hi._box_counts(labels, 2, pos, boxes)
-        assert counts[0].tolist() == [box.contains(pos[ids]).sum() for box in boxes] + [ids.size]
+        counts = hi._box_counts(labels, 2, pos, priors)
+        inside = [points_in_box(pos[ids], *box) for box in boxes]
+        assert counts[0].tolist() == [c.sum() for c in inside] + [ids.size]
         if ids.size:
             got.append((counts[:, :-1] / counts[:, -1:])[0].tolist())
-            want.append([float(box.contains(pos[ids]).mean()) for box in boxes])
+            want.append([float(c.mean()) for c in inside])
     assert len(got) == 6 and got == want
 
 

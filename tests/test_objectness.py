@@ -7,6 +7,8 @@ from part2object import objectness as ob
 from part2object import parallel
 from part2object.scene_io import FrameObservation, MaskEntry, SceneCloud
 
+from conftest import points_in_box
+
 
 def frame_with_features(frame_id, feats, h=6, w=6):
     masks = []
@@ -240,22 +242,22 @@ def test_point_behind_camera_excluded():
 
 def test_zero_frames_yield_no_priors():
     cloud = SceneCloud(positions=np.zeros((1, 3), dtype=np.float32))
-    assert ob.prior_boxes(cloud, ob.build_tracks(cloud, [])) == []
+    assert ob.build_tracks(cloud, []) == []
 
 
 def test_priors_on_synthetic_scene(three_block_scene):
     cloud, gt, frames = three_block_scene
     params = ob.MatchParams()
     tracks = ob.build_tracks(cloud, frames, params)
-    boxes = ob.prior_boxes(cloud, tracks)
-    assert len(boxes) == 3
+    assert len(tracks) == 3
     pos = cloud.positions.astype(np.float64)
-    for track, box in zip(tracks, boxes):
-        # AABB definition: every pooled point inside its own box
-        assert box.contains(pos[track.point_ids]).all()
-        # each box encloses >= 95% of exactly one ground-truth object
-        # (pooled points alone cannot: some faces are hidden in every view)
-        fractions = [box.contains(pos[g.point_ids]).mean() for g in gt.instances]
+    for track in tracks:
+        ids = track.point_ids
+        assert ids.dtype == np.int64 and (np.diff(ids) > 0).all()
+        # each track's tight box encloses >= 95% of exactly one ground-truth
+        # object (pooled points alone cannot: some faces are hidden in every view)
+        lo, hi = pos[ids].min(axis=0), pos[ids].max(axis=0)
+        fractions = [points_in_box(pos[g.point_ids], lo, hi).mean() for g in gt.instances]
         assert max(fractions) >= 0.95
 
 

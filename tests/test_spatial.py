@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from part2object import parallel, spatial
-from part2object.errors import NonFinite
-from part2object.spatial import PriorBox, labeled_close_pairs, sorted_unique
+from part2object.spatial import labeled_close_pairs, sorted_unique
 
 
 def brute_label_pairs(pts, labels, cutoff):
@@ -91,27 +90,6 @@ def test_labeled_close_pairs_degenerate_inputs():
 
     two = labeled_close_pairs(np.array([[0.0, 0, 0], [0.5, 0, 0]]), np.array([4, 2]), 0.5)
     assert two.dtype == np.int64 and two.tolist() == [[2, 4]]
-
-
-def test_prior_box_containment():
-    box = PriorBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    pts = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [1.1, 0.5, 0.5]])
-    assert box.contains(pts).tolist() == [True, True, False]
-    assert box.contains(pts).mean() == pytest.approx(2.0 / 3.0)
-
-
-def test_prior_box_rejects_inverted_corners():
-    with pytest.raises(ValueError):
-        PriorBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("corner", [0, 1])
-def test_prior_box_rejects_non_finite_corners(corner, value):
-    corners = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
-    corners[corner][1] = value
-    with pytest.raises(NonFinite):
-        PriorBox(*corners)
 
 
 def unique_cases():

@@ -203,8 +203,8 @@ def test_separated_blocks_at_realistic_density_are_segmented():
     for seed in (3, 5, 7, 13, 21, 42):
         cloud, gt, frames = synth.generate(three_block_spec(seed=seed, points_per_m2=1150.0))
         params = hierarchy.MergeParams()
-        boxes = objectness.prior_boxes(cloud, objectness.build_tracks(cloud, frames))
-        h = hierarchy.run_hierarchy(build_superpoints(cloud), cloud, boxes, params)
+        priors = [t.point_ids for t in objectness.build_tracks(cloud, frames)]
+        h = hierarchy.run_hierarchy(build_superpoints(cloud), cloud, priors, params)
         ap50.append(evaluation.evaluate(hierarchy.collect_objects(h, params), gt).ap50)
     assert np.mean(ap50) >= 0.9, ap50
     assert min(ap50) >= 0.66, ap50  # at least two of the three blocks everywhere
