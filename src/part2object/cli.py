@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, hierarchy, objectness, scene_io, superpoints, synth
-from .errors import FormatError
+from .errors import FormatError, OverlappingGroundTruth
 from .parallel import thread_map
 
 log = logging.getLogger("p2o")
@@ -167,6 +167,14 @@ def _instances(path, kind, n_points=None):
     return scene_io.InstanceSet([i for i in found.instances if i.kind == kind])
 
 
+def _scored(gt_paths, score, *args):
+    """score(*args), where overlapping ground truth in scene k names gt_paths[k]."""
+    try:
+        return score(*args)
+    except OverlappingGroundTruth as exc:
+        raise FormatError(f"{gt_paths[exc.scene]}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each loads its inputs (config first) and calls its stage
 
@@ -225,7 +233,7 @@ def cmd_eval(args):
         raise FormatError("--pred and --gt must be given the same number of times")
     pairs = [(_instances(pred, args.kind), _instances(gt, args.kind))
              for pred, gt in zip(args.pred, args.gt)]
-    report = evaluation.evaluate_multi(pairs)
+    report = _scored(args.gt, evaluation.evaluate_multi, pairs)
     write_json(args.out, report.to_dict())
     log.info("ap25=%.4f ap50=%.4f mean_ap=%.4f", report.ap25, report.ap50, report.mean_ap)
     return EXIT_OK
@@ -252,7 +260,7 @@ def _run_one_scene(scene_dir, out_dir, params, args):
     if not gt_path.exists():
         return None
     gt = stage("eval", _instances, gt_path, "object", cloud.n_points)
-    report = stage("eval", evaluation.evaluate, objects, gt)
+    report = stage("eval", _scored, [gt_path], evaluation.evaluate, objects, gt)
     stage("eval", write_json, out_dir / "report.json", report.to_dict())
     log.info("ap50=%.4f", report.ap50)
     return objects, gt

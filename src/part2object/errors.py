@@ -43,3 +43,13 @@ class AllZeroFeatures(ValueError):
 
 class EmptyCloud(ValueError):
     """An operation that needs points received none."""
+
+
+class OverlappingGroundTruth(ValueError):
+    """Two ground-truth instances of one scene (numbered from 0) share a point id."""
+
+    def __init__(self, point_id, scene):
+        super().__init__(f"ground-truth instances must be pairwise disjoint: "
+                         f"point id {point_id} is in more than one")
+        self.point_id = point_id
+        self.scene = scene

@@ -6,10 +6,13 @@ scored with the all-points interpolated area under the precision-recall
 curve. mean_ap averages the IoU thresholds 0.50:0.95 in steps of 0.05;
 ap25/ap50 are read at fixed thresholds.
 
-Cost: each scene is scored on its own. Its ground-truth ids are sorted once
-(one stable argsort) and each prediction's ids are looked up in them once
-(searchsorted) to find the ground truths it touches, i.e. shares an id with;
-only those pairs are scored, each once by mask_iou, and kept as a short list
+Cost: each scene is scored on its own. Its ground-truth ids fill one table
+over their span, table[id - lo] naming the id's ground truth, and each
+prediction's ids are looked up in it with one gather to find the ground
+truths it touches, i.e. shares an id with. Where the span exceeds
+TABLE_SPAN_PER_ID times the id count, the ids are sorted once instead and
+searched (searchsorted), so no table grows with a sparse or huge id. Only
+touching pairs are scored, each once by mask_iou, and kept as a short list
 per prediction. Each threshold then makes one greedy pass over those lists.
 Memory grows with the ids plus the touching pairs, never with P x G.
 """
@@ -18,11 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import OverlappingGroundTruth
+
 REPORT_SCHEMA = "p2o.report/1"
 
 # Every report scores these IoU thresholds; mean_ap averages the strict ones.
 STRICT_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 DEFAULT_THRESHOLDS = (0.25,) + STRICT_THRESHOLDS
+
+# A scene's ground truth is looked up in a table over the span of its ids
+# while that span is at most this many times the id count; sparser ids are
+# binary-searched.
+TABLE_SPAN_PER_ID = 8
 
 
 def mask_iou(a, b):
@@ -41,32 +51,59 @@ def mask_iou(a, b):
     return inter / union
 
 
-def _touching(pred_sets, gt_sets, first_g):
+def _touching(pred_sets, gt_sets, first_g, scene):
     """For each prediction of one scene, its (IoU, ground truth) pairs, best first.
 
     A pair is listed only when the two share an id, and is scored by
     mask_iou; ground truths are numbered from first_g, and equal IoUs list
     the lower number first. Every array must hold distinct ids, and the
-    ground-truth arrays must be pairwise disjoint (ValueError otherwise), so
-    that each prediction id lands in at most one ground-truth instance.
+    ground-truth arrays must be pairwise disjoint (OverlappingGroundTruth
+    naming scene and one shared id otherwise), so that each prediction id
+    lands in at most one ground-truth instance.
+
+    A dense span of ground-truth ids [lo, hi] becomes one table holding
+    1 + g at 1 + id - lo and 0 elsewhere, its first and last entries catching
+    the ids clipped from below and above; the ground truths are disjoint when
+    it holds as many filled entries as there are ids. A sparser span is
+    sorted once and each prediction searched in it.
     """
     pooled = np.concatenate([np.empty(0, dtype=np.int64), *gt_sets])
-    order = np.argsort(pooled, kind="stable")
-    ids = pooled[order]
-    if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("ground-truth instances must be pairwise disjoint")
-    labels = np.repeat(np.arange(len(gt_sets)), [g.size for g in gt_sets])[order]
+    if pooled.size == 0:
+        return [[] for _ in pred_sets]
+    labels = np.repeat(np.arange(1, len(gt_sets) + 1), [g.size for g in gt_sets])
+    lo, hi = int(pooled.min()), int(pooled.max())
+    if hi - lo < TABLE_SPAN_PER_ID * pooled.size:
+        table = np.zeros(hi - lo + 3, dtype=np.intp)
+        table[pooled - (lo - 1)] = labels
+        if np.count_nonzero(table) < pooled.size:
+            _raise_overlap(np.sort(pooled), scene)
+
+        def found(pset):
+            return table.take(pset - (lo - 1), mode="clip")
+    else:
+        order = np.argsort(pooled, kind="stable")
+        ids, labels = pooled[order], labels[order]
+        _raise_overlap(ids, scene)
+
+        def found(pset):
+            pos = np.minimum(np.searchsorted(ids, pset), ids.size - 1)
+            return labels[pos[ids[pos] == pset]]
+
     pairs = []
     for pset in pred_sets:
-        touched = []
-        if ids.size:
-            pos = np.minimum(np.searchsorted(ids, pset), ids.size - 1)
-            hits = np.bincount(labels[pos[ids[pos] == pset]], minlength=len(gt_sets))
-            touched = [(mask_iou(pset, gt_sets[g]), first_g + int(g))
-                       for g in np.flatnonzero(hits)]
-            touched.sort(key=lambda pair: -pair[0])
+        hits = np.bincount(found(pset), minlength=len(gt_sets) + 1)[1:]
+        touched = [(mask_iou(pset, gt_sets[g]), first_g + int(g))
+                   for g in np.flatnonzero(hits)]
+        touched.sort(key=lambda pair: -pair[0])
         pairs.append(touched)
     return pairs
+
+
+def _raise_overlap(ids, scene):
+    """Raise OverlappingGroundTruth if sorted ids repeat one."""
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeats.size:
+        raise OverlappingGroundTruth(int(ids[repeats[0]]), scene)
 
 
 @dataclass
@@ -128,10 +165,10 @@ def evaluate_multi(scene_pairs):
     """
     confidences, sizes, touching = [], [], []
     n_gt = 0
-    for preds, gt in scene_pairs:
+    for scene, (preds, gt) in enumerate(scene_pairs):
         pred_sets = [inst.point_ids for inst in preds.instances]
         gt_sets = [inst.point_ids for inst in gt.instances]
-        touching += _touching(pred_sets, gt_sets, n_gt)
+        touching += _touching(pred_sets, gt_sets, n_gt, scene)
         confidences += [inst.confidence for inst in preds.instances]
         sizes += [p.size for p in pred_sets]
         n_gt += len(gt_sets)

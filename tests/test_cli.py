@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,53 @@ def test_eval_report_equals_evaluate_multi_of_the_written_sets(tmp_path):
     assert 0.0 < json.loads(got)["ap25"] < 1.0
 
 
+def eval_argv(root, scenes):
+    """p2o eval argv over scenes, each (prediction id lists, ground-truth id lists)."""
+    argv = ["eval"]
+    for s, (preds, gt) in enumerate(scenes):
+        for flag, name, lists in (("--pred", "pred.txt", preds), ("--gt", "gt.txt", gt)):
+            path = root / f"scene{s}" / name
+            scene_io.write_instances(path, scene_io.InstanceSet(
+                [scene_io.Instance(np.asarray(ids), 1.0 - 0.1 * k) for k, ids in enumerate(lists)]))
+            argv += [flag, str(path)]
+    return argv + ["--out", str(root / "report.json")]
+
+
+def test_eval_of_sparse_huge_ids_builds_no_table_over_their_span(tmp_path):
+    # scene 0 labels ids 0 and 99,999,999,999,999,999; scene 1 a block of 1,000
+    # ids and one id 10**7 past it, a span whose table would take 80 MB
+    def scenes(huge, far):
+        block = list(range(1000))
+        return [([[0, huge], [huge]], [[0], [huge]]),
+                ([block[:900], block[500:] + [far]], [block[:600], block[600:] + [far]])]
+
+    sparse = eval_argv(tmp_path / "sparse", scenes(99_999_999_999_999_999, 10**7))
+    dense = eval_argv(tmp_path / "dense", scenes(1, 1000))
+    tracemalloc.start()
+    try:
+        assert cli.main(sparse) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert cli.main(dense) == 0
+    got = (tmp_path / "sparse" / "report.json").read_bytes()
+    assert got == (tmp_path / "dense" / "report.json").read_bytes()
+    assert 0.0 < json.loads(got)["map"] < 1.0
+
+
+def test_overlapping_ground_truth_names_its_file(tmp_path):
+    disjoint = ([range(6)], [range(0, 5), range(5, 9)])
+    overlapping = ([range(6)], [range(0, 5), range(4, 9)])
+    argv = eval_argv(tmp_path, [disjoint, overlapping, disjoint])
+    proc = run_p2o(*argv)
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert proc.stderr.splitlines() == [
+        f"error: {tmp_path / 'scene1' / 'gt.txt'}: ground-truth instances must be "
+        f"pairwise disjoint: point id 4 is in more than one"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_info_and_eval_do_not_load_the_clustering_graph_code(tmp_path):
     (tmp_path / "m.txt").write_text("0\n1\n")
     for name in ("p.txt", "g.txt"):
@@ -917,6 +965,19 @@ def test_ground_truth_outside_the_scene_fails_the_eval_stage(scene_dir, scene_po
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("stage=eval: "), lines
     assert f"references point {scene_points}" in lines[0]
+    assert not (out / "report.json").exists()
+
+
+def test_overlapping_ground_truth_fails_the_eval_stage_naming_its_file(scene_dir, tmp_path):
+    gt = tmp_path / "gt" / "ground_truth.txt"
+    scene_io.write_instances(gt, scene_io.InstanceSet(
+        [scene_io.Instance(np.arange(0, 5)), scene_io.Instance(np.arange(4, 9))]))
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--out", str(out), "--gt", str(gt))
+    assert proc.returncode == cli.EXIT_STAGE_FAILURE
+    assert proc.stderr.splitlines() == [
+        f"stage=eval: {gt}: ground-truth instances must be pairwise disjoint: "
+        f"point id 4 is in more than one"]
     assert not (out / "report.json").exists()
 
 

@@ -4,11 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from part2object.errors import OverlappingGroundTruth
 from part2object.evaluation import (
     DEFAULT_THRESHOLDS,
     STRICT_THRESHOLDS,
+    TABLE_SPAN_PER_ID,
     ApReport,
     _interpolated_ap,
+    _touching,
     evaluate,
     evaluate_multi,
     mask_iou,
@@ -305,6 +308,16 @@ def test_overlapping_ground_truth_rejected():
             evaluate(preds, gt)
 
 
+@pytest.mark.parametrize("far", [20, 10**15])  # a table, then a sorted search
+def test_overlap_names_its_scene_and_a_shared_id(far):
+    gt = instset(range(0, 5), [far], range(10, 20), [4, 30])
+    with pytest.raises(OverlappingGroundTruth) as err:
+        evaluate_multi([(instset(range(3)), instset(range(5))), (instset(range(3)), gt)])
+    assert (err.value.scene, err.value.point_id) == (1, 4)
+    assert str(err.value) == ("ground-truth instances must be pairwise disjoint: "
+                              "point id 4 is in more than one")
+
+
 def test_multi_scene_pooling_matches_single_scene_duplication():
     gt = instset(range(10), range(20, 30))
     preds = instset(range(10), range(20, 28))
@@ -372,6 +385,68 @@ def test_matrix_evaluate_equals_reference_on_random_cases():
                 assert mask_iou(p.point_ids, g.point_ids) == reference_mask_iou(
                     p.point_ids, g.point_ids
                 )
+
+
+def gt_ids(gt):
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [g.point_ids for g in gt.instances])
+
+
+def spread_case(rng):
+    """random_case with its largest ground-truth id, in the predictions too,
+    moved so far out that the span passes TABLE_SPAN_PER_ID times the id count."""
+    preds, gt = random_case(rng)
+    if gt_ids(gt).size == 0:
+        return preds, gt
+    top, far = int(gt_ids(gt).max()), 10**12 + int(rng.integers(0, 10**6))
+
+    def moved(insts):
+        return InstanceSet([Instance(np.union1d(i.point_ids[i.point_ids != top], [far])
+                                     if top in i.point_ids else i.point_ids,
+                                     i.confidence, i.kind) for i in insts.instances])
+
+    return moved(preds), moved(gt)
+
+
+def test_sorted_search_equals_reference_on_random_cases():
+    rng = np.random.default_rng(2018)
+    searched = 0
+    for case in range(400):
+        preds, gt = spread_case(rng)
+        ids = gt_ids(gt)
+        assert report_json(evaluate(preds, gt)) == report_json(
+            reference_evaluate(preds, gt)
+        ), case
+        searched += ids.size > 1 and int(np.ptp(ids)) + 1 > TABLE_SPAN_PER_ID * ids.size
+    assert searched > 300
+
+
+@pytest.mark.parametrize("make_case", [random_case, spread_case])
+def test_touching_lists_exactly_the_pairs_that_share_an_id(make_case, monkeypatch):
+    # and only a span past TABLE_SPAN_PER_ID times the id count is searched;
+    # both kinds of case hold dense and sparse spans
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *a, **k: searches.append(1) or searchsorted(*a, **k))
+    rng = np.random.default_rng(23)
+    paths = set()
+    for case in range(200):
+        preds, gt = make_case(rng)
+        pred_sets = [p.point_ids for p in preds.instances]
+        gt_sets = [g.point_ids for g in gt.instances]
+        want = []
+        for p in pred_sets:
+            pairs = [(reference_mask_iou(p, g), 3 + k) for k, g in enumerate(gt_sets)
+                     if np.intersect1d(p, g).size]
+            want.append(sorted(pairs, key=lambda pair: -pair[0]))
+        searches.clear()
+        assert _touching(pred_sets, gt_sets, 3, 0) == want, case
+        ids = gt_ids(gt)
+        if pred_sets and ids.size:
+            sparse = int(np.ptp(ids)) + 1 > TABLE_SPAN_PER_ID * ids.size
+            assert bool(searches) == sparse, case
+            paths.add(sparse)
+    assert paths == {False, True}
 
 
 @pytest.mark.parametrize(
