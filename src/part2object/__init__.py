@@ -22,18 +22,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
-    AllZeroFeatures,
-    CorruptHeader,
-    CorruptRLE,
-    DimensionMismatch,
-    EmptyCloud,
-    FormatError,
-    InconsistentMaskFeatureDim,
-    IndexOutOfRange,
-    NonFinite,
-    NonOrthonormalPose,
-)
+from .errors import FormatError  # noqa: F401
 from .evaluation import ApReport, evaluate, evaluate_multi, mask_iou  # noqa: F401
 from .features import fuse_feature  # noqa: F401
 from .hierarchy import (  # noqa: F401

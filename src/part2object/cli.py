@@ -139,9 +139,8 @@ def priors_stage(cloud, frames_dir, params, out):
     if not frames:
         log.warning("no frames in %s; clustering without priors", frames_dir)
     tracks = objectness.build_tracks(cloud, frames, params)
-    write_json(out, [{"point_ids": t.point_ids.tolist(),
-                      "frame_span": len({fid for fid, _ in t.members})} for t in tracks],
-               compact=True)
+    write_json(out, [{"point_ids": t.point_ids.tolist(), "frame_span": t.frame_span}
+                     for t in tracks], compact=True)
     log.info("%d priors from %d frames", len(tracks), len(frames))
     return [t.point_ids for t in tracks]
 

@@ -17,8 +17,6 @@ import logging
 
 import numpy as np
 
-from .errors import AllZeroFeatures
-
 log = logging.getLogger(__name__)
 
 # Below this weight mass the similarity weighting is meaningless and we fall
@@ -48,11 +46,13 @@ def fuse_feature(point_features, ids, norms):
 
     norms is point_norms(point_features). Zero vectors are dropped before
     fusion (they carry no signal, e.g. points never covered by a 2D
-    projection). The remaining members are weighted by their cosine
-    similarity to the member mean, clamped at zero, normalized to sum to one,
-    and summed. If the total weight collapses (all members nearly orthogonal
-    to the mean, or the mean itself is zero) the plain mean is returned
-    instead and a warning is logged.
+    projection); when every member is one, the result is the float32 zero
+    vector, and a cluster of that feature never merges by similarity. The
+    remaining members are weighted by their cosine similarity to the member
+    mean, clamped at zero, normalized to sum to one, and summed. If the total
+    weight collapses (all members nearly orthogonal to the mean, or the mean
+    itself is zero) the plain mean is returned instead and a warning is
+    logged.
 
     Args:
         point_features: (N, C) point features.
@@ -61,14 +61,11 @@ def fuse_feature(point_features, ids, norms):
 
     Returns:
         (C,) float32 fused feature.
-
-    Raises:
-        AllZeroFeatures: no member is a non-zero vector.
     """
     ids = np.asarray(ids)
     kept = ids[norms[ids] > 0.0]
     if kept.size == 0:
-        raise AllZeroFeatures("no point feature is a non-zero vector")
+        return np.zeros(point_features.shape[1], dtype=np.float32)
     feats = np.empty((kept.size, point_features.shape[1]))
     for start in range(0, kept.size, BLOCK_ROWS):
         feats[start:start + BLOCK_ROWS] = point_features[kept[start:start + BLOCK_ROWS]]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .errors import AllZeroFeatures, FormatError
+from .errors import FormatError
 from .features import fuse_feature, point_norms
 from .parallel import thread_map
 from .scene_io import Instance, InstanceSet, check_fields
@@ -207,14 +207,6 @@ def _separated(fa, fb, inside_frac, outside_frac):
     ).any(axis=-1)
 
 
-def _cluster_feature(point_features, ids, norms):
-    try:
-        return fuse_feature(point_features, ids, norms)
-    except AllZeroFeatures:
-        # Featureless clusters never merge by similarity but stay in the layer.
-        return np.zeros(point_features.shape[1], dtype=np.float32)
-
-
 def run_layer(labels, feats, point_features, norms, edges, counts, params):
     """One merge round: returns (parent, next features, LayerLog).
 
@@ -264,7 +256,7 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
         point_sets = _groups(parent[labels], n_next)
         for k, c in enumerate(children):
             if c.size > 1:
-                next_feats[k] = _cluster_feature(point_features, point_sets[k], norms)
+                next_feats[k] = fuse_feature(point_features, point_sets[k], norms)
     return parent, next_feats, log
 
 
@@ -295,7 +287,7 @@ def run_hierarchy(layer0, cloud, priors, params=None):
     # point-level scans; later rounds contract the edges and the counts.
     edges, feats, counts = thread_map(lambda build: build(), [
         lambda: candidate_pairs(labels, positions, params.T),
-        lambda: np.asarray([_cluster_feature(point_features, ids, norms) for ids in layer0],
+        lambda: np.asarray([fuse_feature(point_features, ids, norms) for ids in layer0],
                            dtype=np.float32),
         lambda: _box_counts(labels, len(layer0), positions, priors),
     ])

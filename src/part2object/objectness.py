@@ -52,6 +52,11 @@ class ObjectTrack:
     members: list
     point_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
+    @property
+    def frame_span(self):
+        """The number of distinct frames the track's masks come from."""
+        return len({fid for fid, _ in self.members})
+
 
 def match_adjacent(frame_a, frame_b, tau):
     """Greedy links (i in a, j in b) by highest mask-feature similarity.
@@ -172,11 +177,12 @@ def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_to
 def build_tracks(cloud, frames, params=None):
     """Group masks across frames, project each group, pool the points.
 
-    Adjacent frames are matched by match_adjacent with params.tau. Tracks seen in fewer than min_track_frames distinct frames
-    are dropped before any projection, so a frame is projected at most once
-    and only when it holds a member of a surviving track; those frames run as
-    blocks of thread_map. Tracks with fewer than min_track_points pooled
-    points are dropped afterwards.
+    Adjacent frames are matched by match_adjacent with params.tau. Tracks
+    whose frame_span is below min_track_frames are dropped before any
+    projection, so a frame is projected at most once and only when it holds
+    a member of a surviving track; those frames run as blocks of thread_map.
+    Tracks with fewer than min_track_points pooled points are dropped
+    afterwards.
     """
     params = params or MatchParams()
     frames = sorted(frames, key=lambda f: f.frame_id)
@@ -188,10 +194,8 @@ def build_tracks(cloud, frames, params=None):
         for i, j in match_adjacent(a, b, params.tau):
             edges.append(((a.frame_id, i), (b.frame_id, j)))
 
-    tracks = [
-        t for t in propagate_sameness(nodes, edges)
-        if len({fid for fid, _ in t.members}) >= params.min_track_frames
-    ]
+    tracks = [t for t in propagate_sameness(nodes, edges)
+              if t.frame_span >= params.min_track_frames]
     members_by_frame = {}
     for k, track in enumerate(tracks):
         for fid, mi in track.members:

@@ -21,6 +21,7 @@ line. Loading inverts writing exactly, order preserved.
 
 import json
 import math
+import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -29,16 +30,7 @@ from typing import get_args
 
 import numpy as np
 
-from .errors import (
-    CorruptHeader,
-    CorruptRLE,
-    DimensionMismatch,
-    FormatError,
-    InconsistentMaskFeatureDim,
-    IndexOutOfRange,
-    NonFinite,
-    NonOrthonormalPose,
-)
+from .errors import FormatError
 from . import parallel
 from .spatial import kdtree
 
@@ -68,29 +60,34 @@ class SceneCloud:
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float32)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3 or self.positions.shape[0] < 1:
-            raise DimensionMismatch("positions must be Nx3 with N >= 1")
+            raise FormatError("positions must be Nx3 with N >= 1")
         if not np.isfinite(self.positions).all():
-            raise NonFinite("positions contain non-finite values")
+            raise FormatError("positions contain non-finite values")
         n = self.positions.shape[0]
         if self.colors is not None:
             self.colors = np.ascontiguousarray(self.colors, dtype=np.float32)
             if self.colors.shape != (n, 3):
-                raise DimensionMismatch("colors must match positions")
+                raise FormatError("colors must match positions")
+            if not np.isfinite(self.colors).all():
+                raise FormatError("colors contain non-finite values")
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=np.float32)
             if self.normals.shape != (n, 3):
-                raise DimensionMismatch("normals must match positions")
+                raise FormatError("normals must match positions")
+            # A NaN would pass the unit-length test below.
+            if not np.isfinite(self.normals).all():
+                raise FormatError("normals contain non-finite values")
             norms = np.linalg.norm(self.normals.astype(np.float64), axis=1)
             if (np.abs(norms - 1.0) > 1e-4).any():
                 raise FormatError("normals must be unit length within 1e-4")
         if self.semantic_features is not None:
             self.semantic_features = np.ascontiguousarray(self.semantic_features, dtype=np.float32)
             if self.semantic_features.ndim != 2 or self.semantic_features.shape[0] != n:
-                raise DimensionMismatch(
+                raise FormatError(
                     f"feature rows ({self.semantic_features.shape[0]}) != point count ({n})"
                 )
             if not np.isfinite(self.semantic_features).all():
-                raise NonFinite("semantic features contain non-finite values")
+                raise FormatError("semantic features contain non-finite values")
 
     @property
     def n_points(self):
@@ -107,14 +104,14 @@ class MaskEntry:
     def __post_init__(self):
         self.bitmap = np.ascontiguousarray(self.bitmap, dtype=bool)
         if self.bitmap.ndim != 2:
-            raise DimensionMismatch("mask bitmap must be 2D")
+            raise FormatError("mask bitmap must be 2D")
         if not self.bitmap.any():
             raise FormatError("mask bitmap has no set pixels")
         self.feature = np.ascontiguousarray(self.feature, dtype=np.float32)
         if self.feature.ndim != 1:
-            raise DimensionMismatch("mask feature must be a vector")
+            raise FormatError("mask feature must be a vector")
         if not np.isfinite(self.feature).all():
-            raise NonFinite("mask feature contains non-finite values")
+            raise FormatError("mask feature contains non-finite values")
         if not self.feature.any():
             raise FormatError("mask feature is all zeros")
 
@@ -135,24 +132,24 @@ class FrameObservation:
         self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64)
         self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64)
         if self.intrinsics.shape != (3, 3):
-            raise DimensionMismatch("intrinsics must be 3x3")
+            raise FormatError("intrinsics must be 3x3")
         if not (np.isfinite(self.intrinsics).all() and (self.intrinsics[[0, 1], [0, 1]] > 0).all()):
             raise FormatError("intrinsics must be finite with fx, fy > 0")
         if self.extrinsics.shape != (4, 4):
-            raise DimensionMismatch("extrinsics must be 4x4")
+            raise FormatError("extrinsics must be 4x4")
         if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0), atol=1e-6):
-            raise NonOrthonormalPose("extrinsics bottom row must be (0,0,0,1)")
+            raise FormatError("extrinsics bottom row must be (0,0,0,1)")
         r = self.extrinsics[:3, :3]
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-4:
-            raise NonOrthonormalPose("extrinsics rotation block not orthonormal")
+            raise FormatError("extrinsics rotation block not orthonormal")
         self.depth = np.ascontiguousarray(self.depth, dtype=np.float32)
         if self.depth.ndim != 2:
-            raise DimensionMismatch("depth must be HxW")
+            raise FormatError("depth must be HxW")
         if not np.isfinite(self.depth).all():
-            raise NonFinite("depth contains non-finite values")
+            raise FormatError("depth contains non-finite values")
         for m in self.masks:
             if m.bitmap.shape != self.depth.shape:
-                raise DimensionMismatch("mask bitmap shape differs from depth")
+                raise FormatError("mask bitmap shape differs from depth")
 
     @property
     def height(self):
@@ -174,10 +171,15 @@ class Instance:
     def __post_init__(self):
         ids = np.asarray(self.point_ids, dtype=np.int64).ravel()
         if ids.size and ids.min() < 0:
-            raise IndexOutOfRange("negative point index")
+            raise FormatError("negative point index")
         if ids.size > 1 and not (np.diff(ids) > 0).all():
             raise FormatError("point_ids must be sorted strictly ascending")
         self.point_ids = ids
+        # Stored as a float, so that write_instances writes a numpy scalar as
+        # the number it holds.
+        if not isinstance(self.confidence, numbers.Real):
+            raise FormatError(f"confidence must be a number, got {self.confidence!r}")
+        self.confidence = float(self.confidence)
         if not (0.0 <= self.confidence <= 1.0):
             raise FormatError("confidence must be in [0, 1]")
         if self.kind not in KINDS:
@@ -217,7 +219,7 @@ def rle_decode(runs, shape):
     total = int(runs.sum())
     expected = int(shape[0]) * int(shape[1])
     if total != expected:
-        raise CorruptRLE(f"RLE decodes to {total} pixels, expected {expected}")
+        raise FormatError(f"RLE decodes to {total} pixels, expected {expected}")
     values = np.arange(runs.size) % 2 == 1
     flat = np.repeat(values, runs)
     return flat.reshape(shape)
@@ -310,7 +312,7 @@ def _named(where):
     try:
         yield
     except FormatError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 @contextmanager
@@ -318,7 +320,7 @@ def _tagged(path, tag):
     """Check the binary file at path (a Path) for its tag, then yield
     take(dtype, shape, what): the next values, one fh.read and np.frombuffer.
     A wrong tag, a take past the end of the file or bytes left after the
-    block raise CorruptHeader; every FormatError from the block names path."""
+    block raise FormatError; every FormatError from the block names path."""
     with open(path, "rb") as fh, _named(path):
         left = path.stat().st_size - len(tag)
 
@@ -326,15 +328,15 @@ def _tagged(path, tag):
             nonlocal left
             size = dtype.itemsize * math.prod(shape)
             if size > left:
-                raise CorruptHeader(f"truncated file while reading {what}")
+                raise FormatError(f"truncated file while reading {what}")
             left -= size
             return np.frombuffer(fh.read(size), dtype=dtype).reshape(shape)
 
         if fh.read(len(tag)) != tag:
-            raise CorruptHeader(f"bad tag, expected {tag!r}")
+            raise FormatError(f"bad tag, expected {tag!r}")
         yield take
         if left:
-            raise CorruptHeader(f"{left} trailing byte(s)")
+            raise FormatError(f"{left} trailing byte(s)")
 
 
 def write_scene(dir_path, cloud):
@@ -373,10 +375,10 @@ def load_scene(dir_path):
     with _tagged(points_file(dir_path), POINTS_MAGIC) as take:
         (n,) = take(_U32, (1,), "count").tolist()
         if n < 1:
-            raise CorruptHeader("point count must be >= 1")
+            raise FormatError("point count must be >= 1")
         (flags,) = take(np.dtype("u1"), (1,), "flags").tolist()
         if flags & ~0b11:
-            raise CorruptHeader(f"unknown flag bits {flags:#x}")
+            raise FormatError(f"unknown flag bits {flags:#x}")
         positions = take(_F32, (n, 3), "positions")
         colors = take(_F32, (n, 3), "colors") if flags & 1 else None
         normals = take(_F32, (n, 3), "normals") if flags & 2 else None
@@ -386,7 +388,7 @@ def load_scene(dir_path):
         with _tagged(dir_path / "features.f32", FEATURES_MAGIC) as take:
             rows, cols = take(_U32, (2,), "dims").tolist()
             if rows != n:
-                raise DimensionMismatch(f"feature rows ({rows}) != point count ({n})")
+                raise FormatError(f"feature rows ({rows}) != point count ({n})")
             features = take(_F32, (rows, cols), "features")
 
     with _named(dir_path):
@@ -398,13 +400,13 @@ def load_scene(dir_path):
 # JSON inputs
 
 
-def load_json(path, error=FormatError):
-    """The decoded JSON in path; a syntax error raises `error` naming the file."""
+def load_json(path):
+    """The decoded JSON in path; a syntax error raises FormatError naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise error(f"{path}: {exc}") from exc
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 # The JSON each checked field type takes; values of other types pass as decoded.
@@ -420,26 +422,26 @@ def _fits(value, kind):
         value, (int, float) if kind is float else kind))
 
 
-def check_fields(data, kinds, where, what, error=FormatError):
+def check_fields(data, kinds, where, what):
     """The JSON object data, each value checked against kinds (key -> type).
 
     A bool field takes only a JSON boolean, an int field only an integer, a
     float field any number (returned as a float), a str, list or tuple field
     a string, an array or an array of 3 numbers, and `X | None` also null. A
-    non-object, an unknown key or a wrongly typed value raises `error`
+    non-object, an unknown key or a wrongly typed value raises FormatError
     naming `where` (the file) and `what` or the key.
     """
     if not isinstance(data, dict):
-        raise error(f"{where}: {what} must be a JSON object")
+        raise FormatError(f"{where}: {what} must be a JSON object")
     unknown = set(data) - set(kinds)
     if unknown:
-        raise error(f"{where}: unknown {what} keys {sorted(unknown)}")
+        raise FormatError(f"{where}: unknown {what} keys {sorted(unknown)}")
     out = {}
     for key, value in data.items():
         options = get_args(kinds[key]) or (kinds[key],)
         if not any(_fits(value, kind) for kind in options):
-            raise error(f"{where}: {key}={value!r} is not a JSON "
-                        + " or ".join(_JSON_KINDS[kind] for kind in options))
+            raise FormatError(f"{where}: {key}={value!r} is not a JSON "
+                              + " or ".join(_JSON_KINDS[kind] for kind in options))
         out[key] = float(value) if kinds[key] is float else value
     return out
 
@@ -483,8 +485,7 @@ def write_frames(dir_path, frames):
 def _load_one_frame(dir_path, frame_id):
     stem = f"frame_{frame_id}"
     cam_path = dir_path / f"{stem}.cam"
-    cam = check_fields(load_json(cam_path, CorruptHeader), _CAM_FIELDS, cam_path, "camera",
-                       CorruptHeader)
+    cam = check_fields(load_json(cam_path), _CAM_FIELDS, cam_path, "camera")
     try:
         width, height = cam["width"], cam["height"]
         intrinsics = np.array(
@@ -494,7 +495,7 @@ def _load_one_frame(dir_path, frame_id):
         if width < 1 or height < 1:
             raise ValueError(f"width and height must be >= 1, got {width}x{height}")
     except (KeyError, ValueError) as exc:
-        raise CorruptHeader(f"{cam_path}: missing or malformed field ({exc})") from exc
+        raise FormatError(f"{cam_path}: missing or malformed field ({exc})") from exc
 
     with _tagged(dir_path / f"{stem}.depth", b"") as take:
         depth = take(_F32, (height, width), f"{height}x{width} depth")
@@ -533,8 +534,8 @@ def load_frames(dir_path):
     dims = [(frame.frame_id, m.feature.size) for frame in frames for m in frame.masks]
     for frame_id, dim in dims:
         if dim != dims[0][1]:
-            raise InconsistentMaskFeatureDim(f"{dir_path / f'frame_{frame_id}.masks'}: "
-                                             f"mask feature dim {dim} != {dims[0][1]}")
+            raise FormatError(f"{dir_path / f'frame_{frame_id}.masks'}: "
+                              f"mask feature dim {dim} != {dims[0][1]}")
     return frames
 
 
@@ -623,10 +624,10 @@ def load_instances(path, n_points=None):
                 except ValueError as exc:
                     raise FormatError(f"{rel}: non-integer point index") from exc
                 except OverflowError as exc:
-                    raise IndexOutOfRange(f"{rel}: point index out of range") from exc
+                    raise FormatError(f"{rel}: point index out of range") from exc
                 inst = Instance(point_ids=ids, confidence=confidence, kind=kind)
                 if n_points is not None and ids.size and ids[-1] >= n_points:
-                    raise IndexOutOfRange(f"{rel} references point {ids[-1]} but scene has "
-                                          f"{n_points} points")
+                    raise FormatError(f"{rel} references point {ids[-1]} but scene has "
+                                      f"{n_points} points")
                 instances.append(inst)
     return InstanceSet(instances=instances)

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel, scene_io
-from .errors import EmptyCloud
 from .parallel import thread_map
 from .spatial import kdtree, sorted_unique
 
@@ -100,8 +99,6 @@ def build_superpoints(cloud, params=None):
     params = params or SuperpointParams()
     pos = cloud.positions.astype(np.float64)
     n = pos.shape[0]
-    if n == 0:
-        raise EmptyCloud("cannot build super-points from an empty cloud")
 
     # Colours and normals stay float32 until a gather widens the rows it
     # reads, with the same bits as widening the whole array.

@@ -955,6 +955,27 @@ def test_a_corrupt_frame_file_is_one_line_of_bad_input(scene_dir, tmp_path):
     assert proc.stderr.splitlines() == [f"error: {masks}: 1 trailing byte(s)"]
 
 
+@pytest.mark.parametrize("field, value", [("colors", np.inf), ("normals", np.nan)])
+def test_a_non_finite_color_or_normal_in_the_scene_file_is_one_line(
+        field, value, scene_dir, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    cloud = scene_io.load_scene(scene)
+    values = getattr(cloud, field).copy()
+    values[5, 2] = value
+    # Past the checks of the constructor, as a corrupt file reaches the loader.
+    setattr(cloud, field, values)
+    scene_io.write_scene(scene, cloud)
+    line = f"{scene}: {field} contain non-finite values"
+    proc = run_p2o("superpoints", "--scene", str(scene), "--out", str(tmp_path / "sp.json"))
+    assert (proc.returncode, proc.stderr.splitlines()) == (cli.EXIT_BAD_INPUT, [f"error: {line}"])
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene), "--out", str(out))
+    assert (proc.returncode, proc.stderr.splitlines()) == (cli.EXIT_STAGE_FAILURE,
+                                                           [f"stage=load: {line}"])
+    assert not (out / "hierarchy.json").exists()
+
+
 def test_ground_truth_outside_the_scene_fails_the_eval_stage(scene_dir, scene_points, tmp_path):
     gt = tmp_path / "gt" / "ground_truth.txt"
     scene_io.write_instances(gt, scene_io.InstanceSet(
@@ -979,6 +1000,122 @@ def test_overlapping_ground_truth_fails_the_eval_stage_naming_its_file(scene_dir
         f"stage=eval: {gt}: ground-truth instances must be pairwise disjoint: "
         f"point id 4 is in more than one"]
     assert not (out / "report.json").exists()
+
+
+def edit_bytes(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def edit_cam(path, edit):
+    cam = json.loads(path.read_text())
+    edit(cam)
+    path.write_text(json.dumps(cam))
+
+
+def write_small_frames(root, feature_dims):
+    """8x10 frames 0, 1, ... with one mask each, set at pixel (0, 0) only
+    (runs 0, 1, 79), of the given feature dims."""
+    bitmap = np.zeros((8, 10), dtype=bool)
+    bitmap[0, 0] = True
+    scene_io.write_frames(root, [scene_io.FrameObservation(
+        frame_id=k, intrinsics=[[5.0, 0, 4.5], [0, 5.0, 3.5], [0, 0, 1]],
+        extrinsics=np.eye(4), depth=np.ones((8, 10), np.float32),
+        masks=[scene_io.MaskEntry(bitmap, np.ones(dim, np.float32))])
+        for k, dim in enumerate(feature_dims)])
+
+
+def one_instance_manifest(root, ids_text):
+    """root/p.txt, a manifest of one instance whose mask file holds ids_text."""
+    (root / "m.txt").write_text(ids_text)
+    (root / "p.txt").write_text("m.txt object 1.0\n")
+    return root / "p.txt"
+
+
+# One malformed input per loader check: case(scene, frames, n_points) edits a
+# copy of the scene or a set of two small frames, and returns (argv, exit code,
+# the one stderr line). Only `run` checks manifest ids against a scene.
+def _points_truncated(scene, frames, n):
+    edit_bytes(scene / "points.p2o", lambda b: b[:-4])
+    return (["superpoints", "--scene", scene, "--out", scene / "sp.json"], cli.EXIT_BAD_INPUT,
+            f"error: {scene / 'points.p2o'}: truncated file while reading normals")
+
+
+def _feature_rows(scene, frames, n):
+    edit_bytes(scene / "features.f32",
+               lambda b: b[:4] + np.asarray([n - 1], "<u4").tobytes() + b[8:])
+    return (["superpoints", "--scene", scene, "--out", scene / "sp.json"], cli.EXIT_BAD_INPUT,
+            f"error: {scene / 'features.f32'}: feature rows ({n - 1}) != point count ({n})")
+
+
+def priors_argv(scene, frames):
+    return ["priors", "--scene", scene, "--frames", frames, "--out", scene / "priors.json"]
+
+
+def _cam_without_fx(scene, frames, n):
+    edit_cam(frames / "frame_0.cam", lambda cam: cam.pop("fx"))
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_0.cam'}: missing or malformed field ('fx')")
+
+
+def _rle_total(scene, frames, n):
+    # The first run count follows the tag, mask count, feature dim and run count.
+    edit_bytes(frames / "frame_0.masks",
+               lambda b: b[:16] + np.asarray([999], "<u4").tobytes() + b[20:])
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_0.masks'}: RLE decodes to 1079 pixels, expected 80")
+
+
+def _non_orthonormal(scene, frames, n):
+    edit_cam(frames / "frame_0.cam",
+             lambda cam: cam.update(extrinsics=[2.0] + cam["extrinsics"][1:]))
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_0'}: extrinsics rotation block not orthonormal")
+
+
+def _nan_depth(scene, frames, n):
+    edit_bytes(frames / "frame_1.depth", lambda b: np.float32(np.nan).tobytes() + b[4:])
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_1'}: depth contains non-finite values")
+
+
+def _mask_dims(scene, frames, n):
+    write_small_frames(frames, (4, 5))
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_1.masks'}: mask feature dim 5 != 4")
+
+
+def _id_at_n(scene, frames, n):
+    gt = scene / "gt.txt"
+    scene_io.write_instances(gt, scene_io.InstanceSet([scene_io.Instance(np.array([0, n]))]))
+    return (["run", "--scene", scene, "--gt", gt, "--out", scene / "run"],
+            cli.EXIT_STAGE_FAILURE,
+            f"stage=eval: {gt}:1: gt_masks/0000.txt references point {n} but scene has "
+            f"{n} points")
+
+
+def _id_of_20_digits(scene, frames, n):
+    p = one_instance_manifest(scene, "99999999999999999999\n")
+    return (["eval", "--pred", p, "--gt", p, "--out", scene / "r.json"], cli.EXIT_BAD_INPUT,
+            f"error: {p}:1: m.txt: point index out of range")
+
+
+def _negative_id(scene, frames, n):
+    p = one_instance_manifest(scene, "-1\n")
+    return (["eval", "--pred", p, "--gt", p, "--out", scene / "r.json"], cli.EXIT_BAD_INPUT,
+            f"error: {p}:1: negative point index")
+
+
+@pytest.mark.parametrize("case", [
+    _points_truncated, _feature_rows, _cam_without_fx, _rle_total, _non_orthonormal,
+    _nan_depth, _mask_dims, _id_at_n, _id_of_20_digits, _negative_id,
+], ids=lambda case: case.__name__.strip("_"))
+def test_golden_error_lines(case, scene_dir, scene_points, tmp_path):
+    scene, frames = tmp_path / "scene", tmp_path / "frames"
+    shutil.copytree(scene_dir, scene)
+    write_small_frames(frames, (4, 4))
+    argv, code, line = case(scene, frames, scene_points)
+    proc = run_p2o(*map(str, argv))
+    assert (proc.returncode, proc.stderr.splitlines()) == (code, [line])
 
 
 COMMAND_ARGV = {

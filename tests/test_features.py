@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from part2object.errors import AllZeroFeatures
 from part2object.features import BLOCK_ROWS, fuse_feature, point_norms
 
 
@@ -94,9 +93,9 @@ def test_fuse_drops_zero_vectors():
     assert np.allclose(out, (3.0, 0.0), atol=1e-6)
 
 
-def test_fuse_all_zero_raises():
-    with pytest.raises(AllZeroFeatures):
-        fuse([(0.0, 0.0), (0.0, 0.0)])
+def test_fuse_all_zero_is_the_zero_vector():
+    out = fuse([(0.0, 0.0), (0.0, 0.0)])
+    assert out.dtype == np.float32 and out.tolist() == [0.0, 0.0]
 
 
 def test_fuse_degenerate_mean_falls_back_to_plain_mean():
@@ -111,7 +110,7 @@ def fuse_reference(point_features):
     norms = np.linalg.norm(feats, axis=1)
     feats = feats[norms > 0.0]
     if feats.shape[0] == 0:
-        raise AllZeroFeatures("all point features are zero vectors")
+        return np.zeros(feats.shape[1], dtype=np.float32)
     mean = feats.mean(axis=0)
     mean_norm = np.linalg.norm(mean)
     if mean_norm <= 1e-8:
@@ -156,12 +155,10 @@ def test_fuse_is_bit_identical_to_the_literal_reference(name, feats, ids):
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-def test_fuse_all_zero_rows_raise_like_the_reference():
+def test_fuse_all_zero_rows_are_the_zero_vector_like_the_reference():
     feats = np.zeros((4, 3))
-    with pytest.raises(AllZeroFeatures):
-        fuse_reference(feats)
-    with pytest.raises(AllZeroFeatures):
-        fuse(feats)
+    for out in (fuse_reference(feats), fuse(feats)):
+        assert out.dtype == np.float32 and out.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_point_norms_are_bitwise_numpy_norms_across_a_block_edge():

@@ -229,7 +229,7 @@ def test_stop_criteria_straddling_clusters_pass():
 
 def _layer_feats(sets, point_features):
     norms = point_norms(point_features)
-    return np.asarray([hi._cluster_feature(point_features, ids, norms) for ids in sets],
+    return np.asarray([fuse_feature(point_features, ids, norms) for ids in sets],
                       dtype=np.float32)
 
 
@@ -401,7 +401,7 @@ def test_run_hierarchy_matches_reference_on_three_block_scene(three_block_scene)
     try:
         norms = point_norms(cloud.semantic_features)
         feats0 = [
-            hi._cluster_feature(cloud.semantic_features, np.sort(ids), norms)
+            fuse_feature(cloud.semantic_features, np.sort(ids), norms)
             for ids in layer0
         ]
         ref = reference_hierarchy(
@@ -560,7 +560,7 @@ def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
         norms = point_norms(point_feats)
         layers = [[np.sort(ids) for ids in layer0]]
         labels = labels_of(layers[0])
-        features = [np.asarray([hi._cluster_feature(point_feats, ids, norms)
+        features = [np.asarray([fuse_feature(point_feats, ids, norms)
                                 for ids in layers[0]], dtype=np.float32)]
         merge_log = []
         while len(layers) < params.max_layers:

@@ -10,6 +10,11 @@ from part2object.scene_io import FrameObservation, MaskEntry, SceneCloud
 from conftest import points_in_box
 
 
+def test_frame_span_counts_distinct_frames():
+    assert ob.ObjectTrack(members=[(0, 1), (0, 2), (3, 0)]).frame_span == 2
+    assert ob.ObjectTrack(members=[]).frame_span == 0
+
+
 def frame_with_features(frame_id, feats, h=6, w=6):
     masks = []
     for f in feats:

@@ -8,16 +8,7 @@ from scipy.spatial import cKDTree
 
 from conftest import bits_equal, three_block_spec
 from part2object import parallel, scene_io, spatial, synth
-from part2object.errors import (
-    CorruptHeader,
-    CorruptRLE,
-    DimensionMismatch,
-    FormatError,
-    InconsistentMaskFeatureDim,
-    IndexOutOfRange,
-    NonFinite,
-    NonOrthonormalPose,
-)
+from part2object.errors import FormatError
 from part2object.scene_io import (
     FrameObservation,
     Instance,
@@ -84,7 +75,7 @@ def test_rle_round_trip_random():
 
 
 def test_rle_length_mismatch_raises():
-    with pytest.raises(CorruptRLE):
+    with pytest.raises(FormatError, match=r"^RLE decodes to 5 pixels, expected 6$"):
         rle_decode([3, 2], (2, 3))
 
 
@@ -133,38 +124,49 @@ def u32(*values):
     return np.asarray(values, dtype="<u4").tobytes()
 
 
-# fault -> (file, edit of its bytes, error raised)
+# fault -> (file, edit of its bytes, message after the file's path)
 BINARY_FAULTS = {
-    "points-bad-tag": ("points.p2o", lambda b: b"P2OF" + b[4:], CorruptHeader),
-    "points-truncated-header": ("points.p2o", lambda b: b[:6], CorruptHeader),
-    "points-truncated-payload": ("points.p2o", lambda b: b[:-1], CorruptHeader),
-    "points-trailing-byte": ("points.p2o", lambda b: b + b"\0", CorruptHeader),
-    "points-unknown-flag-bits": ("points.p2o", lambda b: b[:8] + b"\x07" + b[9:], CorruptHeader),
-    "points-zero-count": ("points.p2o", lambda b: b[:4] + u32(0) + b[8:], CorruptHeader),
-    "features-bad-tag": ("features.f32", lambda b: b"P2O1" + b[4:], CorruptHeader),
-    "features-truncated-header": ("features.f32", lambda b: b[:10], CorruptHeader),
-    "features-truncated-payload": ("features.f32", lambda b: b[:-1], CorruptHeader),
-    "features-trailing-byte": ("features.f32", lambda b: b + b"\0", CorruptHeader),
-    "features-rows-not-n": ("features.f32", lambda b: b[:4] + u32(19) + b[8:], DimensionMismatch),
-    "masks-bad-tag": ("frame_0.masks", lambda b: b"NOPE" + b[4:], CorruptHeader),
-    "masks-truncated-header": ("frame_0.masks", lambda b: b[:8], CorruptHeader),
-    "masks-truncated-payload": ("frame_0.masks", lambda b: b[:-1], CorruptHeader),
-    "masks-trailing-byte": ("frame_0.masks", lambda b: b + b"\0", CorruptHeader),
-    "depth-truncated-payload": ("frame_0.depth", lambda b: b[:-1], CorruptHeader),
-    "depth-trailing-byte": ("frame_0.depth", lambda b: b + b"\0", CorruptHeader),
-    "depth-of-another-size": ("frame_0.depth", lambda b: b[:4 * 4 * 5], CorruptHeader),
+    "points-bad-tag": ("points.p2o", lambda b: b"P2OF" + b[4:], "bad tag, expected b'P2O1'"),
+    "points-truncated-header": ("points.p2o", lambda b: b[:6],
+                                "truncated file while reading count"),
+    "points-truncated-payload": ("points.p2o", lambda b: b[:-1],
+                                 "truncated file while reading normals"),
+    "points-trailing-byte": ("points.p2o", lambda b: b + b"\0", "1 trailing byte(s)"),
+    "points-unknown-flag-bits": ("points.p2o", lambda b: b[:8] + b"\x07" + b[9:],
+                                 "unknown flag bits 0x7"),
+    "points-zero-count": ("points.p2o", lambda b: b[:4] + u32(0) + b[8:],
+                          "point count must be >= 1"),
+    "features-bad-tag": ("features.f32", lambda b: b"P2O1" + b[4:], "bad tag, expected b'P2OF'"),
+    "features-truncated-header": ("features.f32", lambda b: b[:10],
+                                  "truncated file while reading dims"),
+    "features-truncated-payload": ("features.f32", lambda b: b[:-1],
+                                   "truncated file while reading features"),
+    "features-trailing-byte": ("features.f32", lambda b: b + b"\0", "1 trailing byte(s)"),
+    "features-rows-not-n": ("features.f32", lambda b: b[:4] + u32(19) + b[8:],
+                            "feature rows (19) != point count (20)"),
+    "masks-bad-tag": ("frame_0.masks", lambda b: b"NOPE" + b[4:], "bad tag, expected b'P2OM'"),
+    "masks-truncated-header": ("frame_0.masks", lambda b: b[:8],
+                               "truncated file while reading dims"),
+    "masks-truncated-payload": ("frame_0.masks", lambda b: b[:-1],
+                                "truncated file while reading mask feature"),
+    "masks-trailing-byte": ("frame_0.masks", lambda b: b + b"\0", "1 trailing byte(s)"),
+    "depth-truncated-payload": ("frame_0.depth", lambda b: b[:-1],
+                                "truncated file while reading 8x10 depth"),
+    "depth-trailing-byte": ("frame_0.depth", lambda b: b + b"\0", "1 trailing byte(s)"),
+    "depth-of-another-size": ("frame_0.depth", lambda b: b[:4 * 4 * 5],
+                              "truncated file while reading 8x10 depth"),
 }
 
 
 @pytest.mark.parametrize("fault", list(BINARY_FAULTS))
 def test_a_rejected_binary_file_is_named_by_its_full_path(fault, tmp_path):
-    name, edit, error = BINARY_FAULTS[fault]
+    name, edit, message = BINARY_FAULTS[fault]
     write_binary_scene(tmp_path)
     load_frames(tmp_path)
     load_scene(tmp_path)
     path = tmp_path / name
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_frames(tmp_path) if name.startswith("frame_") else load_scene(tmp_path)
 
 
@@ -442,7 +444,8 @@ def test_corrupt_rle_in_mask_file(tmp_path):
     # First run count lives right after magic, mask_count, C2 and rle_len.
     raw[16:20] = np.uint32(999).tobytes()
     (tmp_path / "frame_0.masks").write_bytes(bytes(raw))
-    with pytest.raises(CorruptRLE, match=f"^{re.escape(str(tmp_path / 'frame_0.masks'))}: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'frame_0.masks'))}: "
+                                          "RLE decodes to 1079 pixels, expected 80$"):
         load_frames(tmp_path)
 
 
@@ -456,7 +459,7 @@ def test_cam_values_are_checked_not_coerced(key, value, tmp_path):
     cam = json.loads(cam_path.read_text())
     cam[key] = value
     cam_path.write_text(json.dumps(cam))
-    with pytest.raises(CorruptHeader, match=f"^{re.escape(str(cam_path))}: .*{key}"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(cam_path))}: .*{key}"):
         load_frames(tmp_path)
 
 
@@ -464,14 +467,14 @@ def test_cam_json_syntax_error_names_the_file(tmp_path):
     write_frames(tmp_path, [identity_frame()])
     cam_path = tmp_path / "frame_0.cam"
     cam_path.write_text(cam_path.read_text()[:-5])
-    with pytest.raises(CorruptHeader, match=f"^{re.escape(str(cam_path))}: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(cam_path))}: Expecting "):
         load_frames(tmp_path)
 
 
 def test_non_orthonormal_pose_rejected():
     ext = np.eye(4)
     ext[0, 0] = 2.0
-    with pytest.raises(NonOrthonormalPose):
+    with pytest.raises(FormatError, match="^extrinsics rotation block not orthonormal$"):
         FrameObservation(
             frame_id=0, intrinsics=np.eye(3), extrinsics=ext,
             depth=np.ones((4, 4), dtype=np.float32),
@@ -488,29 +491,52 @@ def test_intrinsics_must_be_finite_with_positive_focal_lengths(row, col, value):
                          depth=np.ones((4, 4), dtype=np.float32))
 
 
-@pytest.mark.parametrize("key, value, error, named", [
-    ("fx", 0.0, FormatError, "frame_0"), ("fy", -140.0, FormatError, "frame_0"),
-    ("width", 0, CorruptHeader, "frame_0.cam"), ("height", -5, CorruptHeader, "frame_0.cam"),
+def cam_fault(key, value, kind, named, message):
+    """A camera case, named by its key, value, kind of fault and the file it names."""
+    return pytest.param(key, value, named, message, id=f"{key}-{value}-{kind}-{named}")
+
+
+@pytest.mark.parametrize("key, value, named, message", [
+    cam_fault("fx", 0.0, "FormatError", "frame_0", "intrinsics must be finite with fx, fy > 0"),
+    cam_fault("fy", -140.0, "FormatError", "frame_0",
+              "intrinsics must be finite with fx, fy > 0"),
+    cam_fault("width", 0, "CorruptHeader", "frame_0.cam",
+              "missing or malformed field (width and height must be >= 1, got 0x8)"),
+    cam_fault("height", -5, "CorruptHeader", "frame_0.cam",
+              "missing or malformed field (width and height must be >= 1, got 10x-5)"),
 ])
-def test_a_camera_out_of_range_is_rejected(key, value, error, named, tmp_path):
+def test_a_camera_out_of_range_is_rejected(key, value, named, message, tmp_path):
     write_frames(tmp_path, [identity_frame()])
     cam_path = tmp_path / "frame_0.cam"
     cam = json.loads(cam_path.read_text())
     cam[key] = value
     cam_path.write_text(json.dumps(cam))
-    with pytest.raises(error, match=f"^{re.escape(str(tmp_path / named))}: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{tmp_path / named}: {message}')}$"):
         load_frames(tmp_path)
+
+
+@pytest.mark.parametrize("field", ["colors", "normals"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_colors_or_normals_are_rejected(field, value):
+    rng = np.random.default_rng(4)
+    cloud = make_cloud(rng, n=20)
+    values = estimate_normals(cloud, k=8) if field == "normals" else cloud.colors.copy()
+    values[3, 1] = value
+    with pytest.raises(FormatError, match=f"^{field} contain non-finite values$"):
+        SceneCloud(positions=cloud.positions, **{field: values})
 
 
 def test_value_errors_name_the_frame_or_the_scene(tmp_path):
     write_binary_scene(tmp_path)
     (tmp_path / "frame_0.depth").write_bytes(np.full((8, 10), np.nan, "<f4").tobytes())
-    with pytest.raises(NonFinite, match=f"^{re.escape(str(tmp_path / 'frame_0'))}: depth"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'frame_0'))}: "
+                                          "depth contains non-finite values$"):
         load_frames(tmp_path)
     raw = bytearray((tmp_path / "points.p2o").read_bytes())
     raw[9:13] = np.float32(np.nan).tobytes()  # the first position's x
     (tmp_path / "points.p2o").write_bytes(bytes(raw))
-    with pytest.raises(NonFinite, match=f"^{re.escape(str(tmp_path))}: positions"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path))}: "
+                                          "positions contain non-finite values$"):
         load_scene(tmp_path)
 
 
@@ -521,8 +547,8 @@ def test_inconsistent_mask_feature_dims(tmp_path):
     f1 = identity_frame(masks=[MaskEntry(bitmap, np.ones(5, dtype=np.float32))])
     f1.frame_id = 1
     write_frames(tmp_path, [f0, f1])
-    with pytest.raises(InconsistentMaskFeatureDim,
-                       match=f"^{re.escape(str(tmp_path / 'frame_1.masks'))}: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'frame_1.masks'))}: "
+                                          "mask feature dim 5 != 4$"):
         load_frames(tmp_path)
 
 
@@ -555,6 +581,22 @@ def test_manifest_round_trip(tmp_path):
         assert a.kind == b.kind
 
 
+@pytest.mark.parametrize("confidence, text", [(np.float64(0.5), "0.5"),
+                                              (np.float32(0.25), "0.25")])
+def test_a_numpy_confidence_round_trips_as_a_plain_number(confidence, text, tmp_path):
+    path = tmp_path / "preds.txt"
+    write_instances(path, InstanceSet([Instance(np.array([1, 4]), confidence)]))
+    assert path.read_text() == f"preds_masks/0000.txt object {text}\n"
+    (loaded,) = load_instances(path).instances
+    assert type(loaded.confidence) is float and loaded.confidence == float(text)
+
+
+@pytest.mark.parametrize("confidence", ["0.5", None, [0.5]])
+def test_a_confidence_that_is_not_a_number_is_rejected(confidence):
+    with pytest.raises(FormatError, match="^confidence must be a number, got "):
+        Instance(np.array([1]), confidence)
+
+
 def test_manifest_missing_mask_file(tmp_path):
     path = tmp_path / "preds.txt"
     path.write_text("nowhere.txt object 1.0\n")
@@ -565,28 +607,37 @@ def test_manifest_missing_mask_file(tmp_path):
 def test_manifest_index_out_of_range(tmp_path):
     path = tmp_path / "preds.txt"
     write_instances(path, InstanceSet([Instance(np.array([5, 900]))]))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(FormatError, match="references point 900 but scene has 100 points$"):
         load_instances(path, n_points=100)
 
 
-@pytest.mark.parametrize("line, mask, error", [
-    ("m.txt object", "1\n", FormatError),
-    ("m.txt object x", "1\n", FormatError),
-    ("m.txt object nan", "1\n", FormatError),
-    ("m.txt object 1.5", "1\n", FormatError),
-    ("m.txt chair 1.0", "1\n", FormatError),
-    ("m.txt object 1.0", "2\n1\n", FormatError),
-    ("m.txt object 1.0", "-1\n", IndexOutOfRange),
-    ("m.txt object 1.0", "1.5\n", FormatError),
-    ("m.txt object 1.0", "99999999999999999999\n", IndexOutOfRange),
-    ("m.txt object 1.0", "100\n", IndexOutOfRange),
+def manifest_fault(line, mask, kind, message):
+    """A manifest case, named by its line, mask file and kind of fault."""
+    return pytest.param(line, mask, message, id=f"{line}-{mask}-{kind}")
+
+
+@pytest.mark.parametrize("line, mask, message", [
+    manifest_fault("m.txt object", "1\n", "FormatError", "expected 3 fields, got 2"),
+    manifest_fault("m.txt object x", "1\n", "FormatError", "bad confidence 'x'"),
+    manifest_fault("m.txt object nan", "1\n", "FormatError", "non-finite confidence"),
+    manifest_fault("m.txt object 1.5", "1\n", "FormatError", "confidence must be in [0, 1]"),
+    manifest_fault("m.txt chair 1.0", "1\n", "FormatError",
+                   "kind must be one of ('object', 'part')"),
+    manifest_fault("m.txt object 1.0", "2\n1\n", "FormatError",
+                   "point_ids must be sorted strictly ascending"),
+    manifest_fault("m.txt object 1.0", "-1\n", "IndexOutOfRange", "negative point index"),
+    manifest_fault("m.txt object 1.0", "1.5\n", "FormatError", "m.txt: non-integer point index"),
+    manifest_fault("m.txt object 1.0", "99999999999999999999\n", "IndexOutOfRange",
+                   "m.txt: point index out of range"),
+    manifest_fault("m.txt object 1.0", "100\n", "IndexOutOfRange",
+                   "m.txt references point 100 but scene has 100 points"),
 ])
-def test_every_manifest_error_names_the_manifest_and_line(line, mask, error, tmp_path):
+def test_every_manifest_error_names_the_manifest_and_line(line, mask, message, tmp_path):
     (tmp_path / "ok.txt").write_text("0\n")
     (tmp_path / "m.txt").write_text(mask)
     path = tmp_path / "preds.txt"
     path.write_text(f"ok.txt object 1.0\n\n{line}\n")
-    with pytest.raises(error, match=f"^{re.escape(str(path))}:3: "):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
         load_instances(path, n_points=100)
 
 
@@ -614,7 +665,7 @@ def test_mask_file_tokens_accepted_like_int(tmp_path, token, value):
 
 
 def test_mask_file_negative_token_parses_then_fails_range_check(tmp_path):
-    with pytest.raises(IndexOutOfRange, match="negative"):
+    with pytest.raises(FormatError, match=": negative point index$"):
         load_instances(write_mask_file(tmp_path, "-1\n"))
 
 
@@ -725,5 +776,5 @@ def test_instance_requires_sorted_unique_ids():
         Instance(np.array([3, 3, 5]))
     with pytest.raises(FormatError):
         Instance(np.array([5, 3]))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(FormatError, match="^negative point index$"):
         Instance(np.array([-1, 3]))

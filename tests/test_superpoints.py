@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 
 from part2object import (evaluation, hierarchy, objectness, parallel, scene_io,
                          superpoints, synth)
-from part2object.errors import EmptyCloud
 from part2object.scene_io import SceneCloud, estimate_normals
 from part2object.superpoints import SuperpointParams, build_superpoints
 
@@ -208,13 +207,6 @@ def test_separated_blocks_at_realistic_density_are_segmented():
         ap50.append(evaluation.evaluate(hierarchy.collect_objects(h, params), gt).ap50)
     assert np.mean(ap50) >= 0.9, ap50
     assert min(ap50) >= 0.66, ap50  # at least two of the three blocks everywhere
-
-
-def test_empty_cloud_rejected():
-    cloud = SceneCloud(positions=np.zeros((1, 3), dtype=np.float32))
-    cloud.positions = np.zeros((0, 3), dtype=np.float32)  # bypass the type guard
-    with pytest.raises(EmptyCloud):
-        build_superpoints(cloud)
 
 
 def test_missing_normals_are_estimated_with_params_normals_k():
