@@ -8,8 +8,9 @@ its stage reads, `run` takes them all. Configuration precedence is defaults
 < JSON config file < explicit flags. Logs go to stderr (P2O_LOG controls
 verbosity); artifacts and reports go to files only. Exit codes: 0 ok, 2 bad
 input or an OS error (`run` finds a missing scene, --frames directory or
---gt file before it writes anything), 3 stage failure (in `run`, a failed
-artifact write included), each failure reported as one stderr line.
+--gt file, and a --frames or --gt given with several scenes, before it
+writes anything), 3 stage failure (in `run`, a failed artifact write
+included), each failure reported as one stderr line.
 
 Each stage is one function that computes its result, writes its artifact
 (the super-point stage writes none) and returns it; its command loads the
@@ -19,11 +20,11 @@ one-layer hierarchy, `cluster --superpoints` reads layers[0] of any. A prior
 is one track's sorted point ids, from the priors stage to the merge rounds;
 `cluster --priors` checks them against the scene it loads. Within a
 scene, `run` builds the priors beside the super-points as two blocks of
-parallel.thread_map, joined before the merge rounds; the stages split their
-large steps over the same pool, and importing the package pins numpy's
-OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set. Only --jobs, across
-scenes, sets a thread count. hierarchy.json and priors.json are compact JSON,
-the rest indent 2.
+parallel.thread_map, joined before the merge rounds; the super-point and
+cluster stages split their large steps over the same pool, and importing the
+package pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
+set. Only --jobs, across scenes, sets a thread count. scene_io.write_json
+writes hierarchy.json and priors.json compact, the rest indented 2.
 """
 
 import argparse
@@ -39,6 +40,7 @@ import numpy as np
 from . import evaluation, hierarchy, objectness, scene_io, superpoints, synth
 from .errors import FormatError, OverlappingGroundTruth
 from .parallel import thread_map
+from .scene_io import write_json
 
 log = logging.getLogger("p2o")
 
@@ -80,17 +82,6 @@ def _add_config_flags(parser, names):
         parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
                             type=_CONFIG_FIELDS[name][1])
     parser.add_argument("--config", default=None, help="JSON config file")
-
-
-def write_json(path, data, compact=False):
-    """data as JSON plus a newline: compact for the id arrays, else indented 2."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # json.dumps, not json.dump: only a whole-string encode without indent
-    # takes the C encoder.
-    text = json.dumps(data, separators=(",", ":")) if compact else json.dumps(data, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def load_priors(path, n_points, scene):
@@ -275,6 +266,8 @@ def cmd_run(args):
         scene_io.points_file(scene)
     if args.gt and len(scenes) > 1:
         raise FormatError("--gt takes one --scene; each of several reads its ground_truth.txt")
+    if args.frames and len(scenes) > 1:
+        raise FormatError("--frames takes one --scene; each of several reads its own frames")
     if args.gt and not Path(args.gt).is_file():
         raise FileNotFoundError(f"no ground truth: {args.gt} not found")
     # frame_ids rejects a missing --frames dir; a doomed run builds no super-points.

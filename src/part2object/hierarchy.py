@@ -36,13 +36,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .errors import FormatError
 from .features import fuse_feature, point_norms
 from .parallel import thread_map
 from .scene_io import Instance, InstanceSet, check_fields
-from .spatial import labeled_close_pairs, sorted_unique
+from .spatial import components, groups, labeled_close_pairs, sorted_unique
 
 HIERARCHY_SCHEMA = "p2o.hierarchy/1"
 
@@ -100,7 +99,7 @@ class Hierarchy:
 
     def clusters(self, t):
         """Sorted point ids of every cluster of layer t."""
-        return _groups(self._point_labels()[t], len(self.layers[t]))
+        return groups(self._point_labels()[t], len(self.layers[t]))
 
     def _point_labels(self):
         """Point -> cluster index at every layer, layer 0 first."""
@@ -110,36 +109,30 @@ class Hierarchy:
         return labels
 
 
-def _partition_labels(groups, n):
-    """Member -> group index, for groups that partition [0, n) into non-empty sets.
+def _partition_labels(sets, n):
+    """Member -> set index, for sets that partition [0, n) into non-empty sets.
 
-    Raises ValueError on an empty group, a group that is not a flat array of
-    integers, an index outside [0, n), or an index that is in no group or in
+    Raises ValueError on an empty set, a set that is not a flat array of
+    integers, an index outside [0, n), or an index that is in no set or in
     more than one.
     """
-    groups = [np.asarray(g) for g in groups]
-    for k, g in enumerate(groups):
+    sets = [np.asarray(g) for g in sets]
+    for k, g in enumerate(sets):
         if g.size == 0:
             raise ValueError(f"set {k} is empty")
         if g.ndim != 1 or g.dtype.kind not in "iu":
             raise ValueError(f"set {k} is not a flat array of integer ids")
-    groups = [g.astype(np.int64, copy=False) for g in groups]
-    sizes = np.array([g.size for g in groups], dtype=np.int64)
-    ids = np.concatenate([np.empty(0, dtype=np.int64)] + groups)
+    sets = [g.astype(np.int64, copy=False) for g in sets]
+    sizes = np.array([g.size for g in sets], dtype=np.int64)
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + sets)
     outside = ids[(ids < 0) | (ids >= n)]
     if outside.size:
         raise ValueError(f"index {int(outside[0])} outside [0, {n})")
     labels = np.full(n, -1, dtype=np.int64)
-    labels[ids] = np.repeat(np.arange(len(groups)), sizes)
+    labels[ids] = np.repeat(np.arange(len(sets)), sizes)
     if ids.size != n or (labels < 0).any():
         raise ValueError(f"sets do not partition [0, {n}): an index is missing or repeated")
     return labels
-
-
-def _groups(labels, n_groups):
-    """Indices holding each label 0..n_groups-1, ascending within each group."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_groups))[:-1])
 
 
 def candidate_pairs(labels, positions, t):
@@ -217,18 +210,14 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
     points inside each prior's box (_box_counts or contract_counts).
     Candidate pairs (both features non-zero) are ranked by similarity, the
     top K fraction survive, pairs a prior's box separates (on the fractions
-    count / size) are dropped, and
-    the rest are unioned transitively. parent[c] is the next-layer index of
-    cluster c; next-layer clusters are numbered by their smallest child.
+    count / size) are dropped, and the rest are unioned transitively
+    (spatial.components). parent[c] is the next-layer index of cluster c;
+    next-layer clusters are numbered by their smallest child.
     Untouched clusters carry their feature forward; merged clusters re-fuse
     theirs from their member point features in ascending point order, their
     rows gathered straight into float64; the fusion's full-matrix steps keep
     the bits.
     """
-    # Imported here, not at module level: commands that never cluster would
-    # otherwise pay for loading it.
-    from scipy.sparse.csgraph import connected_components
-
     n_clusters = len(feats)
     f64 = feats.astype(np.float64)
     f_norms = np.linalg.norm(f64, axis=1)
@@ -245,15 +234,12 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
     log = LayerLog(accepted=[tuple(p) for p in union.tolist()],
                    rejected_stop=[tuple(p) for p in pairs[vetoed].tolist()],
                    n_candidates=len(sims))
-    graph = coo_matrix((np.ones(len(union)), (union[:, 0], union[:, 1])),
-                       shape=(n_clusters, n_clusters))
-    n_next, parent = connected_components(graph, directed=False)
-    parent = parent.astype(np.int64)
+    n_next, parent = components(n_clusters, union)
 
-    children = _groups(parent, n_next)
+    children = groups(parent, n_next)
     next_feats = feats[[c[0] for c in children]]
     if n_next < n_clusters:
-        point_sets = _groups(parent[labels], n_next)
+        point_sets = groups(parent[labels], n_next)
         for k, c in enumerate(children):
             if c.size > 1:
                 next_feats[k] = fuse_feature(point_features, point_sets[k], norms)
@@ -298,7 +284,7 @@ def run_hierarchy(layer0, cloud, priors, params=None):
                                        counts, params)
         if not log.accepted:
             break
-        h.layers.append(_groups(parent, len(feats)))
+        h.layers.append(groups(parent, len(feats)))
         h.merge_log.append(log)
         labels = parent[labels]
         edges = contract_edges(edges, parent)
@@ -327,7 +313,7 @@ def collect_parts(h, objects):
     it.
     """
     labels = h._point_labels()
-    terminal = _groups(labels[-1], len(h.layers[-1]))
+    terminal = groups(labels[-1], len(h.layers[-1]))
     parts = []
     for inst in objects.instances:
         ids = inst.point_ids

@@ -10,8 +10,7 @@ overlap criterion for objects of all sizes.
 Projection is split in two: each frame that shows a surviving track is
 projected and depth-tested once (``visible_points``), and each of its masks
 then only indexes its flattened bitmap at those visible pixels. The frames
-are independent blocks of ``parallel.thread_map``; their results are joined
-in frame order, so the tracks do not depend on the thread count.
+are projected one after another in the calling thread, in frame order.
 
 MatchParams is the one definition of this stage's tunables: the matching
 threshold tau, the projection's depth_tol, and the min_track_frames /
@@ -21,10 +20,8 @@ min_track_points floors.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
-from .parallel import thread_map
-from .spatial import sorted_unique
+from .spatial import components, sorted_unique
 
 
 @dataclass
@@ -81,20 +78,12 @@ def propagate_sameness(nodes, edges):
     """Connected components of the (frame, mask) link graph as tracks.
 
     Every node ends up in exactly one track, linked or not. Components are
-    ordered by their smallest member and members are sorted, so the result is
-    deterministic.
+    ordered by their smallest member (spatial.components) and members are
+    sorted, so the result is deterministic.
     """
-    # Imported here, as in hierarchy.run_layer: commands that never build
-    # tracks would otherwise pay for loading it.
-    from scipy.sparse.csgraph import connected_components
-
     nodes = sorted(nodes)
     index = {node: k for k, node in enumerate(nodes)}
-    pairs = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                       shape=(len(nodes), len(nodes)))
-    # Components are numbered by their smallest node, as run_layer relies on.
-    n_tracks, track_of = connected_components(graph, directed=False)
+    n_tracks, track_of = components(len(nodes), [(index[a], index[b]) for a, b in edges])
     members = [[] for _ in range(n_tracks)]
     for node, k in zip(nodes, track_of.tolist()):
         members[k].append(node)
@@ -179,10 +168,9 @@ def build_tracks(cloud, frames, params=None):
 
     Adjacent frames are matched by match_adjacent with params.tau. Tracks
     whose frame_span is below min_track_frames are dropped before any
-    projection, so a frame is projected at most once and only when it holds
-    a member of a surviving track; those frames run as blocks of thread_map.
-    Tracks with fewer than min_track_points pooled points are dropped
-    afterwards.
+    projection, so a frame is projected at most once, in frame order, and
+    only when it holds a member of a surviving track. Tracks with fewer than
+    min_track_points pooled points are dropped afterwards.
     """
     params = params or MatchParams()
     frames = sorted(frames, key=lambda f: f.frame_id)
@@ -201,19 +189,13 @@ def build_tracks(cloud, frames, params=None):
         for fid, mi in track.members:
             members_by_frame.setdefault(fid, []).append((k, mi))
 
-    def project_frame(item):
-        fid, members = item
+    pooled = [[] for _ in tracks]
+    for fid, members in sorted(members_by_frame.items()):
         frame = by_id[fid]
         visible = visible_points(cloud, frame, params.depth_tol)
-        return [
-            (k, project_mask_points(cloud, frame, mi, params.depth_tol, visible=visible))
-            for k, mi in members
-        ]
-
-    pooled = [[] for _ in tracks]
-    for projected in thread_map(project_frame, sorted(members_by_frame.items())):
-        for k, ids in projected:
-            pooled[k].append(ids)
+        for k, mi in members:
+            pooled[k].append(project_mask_points(cloud, frame, mi, params.depth_tol,
+                                                 visible=visible))
 
     kept = []
     for track, ids in zip(tracks, pooled):

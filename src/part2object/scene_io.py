@@ -397,7 +397,18 @@ def load_scene(dir_path):
 
 
 # ---------------------------------------------------------------------------
-# JSON inputs
+# JSON files
+
+
+def write_json(path, data, compact=False):
+    """data as JSON plus a newline: compact for the id arrays, else indented 2."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # json.dumps, not json.dump: only a whole-string encode without indent
+    # takes the C encoder.
+    text = json.dumps(data, separators=(",", ":")) if compact else json.dumps(data, indent=2)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def load_json(path):
@@ -469,9 +480,7 @@ def write_frames(dir_path, frames):
             "height": frame.height,
             "extrinsics": [float(v) for v in frame.extrinsics.ravel()],
         }
-        with open(dir_path / f"{stem}.cam", "w") as fh:
-            json.dump(cam, fh, indent=2)
-            fh.write("\n")
+        write_json(dir_path / f"{stem}.cam", cam)
         (dir_path / f"{stem}.depth").write_bytes(frame.depth.astype(_F32).tobytes())
         feat_dim = frame.masks[0].feature.size if frame.masks else 0
         with open(dir_path / f"{stem}.masks", "wb") as fh:
@@ -547,7 +556,7 @@ def write_instances(path, instance_set):
     """Write an instance manifest plus one mask file per instance.
 
     Mask files go into ``<stem>_masks/`` next to the manifest and are
-    referenced by relative path.
+    referenced by relative path; those an earlier, longer write left are removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -566,6 +575,9 @@ def write_instances(path, instance_set):
         fh.write("\n".join(lines))
         if lines:
             fh.write("\n")
+    for stale in mask_dir.glob("*.txt"):  # instance k's file is k, at least 4 digits
+        if re.fullmatch(r"\d{4}|[1-9]\d{4,}", stale.stem) and int(stale.stem) >= len(lines):
+            stale.unlink()
 
 
 # The bytes write_instances writes: ASCII digits, and the ASCII whitespace

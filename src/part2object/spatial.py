@@ -1,12 +1,15 @@
-"""Kd-trees, adjacency between labelled point sets, and the package's
-unique-id rule.
+"""Kd-trees, adjacency between labelled point sets, and the package's id
+and graph rules.
 
 Every kd-tree in the package (normals, adjacency slabs, the super-point
 fallback) is built by kdtree, with one construction rule. Every id array the
-hot paths deduplicate goes through sorted_unique.
+hot paths deduplicate goes through sorted_unique, every label array is split
+into its members by groups, and every undirected graph (merge rounds, mask
+tracks) into its connected components by components.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .parallel import thread_map
@@ -29,6 +32,27 @@ def sorted_unique(values):
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def groups(labels, n):
+    """Indices holding each label 0..n-1, ascending within each group; every
+    label must lie in [0, n)."""
+    order = np.argsort(labels, kind="stable")
+    # [:n]: with n = 0, np.split still returns the one empty piece.
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n))[:-1])[:n]
+
+
+def components(n, pairs):
+    """(count, int64 labels) of the undirected graph on nodes 0..n-1 whose
+    edges are the (E, 2) pairs; components are numbered by their smallest
+    node."""
+    # Imported here, so that commands that build no graph do not load it.
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    return count, labels.astype(np.int64)
 
 
 def kdtree(points):

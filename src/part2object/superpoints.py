@@ -46,7 +46,7 @@ import numpy as np
 
 from . import parallel, scene_io
 from .parallel import thread_map
-from .spatial import kdtree, sorted_unique
+from .spatial import groups, kdtree, sorted_unique
 
 # Least work (neighbour lookups, or points of claimed voxels) per block of a
 # wave step; a smaller step runs as one block in the calling thread.
@@ -267,5 +267,4 @@ def build_superpoints(cloud, params=None):
         _, nearest = kdtree(pos[reached]).query(pos[missing])
         point_seed[missing] = point_seed[reached[nearest]]
 
-    order = np.argsort(point_seed, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(point_seed, minlength=n_seeds))[:-1])
+    return groups(point_seed, n_seeds)

@@ -259,6 +259,17 @@ def test_one_gt_for_several_scenes_is_bad_input(scene_dir, tmp_path):
     assert not out.exists()
 
 
+def test_one_frames_dir_for_several_scenes_is_bad_input(scene_dir, tmp_path):
+    # One frames directory cannot hold every scene's frames.
+    out = tmp_path / "run"
+    proc = run_p2o("run", "--scene", str(scene_dir), "--scene", str(scene_dir),
+                   "--frames", str(scene_dir), "--out", str(out))
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --frames takes one --scene"), lines
+    assert not out.exists()
+
+
 def fail(message, delay=0.0):
     def raise_(*args, **kwargs):
         time.sleep(delay)

@@ -506,7 +506,8 @@ def record_projections(monkeypatch, threads=None):
 
 
 def test_build_tracks_equals_per_member_projection(monkeypatch):
-    """At 1, 2 and 3 workers: the reference's tracks, one projection a frame."""
+    """At 1, 2 and 3 workers: the reference's tracks, one projection a frame,
+    every projection in the calling thread."""
     threads = set()
     calls = record_projections(monkeypatch, threads)
     for workers in (1, 2, 3):
@@ -555,8 +556,8 @@ def test_build_tracks_equals_per_member_projection(monkeypatch):
                     stack = np.stack([m.bitmap for m in f.masks])
                     seen["overlap"] += bool((stack.sum(axis=0) > 1).any())
         assert all(count > 0 for count in seen.values()), seen
-        # frames run on the pool's threads whenever more than one worker exists
-        assert (threads == {threading.get_ident()}) == (workers == 1)
+        # frames are projected in the calling thread, whatever the CPU count
+        assert threads == {threading.get_ident()}
 
 
 def test_frames_of_dropped_tracks_are_never_projected(monkeypatch):

@@ -581,6 +581,29 @@ def test_manifest_round_trip(tmp_path):
         assert a.kind == b.kind
 
 
+def test_a_shorter_rewrite_leaves_only_the_manifests_mask_files(tmp_path):
+    path = tmp_path / "preds.txt"
+    masks = tmp_path / "preds_masks"
+    masks.mkdir()
+    # Not named as write_instances names a mask file, so never removed.
+    others = ["notes.txt", "12.txt", "00005.txt", "0001.txt.bak"]
+    for name in others:
+        (masks / name).write_text("keep\n")
+    for count in (5, 2, 0):
+        write_instances(path, InstanceSet([Instance(np.arange(k + 1)) for k in range(count)]))
+        named = [line.split()[0] for line in path.read_text().splitlines()]
+        assert named == [f"preds_masks/{k:04d}.txt" for k in range(count)]
+        assert sorted(p.name for p in masks.iterdir()) == sorted(
+            others + [f"{k:04d}.txt" for k in range(count)])
+        loaded = load_instances(path)
+        assert [i.point_ids.tolist() for i in loaded.instances] == [
+            list(range(k + 1)) for k in range(count)]
+    # Instance 10000's file has five digits, so a five-digit name is a mask file too.
+    (masks / "10000.txt").write_text("0\n")
+    write_instances(path, InstanceSet())
+    assert not (masks / "10000.txt").exists()
+
+
 @pytest.mark.parametrize("confidence, text", [(np.float64(0.5), "0.5"),
                                               (np.float32(0.25), "0.25")])
 def test_a_numpy_confidence_round_trips_as_a_plain_number(confidence, text, tmp_path):

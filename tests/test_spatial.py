@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from part2object import parallel, spatial
-from part2object.spatial import labeled_close_pairs, sorted_unique
+from part2object.spatial import components, groups, labeled_close_pairs, sorted_unique
 
 
 def brute_label_pairs(pts, labels, cutoff):
@@ -108,3 +108,59 @@ def test_sorted_unique_equals_np_unique(name, values):
     got, want = sorted_unique(values), np.unique(values)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_groups_equals_a_scan_per_label():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(0, 8))
+        size = int(rng.integers(0, 40)) if n else 0
+        labels = rng.integers(0, max(n, 1), size=size)
+        got = groups(labels, n)
+        assert len(got) == n
+        for k, members in enumerate(got):
+            assert members.dtype == np.int64
+            assert np.array_equal(members, np.flatnonzero(labels == k))
+
+
+def brute_components(n, pairs):
+    """Union-find, then each component numbered by the rank of its smallest node."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    smallest = {}
+    for node in range(n):
+        smallest.setdefault(find(node), node)
+    rank = {r: k for k, r in enumerate(sorted(smallest, key=smallest.get))}
+    return len(rank), [rank[find(node)] for node in range(n)]
+
+
+def test_components_equals_union_find():
+    rng = np.random.default_rng(13)
+    seen = dict.fromkeys(["no_pairs", "isolated", "repeated", "self_loop"], 0)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, n + 5)), 2))
+        count, labels = components(n, pairs)
+        want_count, want = brute_components(n, pairs.tolist())
+        assert labels.dtype == np.int64
+        assert (count, labels.tolist()) == (want_count, want)
+        seen["no_pairs"] += len(pairs) == 0
+        seen["isolated"] += len(set(range(n)) - set(pairs.ravel().tolist())) > 0
+        seen["repeated"] += len({tuple(sorted(p)) for p in pairs.tolist()}) < len(pairs)
+        seen["self_loop"] += bool((pairs[:, 0] == pairs[:, 1]).any())
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_components_of_edge_lists_without_edges():
+    for pairs in ([], np.empty((0, 2), dtype=np.int64)):
+        count, labels = components(4, pairs)
+        assert count == 4 and labels.dtype == np.int64 and labels.tolist() == [0, 1, 2, 3]
+    count, labels = components(0, [])
+    assert count == 0 and labels.dtype == np.int64 and labels.size == 0
