@@ -138,9 +138,10 @@ def _partition_labels(sets, n):
 def candidate_pairs(labels, positions, t):
     """(E, 2) int64 cluster pairs (i < j, sorted) whose closest points are within t.
 
-    labels maps each point to its cluster; the pairs come from a kd-tree over
-    the points (spatial.labeled_close_pairs). run_hierarchy calls this once,
-    on layer 0; later layers get their pairs from contract_edges.
+    labels maps each point to its cluster; the pairs come from an exact search
+    over a grid of cells of edge t (spatial.labeled_close_pairs).
+    run_hierarchy calls this once, on layer 0; later layers get their pairs
+    from contract_edges.
     """
     return labeled_close_pairs(positions, labels, t)
 
@@ -201,7 +202,7 @@ def _separated(fa, fb, inside_frac, outside_frac):
 
 
 def run_layer(labels, feats, point_features, norms, edges, counts, params):
-    """One merge round: returns (parent, next features, LayerLog).
+    """One merge round: returns (parent, next features, LayerLog, children).
 
     labels maps each point to its cluster in this layer, feats holds one row
     per cluster, norms each point's feature norm (features.point_norms,
@@ -212,7 +213,8 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
     top K fraction survive, pairs a prior's box separates (on the fractions
     count / size) are dropped, and the rest are unioned transitively
     (spatial.components). parent[c] is the next-layer index of cluster c;
-    next-layer clusters are numbered by their smallest child.
+    next-layer clusters are numbered by their smallest child, and
+    children[k] is next-layer cluster k's sorted child indices.
     Untouched clusters carry their feature forward; merged clusters re-fuse
     theirs from their member point features in ascending point order, their
     rows gathered straight into float64; the fusion's full-matrix steps keep
@@ -243,7 +245,7 @@ def run_layer(labels, feats, point_features, norms, edges, counts, params):
         for k, c in enumerate(children):
             if c.size > 1:
                 next_feats[k] = fuse_feature(point_features, point_sets[k], norms)
-    return parent, next_feats, log
+    return parent, next_feats, log, children
 
 
 def run_hierarchy(layer0, cloud, priors, params=None):
@@ -269,7 +271,7 @@ def run_hierarchy(layer0, cloud, priors, params=None):
     layer0 = [np.sort(np.asarray(ids, dtype=np.int64)) for ids in layer0]
     norms = point_norms(point_features)
     # Side by side, because the fusion loop holds the interpreter lock while
-    # the adjacency slabs and box tests release it. These are the only
+    # the adjacency grid and box tests release it. These are the only
     # point-level scans; later rounds contract the edges and the counts.
     edges, feats, counts = thread_map(lambda build: build(), [
         lambda: candidate_pairs(labels, positions, params.T),
@@ -280,11 +282,11 @@ def run_hierarchy(layer0, cloud, priors, params=None):
 
     h = Hierarchy(layers=[layer0], merge_log=[])
     while len(h.layers) < params.max_layers:
-        parent, feats, log = run_layer(labels, feats, point_features, norms, edges,
-                                       counts, params)
+        parent, feats, log, children = run_layer(labels, feats, point_features, norms,
+                                                 edges, counts, params)
         if not log.accepted:
             break
-        h.layers.append(groups(parent, len(feats)))
+        h.layers.append(children)
         h.merge_log.append(log)
         labels = parent[labels]
         edges = contract_edges(edges, parent)

@@ -556,7 +556,8 @@ def write_instances(path, instance_set):
     """Write an instance manifest plus one mask file per instance.
 
     Mask files go into ``<stem>_masks/`` next to the manifest and are
-    referenced by relative path; those an earlier, longer write left are removed.
+    referenced by relative path; those an earlier, longer write left are
+    removed, and so is the directory when that leaves it empty.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -578,6 +579,8 @@ def write_instances(path, instance_set):
     for stale in mask_dir.glob("*.txt"):  # instance k's file is k, at least 4 digits
         if re.fullmatch(r"\d{4}|[1-9]\d{4,}", stale.stem) and int(stale.stem) >= len(lines):
             stale.unlink()
+    if mask_dir.is_dir() and not any(mask_dir.iterdir()):
+        mask_dir.rmdir()
 
 
 # The bytes write_instances writes: ASCII digits, and the ASCII whitespace

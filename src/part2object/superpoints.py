@@ -46,7 +46,7 @@ import numpy as np
 
 from . import parallel, scene_io
 from .parallel import thread_map
-from .spatial import groups, kdtree, sorted_unique
+from .spatial import groups, kdtree, padded_keys, run_starts, sorted_unique
 
 # Least work (neighbour lookups, or points of claimed voxels) per block of a
 # wave step; a smaller step runs as one block in the calling thread.
@@ -122,13 +122,10 @@ def build_superpoints(cloud, params=None):
     # padded by one empty cell on every side: voxel index = rank of its key,
     # and each voxel's points are a run of point_order in ascending id.
     cells = np.floor(pos / params.voxel_size).astype(np.int64)
-    lo = cells.min(axis=0) - 1
-    span = cells.max(axis=0) - lo + 2
-    strides = np.array([span[1] * span[2], span[2], 1])
-    keys = (cells - lo) @ strides
+    keys, strides = padded_keys(cells)
     point_order = np.argsort(keys, kind="stable")
     sorted_keys = keys[point_order]
-    new_vox = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    new_vox = run_starts(sorted_keys)
     vox_starts = np.flatnonzero(new_vox)
     vox_keys = sorted_keys[vox_starts]
     vox_counts = np.diff(vox_starts, append=n)
@@ -229,7 +226,7 @@ def build_superpoints(cloud, params=None):
         # Per point: smallest score wins, ties to the lowest seed index.
         order = np.lexsort((seeds_rep, scores, pts))
         pts_sorted = pts[order]
-        first = np.diff(pts_sorted, prepend=-1) != 0
+        first = run_starts(pts_sorted)
         win_pts = pts_sorted[first]
         win_seeds = seeds_rep[order][first]
         point_seed[win_pts] = win_seeds

@@ -76,7 +76,7 @@ def test_c2_layer_merges_match_brute_force():
         point_feats = np.zeros((n, 5), dtype=np.float32)
         for i, ids in enumerate(sets):
             point_feats[ids] = feats[i]
-        _parent, _nf, log = hierarchy.run_layer(
+        _parent, _nf, log, _children = hierarchy.run_layer(
             labels, feats.astype(np.float32), point_feats, point_norms(point_feats),
             hierarchy.candidate_pairs(labels, pos, params.T),
             hierarchy._box_counts(labels, n_clusters, pos, priors), params,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from part2object import cli, objectness, parallel, scene_io, spatial, superpoints, synth
+from part2object import cli, objectness, parallel, scene_io, superpoints, synth
 from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
@@ -183,6 +183,20 @@ def test_run_twice_is_byte_identical(scene_dir, tmp_path):
     assert list(ta) == list(tb)
     for name in ta:
         assert ta[name] == tb[name], name
+
+
+def test_a_rerun_that_finds_no_objects_equals_a_fresh_run(scene_dir, tmp_path):
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert cli.main(["run", "--scene", str(scene_dir), "--out", str(rerun),
+                     "--min-object-points", "30"]) == 0
+    assert any(path.is_dir() for path in rerun.rglob("*_masks"))
+    # More points per object than the scene holds: no objects, so no parts.
+    for out in (rerun, fresh):
+        assert cli.main(["run", "--scene", str(scene_dir), "--out", str(out),
+                         "--min-object-points", str(10**9)]) == 0
+    assert tree_bytes(rerun) == tree_bytes(fresh)
+    assert ([p.relative_to(rerun) for p in sorted(rerun.rglob("*"))]
+            == [p.relative_to(fresh) for p in sorted(fresh.rglob("*"))])
 
 
 def test_missing_priors_with_require_flag_fails_stage(tmp_path):
@@ -365,10 +379,9 @@ def test_run_jobs_do_not_change_artifacts(tmp_path, monkeypatch):
         scene_io.write_scene(scenes[-1], cloud)
         scene_io.write_frames(scenes[-1], frames)
         scene_io.write_instances(tmp_path / f"scene{seed}" / "ground_truth.txt", gt)
-    # Small blocks give each scene's neighbourhood queries several blocks:
-    # fully serial at --jobs 1, two scene threads each running two more at 2.
+    # Small blocks give each scene's normals estimate several blocks: fully
+    # serial at --jobs 1, two scene threads each running two more at 2.
     monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
-    monkeypatch.setattr(spatial, "_SLAB_POINTS", 2048)
     outs = {}
     for jobs in ("1", "2"):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: int(jobs))
@@ -383,10 +396,9 @@ def test_run_jobs_do_not_change_artifacts(tmp_path, monkeypatch):
 
 
 def test_run_artifacts_do_not_depend_on_the_worker_count(raw_scene_dir, tmp_path, monkeypatch):
-    # Small blocks split the normals, the adjacency slabs and every super-point
-    # wave step of two or more items, so each count runs its own block layout.
+    # Small blocks split the normals and every super-point wave step of two
+    # or more items, so each count runs its own block layout.
     monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
-    monkeypatch.setattr(spatial, "_SLAB_POINTS", 2048)
     monkeypatch.setattr(superpoints, "_WAVE_BLOCK", 1)
     trees = []
     for workers in (1, 2, 3):

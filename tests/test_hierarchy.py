@@ -106,11 +106,18 @@ def labels_of(sets):
 
 
 def run_layer_on(sets, feats, point_feats, pos, priors, params):
-    """run_layer over the layer the point sets form, edges found from the points."""
+    """run_layer over the layer the point sets form, edges found from the
+    points: (parent, next features, log), once its children are checked to
+    be the parent array's groups."""
     labels = labels_of(sets)
-    return hi.run_layer(labels, feats, point_feats, point_norms(point_feats),
-                        hi.candidate_pairs(labels, pos, params.T),
-                        hi._box_counts(labels, len(sets), pos, priors), params)
+    parent, next_feats, log, children = hi.run_layer(
+        labels, feats, point_feats, point_norms(point_feats),
+        hi.candidate_pairs(labels, pos, params.T),
+        hi._box_counts(labels, len(sets), pos, priors), params)
+    want = [np.flatnonzero(parent == k) for k in range(len(next_feats))]
+    assert len(children) == len(want)
+    assert all(np.array_equal(c, w) for c, w in zip(children, want))
+    return parent, next_feats, log
 
 
 def box_priors(pos, corners):
@@ -566,7 +573,7 @@ def test_run_hierarchy_matches_rescanning_reference(synth_hierarchies):
         while len(layers) < params.max_layers:
             # Edges and box counts scanned from the points of this layer, not
             # contracted.
-            parent, nxt_feats, log = hi.run_layer(
+            parent, nxt_feats, log, _children = hi.run_layer(
                 labels, features[-1], point_feats, norms,
                 hi.candidate_pairs(labels, positions, params.T),
                 hi._box_counts(labels, len(features[-1]), positions, priors), params,
@@ -627,9 +634,9 @@ def record_rounds(monkeypatch):
     real = hi.run_layer
 
     def recording(labels, feats, point_features, norms, edges, counts, params):
-        parent, nxt, log = real(labels, feats, point_features, norms, edges, counts, params)
-        rounds.append((labels, counts, log))
-        return parent, nxt, log
+        result = real(labels, feats, point_features, norms, edges, counts, params)
+        rounds.append((labels, counts, result[2]))
+        return result
 
     monkeypatch.setattr(hi, "run_layer", recording)
     return rounds

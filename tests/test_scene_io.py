@@ -604,6 +604,18 @@ def test_a_shorter_rewrite_leaves_only_the_manifests_mask_files(tmp_path):
     assert not (masks / "10000.txt").exists()
 
 
+def test_a_rewrite_with_no_instances_leaves_no_mask_directory(tmp_path):
+    # A first write of no instances makes no mask directory; a later one
+    # removes the directory its earlier write made, so the two leave one tree.
+    for name, counts in (("fresh", [0]), ("rerun", [2, 0])):
+        out = tmp_path / name
+        for count in counts:
+            write_instances(out / "preds.txt",
+                            InstanceSet([Instance(np.arange(k + 1)) for k in range(count)]))
+        assert [p.name for p in out.iterdir()] == ["preds.txt"]
+        assert load_instances(out / "preds.txt").instances == []
+
+
 @pytest.mark.parametrize("confidence, text", [(np.float64(0.5), "0.5"),
                                               (np.float32(0.25), "0.25")])
 def test_a_numpy_confidence_round_trips_as_a_plain_number(confidence, text, tmp_path):

@@ -1,8 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from part2object import parallel, spatial
+from conftest import three_block_spec
+from part2object import spatial, synth
 from part2object.spatial import components, groups, labeled_close_pairs, sorted_unique
+from part2object.superpoints import build_superpoints
 
 
 def brute_label_pairs(pts, labels, cutoff):
@@ -51,33 +56,108 @@ def test_labeled_close_pairs_counts_pairs_at_exactly_cutoff():
     assert at_cutoff > 1000
 
 
-def test_labeled_close_pairs_across_slab_edges(monkeypatch):
-    # Cores of 7 points: most close pairs straddle a slab edge, and the
-    # lattice x values tie across edges.
-    monkeypatch.setattr(spatial, "_SLAB_POINTS", 7)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        pts = rng.random((250, 3)) * 0.5
-        labels = rng.integers(0, 30, size=250)
-        check_against_brute_force(pts, labels, 0.06)
-        lattice = rng.integers(-3, 4, size=(120, 3)) * 0.05
-        check_against_brute_force(lattice, rng.integers(0, 20, size=120), 0.05)
+def kdtree_label_pairs(pts, labels, cutoff):
+    """Label pairs (la < lb, sorted) from a default cKDTree's point pairs."""
+    i, j = cKDTree(pts).query_pairs(cutoff, output_type="ndarray").T
+    la, lb = labels[i], labels[j]
+    keep = la != lb
+    return sorted({(int(a), int(b)) for a, b in zip(np.minimum(la, lb)[keep],
+                                                   np.maximum(la, lb)[keep])})
 
 
-def test_labeled_close_pairs_do_not_depend_on_thread_count(monkeypatch):
-    # Cores of 32 points: 1,200 points make 38 slabs for the workers to share.
-    monkeypatch.setattr(spatial, "_SLAB_POINTS", 32)
-    rng = np.random.default_rng(8)
-    pts = rng.random((1200, 3)) * np.array([2.0, 0.3, 0.3])
-    labels = rng.integers(0, 200, size=1200)
-    results = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
-        results[workers] = labeled_close_pairs(pts, labels, 0.05)
-    assert len(results[1]) > 100
-    assert results[1].dtype == results[2].dtype == np.int64
-    assert np.array_equal(results[1], results[2])
-    check_against_brute_force(pts, labels, 0.05)
+@pytest.fixture(scope="module")
+def room_cloud():
+    """The 1150 pts/m2 room and its super-point labels."""
+    cloud, _gt, _frames = synth.generate(
+        three_block_spec(room=(4.0, 4.0, 1.5), points_per_m2=1150.0))
+    pos = cloud.positions.astype(np.float64)
+    labels = np.empty(len(pos), dtype=np.int64)
+    for k, ids in enumerate(build_superpoints(cloud)):
+        labels[ids] = k
+    return pos, labels
+
+
+@pytest.mark.parametrize("cutoff", [0.03, 0.05, 0.1])
+def test_labeled_close_pairs_equal_kdtree_pairs_on_a_room(room_cloud, cutoff):
+    pos, labels = room_cloud
+    got = labeled_close_pairs(pos, labels, cutoff)
+    want = kdtree_label_pairs(pos, labels, cutoff)
+    assert len(want) > 500
+    assert got.dtype == np.int64 and got.tolist() == [list(p) for p in want]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
+@pytest.mark.parametrize("cutoff", [0.03, 0.05, 0.1])
+def test_labeled_close_pairs_on_lattices_at_the_cell_edges(cutoff, offset):
+    # Lattice steps of the cutoff put axis neighbours at the cutoff, up to the
+    # rounding the offset adds; steps of the cell edge put points on its
+    # boundaries. Either way many pairs sit at the rule's threshold.
+    rng = np.random.default_rng(17)
+    for step in (cutoff, cutoff * (1 + 1e-6)):
+        for _ in range(4):
+            pts = rng.integers(-4, 5, size=(160, 3)) * step + offset
+            labels = rng.integers(0, 30, size=160)
+            check_against_brute_force(pts, labels, cutoff)
+
+
+def test_labeled_close_pairs_two_cells_apart_before_rounding():
+    # x = -1e-18 and x = cutoff are exactly the cutoff apart once rounded, yet
+    # x / cutoff floors them into cells -1 and 1; the cell edge's margin of
+    # 1e-6 puts them in touching cells.
+    for cutoff in (0.03, 0.05, 0.1):
+        pts = np.array([[-1e-18, 0.0, 0.0], [cutoff, 0.0, 0.0]])
+        assert check_against_brute_force(pts, np.array([0, 1]), cutoff).tolist() == [[0, 1]]
+
+
+def test_labeled_close_pairs_when_every_box_pair_proves_its_labels():
+    # Blobs 0.02 cutoff wide, one label each, centres on a lattice of step
+    # 0.55 cutoff: blobs up to a lattice diagonal apart have farthest corners
+    # within 0.99 cutoff, and any farther blobs a gap above 1.08.
+    rng = np.random.default_rng(3)
+    cutoff = 0.05
+    centres = np.stack(np.meshgrid(*[np.arange(4) * 0.55 * cutoff] * 3), -1).reshape(-1, 3)
+    pts = np.repeat(centres, 6, axis=0) + rng.random((6 * len(centres), 3)) * 0.02 * cutoff
+    labels = np.repeat(rng.permutation(len(centres)), 6)
+    got = check_against_brute_force(pts, labels, cutoff)
+    assert len(got) > 100
+
+
+def test_labeled_close_pairs_when_boxes_are_near_but_points_are_not():
+    # In units of the cutoff, each unit in one cell: label 1's two points
+    # span a cell and label 2's point lies 0.6 past that box on x, level with
+    # its top in z, yet at least 1.08 from either point. Labels 3 and 4 repeat
+    # that, and also meet 0.8 apart across a box gap of 0.8: their closest
+    # unit pair has no close point pair, and the next one does.
+    c = 0.05
+    near = np.array([[0, 0, 0], [0.9, 0.9, 0.9], [1.5, 0, 0.9]])
+    close = np.array([[10.05, 0, 0], [10.05, 0.9, 0.9], [10.85, 0, 0]])
+    pts = np.concatenate([near, near + [0, 20.05, 0], close + [0, 20.05, 0]]) * c
+    labels = np.array([1, 1, 2, 3, 3, 4, 3, 3, 4])
+    assert check_against_brute_force(pts, labels, c).tolist() == [[3, 4]]
+
+
+def test_labeled_close_pairs_with_a_cell_key_past_int64_over_the_labels():
+    # 200 m across at a 0.05 cutoff gives cell keys near 6e10; times labels
+    # up to 2**31 that overflows int64, so the points are sorted by two keys.
+    rng = np.random.default_rng(11)
+    centres = rng.random((60, 3)) * 200.0
+    pts = np.repeat(centres, 5, axis=0) + rng.random((300, 3)) * 0.06
+    ranks = rng.integers(0, 150, size=300)
+    values = np.sort(rng.choice(2**31, size=150, replace=False))
+    got = check_against_brute_force(pts, values[ranks], 0.05)
+    assert len(got) > 20
+    # The ranks keep the order of the labels and fit one int64 key with the cells.
+    assert np.array_equal(got, values[labeled_close_pairs(pts, ranks, 0.05)])
+
+
+def test_labeled_close_pairs_build_no_kdtree_and_start_no_thread(room_cloud, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeled_close_pairs built a kd-tree or started a thread")
+
+    monkeypatch.setattr(spatial, "cKDTree", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    pos, labels = room_cloud
+    assert len(labeled_close_pairs(pos, labels, 0.05)) > 500
 
 
 def test_labeled_close_pairs_degenerate_inputs():
