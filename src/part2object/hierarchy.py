@@ -357,9 +357,11 @@ _LOG_FIELDS = {"accepted": list, "rejected_stop": list, "n_candidates": int}
 
 def hierarchy_from_dict(data, where="hierarchy"):
     """Hierarchy from hierarchy_to_dict output; FormatError, prefixed by
-    `where` (the file), unless n_points and every n_candidates are JSON
-    integers and every layer partitions the one below it (layer 0: the
-    n_points point ids)."""
+    `where` (the file), unless n_points is a JSON integer, every layer
+    partitions the one below it (layer 0: the n_points point ids), and
+    merge_log holds one entry per layer after the first, entry t with
+    n_candidates a JSON integer >= 0 and each accepted and rejected_stop item
+    a pair [i, j] of JSON integers, 0 <= i < j < layer t's cluster count."""
     data = check_fields(data, _HIERARCHY_FIELDS, where, "hierarchy")
     if data.get("schema") != HIERARCHY_SCHEMA:
         raise FormatError(f"{where}: unsupported hierarchy schema {data.get('schema')!r}")
@@ -370,9 +372,6 @@ def hierarchy_from_dict(data, where="hierarchy"):
                    for layer in data["layers"][1:]]
         logs = [check_fields(log, _LOG_FIELDS, where, "merge_log entry")
                 for log in data["merge_log"]]
-        merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
-                              [tuple(p) for p in log["rejected_stop"]],
-                              log["n_candidates"]) for log in logs]
     except FormatError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError: ragged ids
@@ -382,4 +381,21 @@ def hierarchy_from_dict(data, where="hierarchy"):
             _partition_labels(layer, len(layers[t - 1]) if t else n_points)
         except ValueError as exc:
             raise FormatError(f"{where}: hierarchy layer {t}: {exc}") from exc
+    if len(logs) != len(layers) - 1:
+        raise FormatError(f"{where}: {len(logs)} merge_log entries for {len(layers)} layers; "
+                          f"expected {len(layers) - 1}")
+    for t, log in enumerate(logs):
+        if log["n_candidates"] < 0:
+            raise FormatError(f"{where}: merge_log entry {t}: n_candidates is negative")
+        n = len(layers[t])
+        for key in ("accepted", "rejected_stop"):
+            for p in log[key]:
+                # type(v) is int: a JSON boolean is a bool, a fraction a float.
+                if not (isinstance(p, (list, tuple)) and len(p) == 2
+                        and all(type(v) is int for v in p) and 0 <= p[0] < p[1] < n):
+                    raise FormatError(f"{where}: merge_log entry {t}: {key} item {p!r} is "
+                                      f"not a pair of integers 0 <= i < j < {n}")
+    merge_log = [LayerLog([tuple(p) for p in log["accepted"]],
+                          [tuple(p) for p in log["rejected_stop"]],
+                          log["n_candidates"]) for log in logs]
     return Hierarchy(layers=layers, merge_log=merge_log)

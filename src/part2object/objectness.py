@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import components, sorted_unique
+from .spatial import components, groups, sorted_unique
 
 
 @dataclass
@@ -84,10 +84,8 @@ def propagate_sameness(nodes, edges):
     nodes = sorted(nodes)
     index = {node: k for k, node in enumerate(nodes)}
     n_tracks, track_of = components(len(nodes), [(index[a], index[b]) for a, b in edges])
-    members = [[] for _ in range(n_tracks)]
-    for node, k in zip(nodes, track_of.tolist()):
-        members[k].append(node)
-    return [ObjectTrack(members=m) for m in members]
+    return [ObjectTrack(members=[nodes[k] for k in g.tolist()])
+            for g in groups(track_of, n_tracks)]
 
 
 # Values per row of camera_project's subtraction: 256 points.

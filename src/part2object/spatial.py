@@ -2,14 +2,14 @@
 and the package's id and graph rules.
 
 Every kd-tree in the package (normals, the super-point fallback) is built by
-kdtree, with one construction rule. Every cell grid (the super-point voxels,
-the adjacency cells) is keyed by padded_keys. labeled_close_pairs finds the
-label pairs within a cutoff on that grid, from exact tests on the bounding
-box of each label's points in each cell, and tests point pairs only where
-the boxes cannot decide; it builds no kd-tree. Every id array the hot paths
-deduplicate goes through sorted_unique, every label array is split into its
-members by groups, and every undirected graph (merge rounds, mask tracks)
-into its connected components by components.
+kdtree, with one construction rule. Every cell grid (the super-point voxels
+and seed cells, the adjacency cells) is keyed by padded_keys.
+labeled_close_pairs finds the label pairs within a cutoff on that grid, from
+exact tests on the bounding box of each label's points in each cell, and
+tests point pairs only where the boxes cannot decide; it builds no kd-tree.
+Every id array the hot paths deduplicate goes through sorted_unique, every
+label array is split into its members by groups, and every undirected graph
+(merge rounds, mask tracks) into its connected components by components.
 """
 
 import numpy as np

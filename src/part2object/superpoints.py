@@ -148,16 +148,12 @@ def build_superpoints(cloud, params=None):
     # One seed per occupied seed-resolution cell: the voxel nearest the cell
     # center, ties broken by lowest voxel key.
     seed_cell = np.floor(vox_center / params.seed_resolution).astype(np.int64)
-    s_lo = seed_cell.min(axis=0)
-    s_span = seed_cell.max(axis=0) - s_lo + 1
-    sc = seed_cell - s_lo
-    cell_keys = (sc[:, 0] * s_span[1] + sc[:, 1]) * s_span[2] + sc[:, 2]
+    cell_keys, _ = padded_keys(seed_cell)
     cell_center = (seed_cell + 0.5) * params.seed_resolution
     dist_to_center = np.linalg.norm(vox_center - cell_center, axis=1)
     pick = np.lexsort((vox_keys, dist_to_center, cell_keys))
-    _, first_in_cell = np.unique(cell_keys[pick], return_index=True)
-    # Seed index follows the seed-cell grid order (unique returns keys sorted).
-    seed_vox = pick[first_in_cell]
+    # Seed index follows the seed-cell grid order (row-major keys, sorted).
+    seed_vox = pick[run_starts(cell_keys[pick])]
     n_seeds = seed_vox.size
 
     # Seed features, one segmented sum per array over the seed voxels' points

@@ -714,7 +714,8 @@ def test_extract_reads_a_hand_written_hierarchy(tmp_path):
     "empty_children", "point_out_of_range", "point_twice", "wrong_n_points",
     "fractional_point", "nested_points", "fractional_child", "nested_children",
     "fractional_n_points", "string_n_points", "bool_n_points", "fractional_n_candidates",
-    "unknown_key",
+    "unknown_key", "two_log_entries", "string_pair", "pair_past_layer", "reversed_pair",
+    "boolean_pair", "negative_n_candidates",
 ])
 def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     data = json.loads(json.dumps(HIERARCHY))
@@ -753,12 +754,27 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
         data["merge_log"][0]["n_candidates"] = 1.7
     elif mutation == "unknown_key":
         data["features"] = []
+    elif mutation == "two_log_entries":
+        data["merge_log"].append(dict(data["merge_log"][0]))
+    elif mutation == "string_pair":
+        data["merge_log"][0]["accepted"] = ["ab"]
+    elif mutation == "pair_past_layer":
+        data["merge_log"][0]["accepted"] = [[7, 9]]
+    elif mutation == "reversed_pair":
+        data["merge_log"][0]["accepted"] = [[1, 0]]
+    elif mutation == "boolean_pair":
+        data["merge_log"][0]["rejected_stop"] = [[False, True]]
+    elif mutation == "negative_n_candidates":
+        data["merge_log"][0]["n_candidates"] = -4
     else:
         data["n_points"] = 4
     err = assert_bad_input(extract_argv(tmp_path, data), capsys)
     if mutation in ("fractional_n_points", "string_n_points", "bool_n_points",
                     "fractional_n_candidates"):
         assert f"{tmp_path / 'h.json'}: {mutation.split('_', 1)[1]}=" in err
+    elif mutation in ("two_log_entries", "string_pair", "pair_past_layer", "reversed_pair",
+                      "boolean_pair", "negative_n_candidates"):
+        assert err.startswith(f"error: {tmp_path / 'h.json'}: ") and "merge_log" in err, err
 
 
 # "N" stands for the scene's point count, the first id past its points.
