@@ -1,11 +1,11 @@
 """The package's one thread pool: map a function over independent blocks.
 
 In `p2o run` every thread comes from thread_map: the priors beside the
-super-points, the normals blocks, the super-point waves and the layer-0
-hierarchy inputs; the priors stage projects its frames in the calling
-thread. Importing the package pins numpy's OpenBLAS
-to one thread (OPENBLAS_NUM_THREADS, unless already set), so BLAS calls do
-not start a second pool beside this one.
+super-points, the normals kd-tree beside the super-points' voxel grid, the
+normals blocks, the super-point waves and the layer-0 hierarchy inputs; the
+priors stage projects its frames in the calling thread. Importing the
+package pins numpy's OpenBLAS to one thread (OPENBLAS_NUM_THREADS, unless
+already set), so BLAS calls do not start a second pool beside this one.
 """
 
 import os

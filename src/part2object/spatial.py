@@ -9,11 +9,21 @@ exact tests on the bounding box of each label's points in each cell, and
 tests point pairs only where the boxes cannot decide; it builds no kd-tree.
 Every id array the hot paths deduplicate goes through sorted_unique, every
 label array is split into its members by groups, and every undirected graph
-(merge rounds, mask tracks) into its connected components by components.
+(merge rounds, mask tracks) into its connected components by components,
+which labels them in numpy by hooking roots and jumping pointers.
+
+The stable sorts of the hot paths go through stable_order: it returns
+np.argsort(keys, kind="stable") exactly, from one sort of the packed int64
+keys key * size + index, which numpy sorts with SIMD several times faster
+than a stable argsort. When a packed key would overflow int64 (keys beyond
+about 2**63 / size in magnitude), it falls back to the stable argsort.
+first_min picks, in each run of equal group values, the first entry holding
+the run's minimum: after a stable sort by group it replaces a lexsort by
+(group, value, index), ties going to the earliest entry. It compares values
+for equality, so they must be finite.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 # The offsets of a cell itself and of the 13 neighbours after it in
@@ -41,10 +51,36 @@ def run_starts(values):
     return starts
 
 
+def stable_order(keys):
+    """np.argsort(keys, kind="stable") of a 1-D integer array."""
+    keys = np.asarray(keys, dtype=np.int64)
+    size = keys.size
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    limit = np.iinfo(np.int64)
+    lo, hi = int(keys.min()), int(keys.max())
+    if lo * size < limit.min or hi * size + size - 1 > limit.max:
+        return np.argsort(keys, kind="stable")
+    # Distinct packed keys, so the unstable SIMD sort gives the stable order.
+    packed = keys * size + np.arange(size)
+    packed.sort()
+    return packed % size
+
+
+def first_min(groups, values):
+    """Index of the first minimum of values in each run of equal groups, runs
+    in order; the values must be finite (a NaN matches no minimum)."""
+    new_run = run_starts(groups)
+    run = np.cumsum(new_run) - 1
+    mins = np.minimum.reduceat(values, np.flatnonzero(new_run))
+    hit = np.flatnonzero(values == mins.take(run))
+    return hit[run_starts(run.take(hit))]
+
+
 def groups(labels, n):
     """Indices holding each label 0..n-1, ascending within each group; every
     label must lie in [0, n)."""
-    order = np.argsort(labels, kind="stable")
+    order = stable_order(labels)
     # [:n]: with n = 0, np.split still returns the one empty piece.
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n))[:-1])[:n]
 
@@ -53,13 +89,24 @@ def components(n, pairs):
     """(count, int64 labels) of the undirected graph on nodes 0..n-1 whose
     edges are the (E, 2) pairs; components are numbered by their smallest
     node."""
-    # Imported here, so that commands that build no graph do not load it.
-    from scipy.sparse.csgraph import connected_components
-
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    count, labels = connected_components(graph, directed=False)
-    return count, labels.astype(np.int64)
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    # root[v] <= v always lies in v's component, so each component ends as a
+    # star around its smallest node. Each round hooks every edge's larger
+    # root to the smallest root it meets, then jumps pointers until every
+    # node points at a root.
+    root = np.arange(n)
+    while True:
+        ra, rb = root.take(a), root.take(b)
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root.take(root)
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1).take(root)
 
 
 def kdtree(points):

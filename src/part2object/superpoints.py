@@ -18,16 +18,24 @@ centroid.
 
 Voxels are keyed row-major on their grid padded by one empty cell on every
 side, so each of a voxel's 26 neighbours is one constant key step away and
-never wraps into another row: a wave looks up all its candidate voxels with
-one searchsorted over the sorted occupied keys, in memory that grows with the
-occupied voxels, not with the bounding volume.
+never wraps into another row. The three cells of each (dx, dy) column of a
+voxel's 3 x 3 x 3 block then have consecutive keys, so a wave looks up a
+frontier voxel's neighbours with one searchsorted per column, 9 in all, over
+the sorted occupied keys: the column's occupied cells are among the three
+occupied keys from where its dz = -1 cell's key lands. The memory grows with
+the occupied voxels, not with the bounding volume. The voxel order, the seed
+pick and the claim winners sort packed int64 keys (spatial.stable_order and
+spatial.first_min), not float lexsorts.
 
 A large wave runs on every CPU (parallel.thread_map): the frontier's
 neighbour lookups are split into blocks, and the wave's (voxel, seed) claims
 are cut at voxel boundaries into blocks that each score their claims and
 pick their points' winners. Every candidate for a point lies in that point's
 own voxel, so the blocks are independent and, joined in order, give the
-same super-points for any block count.
+same super-points for any block count. When the stage estimates normals, it
+builds their kd-tree in one block beside a second that voxelizes the cloud
+and picks the seeds; the tree's construction releases the interpreter lock,
+and the two join before the seed normals are estimated.
 
 The only stage that reads normals, and so the only one that estimates them
 for a cloud stored without. A normal only decides a claim where two or more
@@ -46,13 +54,15 @@ import numpy as np
 
 from . import parallel, scene_io
 from .parallel import thread_map
-from .spatial import groups, kdtree, padded_keys, run_starts, sorted_unique
+from .spatial import (first_min, groups, kdtree, padded_keys, run_starts, sorted_unique,
+                      stable_order)
 
 # Least work (neighbour lookups, or points of claimed voxels) per block of a
 # wave step; a smaller step runs as one block in the calling thread.
 _WAVE_BLOCK = 1 << 14
 
-_OFFSETS_26 = np.array([o for o in np.ndindex(3, 3, 3) if o != (1, 1, 1)], dtype=np.int64) - 1
+# The (dx, dy) columns of a voxel's 3 x 3 x 3 block.
+_COLUMNS = np.array(list(np.ndindex(3, 3)), dtype=np.int64) - 1
 
 
 @dataclass
@@ -104,13 +114,52 @@ def build_superpoints(cloud, params=None):
     # reads, with the same bits as widening the whole array.
     colors = cloud.colors
     normals = cloud.normals if params.w_normal > 0 else None
-    tree = None
+    estimating = normals is None and params.w_normal > 0 and n >= 3
     if normals is None and params.w_normal > 0:
-        if n < 3:
-            normals = np.tile(np.float32((0.0, 0.0, 1.0)), (n, 1))
-        else:
-            tree = kdtree(pos)
-            normals = np.empty((n, 3), dtype=np.float32)
+        normals = (np.empty((n, 3), dtype=np.float32) if estimating
+                   else np.tile(np.float32((0.0, 0.0, 1.0)), (n, 1)))
+
+    def voxelize():
+        # Voxelize with one stable sort of the scalar keys, taken on the grid
+        # padded by one empty cell on every side: voxel index = rank of its
+        # key, and each voxel's points are a run of point_order in ascending
+        # id.
+        cells = np.floor(pos / params.voxel_size).astype(np.int64)
+        keys, strides = padded_keys(cells)
+        point_order = stable_order(keys)
+        sorted_keys = keys[point_order]
+        new_vox = run_starts(sorted_keys)
+        vox_starts = np.flatnonzero(new_vox)
+        point_vox = np.empty(n, dtype=np.int64)
+        point_vox[point_order] = np.cumsum(new_vox) - 1
+
+        # One seed per occupied seed-resolution cell, in ascending cell key:
+        # the voxel whose center is nearest the cell center, ties to the
+        # lowest voxel key (the voxels are in key order, and the stable
+        # order keeps it within each cell).
+        vox_center = (cells[point_order[vox_starts]] + 0.5) * params.voxel_size
+        seed_cell = np.floor(vox_center / params.seed_resolution).astype(np.int64)
+        cell_keys, _ = padded_keys(seed_cell)
+        dist_to_center = np.linalg.norm(
+            vox_center - (seed_cell + 0.5) * params.seed_resolution, axis=1)
+        by_cell = stable_order(cell_keys)
+        seed_vox = by_cell[first_min(cell_keys[by_cell], dist_to_center[by_cell])]
+        return point_order, vox_starts, sorted_keys[vox_starts], strides, point_vox, seed_vox
+
+    # The normals' kd-tree is built beside the voxel grid: its construction
+    # releases the interpreter lock.
+    tree = None
+    if estimating:
+        tree, grid = thread_map(lambda build: build(), (lambda: kdtree(pos), voxelize))
+    else:
+        grid = voxelize()
+    point_order, vox_starts, vox_keys, strides, point_vox, seed_vox = grid
+    vox_counts = np.diff(vox_starts, append=n)
+    n_vox = vox_keys.size
+    n_seeds = seed_vox.size
+    # Key steps from a voxel to the dz = -1 cell of each column (dx, dy) of
+    # its 3 x 3 x 3 block; the column's three cells have consecutive keys.
+    column_step = _COLUMNS @ strides[:2] - 1
 
     def estimate(rows):
         # Called through the module so that a tracer wrapping it sees the call.
@@ -118,43 +167,12 @@ def build_superpoints(cloud, params=None):
             normals[rows] = scene_io.estimate_normals(cloud, k=min(params.normals_k, n),
                                                       rows=rows, tree=tree)
 
-    # Voxelize with one stable sort of the scalar keys, taken on the grid
-    # padded by one empty cell on every side: voxel index = rank of its key,
-    # and each voxel's points are a run of point_order in ascending id.
-    cells = np.floor(pos / params.voxel_size).astype(np.int64)
-    keys, strides = padded_keys(cells)
-    point_order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[point_order]
-    new_vox = run_starts(sorted_keys)
-    vox_starts = np.flatnonzero(new_vox)
-    vox_keys = sorted_keys[vox_starts]
-    vox_counts = np.diff(vox_starts, append=n)
-    point_vox = np.empty(n, dtype=np.int64)
-    point_vox[point_order] = np.cumsum(new_vox) - 1
-    n_vox = vox_keys.size
-    step = _OFFSETS_26 @ strides  # key offsets of the 26 neighbours
-
     def points_of(vox_ids):
         counts = vox_counts[vox_ids]
         total = int(counts.sum())
         base = np.repeat(vox_starts[vox_ids], counts)
         local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         return point_order[base + local], counts
-
-    # Voxel centers drive seed selection; per-voxel means drive seed features.
-    vox_center = (cells[point_order[vox_starts]] + 0.5) * params.voxel_size
-    del cells, keys, sorted_keys, new_vox
-
-    # One seed per occupied seed-resolution cell: the voxel nearest the cell
-    # center, ties broken by lowest voxel key.
-    seed_cell = np.floor(vox_center / params.seed_resolution).astype(np.int64)
-    cell_keys, _ = padded_keys(seed_cell)
-    cell_center = (seed_cell + 0.5) * params.seed_resolution
-    dist_to_center = np.linalg.norm(vox_center - cell_center, axis=1)
-    pick = np.lexsort((vox_keys, dist_to_center, cell_keys))
-    # Seed index follows the seed-cell grid order (row-major keys, sorted).
-    seed_vox = pick[run_starts(cell_keys[pick])]
-    n_seeds = seed_vox.size
 
     # Seed features, one segmented sum per array over the seed voxels' points
     # (the same additions in the same order as a mean per seed).
@@ -190,6 +208,9 @@ def build_superpoints(cloud, params=None):
 
     point_seed = np.full(n, -1, dtype=np.int64)
     vox_claimed = np.zeros(n_vox, dtype=bool)
+    # Past the last voxel, keys above every column: a slot past the end of
+    # the voxels holds no cell.
+    slot_keys = np.append(vox_keys, np.full(3, np.iinfo(np.int64).max))
 
     # Wave 0: each seed claims its own voxel outright.
     vox_claimed[seed_vox] = True
@@ -198,13 +219,22 @@ def build_superpoints(cloud, params=None):
 
     def lookup(block):
         # Unclaimed neighbours of these frontier (voxel, seed) keys, as
-        # (voxel, seed) claim keys. A key past the last voxel's clips to it
-        # and then fails the match.
+        # (voxel, seed) claim keys. The three cells of a column have
+        # consecutive keys, so those occupied are among the three occupied
+        # keys from the slot one search finds for the lowest: a slot holds
+        # one when its key is within the column's top. The voxel itself is
+        # claimed, so it drops out of its own column.
         fv, fs = np.divmod(block, n_seeds)
-        nk = vox_keys[fv][:, None] + step
-        vi = np.minimum(np.searchsorted(vox_keys, nk), n_vox - 1)
-        hit = (vox_keys[vi] == nk) & ~vox_claimed[vi]
-        return vi[hit] * n_seeds + fs[np.nonzero(hit)[0]]
+        low = column_step[:, None] + vox_keys.take(fv)
+        first = np.searchsorted(vox_keys, low)
+        found = []
+        for slot in range(3):
+            vi = first + slot
+            hit = np.flatnonzero(slot_keys.take(vi) <= low + 2)
+            vi = vi.take(hit)
+            free = ~vox_claimed.take(vi)
+            found.append(vi[free] * n_seeds + fs.take(hit[free] % fv.size))
+        return np.concatenate(found)
 
     def claim(block):
         # Every point of these claims' voxels goes to its best claim; returns
@@ -219,19 +249,20 @@ def build_superpoints(cloud, params=None):
         pts, counts = points_of(cv)
         seeds_rep = np.repeat(cs, counts)
         scores = mixed_distance(pts, seeds_rep)
-        # Per point: smallest score wins, ties to the lowest seed index.
-        order = np.lexsort((seeds_rep, scores, pts))
-        pts_sorted = pts[order]
-        first = run_starts(pts_sorted)
-        win_pts = pts_sorted[first]
-        win_seeds = seeds_rep[order][first]
+        # Per point: smallest score wins, ties to the lowest seed index. The
+        # (point, seed) keys are distinct, and the scores finite, as
+        # SceneCloud rejects non-finite values.
+        order = np.argsort(pts * n_seeds + seeds_rep)
+        win = order[first_min(pts[order], scores[order])]
+        win_pts = pts[win]
+        win_seeds = seeds_rep[win]
         point_seed[win_pts] = win_seeds
         # A seed only keeps growing through voxels where it won points.
         return np.concatenate((solo, sorted_unique(point_vox[win_pts] * n_seeds + win_seeds)))
 
     while frontier.size:
         claims = sorted_unique(np.concatenate(
-            thread_map(lookup, np.array_split(frontier, _blocks(26 * frontier.size)))))
+            thread_map(lookup, np.array_split(frontier, _blocks(27 * frontier.size)))))
         if claims.size == 0:
             break
         cv = claims // n_seeds

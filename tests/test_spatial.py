@@ -2,11 +2,14 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from conftest import three_block_spec
 from part2object import spatial, synth
-from part2object.spatial import components, groups, labeled_close_pairs, sorted_unique
+from part2object.spatial import (components, first_min, groups, labeled_close_pairs,
+                                 sorted_unique, stable_order)
 from part2object.superpoints import build_superpoints
 
 
@@ -190,6 +193,65 @@ def test_sorted_unique_equals_np_unique(name, values):
     assert np.array_equal(got, want)
 
 
+def order_cases():
+    rng = np.random.default_rng(5)
+    yield "empty", np.empty(0, dtype=np.int64)
+    yield "one", np.array([9], dtype=np.int64)
+    yield "all_equal", np.full(40, 6, dtype=np.int64)
+    yield "few_values", rng.integers(0, 5, 3000)
+    yield "negative", rng.integers(-40, 40, 3000)
+    yield "wide", rng.choice(rng.integers(-2**40, 2**40, 50), 3000)
+    yield "int32_labels", rng.integers(0, 30, 500).astype(np.int32)
+
+
+@pytest.mark.parametrize("name, keys", list(order_cases()),
+                         ids=[name for name, _ in order_cases()])
+def test_stable_order_equals_a_stable_argsort(name, keys):
+    got = stable_order(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("extreme", [2**62, -2**62])
+def test_stable_order_with_keys_past_int64_over_the_size(extreme):
+    # Keys near 2**62 times 400 entries overflow int64, so the packed keys
+    # would wrap: the order falls back to the stable argsort.
+    rng = np.random.default_rng(8)
+    keys = rng.choice(np.array([extreme, extreme // 3, 0, 1, -5]), size=400)
+    with np.errstate(over="ignore"):
+        wrapped = np.sort(keys * keys.size + np.arange(keys.size)) % keys.size
+    want = np.argsort(keys, kind="stable")
+    assert not np.array_equal(wrapped, want)
+    assert np.array_equal(stable_order(keys), want)
+
+
+def lexsort_first_min(groups_, values):
+    """The rule first_min replaces: a lexsort by (group, value, index), then
+    the first entry of each group; groups must be sorted."""
+    order = np.lexsort((np.arange(values.size), values, groups_))
+    g = groups_[order]
+    return order[[i for i in range(g.size) if i == 0 or g[i] != g[i - 1]]]
+
+
+def test_first_min_equals_the_lexsort_rule():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        size = int(rng.integers(0, 60))
+        groups_ = np.sort(rng.integers(0, int(rng.integers(1, 12)), size))
+        # Few distinct values: many runs hold tied minima.
+        values = rng.integers(0, 4, size) * 0.5
+        got = first_min(groups_, values)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, lexsort_first_min(groups_, values))
+
+
+def test_first_min_of_empty_and_one_element_input():
+    assert first_min(np.empty(0, dtype=np.int64), np.empty(0)).size == 0
+    assert first_min(np.array([4]), np.array([-1.5])).tolist() == [0]
+    # Runs, not sorted groups: a value seen again later starts a new run.
+    assert first_min(np.array([2, 2, 0, 2]), np.array([1.0, 0.0, 3.0, 0.0])).tolist() == [1, 2, 3]
+
+
 def test_groups_equals_a_scan_per_label():
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -244,3 +306,33 @@ def test_components_of_edge_lists_without_edges():
         assert count == 4 and labels.dtype == np.int64 and labels.tolist() == [0, 1, 2, 3]
     count, labels = components(0, [])
     assert count == 0 and labels.dtype == np.int64 and labels.size == 0
+
+
+def scipy_components(n, pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def graph_cases():
+    rng = np.random.default_rng(14)
+    for k in range(200):
+        n = int(rng.integers(1, 200))
+        yield f"random_{k}", n, rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+    path = np.column_stack([np.arange(299), np.arange(1, 300)])
+    yield "path", 300, path
+    yield "path_reversed", 300, path[::-1, ::-1]
+    yield "path_shuffled", 300, rng.permutation(300)[path]
+    yield "star_at_max", 50, np.column_stack([np.full(49, 49), np.arange(49)])
+    yield "star_at_min", 50, np.column_stack([np.arange(1, 50), np.zeros(49, dtype=np.int64)])
+    yield "self_loops", 6, np.array([[0, 0], [3, 3], [5, 5], [2, 4]])
+    yield "duplicates", 7, np.array([[1, 5], [5, 1], [1, 5], [6, 2], [2, 6], [6, 2]])
+    yield "no_nodes", 0, np.empty((0, 2), dtype=np.int64)
+
+
+def test_components_equal_scipy():
+    for name, n, pairs in graph_cases():
+        count, labels = components(n, pairs)
+        want_count, want = scipy_components(n, pairs)
+        assert labels.dtype == np.int64, name
+        assert count == want_count and np.array_equal(labels, want), name

@@ -460,6 +460,75 @@ def test_superpoints_equal_reference_on_a_one_voxel_thick_plane(variant):
     assert_superpoints_equal_reference(with_normals(cloud), params)
 
 
+def voxel_centre_cloud(cells, voxel_size, seed):
+    """One point near the centre of each given voxel, with random colours and
+    normals estimated from 4 neighbours."""
+    rng = np.random.default_rng(seed)
+    cells = np.asarray(cells, dtype=np.float64)
+    pos = (cells + 0.5 + rng.uniform(-0.3, 0.3, cells.shape)) * voxel_size
+    cloud = SceneCloud(positions=pos.astype(np.float32),
+                       colors=rng.random(pos.shape).astype(np.float32))
+    return with_normals(cloud, k=4)
+
+
+def reached_by_waves(cloud, params, monkeypatch):
+    """How many points the stage's waves reach: the fallback's kd-tree is
+    built on exactly those (a cloud with normals builds no other)."""
+    built = []
+    kdtree = superpoints.kdtree
+
+    def recording_kdtree(points):
+        built.append(len(points))
+        return kdtree(points)
+
+    monkeypatch.setattr(superpoints, "kdtree", recording_kdtree)
+    build_superpoints(cloud, params)
+    return built[0] if built else cloud.n_points
+
+
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_through_columns_with_an_empty_middle(variant, monkeypatch):
+    # A zigzag along x: (x, 0, 0) for even x, (x, 0, -1) and (x, 0, 1) for odd
+    # x. Every step between neighbours crosses a column whose middle cell is
+    # empty and whose dz = -1 and dz = +1 cells are both occupied, so the
+    # second voxel of such a column is only found in its second slot. A
+    # sparse random lattice adds many more such columns in every direction.
+    zigzag = [(x, 0, z) for x in range(40) for z in ((0,) if x % 2 == 0 else (-1, 1))]
+    rng = np.random.default_rng(2)
+    lattice = np.argwhere(rng.random((10, 10, 10)) < 0.35) + (0, 4, 0)
+    params = SuperpointParams(voxel_size=1.0, seed_resolution=4.0, **WEIGHT_VARIANTS[variant])
+    for cells in (zigzag, lattice):
+        cloud = voxel_centre_cloud(cells, params.voxel_size, seed=len(cells))
+        n_unreached = assert_superpoints_equal_reference(cloud, params)
+        assert reached_by_waves(cloud, params, monkeypatch) == cloud.n_points - n_unreached
+    occupied = {tuple(c) for c in lattice.tolist()}
+    assert sum((x, y, z - 1) in occupied and (x, y, z + 1) in occupied
+               and (x, y, z) not in occupied for x, y, z in np.ndindex(10, 14, 10)) > 20
+
+
+@pytest.mark.parametrize("variant", sorted(WEIGHT_VARIANTS))
+def test_superpoints_equal_reference_where_the_slots_pass_the_last_voxel(variant, monkeypatch):
+    # Voxels along x at y = z = 0, then a lone voxel at the far corner of the
+    # grid: it has the largest key and is its own cell's seed, so its
+    # columns' searches land at or near the end of the key array and their
+    # slots run past it. The line's last voxel is one cell away diagonally.
+    cells = [(x, 0, 0) for x in range(10)] + [(10, 1, 1)]
+    params = SuperpointParams(voxel_size=1.0, seed_resolution=2.0, **WEIGHT_VARIANTS[variant])
+    for drop in (0, 1, 2):
+        cloud = voxel_centre_cloud(cells[drop:], params.voxel_size, seed=drop)
+        assert assert_superpoints_equal_reference(cloud, params) == 0
+        assert reached_by_waves(cloud, params, monkeypatch) == cloud.n_points
+
+
+def test_a_cloud_with_normals_and_no_unreached_voxel_builds_no_kdtree(monkeypatch):
+    cloud, params = dense_box()
+    assert assert_superpoints_equal_reference(cloud, params) == 0
+    calls = []
+    monkeypatch.setattr(superpoints, "kdtree", lambda points: calls.append(points))
+    build_superpoints(cloud, params)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # wave split: the same super-points at any block count
 
@@ -525,16 +594,21 @@ def assert_parts_equal(got, want):
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_superpoints_equal_reference_at_any_block_count(case, workers, request, monkeypatch):
     # With one work item per block every wave step of two or more items
-    # splits into `workers` blocks, whatever the CPU count of the machine.
+    # splits into `workers` blocks, whatever the CPU count of the machine. A
+    # cloud stored without normals also builds its kd-tree beside the voxel
+    # grid, in one call whose two blocks are the two builds.
     cloud, _, want, _, params = split_case(case, request)
     monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
     monkeypatch.setattr(superpoints, "_WAVE_BLOCK", 1)
-    block_counts = []
+    block_counts, build_calls = [], []
     thread_map = superpoints.thread_map
 
     def counting_thread_map(fn, blocks, workers=None):
         blocks = list(blocks)
-        block_counts.append(len(blocks))
+        if all(callable(b) for b in blocks):
+            build_calls.append(len(blocks))
+        else:
+            block_counts.append(len(blocks))
         return thread_map(fn, blocks, workers)
 
     monkeypatch.setattr(superpoints, "thread_map", counting_thread_map)
@@ -547,6 +621,7 @@ def test_superpoints_equal_reference_at_any_block_count(case, workers, request, 
     finally:
         sys.setswitchinterval(interval)
     assert max(block_counts) == workers
+    assert build_calls == ([2] if case.endswith("_raw") else [])
     assert_parts_equal(got, want)
 
 
