@@ -7,10 +7,10 @@ are the only validation; a stage command takes flags only for the tunables
 its stage reads, `run` takes them all. Configuration precedence is defaults
 < JSON config file < explicit flags. Logs go to stderr (P2O_LOG controls
 verbosity); artifacts and reports go to files only. Exit codes: 0 ok, 2 bad
-input or an OS error (`run` finds a missing scene, --frames directory or
---gt file, and a --frames or --gt given with several scenes, before it
-writes anything), 3 stage failure (in `run`, a failed artifact write
-included), each failure reported as one stderr line.
+input or an OS error (`run` finds a missing scene, features.f32, --frames
+directory or --gt file, and a --frames or --gt given with several scenes,
+before it writes anything), 3 stage failure (in `run`, a failed artifact
+write included), each failure reported as one stderr line.
 
 Each stage is one function that computes its result, writes its artifact
 (the super-point stage writes none) and returns it; its command loads the
@@ -23,8 +23,8 @@ scene, `run` builds the priors beside the super-points as two blocks of
 parallel.thread_map, joined before the merge rounds; the super-point and
 cluster stages split their large steps over the same pool, and importing the
 package pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
-set. Only --jobs, across scenes, sets a thread count. scene_io.write_json
-writes hierarchy.json and priors.json compact, the rest indented 2.
+set. Scenes run one after another. scene_io.write_json writes
+hierarchy.json and priors.json compact, the rest indented 2.
 """
 
 import argparse
@@ -202,6 +202,7 @@ def cmd_priors(args):
 def cmd_cluster(args):
     _, _, merge_params = load_config(args)
     cloud = scene_io.load_scene(args.scene)
+    scene_io.scene_file(args.scene, "features.f32")
     h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.superpoints), args.superpoints)
     if h.n_points != cloud.n_points:
         raise FormatError(f"{args.superpoints}: n_points is {h.n_points}, but scene "
@@ -257,13 +258,12 @@ def _run_one_scene(scene_dir, out_dir, params, args):
 
 
 def cmd_run(args):
-    if args.jobs < 1:
-        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     # Every tunable and input path is checked here, before anything is written.
     params = load_config(args)
     scenes = [Path(s) for s in args.scene]
     for scene in scenes:
-        scene_io.points_file(scene)
+        scene_io.scene_file(scene, "points.p2o")
+        scene_io.scene_file(scene, "features.f32")
     if args.gt and len(scenes) > 1:
         raise FormatError("--gt takes one --scene; each of several reads its ground_truth.txt")
     if args.frames and len(scenes) > 1:
@@ -283,8 +283,9 @@ def cmd_run(args):
         _run_one_scene(scenes[0], out_root, params, args)
         return EXIT_OK
 
-    # Unique output subdir per scene even when directory names collide.
-    names, used = [], set()
+    # One scene after another, each in a unique output subdir even when
+    # directory names collide.
+    pairs, used = [], set()
     for scene in scenes:
         base = scene.name or "scene"
         name, k = base, 1
@@ -292,14 +293,9 @@ def cmd_run(args):
             name = f"{base}_{k}"
             k += 1
         used.add(name)
-        names.append(name)
-
-    results = thread_map(
-        lambda k: _run_one_scene(scenes[k], out_root / names[k], params, args),
-        range(len(scenes)), workers=args.jobs,
-    )
-
-    pairs = [pair for pair in results if pair is not None]
+        pair = _run_one_scene(scene, out_root / name, params, args)
+        if pair is not None:
+            pairs.append(pair)
     if pairs:
         pooled = stage("eval", evaluation.evaluate_multi, pairs)
         stage("eval", write_json, out_root / "report.json", pooled.to_dict())
@@ -386,7 +382,6 @@ def build_parser():
     p.add_argument("--gt", default=None, help="ground truth manifest "
                    "(default: <scene>/ground_truth.txt if present)")
     p.add_argument("--require-priors", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p, list(_CONFIG_FIELDS))
     p.set_defaults(fn=cmd_run)
 

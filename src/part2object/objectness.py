@@ -148,15 +148,12 @@ def visible_points(cloud, frame, depth_tol=MatchParams.depth_tol):
     return idx[good], flat[good]
 
 
-def project_mask_points(cloud, frame, mask_index, depth_tol=MatchParams.depth_tol,
-                        visible=None):
+def project_mask_points(frame, mask_index, visible):
     """3D point ids, ascending, that are visible in frame inside the 2D mask.
 
-    visible is frame's visible_points result, computed here when not given;
-    passing it lets every mask of one frame share one projection.
+    visible is frame's visible_points result, which every mask of the frame
+    shares.
     """
-    if visible is None:
-        visible = visible_points(cloud, frame, depth_tol)
     idx, flat = visible
     return idx[frame.masks[mask_index].bitmap.ravel()[flat]]
 
@@ -192,8 +189,7 @@ def build_tracks(cloud, frames, params=None):
         frame = by_id[fid]
         visible = visible_points(cloud, frame, params.depth_tol)
         for k, mi in members:
-            pooled[k].append(project_mask_points(cloud, frame, mi, params.depth_tol,
-                                                 visible=visible))
+            pooled[k].append(project_mask_points(frame, mi, visible))
 
     kept = []
     for track, ids in zip(tracks, pooled):

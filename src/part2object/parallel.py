@@ -1,11 +1,11 @@
 """The package's one thread pool: map a function over independent blocks.
 
-In `p2o run` every thread comes from thread_map: the priors beside the
-super-points, the normals kd-tree beside the super-points' voxel grid, the
-normals blocks, the super-point waves and the layer-0 hierarchy inputs; the
-priors stage projects its frames in the calling thread. Importing the
-package pins numpy's OpenBLAS to one thread (OPENBLAS_NUM_THREADS, unless
-already set), so BLAS calls do not start a second pool beside this one.
+In `p2o run` every thread comes from thread_map, sized by cpu_workers(): the
+priors beside the super-points, the normals kd-tree beside the voxel grid,
+the normals blocks, the super-point waves and the layer-0 hierarchy inputs.
+Frames and scenes run one after another. Importing the package pins numpy's
+OpenBLAS to one thread (OPENBLAS_NUM_THREADS, unless already set), so BLAS
+calls do not start a second pool beside this one.
 """
 
 import os
@@ -20,16 +20,16 @@ def cpu_workers():
         return os.cpu_count() or 1
 
 
-def thread_map(fn, blocks, workers=None):
-    """[fn(b) for b in blocks], in order, on up to `workers` threads.
+def thread_map(fn, blocks):
+    """[fn(b) for b in blocks], in order, on up to cpu_workers() threads.
 
-    `workers` defaults to cpu_workers(). With one worker or one block, fn runs
-    serially in the calling thread. Threads overlap only where fn releases
-    the interpreter lock, as numpy and scipy kernels do; fn must not mutate
-    shared state other than writing its own disjoint output rows.
+    With one CPU or one block, fn runs serially in the calling thread.
+    Threads overlap only where fn releases the interpreter lock, as numpy and
+    scipy kernels do; fn must not mutate shared state other than writing its
+    own disjoint output rows.
     """
     blocks = list(blocks)
-    workers = min(cpu_workers() if workers is None else workers, len(blocks))
+    workers = min(cpu_workers(), len(blocks))
     if workers <= 1:
         return [fn(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

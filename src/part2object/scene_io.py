@@ -308,10 +308,11 @@ def estimate_normals(cloud, k, rows=None, tree=None):
 
 @contextmanager
 def _named(where):
-    """Re-raise a FormatError from the block with `where: ` in front."""
+    """Re-raise a FormatError, or a UTF-8 or JSON decoding error, from the
+    block as a FormatError with `where: ` in front."""
     try:
         yield
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
@@ -357,11 +358,16 @@ def write_scene(dir_path, cloud):
             fh.write(feats.astype(_F32).tobytes())
 
 
-def points_file(dir_path):
-    """dir_path's points.p2o; FileNotFoundError saying so when it is missing."""
-    path = Path(dir_path) / "points.p2o"
+# What a missing file of a scene directory means: there is no scene, or no
+# features for clustering.
+_SCENE_FILES = {"points.p2o": "scene", "features.f32": "semantic features"}
+
+
+def scene_file(dir_path, name):
+    """dir_path/name; FileNotFoundError saying so when it is missing."""
+    path = Path(dir_path) / name
     if not path.is_file():
-        raise FileNotFoundError(f"no scene: {path} not found")
+        raise FileNotFoundError(f"no {_SCENE_FILES[name]}: {path} not found")
     return path
 
 
@@ -372,7 +378,7 @@ def load_scene(dir_path):
     that reads them, estimates missing ones.
     """
     dir_path = Path(dir_path)
-    with _tagged(points_file(dir_path), POINTS_MAGIC) as take:
+    with _tagged(scene_file(dir_path, "points.p2o"), POINTS_MAGIC) as take:
         (n,) = take(_U32, (1,), "count").tolist()
         if n < 1:
             raise FormatError("point count must be >= 1")
@@ -412,12 +418,9 @@ def write_json(path, data, compact=False):
 
 
 def load_json(path):
-    """The decoded JSON in path; a syntax error raises FormatError naming the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    """The decoded JSON in path; FormatError naming the file unless it is UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh, _named(path):
+        return json.load(fh)
 
 
 # The JSON each checked field type takes; values of other types pass as decoded.
@@ -616,33 +619,35 @@ def _ids_from_text(text):
 
 def load_instances(path, n_points=None):
     """Load an instance manifest written by write_instances; every FormatError
-    names the manifest and the line (``<path>:<line>: ...``)."""
+    names the manifest and the line (``<path>:<line>: ...``), or only the
+    manifest for text that is not UTF-8."""
     path = Path(path)
     instances = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            with _named(f"{path}:{lineno}"):
-                if len(parts) != 3:
-                    raise FormatError(f"expected 3 fields, got {len(parts)}")
-                rel, kind, conf_text = parts
-                try:
-                    confidence = float(conf_text)
-                except ValueError as exc:
-                    raise FormatError(f"bad confidence {conf_text!r}") from exc
-                if not math.isfinite(confidence):
-                    raise FormatError("non-finite confidence")
-                try:
-                    ids = _read_ids(path.parent / rel)
-                except ValueError as exc:
-                    raise FormatError(f"{rel}: non-integer point index") from exc
-                except OverflowError as exc:
-                    raise FormatError(f"{rel}: point index out of range") from exc
-                inst = Instance(point_ids=ids, confidence=confidence, kind=kind)
-                if n_points is not None and ids.size and ids[-1] >= n_points:
-                    raise FormatError(f"{rel} references point {ids[-1]} but scene has "
-                                      f"{n_points} points")
-                instances.append(inst)
+    with open(path, encoding="utf-8") as fh, _named(path):
+        lines = list(fh)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        with _named(f"{path}:{lineno}"):
+            if len(parts) != 3:
+                raise FormatError(f"expected 3 fields, got {len(parts)}")
+            rel, kind, conf_text = parts
+            try:
+                confidence = float(conf_text)
+            except ValueError as exc:
+                raise FormatError(f"bad confidence {conf_text!r}") from exc
+            if not math.isfinite(confidence):
+                raise FormatError("non-finite confidence")
+            try:
+                ids = _read_ids(path.parent / rel)
+            except ValueError as exc:
+                raise FormatError(f"{rel}: non-integer point index") from exc
+            except OverflowError as exc:
+                raise FormatError(f"{rel}: point index out of range") from exc
+            inst = Instance(point_ids=ids, confidence=confidence, kind=kind)
+            if n_points is not None and ids.size and ids[-1] >= n_points:
+                raise FormatError(f"{rel} references point {ids[-1]} but scene has "
+                                  f"{n_points} points")
+            instances.append(inst)
     return InstanceSet(instances=instances)

@@ -244,7 +244,8 @@ def test_c6_projection_recovers_visible_face():
                 )
             ],
         )
-        ids = objectness.project_mask_points(cloud, frame, 0, depth_tol=depth_tol)
+        ids = objectness.project_mask_points(
+            frame, 0, objectness.visible_points(cloud, frame, depth_tol))
 
         n_front = front.shape[0]
         recovered = np.isin(np.arange(n_front), ids).mean()

@@ -361,7 +361,7 @@ def test_config_file_with_flag_override(scene_dir, tmp_path):
 def test_multi_scene_run_pools_report(scene_dir, tmp_path):
     out = tmp_path / "multi"
     rc = cli.main(["run", "--scene", str(scene_dir), "--scene", str(scene_dir),
-                   "--out", str(out), "--min-object-points", "30", "--jobs", "2"])
+                   "--out", str(out), "--min-object-points", "30"])
     assert rc == 0
     pooled = json.loads((out / "report.json").read_text())
     assert pooled["ap50"] == 1.0
@@ -370,29 +370,93 @@ def test_multi_scene_run_pools_report(scene_dir, tmp_path):
     assert (out / f"{scene_dir.name}_1" / "hierarchy.json").exists()
 
 
-def test_run_jobs_do_not_change_artifacts(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def raw_scene_pair(tmp_path_factory):
+    """Two scenes (seeds 9 and 10) stored without normals, each with its
+    frames and ground_truth.txt."""
+    root = tmp_path_factory.mktemp("raw_pair")
     scenes = []
     for seed in (9, 10):
         cloud, gt, frames = synth.generate(three_block_spec(seed=seed))
         cloud.normals = None  # the run estimates them, as for a raw scan
-        scenes += ["--scene", str(tmp_path / f"scene{seed}")]
+        scenes.append(root / f"scene{seed}")
         scene_io.write_scene(scenes[-1], cloud)
         scene_io.write_frames(scenes[-1], frames)
-        scene_io.write_instances(tmp_path / f"scene{seed}" / "ground_truth.txt", gt)
-    # Small blocks give each scene's normals estimate several blocks: fully
-    # serial at --jobs 1, two scene threads each running two more at 2.
+        scene_io.write_instances(scenes[-1] / "ground_truth.txt", gt)
+    return scenes
+
+
+def run_scenes(scenes, out):
+    argv = ["run", "--out", str(out), "--min-object-points", "30"]
+    for scene in scenes:
+        argv += ["--scene", str(scene)]
+    assert cli.main(argv) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def pair_run(raw_scene_pair, tmp_path_factory):
+    """The --out of one `p2o run` over both scenes of raw_scene_pair."""
+    return run_scenes(raw_scene_pair, tmp_path_factory.mktemp("pair_run") / "out")
+
+
+def test_run_jobs_do_not_change_artifacts(raw_scene_pair, tmp_path, monkeypatch):
+    # The scenes run one after another. Small blocks give each scene's
+    # normals estimate several blocks: fully serial on one CPU, on two
+    # threads on two.
     monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
-    outs = {}
-    for jobs in ("1", "2"):
-        monkeypatch.setattr(parallel, "cpu_workers", lambda: int(jobs))
-        outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert cli.main(["run", *scenes, "--out", str(outs[jobs]),
-                         "--min-object-points", "30", "--jobs", jobs]) == 0
-    serial, threaded = tree_bytes(outs["1"]), tree_bytes(outs["2"])
+    trees = []
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+        trees.append(tree_bytes(run_scenes(raw_scene_pair, tmp_path / f"workers{workers}")))
+    serial, threaded = trees
     assert len(serial) > 10 and "report.json" in serial
     assert list(serial) == list(threaded)
     for name in serial:
         assert serial[name] == threaded[name], name
+
+
+def test_each_scene_of_a_multi_scene_run_equals_its_one_scene_run(
+        raw_scene_pair, pair_run, tmp_path):
+    for scene in raw_scene_pair:
+        want = tree_bytes(run_scenes([scene], tmp_path / scene.name))
+        assert (pair_run / "effective_config.json").read_bytes() == \
+            want.pop("effective_config.json")
+        got = tree_bytes(pair_run / scene.name)
+        assert len(got) > 5 and list(got) == list(want)
+        for name in got:
+            assert got[name] == want[name], name
+
+
+def test_a_multi_scene_report_equals_eval_over_its_scenes(raw_scene_pair, pair_run, tmp_path):
+    # Several processes, each running a share of the scenes, pool to the
+    # same report through `p2o eval`.
+    argv = ["eval", "--out", str(tmp_path / "report.json")]
+    for scene in raw_scene_pair:
+        argv += ["--pred", str(pair_run / scene.name / "objects.txt"),
+                 "--gt", str(scene / "ground_truth.txt")]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "report.json").read_bytes() == (pair_run / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_scenes", [1, 2], ids=["one-scene", "two-scene"])
+def test_a_scene_without_features_is_bad_input_before_anything_is_written(
+        n_scenes, scene_dir, tmp_path, capsys):
+    # Of two scenes, only the second lacks features.f32.
+    bare = tmp_path / "bare"
+    shutil.copytree(scene_dir, bare)
+    (bare / "features.f32").unlink()
+    line = f"error: no semantic features: {bare / 'features.f32'} not found"
+    out = tmp_path / "run"
+    argv = ["run", "--out", str(out)]
+    for scene in [scene_dir, bare][-n_scenes:]:
+        argv += ["--scene", str(scene)]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+    assert cli.main(["cluster", "--scene", str(bare), "--superpoints", str(tmp_path / "sp.json"),
+                     "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_run_artifacts_do_not_depend_on_the_worker_count(raw_scene_dir, tmp_path, monkeypatch):
@@ -412,14 +476,6 @@ def test_run_artifacts_do_not_depend_on_the_worker_count(raw_scene_dir, tmp_path
         assert list(tree) == list(trees[0])
         for name in tree:
             assert tree[name] == trees[0][name], name
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_run_rejects_jobs_below_one(jobs, scene_dir, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert_bad_input(["run", "--scene", str(scene_dir), "--out", str(out), "--jobs", jobs],
-                     capsys)
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [
@@ -533,22 +589,6 @@ def test_overlapping_ground_truth_names_its_file(tmp_path):
         f"error: {tmp_path / 'scene1' / 'gt.txt'}: ground-truth instances must be "
         f"pairwise disjoint: point id 4 is in more than one"]
     assert not (tmp_path / "report.json").exists()
-
-
-def test_info_and_eval_do_not_load_the_clustering_graph_code(tmp_path):
-    (tmp_path / "m.txt").write_text("0\n1\n")
-    for name in ("p.txt", "g.txt"):
-        (tmp_path / name).write_text("m.txt object 1.0\n")
-    argv = ["eval", "--pred", str(tmp_path / "p.txt"), "--gt", str(tmp_path / "g.txt"),
-            "--out", str(tmp_path / "r.json")]
-    code = ("import sys\n"
-            "from part2object import cli\n"
-            "assert cli.main(['info']) == 0\n"
-            f"assert cli.main({argv!r}) == 0\n"
-            "print('scipy.sparse.csgraph' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_pipeline_defaults_match_documented_values():
@@ -1144,9 +1184,57 @@ def _negative_id(scene, frames, n):
             f"error: {p}:1: negative point index")
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def not_utf8(path):
+    """path, rewritten as byte 0xff followed by its old bytes, if any."""
+    path.write_bytes(b"\xff" + (path.read_bytes() if path.exists() else b"{}"))
+    return path
+
+
+def _config_not_utf8(scene, frames, n):
+    cfg = not_utf8(scene / "cfg.json")
+    return (["superpoints", "--scene", scene, "--out", scene / "sp.json", "--config", cfg],
+            cli.EXIT_BAD_INPUT, f"error: {cfg}: {NOT_UTF8}")
+
+
+def _cam_not_utf8(scene, frames, n):
+    cam = not_utf8(frames / "frame_0.cam")
+    return priors_argv(scene, frames), cli.EXIT_BAD_INPUT, f"error: {cam}: {NOT_UTF8}"
+
+
+def _priors_not_utf8(scene, frames, n):
+    (scene / "sp.json").write_text(json.dumps(one_layer_hierarchy([list(range(n))], n)))
+    priors = not_utf8(scene / "priors.json")
+    return (["cluster", "--scene", scene, "--superpoints", scene / "sp.json",
+             "--priors", priors, "--out", scene / "h.json"],
+            cli.EXIT_BAD_INPUT, f"error: {priors}: {NOT_UTF8}")
+
+
+def _hierarchy_not_utf8(scene, frames, n):
+    h = not_utf8(scene / "h.json")
+    return (["extract", "--hierarchy", h, "--objects", scene / "o.txt", "--parts", scene / "p.txt"],
+            cli.EXIT_BAD_INPUT, f"error: {h}: {NOT_UTF8}")
+
+
+def _spec_not_utf8(scene, frames, n):
+    spec = not_utf8(scene / "spec.json")
+    return (["synth", "--spec", spec, "--out", scene / "synth"], cli.EXIT_BAD_INPUT,
+            f"error: {spec}: {NOT_UTF8}")
+
+
+def _manifest_not_utf8(scene, frames, n):
+    p = not_utf8(one_instance_manifest(scene, "0\n"))
+    return (["eval", "--pred", p, "--gt", p, "--out", scene / "r.json"], cli.EXIT_BAD_INPUT,
+            f"error: {p}: {NOT_UTF8}")
+
+
 @pytest.mark.parametrize("case", [
     _points_truncated, _feature_rows, _cam_without_fx, _rle_total, _non_orthonormal,
     _nan_depth, _mask_dims, _id_at_n, _id_of_20_digits, _negative_id,
+    _config_not_utf8, _cam_not_utf8, _priors_not_utf8, _hierarchy_not_utf8, _spec_not_utf8,
+    _manifest_not_utf8,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_golden_error_lines(case, scene_dir, scene_points, tmp_path):
     scene, frames = tmp_path / "scene", tmp_path / "frames"
@@ -1171,7 +1259,8 @@ COMMAND_ARGV = {
 
 # Flags no command takes, then flags a stage does not take because it never
 # reads the tunable (or, for --l2-normalize-features, --include-stalled,
-# --drop-largest-planar, --mutual and extract --scene, because they are gone).
+# --drop-largest-planar, --mutual, run --jobs and extract --scene, because
+# they are gone).
 UNKNOWN_FLAGS = [
     pytest.param(command, flag, id=f"flag{k}-{command}")
     for k, flag in enumerate([["--K-fraction", "0.5"], ["--bogus"]])
@@ -1185,7 +1274,7 @@ UNKNOWN_FLAGS = [
         ("extract", ["--include-stalled"]), ("run", ["--include-stalled"]),
         ("extract", ["--drop-largest-planar", "1"]), ("run", ["--drop-largest-planar", "1"]),
         ("extract", ["--scene", "s"]),
-        ("priors", ["--mutual"]), ("run", ["--mutual"]),
+        ("priors", ["--mutual"]), ("run", ["--mutual"]), ("run", ["--jobs", "2"]),
     ]
 ]
 

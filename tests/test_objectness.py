@@ -215,7 +215,7 @@ def axis_aligned_frame(h=64, w=64, depth_value=2.0):
 def test_projection_recovers_front_face_only():
     cloud = front_back_cube_cloud()
     frame = axis_aligned_frame()
-    ids = ob.project_mask_points(cloud, frame, 0, depth_tol=0.05)
+    ids = ob.project_mask_points(frame, 0, ob.visible_points(cloud, frame, 0.05))
     n_face = 400
     assert set(ids) == set(range(n_face))  # front face in, back face + behind out
 
@@ -225,20 +225,20 @@ def test_projection_empty_when_mask_misses_points():
     frame = axis_aligned_frame()
     frame.masks[0].bitmap = np.zeros_like(frame.masks[0].bitmap)
     frame.masks[0].bitmap[0, 0] = True  # corner pixel no point hits
-    ids = ob.project_mask_points(cloud, frame, 0, depth_tol=0.05)
+    ids = ob.project_mask_points(frame, 0, ob.visible_points(cloud, frame, 0.05))
     assert ids.size == 0
 
 
 def test_projection_rejects_invalid_depth():
     cloud = front_back_cube_cloud()
     frame = axis_aligned_frame(depth_value=0.0)  # all pixels invalid
-    assert ob.project_mask_points(cloud, frame, 0, depth_tol=0.05).size == 0
+    assert ob.project_mask_points(frame, 0, ob.visible_points(cloud, frame, 0.05)).size == 0
 
 
 def test_point_behind_camera_excluded():
     cloud = SceneCloud(positions=np.array([[0.0, 0.0, -1.0]], dtype=np.float32))
     frame = axis_aligned_frame()
-    assert ob.project_mask_points(cloud, frame, 0, depth_tol=10.0).size == 0
+    assert ob.project_mask_points(frame, 0, ob.visible_points(cloud, frame, 10.0)).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,31 +12,36 @@ from part2object.parallel import thread_map
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
-def test_thread_map_keeps_block_order(workers):
-    assert thread_map(lambda b: b * b, range(40), workers=workers) == [b * b for b in range(40)]
+def test_thread_map_keeps_block_order(workers, monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
+    assert thread_map(lambda b: b * b, range(40)) == [b * b for b in range(40)]
 
 
 def test_thread_map_runs_serially_with_one_worker_or_one_block(monkeypatch):
     caller = threading.get_ident()
     monkeypatch.setattr(parallel, "cpu_workers", lambda: 1)
     assert set(thread_map(lambda b: threading.get_ident(), range(6))) == {caller}
-    assert thread_map(lambda b: threading.get_ident(), [0], workers=4) == [caller]
-    assert thread_map(lambda b: b, [], workers=4) == []
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 4)
+    assert thread_map(lambda b: threading.get_ident(), [0]) == [caller]
+    assert thread_map(lambda b: b, []) == []
 
 
-def test_thread_map_uses_worker_threads_when_given_two():
-    idents = thread_map(lambda b: threading.get_ident(), range(8), workers=2)
+def test_thread_map_uses_worker_threads_when_given_two(monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+    idents = thread_map(lambda b: threading.get_ident(), range(8))
     assert threading.get_ident() not in idents
 
 
-def test_thread_map_raises_a_block_error():
+def test_thread_map_raises_a_block_error(monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_workers", lambda: 2)
+
     def fail_on_three(b):
         if b == 3:
             raise ValueError("block 3")
         return b
 
     with pytest.raises(ValueError, match="block 3"):
-        thread_map(fail_on_three, range(8), workers=2)
+        thread_map(fail_on_three, range(8))
 
 
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])

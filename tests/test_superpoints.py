@@ -603,13 +603,13 @@ def test_superpoints_equal_reference_at_any_block_count(case, workers, request, 
     block_counts, build_calls = [], []
     thread_map = superpoints.thread_map
 
-    def counting_thread_map(fn, blocks, workers=None):
+    def counting_thread_map(fn, blocks):
         blocks = list(blocks)
         if all(callable(b) for b in blocks):
             build_calls.append(len(blocks))
         else:
             block_counts.append(len(blocks))
-        return thread_map(fn, blocks, workers)
+        return thread_map(fn, blocks)
 
     monkeypatch.setattr(superpoints, "thread_map", counting_thread_map)
     # A short switch interval makes the blocks' writes to the shared point ->

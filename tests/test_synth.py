@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from part2object import cli, scene_io, synth
-from part2object.objectness import camera_project, project_mask_points
+from part2object.objectness import camera_project, project_mask_points, visible_points
 from conftest import spec_json, three_block_spec
 
 
@@ -64,7 +64,7 @@ def test_mask_projections_stay_within_their_object(three_block_scene):
     for frame in frames:
         assert len(frame.masks) == 3
         for k in range(3):
-            ids = project_mask_points(cloud, frame, k, depth_tol=0.05)
+            ids = project_mask_points(frame, k, visible_points(cloud, frame, 0.05))
             assert ids.size > 0
             assert np.isin(ids, gt.instances[k].point_ids).all()
 
@@ -77,7 +77,7 @@ def test_depth_close_to_true_surface(three_block_scene):
     ext = frame.extrinsics
     cam = (pos - ext[:3, 3]) @ ext[:3, :3]
     for k in range(len(frame.masks)):
-        ids = project_mask_points(cloud, frame, k, depth_tol=0.05)
+        ids = project_mask_points(frame, k, visible_points(cloud, frame, 0.05))
         assert (cam[ids, 2] > 0).all()
 
 
