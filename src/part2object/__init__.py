@@ -12,7 +12,7 @@ its module. Pipeline stages, each usable on its own, and their helpers:
   hierarchy    -- prior-guided merge rounds; object/part collection
   evaluation   -- class-agnostic instance segmentation AP
   synth        -- deterministic synthetic scenes for testing
-  parallel     -- thread_map, the package's one thread pool
+  parallel     -- thread_map and the package's one CPU budget
   errors       -- FormatError (a malformed file) and OverlappingGroundTruth
   cli          -- the `p2o` command
 """
@@ -20,7 +20,8 @@ its module. Pipeline stages, each usable on its own, and their helpers:
 import os as _os  # private: the top level binds only __version__
 
 # numpy's OpenBLAS would start a thread pool of its own beside
-# parallel.thread_map's; pin it to one thread unless the user set a count.
+# parallel.thread_map's threads; pin it to one thread unless the user set a
+# count.
 # This takes effect only if numpy has not been imported yet.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

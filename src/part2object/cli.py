@@ -20,11 +20,14 @@ one-layer hierarchy, `cluster --superpoints` reads layers[0] of any. A prior
 is one track's sorted point ids, from the priors stage to the merge rounds;
 `cluster --priors` checks them against the scene it loads. Within a
 scene, `run` builds the priors beside the super-points as two blocks of
-parallel.thread_map, joined before the merge rounds; the super-point and
-cluster stages split their large steps over the same pool, and importing the
-package pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
-set. Scenes run one after another. scene_io.write_json writes
-hierarchy.json and priors.json compact, the rest indented 2.
+parallel.thread_map, joined before the merge rounds. The super-point and
+cluster stages split their large steps with thread_map too, and every call
+shares its one budget of CPUs: while the priors hold a CPU, the super-point
+stage runs its blocks in its own thread, and its later steps use the CPU
+again once the priors return. Importing the package pins numpy's OpenBLAS to
+one thread unless OPENBLAS_NUM_THREADS is set. Scenes run one after another.
+scene_io.write_json writes hierarchy.json and priors.json compact, the rest
+indented 2.
 """
 
 import argparse

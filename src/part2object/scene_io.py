@@ -251,7 +251,8 @@ def estimate_normals(cloud, k, rows=None, tree=None):
 
     The rows are cut into near-equal blocks of at most _NORMALS_BLOCK rows,
     one per CPU the process may use while each keeps _NORMALS_MIN_BLOCK
-    rows, and the blocks run on those CPUs (parallel.thread_map). The whole
+    rows, and the blocks run on the CPUs of parallel.thread_map's budget
+    that no other block holds (in the calling thread when none is). The whole
     cloud is taken in kd-tree order, so that a block's neighborhoods lie
     close together in memory. Each normal depends only on its own
     neighborhood, so a row's bits do not depend on the thread count, the

@@ -27,10 +27,11 @@ the occupied voxels, not with the bounding volume. The voxel order, the seed
 pick and the claim winners sort packed int64 keys (spatial.stable_order and
 spatial.first_min), not float lexsorts.
 
-A large wave runs on every CPU (parallel.thread_map): the frontier's
-neighbour lookups are split into blocks, and the wave's (voxel, seed) claims
-are cut at voxel boundaries into blocks that each score their claims and
-pick their points' winners. Every candidate for a point lies in that point's
+A large wave runs in blocks (parallel.thread_map), on the CPUs that no
+other block of the process holds: the frontier's neighbour lookups are
+split into blocks, and the wave's (voxel, seed) claims are cut at voxel
+boundaries into blocks that each score their claims and pick their points'
+winners. Every candidate for a point lies in that point's
 own voxel, so the blocks are independent and, joined in order, give the
 same super-points for any block count. When the stage estimates normals, it
 builds their kd-tree in one block beside a second that voxelizes the cloud

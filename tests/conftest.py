@@ -4,7 +4,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from part2object import synth
+from part2object import parallel, synth
+
+
+@pytest.fixture(autouse=True)
+def idle_cpu_budget():
+    """Fail a test that leaves a CPU of thread_map's budget held once it ends."""
+    yield
+    assert parallel._held == 0, f"{parallel._held} CPUs of the thread_map budget still held"
 
 
 def three_block_spec(seed=7, gap=0.14, room=None, points_per_m2=3000.0):

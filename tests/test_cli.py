@@ -402,18 +402,19 @@ def pair_run(raw_scene_pair, tmp_path_factory):
 
 def test_run_jobs_do_not_change_artifacts(raw_scene_pair, tmp_path, monkeypatch):
     # The scenes run one after another. Small blocks give each scene's
-    # normals estimate several blocks: fully serial on one CPU, on two
-    # threads on two.
+    # normals estimate several blocks: fully serial on one CPU, and on two or
+    # three split over the CPUs that the priors do not hold.
     monkeypatch.setattr(scene_io, "_NORMALS_BLOCK", 2048)
     trees = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "cpu_workers", lambda: workers)
         trees.append(tree_bytes(run_scenes(raw_scene_pair, tmp_path / f"workers{workers}")))
-    serial, threaded = trees
+    serial = trees[0]
     assert len(serial) > 10 and "report.json" in serial
-    assert list(serial) == list(threaded)
-    for name in serial:
-        assert serial[name] == threaded[name], name
+    for threaded in trees[1:]:
+        assert list(serial) == list(threaded)
+        for name in serial:
+            assert serial[name] == threaded[name], name
 
 
 def test_each_scene_of_a_multi_scene_run_equals_its_one_scene_run(
