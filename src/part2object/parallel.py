@@ -7,9 +7,11 @@ shares one budget of cpu_workers() CPUs, and a thread holds one while it
 runs blocks, so a call nested in a block starts threads only for the CPUs no
 other block holds at that moment; with none to spare, its blocks run in the
 block's own thread.
-Frames and scenes run one after another. Importing the package pins numpy's
-OpenBLAS to one thread (OPENBLAS_NUM_THREADS, unless already set), so BLAS
-calls do not start a second pool beside this one.
+The priors' frames and a run's scenes run one after another. Outside
+`p2o run`, synth.generate renders its cameras as blocks, one per camera, for
+`p2o synth`, the benchmark's set-up, the tests and the demos. Importing the
+package pins numpy's OpenBLAS to one thread (OPENBLAS_NUM_THREADS, unless
+already set), so BLAS calls do not start a second pool beside this one.
 """
 
 import os

@@ -150,6 +150,9 @@ class FrameObservation:
         for m in self.masks:
             if m.bitmap.shape != self.depth.shape:
                 raise FormatError("mask bitmap shape differs from depth")
+        # A .masks file holds one feature length, the first mask's.
+        if len({m.feature.size for m in self.masks}) > 1:
+            raise FormatError("mask feature lengths differ within the frame")
 
     @property
     def height(self):

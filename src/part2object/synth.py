@@ -8,7 +8,10 @@ shows the nearest z, then the lowest id, over every point whose splat covers
 it. Each visible object contributes one ground-truth mask per frame, so the
 generator doubles as the oracle for the projection, prior and end-to-end tests.
 
-Everything is a pure function of the spec, including its seed.
+Everything is a pure function of the spec, including its seed. The frames'
+feature noise is drawn before any frame renders, in camera order, so the
+cameras render as parallel.thread_map blocks and a scene has the same bytes
+at any CPU count.
 """
 
 import logging
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import parallel
 from .objectness import camera_project
 from .scene_io import FrameObservation, Instance, InstanceSet, MaskEntry, SceneCloud, check_fields
 
@@ -259,14 +263,31 @@ def _assign_features(spec, rng):
     return feats, background
 
 
-def _render_frame(spec, frame_id, pose, positions, owner, object_feats, rng):
+def _lex_min_down(z, ids, reach):
+    """Each pixel's (z, id) minimum over the pixels of its column within
+    reach rows, clipped at the image edge, as new C-ordered arrays."""
+    best_z, winner = z.copy(), ids.copy()
+    for d in range(1, reach + 1):
+        for dst, src in ((np.s_[d:], np.s_[:-d]), (np.s_[:-d], np.s_[d:])):
+            bz, bi, cz, ci = best_z[dst], winner[dst], z[src], ids[src]
+            better = (cz < bz) | ((cz == bz) & (ci < bi))
+            np.copyto(bz, cz, where=better)
+            np.copyto(bi, ci, where=better)
+    return best_z, winner
+
+
+def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
     """Depth map + per-visible-object masks by splat z-buffering.
 
     A pixel's winner is the nearest z, then the lowest id, over every point
     whose splat covers the pixel. That is the (z, id) minimum over the centre
     pixels within splat_px // 2, of each centre pixel's own (z, id) minimum:
-    two np.minimum.at passes over the visible points, then one shifted
-    compare per splat offset over the image.
+    two np.minimum.at passes over the visible points, then a separable
+    filter over the image, along the rows and then down the columns. (z, id)
+    is a total order, so the minimum over a square is the minimum over its
+    rows of each row's minimum. noise holds one row per object, added
+    to the feature of the object's mask; the caller draws it, so a frame
+    renders without the scene's random generator.
     """
     model = spec.camera_model
     h, w = model.height, model.width
@@ -281,35 +302,23 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, rng):
     near_id = np.full(h * w, _NO_ID)
     np.minimum.at(near_id, pix[tie], idx[tie])
 
-    # Padding with (inf, _NO_ID) clips the splats at the image edge.
     reach = spec.splat_px // 2
-    pad_z = np.pad(near_z.reshape(h, w), reach, constant_values=np.inf)
-    pad_id = np.pad(near_id.reshape(h, w), reach, constant_values=_NO_ID)
-    best_z = np.full((h, w), np.inf)
-    winner = np.full((h, w), _NO_ID)
-    for dr in range(2 * reach + 1):
-        for dc in range(2 * reach + 1):
-            cz = pad_z[dr:dr + h, dc:dc + w]
-            ci = pad_id[dr:dr + h, dc:dc + w]
-            better = (cz < best_z) | ((cz == best_z) & (ci < winner))
-            np.copyto(best_z, cz, where=better)
-            np.copyto(winner, ci, where=better)
+    # along the rows (down the columns of the transpose), then down the columns
+    best_z, winner = _lex_min_down(near_z.reshape(h, w).T, near_id.reshape(h, w).T, reach)
+    best_z, winner = _lex_min_down(best_z.T, winner.T, reach)
     hit = winner != _NO_ID
     depth = np.where(hit, best_z, 0.0).astype(np.float32)
     won_owner = np.where(hit, owner[np.where(hit, winner, 0)], -1)
 
     masks = []
     visible = set()
-    # One feature-noise draw per object regardless of visibility keeps the
-    # random stream independent of camera placement.
-    noises = rng.standard_normal((len(object_feats), spec.feature_dim)) * spec.feature_noise
     for k, feat in enumerate(object_feats):
         bitmap = won_owner == k
         if not bitmap.any():
             continue
         visible.add(k)
         masks.append(
-            MaskEntry(bitmap=bitmap, feature=(feat + noises[k]).astype(np.float32))
+            MaskEntry(bitmap=bitmap, feature=(feat + noise[k]).astype(np.float32))
         )
     frame = FrameObservation(
         frame_id=frame_id,
@@ -363,13 +372,9 @@ def generate(spec):
     if spec.position_jitter > 0:
         positions = positions + rng.standard_normal((n, 3)) * spec.position_jitter
 
-    features = np.empty((n, spec.feature_dim))
     noise = rng.standard_normal((n, spec.feature_dim)) * spec.feature_noise
-    for k, feat in enumerate(feats):
-        sel = owner == k
-        features[sel] = feat + noise[sel]
-    sel = owner == -1
-    features[sel] = bg_feat + noise[sel]
+    # owner -1, the background, picks the table's last row
+    features = np.vstack(feats + [bg_feat])[owner] + noise
 
     cloud = SceneCloud(
         positions=positions.astype(np.float32),
@@ -377,6 +382,7 @@ def generate(spec):
         normals=normals.astype(np.float32),
         semantic_features=features.astype(np.float32),
     )
+    del noise, features  # the cloud holds float32 copies; free these before frames render
 
     gt = InstanceSet(
         instances=[
@@ -385,16 +391,21 @@ def generate(spec):
         ]
     )
 
-    frames = []
-    ever_visible = set()
+    # The frames' noise comes last in the stream: one row per object per
+    # camera, whether the camera sees the object or not, so the stream does
+    # not depend on camera placement and the frames can render in any order.
+    frame_noise = rng.standard_normal(
+        (len(spec.cameras), len(feats), spec.feature_dim)) * spec.feature_noise
     # Frames render the positions as stored (float32), widened once.
     stored = cloud.positions.astype(np.float64)
-    for cam_idx, pose in enumerate(spec.cameras):
-        frame, visible = _render_frame(
-            spec, cam_idx, np.asarray(pose, dtype=np.float64), stored, owner, feats, rng,
-        )
-        frames.append(frame)
-        ever_visible |= visible
+
+    def render(cam_idx):
+        pose = np.asarray(spec.cameras[cam_idx], dtype=np.float64)
+        return _render_frame(spec, cam_idx, pose, stored, owner, feats, frame_noise[cam_idx])
+
+    rendered = parallel.thread_map(render, range(len(spec.cameras)))
+    frames = [frame for frame, _ in rendered]
+    ever_visible = set().union(*(visible for _, visible in rendered))
     if spec.cameras:
         hidden = set(range(len(spec.objects))) - ever_visible
         for k in sorted(hidden):

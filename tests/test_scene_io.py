@@ -552,6 +552,17 @@ def test_inconsistent_mask_feature_dims(tmp_path):
         load_frames(tmp_path)
 
 
+def test_a_frame_whose_masks_differ_in_feature_length_is_rejected(tmp_path):
+    # A .masks file holds one feature length, so such a frame would write a
+    # file that load_frames rejects for its trailing bytes.
+    bitmap = np.zeros((8, 10), dtype=bool)
+    bitmap[0, 0] = True
+    masks = [MaskEntry(bitmap, np.ones(3, dtype=np.float32)),
+             MaskEntry(bitmap, np.ones(5, dtype=np.float32))]
+    with pytest.raises(FormatError, match="^mask feature lengths differ within the frame$"):
+        identity_frame(masks=masks)
+
+
 # ---------------------------------------------------------------------------
 # instance manifests
 

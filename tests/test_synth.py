@@ -1,10 +1,13 @@
 import json
 import logging
+import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from part2object import cli, scene_io, synth
+from part2object import cli, parallel, scene_io, synth
 from part2object.objectness import camera_project, project_mask_points, visible_points
 from conftest import spec_json, three_block_spec
 
@@ -41,6 +44,63 @@ def test_different_seed_differs():
     a_cloud, _, _ = synth.generate(three_block_spec(seed=5))
     b_cloud, _, _ = synth.generate(three_block_spec(seed=6))
     assert a_cloud.positions.tobytes() != b_cloud.positions.tobytes()
+
+
+def _ring_spec():
+    """Four objects seen by eight cameras on a ring, and a ninth camera, at
+    index 3, that looks away from all of them."""
+    centres = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
+    objects = [synth.SynthObject(shape=("cuboid", "cylinder")[k % 2], center=(x, y, 0.2),
+                                 size=(0.4, 0.4, 0.4))
+               for k, (x, y) in enumerate(centres)]
+    cameras = [synth.look_at((2.5 * math.cos(a), 2.5 * math.sin(a), 1.5), (0.0, 0.0, 0.2))
+               for a in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+    cameras.insert(3, synth.look_at((0.0, -3.0, 1.0), (0.0, -6.0, 1.0)))
+    return synth.SynthSpec(seed=4, objects=objects, points_per_m2=600.0, cameras=cameras)
+
+
+def _scene_bytes(scene):
+    """(cloud bytes, ground-truth bytes, per frame: depth then each mask's
+    bitmap and feature bytes) of a generated scene."""
+    cloud, gt, frames = scene
+    return ([cloud.positions.tobytes(), cloud.semantic_features.tobytes()],
+            [inst.point_ids.tobytes() for inst in gt.instances],
+            [[f.depth.tobytes()] + [m.bitmap.tobytes() + m.feature.tobytes() for m in f.masks]
+             for f in frames])
+
+
+def test_generate_gives_the_same_bytes_at_any_cpu_count(monkeypatch):
+    spec = _ring_spec()
+    assert spec.feature_noise > 0
+    scenes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside frames too
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "cpu_workers", lambda workers=workers: workers)
+            scenes.append(_scene_bytes(synth.generate(spec)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert scenes[1] == scenes[0] and scenes[2] == scenes[0]
+
+    def last_block_first(fn, blocks):
+        return [fn(b) for b in list(blocks)[::-1]][::-1]
+    monkeypatch.setattr(parallel, "thread_map", last_block_first)
+    assert _scene_bytes(synth.generate(spec)) == scenes[0]
+    monkeypatch.undo()
+
+    frames = scenes[0][2]
+    assert len(frames[3]) == 1 and all(len(f) > 1 for f in frames[:3] + frames[4:])
+    # Every camera draws one noise row per object, in camera order, whether
+    # it sees the object or not: the first cameras alone render the same
+    # frames, and a camera that sees objects in place of the blind one
+    # leaves every other frame as it was.
+    prefix = replace(spec, cameras=spec.cameras[:5])
+    assert _scene_bytes(synth.generate(prefix))[2] == frames[:5]
+    seeing = replace(spec, cameras=spec.cameras[:3] + spec.cameras[:1] + spec.cameras[4:])
+    others = _scene_bytes(synth.generate(seeing))[2]
+    assert len(others[3]) > 1
+    assert others[:3] + others[4:] == frames[:3] + frames[4:]
 
 
 def test_gt_partitions_non_background_points(three_block_scene):
@@ -216,7 +276,7 @@ def _oracle_points(case, model):
     return np.vstack((pos, pos[:40], pos[:20]))
 
 
-@pytest.mark.parametrize("splat_px", [1, 3, 5])
+@pytest.mark.parametrize("splat_px", [1, 3, 5, 7, 11])
 @pytest.mark.parametrize("case", ["mixed", "behind"])
 def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
     model = synth.CameraModel(width=12, height=9, fx=10.0, fy=10.0, cx=5.5, cy=4.0)
@@ -227,8 +287,8 @@ def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
     # every point is its own object, so each mask is one point's winning pixels
     owner = np.arange(n)
     feats = [np.zeros(2)] * n
-    frame, visible = synth._render_frame(
-        spec, 0, pose, positions, owner, feats, np.random.default_rng(0))
+    noise = np.random.default_rng(0).standard_normal((n, 2)) * spec.feature_noise
+    frame, visible = synth._render_frame(spec, 0, pose, positions, owner, feats, noise)
 
     depth, winner = _lexsort_render(spec, pose, positions)
     assert frame.depth.tobytes() == depth.tobytes()
