@@ -217,6 +217,8 @@ def cmd_cluster(args):
 
 def cmd_extract(args):
     _, _, merge_params = load_config(args)
+    for path in (args.objects, args.parts):
+        scene_io.check_manifest_path(path)
     h = hierarchy.hierarchy_from_dict(scene_io.load_json(args.hierarchy), args.hierarchy)
     extract_stage(h, merge_params, args.objects, args.parts)
     return EXIT_OK

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import FormatError
 from .features import fuse_feature, point_norms
 from .parallel import thread_map
-from .scene_io import Instance, InstanceSet, check_fields
+from .scene_io import Instance, InstanceSet, check_fields, require_finite
 from .spatial import components, groups, labeled_close_pairs, sorted_unique
 
 HIERARCHY_SCHEMA = "p2o.hierarchy/1"
@@ -56,6 +56,7 @@ class MergeParams:
     min_object_points: int = 50
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.K <= 1.0):
             raise ValueError("K must be in (0, 1]")
         if self.T <= 0:
@@ -128,11 +129,13 @@ def _partition_labels(sets, n):
     outside = ids[(ids < 0) | (ids >= n)]
     if outside.size:
         raise ValueError(f"index {int(outside[0])} outside [0, {n})")
-    labels = np.full(n, -1, dtype=np.int64)
-    labels[ids] = np.repeat(np.arange(len(sets)), sizes)
-    if ids.size != n or (labels < 0).any():
-        raise ValueError(f"sets do not partition [0, {n}): an index is missing or repeated")
-    return labels
+    # The count before the n-long label array: n may come from a file.
+    if ids.size == n:
+        labels = np.full(n, -1, dtype=np.int64)
+        labels[ids] = np.repeat(np.arange(len(sets)), sizes)
+        if (labels >= 0).all():
+            return labels
+    raise ValueError(f"sets do not partition [0, {n}): an index is missing or repeated")
 
 
 def candidate_pairs(labels, positions, t):

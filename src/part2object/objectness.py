@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scene_io import require_finite
 from .spatial import components, groups, sorted_unique
 
 
@@ -32,6 +33,7 @@ class MatchParams:
     min_track_points: int = 30
 
     def __post_init__(self):
+        require_finite(self)
         if not (-1.0 < self.tau < 1.0):
             raise ValueError("tau must be in (-1, 1)")
         if self.depth_tol <= 0:
@@ -92,12 +94,12 @@ def propagate_sameness(nodes, edges):
 _ROW = 768
 
 
-def camera_project(positions, intrinsics, extrinsics, image_shape):
-    """Project world points to pixels under nearest-pixel rounding.
+def camera_project(positions, camera, extrinsics):
+    """Project world points to pixels of a scene_io.CameraModel, nearest-pixel.
 
     Returns (row, col, depth, in_image); row/col are int64 and only
     meaningful where in_image is set, which requires positive camera-space
-    depth and a pixel inside the image. Extrinsics are camera-to-world.
+    depth and a pixel inside the camera's image. Extrinsics are camera-to-world.
 
     Each pixel coordinate is computed in one buffer, in place, in the order
     floor(f * x / z + c + 0.5), and the bounds are checked on the floored
@@ -115,18 +117,17 @@ def camera_project(positions, intrinsics, extrinsics, image_shape):
     np.subtract(pos[full:], ext[:3, 3], out=rel[full:], dtype=np.float64)
     cam = rel @ ext[:3, :3]
     z = cam[:, 2]
-    h, w = image_shape
     # Points at or behind the camera divide by z <= 0; in_image drops them.
     with np.errstate(all="ignore"):
-        col = np.multiply(cam[:, 0], intrinsics[0, 0])
-        row = np.multiply(cam[:, 1], intrinsics[1, 1])
-        for px, centre in ((col, intrinsics[0, 2]), (row, intrinsics[1, 2])):
+        col = np.multiply(cam[:, 0], camera.fx)
+        row = np.multiply(cam[:, 1], camera.fy)
+        for px, centre in ((col, camera.cx), (row, camera.cy)):
             px /= z
             px += centre
             px += 0.5
             np.floor(px, out=px)
         ok = z > 0.0
-        ok &= (col >= 0.0) & (col < w) & (row >= 0.0) & (row < h)
+        ok &= (col >= 0.0) & (col < camera.width) & (row >= 0.0) & (row < camera.height)
         return row.astype(np.int64), col.astype(np.int64), z, ok
 
 
@@ -138,11 +139,9 @@ def visible_points(cloud, frame, depth_tol=MatchParams.depth_tol):
     zero depth pixel never matches). Its flat index is row * width + col, so
     any (height, width) image of the frame reads it as image.ravel()[flat].
     """
-    row, col, z, ok = camera_project(
-        cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
-    )
+    row, col, z, ok = camera_project(cloud.positions, frame.camera, frame.extrinsics)
     idx = np.flatnonzero(ok)
-    flat = row[idx] * frame.depth.shape[1] + col[idx]
+    flat = row[idx] * frame.camera.width + col[idx]
     d = frame.depth.ravel()[flat].astype(np.float64)
     good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
     return idx[good], flat[good]

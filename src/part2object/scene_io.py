@@ -6,7 +6,7 @@ trivial; all but the depth map are magic-tagged:
   points.p2o      "P2O1" | u32 N | u8 flags (bit0 colors, bit1 normals)
                   | Nx3 f32 positions [| Nx3 f32 colors] [| Nx3 f32 normals]
   features.f32    "P2OF" | u32 N | u32 C | NxC f32 row-major
-  frame_<id>.cam  JSON {fx, fy, cx, cy, width, height, extrinsics[16]}
+  frame_<id>.cam  JSON {CameraModel's fx, fy, cx, cy, width, height; extrinsics[16]}
   frame_<id>.depth raw f32, height*width values, row-major, 0 = invalid
   frame_<id>.masks "P2OM" | u32 mask_count | u32 C2
                   | per mask: u32 rle_len | rle u32s | C2 f32 feature
@@ -22,9 +22,10 @@ line. Loading inverts writing exactly, order preserved.
 import json
 import math
 import numbers
+import operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args
 
@@ -117,11 +118,33 @@ class MaskEntry:
 
 
 @dataclass
+class CameraModel:
+    """A pinhole camera in pixels and its image size, as a frame_<id>.cam file
+    holds them; floats and ints, so a numpy scalar is written as its number."""
+
+    fx: float = 140.0
+    fy: float = 140.0
+    cx: float = 79.5
+    cy: float = 59.5
+    width: int = 160
+    height: int = 120
+
+    def __post_init__(self):
+        self.fx, self.fy, self.cx, self.cy = map(float, (self.fx, self.fy, self.cx, self.cy))
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
+        require_finite(self)
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"width and height must be >= 1, got {self.width}x{self.height}")
+        if self.fx <= 0 or self.fy <= 0:
+            raise ValueError(f"fx and fy must be > 0, got {self.fx}, {self.fy}")
+
+
+@dataclass
 class FrameObservation:
     """One posed RGB-D frame: camera, depth map and 2D instance masks."""
 
     frame_id: int
-    intrinsics: np.ndarray
+    camera: CameraModel
     extrinsics: np.ndarray
     depth: np.ndarray
     masks: list = field(default_factory=list)
@@ -129,22 +152,20 @@ class FrameObservation:
     def __post_init__(self):
         if self.frame_id < 0:
             raise FormatError("frame_id must be non-negative")
-        self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64)
         self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64)
-        if self.intrinsics.shape != (3, 3):
-            raise FormatError("intrinsics must be 3x3")
-        if not (np.isfinite(self.intrinsics).all() and (self.intrinsics[[0, 1], [0, 1]] > 0).all()):
-            raise FormatError("intrinsics must be finite with fx, fy > 0")
         if self.extrinsics.shape != (4, 4):
             raise FormatError("extrinsics must be 4x4")
+        # A NaN would pass the two pose tests below.
+        if not np.isfinite(self.extrinsics).all():
+            raise FormatError("extrinsics contain non-finite values")
         if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0), atol=1e-6):
             raise FormatError("extrinsics bottom row must be (0,0,0,1)")
         r = self.extrinsics[:3, :3]
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-4:
             raise FormatError("extrinsics rotation block not orthonormal")
         self.depth = np.ascontiguousarray(self.depth, dtype=np.float32)
-        if self.depth.ndim != 2:
-            raise FormatError("depth must be HxW")
+        if self.depth.shape != (self.camera.height, self.camera.width):
+            raise FormatError(f"depth shape {self.depth.shape} != the camera's (height, width)")
         if not np.isfinite(self.depth).all():
             raise FormatError("depth contains non-finite values")
         for m in self.masks:
@@ -153,14 +174,6 @@ class FrameObservation:
         # A .masks file holds one feature length, the first mask's.
         if len({m.feature.size for m in self.masks}) > 1:
             raise FormatError("mask feature lengths differ within the frame")
-
-    @property
-    def height(self):
-        return self.depth.shape[0]
-
-    @property
-    def width(self):
-        return self.depth.shape[1]
 
 
 @dataclass
@@ -464,12 +477,19 @@ def check_fields(data, kinds, where, what):
     return out
 
 
+def require_finite(record):
+    """ValueError naming a float field of the dataclass record that is not
+    finite: a NaN passes every range comparison."""
+    for name in (f.name for f in fields(record) if f.type is float):
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
+
+
 # ---------------------------------------------------------------------------
 # frame files
 
-# The keys of a frame_<id>.cam file.
-_CAM_FIELDS = {"fx": float, "fy": float, "cx": float, "cy": float,
-               "width": int, "height": int, "extrinsics": list}
+# The keys of a frame_<id>.cam file: the camera's fields, then the pose.
+_CAM_FIELDS = {**{f.name: f.type for f in fields(CameraModel)}, "extrinsics": list}
 
 
 def write_frames(dir_path, frames):
@@ -478,16 +498,8 @@ def write_frames(dir_path, frames):
     dir_path.mkdir(parents=True, exist_ok=True)
     for frame in frames:
         stem = f"frame_{frame.frame_id}"
-        cam = {
-            "fx": float(frame.intrinsics[0, 0]),
-            "fy": float(frame.intrinsics[1, 1]),
-            "cx": float(frame.intrinsics[0, 2]),
-            "cy": float(frame.intrinsics[1, 2]),
-            "width": frame.width,
-            "height": frame.height,
-            "extrinsics": [float(v) for v in frame.extrinsics.ravel()],
-        }
-        write_json(dir_path / f"{stem}.cam", cam)
+        write_json(dir_path / f"{stem}.cam",
+                   {**asdict(frame.camera), "extrinsics": frame.extrinsics.ravel().tolist()})
         (dir_path / f"{stem}.depth").write_bytes(frame.depth.astype(_F32).tobytes())
         feat_dim = frame.masks[0].feature.size if frame.masks else 0
         with open(dir_path / f"{stem}.masks", "wb") as fh:
@@ -503,16 +515,12 @@ def _load_one_frame(dir_path, frame_id):
     cam_path = dir_path / f"{stem}.cam"
     cam = check_fields(load_json(cam_path), _CAM_FIELDS, cam_path, "camera")
     try:
-        width, height = cam["width"], cam["height"]
-        intrinsics = np.array(
-            [[cam["fx"], 0.0, cam["cx"]], [0.0, cam["fy"], cam["cy"]], [0.0, 0.0, 1.0]]
-        )
+        camera = CameraModel(*(cam[f.name] for f in fields(CameraModel)))
         extrinsics = np.asarray(cam["extrinsics"], dtype=np.float64).reshape(4, 4)
-        if width < 1 or height < 1:
-            raise ValueError(f"width and height must be >= 1, got {width}x{height}")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{cam_path}: missing or malformed field ({exc})") from exc
 
+    height, width = camera.height, camera.width
     with _tagged(dir_path / f"{stem}.depth", b"") as take:
         depth = take(_F32, (height, width), f"{height}x{width} depth")
     masks = []
@@ -525,8 +533,8 @@ def _load_one_frame(dir_path, frame_id):
             masks.append(MaskEntry(bitmap=bitmap, feature=feature))
 
     with _named(dir_path / stem):
-        return FrameObservation(frame_id=frame_id, intrinsics=intrinsics,
-                                extrinsics=extrinsics, depth=depth, masks=masks)
+        return FrameObservation(frame_id=frame_id, camera=camera, extrinsics=extrinsics,
+                                depth=depth, masks=masks)
 
 
 def frame_ids(dir_path):
@@ -559,6 +567,13 @@ def load_frames(dir_path):
 # instance manifests
 
 
+def check_manifest_path(path):
+    """FormatError unless the manifest name's stem is free of whitespace, which
+    load_instances splits its lines (naming ``<stem>_masks/`` files) on."""
+    if any(c.isspace() for c in Path(path).stem):
+        raise FormatError(f"{path}: a manifest's name may not hold whitespace")
+
+
 def write_instances(path, instance_set):
     """Write an instance manifest plus one mask file per instance.
 
@@ -566,6 +581,7 @@ def write_instances(path, instance_set):
     referenced by relative path; those an earlier, longer write left are
     removed, and so is the directory when that leaves it empty.
     """
+    check_manifest_path(path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     mask_dir_name = path.stem + "_masks"

@@ -76,6 +76,7 @@ class SuperpointParams:
     normals_k: int = 16
 
     def __post_init__(self):
+        scene_io.require_finite(self)
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if self.seed_resolution < self.voxel_size:

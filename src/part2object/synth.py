@@ -7,6 +7,8 @@ point covers the splat_px x splat_px square around its pixel, and a pixel
 shows the nearest z, then the lowest id, over every point whose splat covers
 it. Each visible object contributes one ground-truth mask per frame, so the
 generator doubles as the oracle for the projection, prior and end-to-end tests.
+Every camera is the spec's camera_model, a scene_io.CameraModel, and each
+frame holds that record as its camera.
 
 Everything is a pure function of the spec, including its seed. The frames'
 feature noise is drawn before any frame renders, in camera order, so the
@@ -22,33 +24,12 @@ import numpy as np
 
 from . import parallel
 from .objectness import camera_project
-from .scene_io import FrameObservation, Instance, InstanceSet, MaskEntry, SceneCloud, check_fields
+from .scene_io import (CameraModel, FrameObservation, Instance, InstanceSet, MaskEntry,
+                       SceneCloud, check_fields, require_finite)
 
 log = logging.getLogger(__name__)
 
 _NO_ID = np.iinfo(np.int64).max  # the id of a pixel that no point covers
-
-
-@dataclass
-class CameraModel:
-    width: int = 160
-    height: int = 120
-    fx: float = 140.0
-    fy: float = 140.0
-    cx: float = 79.5
-    cy: float = 59.5
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"width and height must be >= 1, got {self.width}x{self.height}")
-        if not all(math.isfinite(f) and f > 0 for f in (self.fx, self.fy)):
-            raise ValueError(f"fx and fy must be finite and > 0, got {self.fx}, {self.fy}")
-
-    @property
-    def intrinsics(self):
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 @dataclass
@@ -91,15 +72,15 @@ class SynthSpec:
         px = self.splat_px
         if isinstance(px, bool) or not isinstance(px, int) or px < 1 or px % 2 == 0:
             raise ValueError(f"splat_px must be a positive odd integer, got {px!r}")
-        if not (math.isfinite(self.points_per_m2) and self.points_per_m2 > 0):
-            raise ValueError(f"points_per_m2 must be finite and > 0, got {self.points_per_m2}")
+        require_finite(self)
+        if self.points_per_m2 <= 0:
+            raise ValueError(f"points_per_m2 must be > 0, got {self.points_per_m2}")
         dim = self.feature_dim
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f"feature_dim must be an integer >= 1, got {dim!r}")
         for name in ("feature_noise", "position_jitter"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.room is not None:
             lx, ly, wall_h = self.room
             if not (all(math.isfinite(v) and v > 0 for v in (lx, ly))
@@ -289,9 +270,9 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
     to the feature of the object's mask; the caller draws it, so a frame
     renders without the scene's random generator.
     """
-    model = spec.camera_model
-    h, w = model.height, model.width
-    row, col, z, ok = camera_project(positions, model.intrinsics, pose, (h, w))
+    camera = spec.camera_model
+    h, w = camera.height, camera.width
+    row, col, z, ok = camera_project(positions, camera, pose)
 
     idx = np.flatnonzero(ok)
     pix = row[idx] * w + col[idx]
@@ -320,13 +301,8 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
         masks.append(
             MaskEntry(bitmap=bitmap, feature=(feat + noise[k]).astype(np.float32))
         )
-    frame = FrameObservation(
-        frame_id=frame_id,
-        intrinsics=model.intrinsics,
-        extrinsics=pose,
-        depth=depth,
-        masks=masks,
-    )
+    frame = FrameObservation(frame_id=frame_id, camera=camera, extrinsics=pose, depth=depth,
+                             masks=masks)
     return frame, visible
 
 

@@ -230,9 +230,8 @@ def test_c6_projection_recovers_visible_face():
         cam_depth = z_near - tz
         frame = scene_io.FrameObservation(
             frame_id=0,
-            intrinsics=np.array(
-                [[90.0, 0, (w - 1) / 2], [0, 90.0, (h - 1) / 2], [0, 0, 1]]
-            ),
+            camera=scene_io.CameraModel(fx=90.0, fy=90.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                                        width=w, height=h),
             extrinsics=np.array(
                 [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, tz], [0, 0, 0, 1.0]]
             ),

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -484,6 +485,9 @@ def test_run_artifacts_do_not_depend_on_the_worker_count(raw_scene_dir, tmp_path
     ("--max-layers", "0"), ("--min-object-points", "0"), ("--normals-k", "2"),
     ("--min-track-frames", "0"), ("--min-track-points", "0"),
     ("--w-color", "-1"),
+    # NaN passes every range comparison, and inf passes the one-sided ones.
+    ("--T", "nan"), ("--w-spatial", "nan"), ("--depth-tol", "nan"), ("--voxel-size", "nan"),
+    ("--T", "inf"), ("--seed-resolution", "inf"), ("--K", "-inf"), ("--outside-frac", "-inf"),
 ])
 def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
     # No normals on disk, so --normals-k would reach estimate_normals.
@@ -492,9 +496,26 @@ def test_run_rejects_a_bad_tunable_before_writing(flag, tmp_path, capsys):
     scene = tmp_path / "scene"
     scene_io.write_scene(scene, cloud)
     out = tmp_path / "run"
-    err = assert_bad_input(["run", "--scene", str(scene), "--out", str(out), *flag], capsys)
+    # "--K=-inf": argparse reads a lone "-inf" as an option.
+    err = assert_bad_input(["run", "--scene", str(scene), "--out", str(out), "=".join(flag)],
+                           capsys)
     # The message names the key as the user typed it.
-    assert err.startswith(f"error: {flag[0][2:].replace('-', '_')} ")
+    key = flag[0][2:].replace("-", "_")
+    assert err.startswith(f"error: {key} ")
+    if not math.isfinite(float(flag[1])):
+        assert err == f"error: {key} must be finite, got {float(flag[1])}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_config_value_stops_run_before_writing(value, scene_dir, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, which are not JSON.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"T": {value}}}')
+    out = tmp_path / "run"
+    err = assert_bad_input(["run", "--scene", str(scene_dir), "--out", str(out),
+                            "--config", str(cfg)], capsys)
+    assert err == f"error: T must be finite, got {float(value.lower())}\n"
     assert not out.exists()
 
 
@@ -750,13 +771,25 @@ def test_extract_reads_a_hand_written_hierarchy(tmp_path):
     assert [p.point_ids.tolist() for p in parts.instances] == [[0, 2], [1]]
 
 
+@pytest.mark.parametrize("flag", ["--objects", "--parts"])
+def test_extract_refuses_a_manifest_name_with_whitespace(flag, tmp_path, capsys):
+    # Its lines would name "my objects_masks/0000.txt", and load_instances
+    # splits them on whitespace.
+    argv = extract_argv(tmp_path, HIERARCHY)
+    bad = tmp_path / "sp" / "my objects.txt"
+    argv[argv.index(flag) + 1] = str(bad)
+    err = assert_bad_input(argv, capsys)
+    assert err == f"error: {bad}: a manifest's name may not hold whitespace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
+
+
 @pytest.mark.parametrize("mutation", [
     "no_layers", "no_clusters", "child_out_of_range", "child_twice", "child_missing",
     "empty_children", "point_out_of_range", "point_twice", "wrong_n_points",
     "fractional_point", "nested_points", "fractional_child", "nested_children",
     "fractional_n_points", "string_n_points", "bool_n_points", "fractional_n_candidates",
     "unknown_key", "two_log_entries", "string_pair", "pair_past_layer", "reversed_pair",
-    "boolean_pair", "negative_n_candidates",
+    "boolean_pair", "negative_n_candidates", "inflated_n_points",
 ])
 def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     data = json.loads(json.dumps(HIERARCHY))
@@ -807,6 +840,9 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
         data["merge_log"][0]["rejected_stop"] = [[False, True]]
     elif mutation == "negative_n_candidates":
         data["merge_log"][0]["n_candidates"] = -4
+    elif mutation == "inflated_n_points":
+        # Compared with the 3 ids before a 10**13-long label array is made.
+        data["n_points"] = 10**13
     else:
         data["n_points"] = 4
     err = assert_bad_input(extract_argv(tmp_path, data), capsys)
@@ -816,6 +852,9 @@ def test_extract_rejects_malformed_hierarchy(mutation, tmp_path, capsys):
     elif mutation in ("two_log_entries", "string_pair", "pair_past_layer", "reversed_pair",
                       "boolean_pair", "negative_n_candidates"):
         assert err.startswith(f"error: {tmp_path / 'h.json'}: ") and "merge_log" in err, err
+    elif mutation == "inflated_n_points":
+        assert err == (f"error: {tmp_path / 'h.json'}: hierarchy layer 0: sets do not "
+                       f"partition [0, {10**13}): an index is missing or repeated\n")
 
 
 # "N" stands for the scene's point count, the first id past its points.
@@ -850,7 +889,7 @@ def test_cluster_rejects_malformed_priors(priors, scene_dir, scene_points, tmp_p
 @pytest.mark.parametrize("text", [
     '{"K": true}', '{"K": "0.5"}',
     '{"min_object_points": 10.7}', '{"min_object_points": false}', '{"depth_tol": null}',
-    "3", "[1, 2]",
+    "3", "[1, 2]", '{"T": NaN}', '{"w_normal": Infinity}',
 ])
 def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -897,6 +936,7 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"objects": [{}], "room": [4, 4, -1]}, "room"),
     ({"objects": [{}], "room": [-4, 4, 1]}, "room"),
     ({"objects": [{}], "room": [0, 0, 0]}, "room"),
+    ({"camera_model": {"cx": math.nan}}, "cx must be finite"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -1098,7 +1138,8 @@ def write_small_frames(root, feature_dims):
     bitmap = np.zeros((8, 10), dtype=bool)
     bitmap[0, 0] = True
     scene_io.write_frames(root, [scene_io.FrameObservation(
-        frame_id=k, intrinsics=[[5.0, 0, 4.5], [0, 5.0, 3.5], [0, 0, 1]],
+        frame_id=k,
+        camera=scene_io.CameraModel(fx=5.0, fy=5.0, cx=4.5, cy=3.5, width=10, height=8),
         extrinsics=np.eye(4), depth=np.ones((8, 10), np.float32),
         masks=[scene_io.MaskEntry(bitmap, np.ones(dim, np.float32))])
         for k, dim in enumerate(feature_dims)])
@@ -1150,6 +1191,20 @@ def _non_orthonormal(scene, frames, n):
              lambda cam: cam.update(extrinsics=[2.0] + cam["extrinsics"][1:]))
     return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
             f"error: {frames / 'frame_0'}: extrinsics rotation block not orthonormal")
+
+
+def _nan_pose(scene, frames, n):
+    # A NaN passes the orthonormality test, and the frame would see no point.
+    edit_cam(frames / "frame_1.cam",
+             lambda cam: cam.update(extrinsics=cam["extrinsics"][:3] + [math.nan]
+                                    + cam["extrinsics"][4:]))
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_1'}: extrinsics contain non-finite values")
+
+
+def _nan_voxel_size(scene, frames, n):
+    return (["superpoints", "--scene", scene, "--out", scene / "sp.json", "--voxel-size", "nan"],
+            cli.EXIT_BAD_INPUT, "error: voxel_size must be finite, got nan")
 
 
 def _nan_depth(scene, frames, n):
@@ -1233,7 +1288,7 @@ def _manifest_not_utf8(scene, frames, n):
 
 @pytest.mark.parametrize("case", [
     _points_truncated, _feature_rows, _cam_without_fx, _rle_total, _non_orthonormal,
-    _nan_depth, _mask_dims, _id_at_n, _id_of_20_digits, _negative_id,
+    _nan_pose, _nan_voxel_size, _nan_depth, _mask_dims, _id_at_n, _id_of_20_digits, _negative_id,
     _config_not_utf8, _cam_not_utf8, _priors_not_utf8, _hierarchy_not_utf8, _spec_not_utf8,
     _manifest_not_utf8,
 ], ids=lambda case: case.__name__.strip("_"))

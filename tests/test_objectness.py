@@ -5,7 +5,7 @@ import pytest
 
 from part2object import objectness as ob
 from part2object import parallel
-from part2object.scene_io import FrameObservation, MaskEntry, SceneCloud
+from part2object.scene_io import CameraModel, FrameObservation, MaskEntry, SceneCloud
 
 from conftest import points_in_box
 
@@ -23,7 +23,7 @@ def frame_with_features(frame_id, feats, h=6, w=6):
         masks.append(MaskEntry(bitmap=bitmap, feature=np.asarray(f, dtype=np.float32)))
     return FrameObservation(
         frame_id=frame_id,
-        intrinsics=np.array([[5.0, 0, 2.5], [0, 5.0, 2.5], [0, 0, 1]]),
+        camera=CameraModel(fx=5.0, fy=5.0, cx=2.5, cy=2.5, width=w, height=h),
         extrinsics=np.eye(4),
         depth=np.ones((h, w), dtype=np.float32),
         masks=masks,
@@ -205,7 +205,7 @@ def axis_aligned_frame(h=64, w=64, depth_value=2.0):
     bitmap = np.ones((h, w), dtype=bool)
     return FrameObservation(
         frame_id=0,
-        intrinsics=np.array([[60.0, 0, (w - 1) / 2], [0, 60.0, (h - 1) / 2], [0, 0, 1]]),
+        camera=CameraModel(fx=60.0, fy=60.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h),
         extrinsics=np.eye(4),
         depth=depth,
         masks=[MaskEntry(bitmap=bitmap, feature=np.ones(4, dtype=np.float32))],
@@ -291,7 +291,7 @@ def test_match_params_validation():
 # build_tracks against the whole-cloud projection per member
 
 
-def reference_camera_project(positions, intrinsics, extrinsics, image_shape):
+def reference_camera_project(positions, camera, extrinsics):
     """camera_project as first written: masked gathers, -1 off the image."""
     pos = np.asarray(positions, dtype=np.float64)
     ext = np.asarray(extrinsics, dtype=np.float64)
@@ -299,9 +299,8 @@ def reference_camera_project(positions, intrinsics, extrinsics, image_shape):
     z = cam[:, 2]
     ok = z > 0.0
 
-    fx, fy = intrinsics[0, 0], intrinsics[1, 1]
-    cx, cy = intrinsics[0, 2], intrinsics[1, 2]
-    h, w = image_shape
+    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    h, w = camera.height, camera.width
     col = np.full(pos.shape[0], -1, dtype=np.int64)
     row = np.full(pos.shape[0], -1, dtype=np.int64)
     with np.errstate(invalid="ignore"):
@@ -311,11 +310,10 @@ def reference_camera_project(positions, intrinsics, extrinsics, image_shape):
     return row, col, z, ok
 
 
-def assert_same_projection(positions, intrinsics, extrinsics, image_shape):
+def assert_same_projection(positions, camera, extrinsics):
     """camera_project equals the reference wherever the contract holds it."""
-    want_row, want_col, want_z, want_ok = reference_camera_project(
-        positions, intrinsics, extrinsics, image_shape)
-    row, col, z, ok = ob.camera_project(positions, intrinsics, extrinsics, image_shape)
+    want_row, want_col, want_z, want_ok = reference_camera_project(positions, camera, extrinsics)
+    row, col, z, ok = ob.camera_project(positions, camera, extrinsics)
     assert row.dtype == col.dtype == np.int64
     assert np.array_equal(ok, want_ok)
     assert np.array_equal(z, want_z)
@@ -330,8 +328,8 @@ def test_camera_project_equals_reference_on_random_cameras():
     for _ in range(300):
         h, w = (int(v) for v in rng.integers(1, 40, 2))
         f = rng.uniform(2.0, 60.0, 2)
-        intrinsics = np.array([[f[0], 0, rng.uniform(-2, w + 2)],
-                               [0, f[1], rng.uniform(-2, h + 2)], [0, 0, 1]])
+        camera = CameraModel(fx=f[0], fy=f[1], cx=rng.uniform(-2, w + 2),
+                             cy=rng.uniform(-2, h + 2), width=w, height=h)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         extrinsics = np.eye(4)
         extrinsics[:3, :3] = q
@@ -339,8 +337,8 @@ def test_camera_project_equals_reference_on_random_cameras():
         positions = rng.uniform(-3, 3, (int(rng.integers(0, 200)), 3))
         if rng.random() < 0.5:
             positions = positions.astype(np.float32)
-        ok = assert_same_projection(positions, intrinsics, extrinsics, (h, w))
-        z = reference_camera_project(positions, intrinsics, extrinsics, (h, w))[2]
+        ok = assert_same_projection(positions, camera, extrinsics)
+        z = reference_camera_project(positions, camera, extrinsics)[2]
         behind += int((z <= 0).sum())
         inside += int(ok.sum())
         outside += int(((z > 0) & ~ok).sum())
@@ -351,7 +349,7 @@ def test_camera_project_equals_reference_on_random_cameras():
 def test_camera_project_subtracts_as_the_broadcast(n):
     # the subtraction runs over rows of 256 points plus a tail
     rng = np.random.default_rng(n)
-    intrinsics = np.array([[30.0, 0, 20.0], [0, 30.0, 15.0], [0, 0, 1]])
+    camera = CameraModel(fx=30.0, fy=30.0, cx=20.0, cy=15.0, width=40, height=30)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     extrinsics = np.eye(4)
     extrinsics[:3, :3] = q
@@ -359,9 +357,9 @@ def test_camera_project_subtracts_as_the_broadcast(n):
     wide = rng.uniform(-3, 3, (n, 4))
     for positions in (wide[:, :3].astype(np.float32), wide[:, :3], np.ascontiguousarray(wide[:, 1:])):
         cam = np.subtract(positions, extrinsics[:3, 3], dtype=np.float64) @ extrinsics[:3, :3]
-        _, _, z, _ = ob.camera_project(positions, intrinsics, extrinsics, (30, 40))
+        _, _, z, _ = ob.camera_project(positions, camera, extrinsics)
         assert np.array_equal(z, cam[:, 2])
-        assert_same_projection(positions, intrinsics, extrinsics, (30, 40))
+        assert_same_projection(positions, camera, extrinsics)
 
 
 def test_camera_project_edges():
@@ -369,7 +367,7 @@ def test_camera_project_edges():
     # which rounds into column 0, and x / z = 1 on u = w - 0.5, which rounds
     # to column 16, off the image; likewise for rows.
     h = w = 16
-    intrinsics = np.array([[8.0, 0, 7.5], [0, 8.0, 7.5], [0, 0, 1]])
+    camera = CameraModel(fx=8.0, fy=8.0, cx=7.5, cy=7.5, width=w, height=h)
     positions = np.array([
         [-1.0, 0.0, 1.0],   # u = -0.5: column 0
         [1.0, 0.0, 1.0],    # u = w - 0.5: column w
@@ -385,17 +383,15 @@ def test_camera_project_edges():
     moved[:3, 3] = (0.25, -0.5, 1.5)  # the same points seen from a moved camera
     for extrinsics, world in ((np.eye(4), positions), (moved, positions + moved[:3, 3])):
         for pos in (world, world.astype(np.float32)):
-            ok = assert_same_projection(pos, intrinsics, extrinsics, (h, w))
+            ok = assert_same_projection(pos, camera, extrinsics)
             assert ok.tolist() == [True, False, True, False, False, False, False, False, True]
-    row, col, _, _ = ob.camera_project(positions, intrinsics, np.eye(4), (h, w))
+    row, col, _, _ = ob.camera_project(positions, camera, np.eye(4))
     assert (row[[0, 2, 8]].tolist(), col[[0, 2, 8]].tolist()) == ([8, 0, 8], [0, 8, 8])
 
 
 def reference_project_mask_points(cloud, frame, mask_index, depth_tol):
     """The projection as written before frames were shared: one per mask."""
-    row, col, z, ok = reference_camera_project(
-        cloud.positions, frame.intrinsics, frame.extrinsics, frame.depth.shape
-    )
+    row, col, z, ok = reference_camera_project(cloud.positions, frame.camera, frame.extrinsics)
     idx = np.flatnonzero(ok)
     d = frame.depth[row[idx], col[idx]].astype(np.float64)
     good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
@@ -453,7 +449,7 @@ def random_tracking_scene(rng, h=12, w=16):
     positions[:8] = rng.uniform((-0.02, -0.02, 0.2), (0.02, 0.02, 0.25), (8, 3))
     cloud = SceneCloud(positions=positions.astype(np.float32))
     prototypes = rng.standard_normal((int(rng.integers(1, 4)), 6))
-    intrinsics = np.array([[10.0, 0, (w - 1) / 2], [0, 10.0, (h - 1) / 2], [0, 0, 1]])
+    camera = CameraModel(fx=10.0, fy=10.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
     frame_ids = np.sort(rng.choice(50, size=int(rng.integers(2, 7)), replace=False))
     frames = []
     for fid in frame_ids:
@@ -462,7 +458,7 @@ def random_tracking_scene(rng, h=12, w=16):
         extrinsics = np.eye(4)
         extrinsics[:3, :3] = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
         extrinsics[:3, 3] = rng.uniform(-0.2, 0.2, 3)
-        row, col, z, ok = ob.camera_project(positions, intrinsics, extrinsics, (h, w))
+        row, col, z, ok = ob.camera_project(positions, camera, extrinsics)
         depth = np.full(h * w, np.inf)
         np.minimum.at(depth, row[ok] * w + col[ok], z[ok])
         depth[np.isinf(depth)] = 0.0
@@ -480,7 +476,7 @@ def random_tracking_scene(rng, h=12, w=16):
                 mask.bitmap = np.zeros((h, w), dtype=bool)
             masks.append(mask)
         frames.append(FrameObservation(
-            frame_id=int(fid), intrinsics=intrinsics, extrinsics=extrinsics,
+            frame_id=int(fid), camera=camera, extrinsics=extrinsics,
             depth=depth.reshape(h, w).astype(np.float32), masks=masks,
         ))
     order = rng.permutation(len(frames))
@@ -495,11 +491,11 @@ def record_projections(monkeypatch, threads=None):
     calls = []
     real_project = ob.camera_project
 
-    def counting_project(positions, intrinsics, extrinsics, image_shape):
+    def counting_project(positions, camera, extrinsics):
         calls.append(id(extrinsics))
         if threads is not None:
             threads.add(threading.get_ident())
-        return real_project(positions, intrinsics, extrinsics, image_shape)
+        return real_project(positions, camera, extrinsics)
 
     monkeypatch.setattr(ob, "camera_project", counting_project)
     return calls
@@ -549,8 +545,7 @@ def test_build_tracks_equals_per_member_projection(monkeypatch):
             seen["all_false"] += any(not m.bitmap.any() for f in frames for m in f.masks)
             seen["zero_depth"] += any((f.depth == 0).any() for f in frames)
             for f in frames:
-                _, _, z, _ = ob.camera_project(cloud.positions, f.intrinsics, f.extrinsics,
-                                               f.depth.shape)
+                _, _, z, _ = ob.camera_project(cloud.positions, f.camera, f.extrinsics)
                 seen["behind"] += bool((z <= 0).any())
                 if len(f.masks) > 1:
                     stack = np.stack([m.bitmap for m in f.masks])

@@ -10,6 +10,7 @@ from conftest import bits_equal, three_block_spec
 from part2object import parallel, scene_io, spatial, synth
 from part2object.errors import FormatError
 from part2object.scene_io import (
+    CameraModel,
     FrameObservation,
     Instance,
     InstanceSet,
@@ -42,7 +43,7 @@ def make_cloud(rng, n=100, with_features=True, feature_dim=8):
 def identity_frame(h=8, w=10, masks=()):
     return FrameObservation(
         frame_id=0,
-        intrinsics=np.array([[5.0, 0, 4.5], [0, 5.0, 3.5], [0, 0, 1]]),
+        camera=CameraModel(fx=5.0, fy=5.0, cx=4.5, cy=3.5, width=w, height=h),
         extrinsics=np.eye(4),
         depth=np.ones((h, w), dtype=np.float32),
         masks=list(masks),
@@ -476,19 +477,54 @@ def test_non_orthonormal_pose_rejected():
     ext[0, 0] = 2.0
     with pytest.raises(FormatError, match="^extrinsics rotation block not orthonormal$"):
         FrameObservation(
-            frame_id=0, intrinsics=np.eye(3), extrinsics=ext,
+            frame_id=0, camera=CameraModel(width=4, height=4), extrinsics=ext,
             depth=np.ones((4, 4), dtype=np.float32),
         )
 
 
-@pytest.mark.parametrize("row, col, value", [(0, 0, 0.0), (1, 1, -5.0), (0, 2, np.nan),
-                                            (1, 2, np.inf)])
-def test_intrinsics_must_be_finite_with_positive_focal_lengths(row, col, value):
+@pytest.mark.parametrize("row, col", [(0, 3), (2, 2), (3, 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_pose_is_rejected(row, col, value):
+    # A NaN passes the orthonormality test, and such a frame sees no point.
+    ext = np.eye(4)
+    ext[row, col] = value
+    with pytest.raises(FormatError, match="^extrinsics contain non-finite values$"):
+        FrameObservation(frame_id=0, camera=CameraModel(width=4, height=4), extrinsics=ext,
+                         depth=np.ones((4, 4), dtype=np.float32))
+
+
+@pytest.mark.parametrize("row, col, value, message", [
+    (0, 0, 0.0, "fx and fy must be > 0, got 0.0, 5.0"),
+    (1, 1, -5.0, "fx and fy must be > 0, got 5.0, -5.0"),
+    (0, 2, np.nan, "cx must be finite, got nan"),
+    (1, 2, np.inf, "cy must be finite, got inf"),
+    (0, 0, -np.inf, "fx must be finite, got -inf"),  # not reported as fx <= 0
+], ids=["0-0-0.0", "1-1--5.0", "0-2-nan", "1-2-inf", "0-0--inf"])
+def test_intrinsics_must_be_finite_with_positive_focal_lengths(row, col, value, message):
+    # A caller's 3x3 matrix, taken apart as README's import sketch does.
     k = np.array([[5.0, 0, 4.5], [0, 5.0, 3.5], [0, 0, 1]])
     k[row, col] = value
-    with pytest.raises(FormatError, match="intrinsics"):
-        FrameObservation(frame_id=0, intrinsics=k, extrinsics=np.eye(4),
-                         depth=np.ones((4, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CameraModel(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2], width=4, height=4)
+
+
+def test_a_frame_is_as_large_as_its_camera():
+    with pytest.raises(FormatError, match=re.escape(
+            "depth shape (8, 10) != the camera's (height, width)")):
+        FrameObservation(frame_id=0, camera=CameraModel(width=8, height=10),
+                         extrinsics=np.eye(4), depth=np.ones((8, 10), dtype=np.float32))
+
+
+def test_cam_bytes_do_not_depend_on_the_number_types_of_the_camera(tmp_path):
+    # fx...cy as ints and numpy scalars, width and height as numpy ints: the
+    # .cam file holds floats and plain ints, as for Python floats and ints.
+    write_frames(tmp_path / "plain", [identity_frame()])
+    frame = identity_frame()
+    frame.camera = CameraModel(fx=5, fy=np.float32(5.0), cx=np.float64(4.5), cy=np.float16(3.5),
+                               width=np.int64(10), height=np.int32(8))
+    write_frames(tmp_path / "mixed", [frame])
+    assert (tmp_path / "mixed" / "frame_0.cam").read_bytes() \
+        == (tmp_path / "plain" / "frame_0.cam").read_bytes()
 
 
 def cam_fault(key, value, kind, named, message):
@@ -497,9 +533,10 @@ def cam_fault(key, value, kind, named, message):
 
 
 @pytest.mark.parametrize("key, value, named, message", [
-    cam_fault("fx", 0.0, "FormatError", "frame_0", "intrinsics must be finite with fx, fy > 0"),
-    cam_fault("fy", -140.0, "FormatError", "frame_0",
-              "intrinsics must be finite with fx, fy > 0"),
+    cam_fault("fx", 0.0, "CorruptHeader", "frame_0.cam",
+              "missing or malformed field (fx and fy must be > 0, got 0.0, 5.0)"),
+    cam_fault("fy", -140.0, "CorruptHeader", "frame_0.cam",
+              "missing or malformed field (fx and fy must be > 0, got 5.0, -140.0)"),
     cam_fault("width", 0, "CorruptHeader", "frame_0.cam",
               "missing or malformed field (width and height must be >= 1, got 0x8)"),
     cam_fault("height", -5, "CorruptHeader", "frame_0.cam",
@@ -590,6 +627,17 @@ def test_manifest_round_trip(tmp_path):
         assert np.array_equal(a.point_ids, b.point_ids)
         assert a.confidence == b.confidence
         assert a.kind == b.kind
+
+
+@pytest.mark.parametrize("name", ["my preds.txt", "preds\t1.txt", "preds\u2003.txt"])
+def test_a_manifest_whose_name_holds_whitespace_is_not_written(name, tmp_path):
+    # Its lines would name "<stem>_masks/0000.txt", which load_instances
+    # would split into more than 3 fields.
+    path = tmp_path / "out" / name
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: a manifest's name may "
+                                          "not hold whitespace$"):
+        write_instances(path, InstanceSet([Instance(np.array([0, 1]))]))
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_shorter_rewrite_leaves_only_the_manifests_mask_files(tmp_path):

@@ -227,9 +227,9 @@ def _lexsort_render(spec, pose, positions):
     """Reference splat z-buffer: one (pixel, z, id) entry per pixel each
     visible point's splat covers, a 3-key lexsort, and the first entry of
     every pixel wins. Returns (depth, winner) with 0 / -1 where none does."""
-    model = spec.camera_model
-    h, w = model.height, model.width
-    row, col, z, ok = camera_project(positions, model.intrinsics, pose, (h, w))
+    camera = spec.camera_model
+    h, w = camera.height, camera.width
+    row, col, z, ok = camera_project(positions, camera, pose)
     idx = np.flatnonzero(ok)
     reach = spec.splat_px // 2
     pix, zs, ids = [], [], []
@@ -279,7 +279,7 @@ def _oracle_points(case, model):
 @pytest.mark.parametrize("splat_px", [1, 3, 5, 7, 11])
 @pytest.mark.parametrize("case", ["mixed", "behind"])
 def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
-    model = synth.CameraModel(width=12, height=9, fx=10.0, fy=10.0, cx=5.5, cy=4.0)
+    model = scene_io.CameraModel(width=12, height=9, fx=10.0, fy=10.0, cx=5.5, cy=4.0)
     spec = synth.SynthSpec(camera_model=model, splat_px=splat_px, feature_dim=2)
     pose = np.eye(4)
     positions = _oracle_points(case, model)
@@ -300,7 +300,7 @@ def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
         assert not depth.any() and visible == set()
     else:
         # the case holds z ties in view and a point at every corner
-        ok = camera_project(positions, model.intrinsics, pose, depth.shape)[3]
+        ok = camera_project(positions, model, pose)[3]
         assert ok[n - 60:].any()
         assert (winner[[0, 0, -1, -1], [0, -1, 0, -1]] >= 0).all()
 
@@ -321,4 +321,4 @@ def test_splat_px_must_be_a_positive_odd_integer(splat_px, tmp_path, capsys):
                                           ("fx", 0.0), ("fx", -140.0), ("fy", float("nan"))])
 def test_camera_model_ranges_are_checked(field, value):
     with pytest.raises(ValueError, match=field):
-        synth.CameraModel(**{field: value})
+        scene_io.CameraModel(**{field: value})
