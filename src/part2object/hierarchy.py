@@ -358,10 +358,22 @@ _HIERARCHY_FIELDS = {"schema": str, "n_points": int, "layers": list, "merge_log"
 _LOG_FIELDS = {"accepted": list, "rejected_stop": list, "n_candidates": int}
 
 
+def _layer_from_dict(layer, t, where):
+    """Layer t's id arrays; FormatError unless each id is a JSON integer."""
+    key, where = "children" if t else "points", f"{where}: hierarchy layer {t}"
+    sets = [check_fields(c, {key: list}, where, "cluster")[key]
+            for c in check_fields(layer, {"clusters": list}, where, "layer")["clusters"]]
+    for k, ids in enumerate(sets):
+        if not all(type(v) is int for v in ids):  # not a bool, a float or a list
+            raise FormatError(f"{where}: set {k} is not a flat array of integer ids")
+    return [np.asarray(ids) for ids in sets]
+
+
 def hierarchy_from_dict(data, where="hierarchy"):
     """Hierarchy from hierarchy_to_dict output; FormatError, prefixed by
-    `where` (the file), unless n_points is a JSON integer, every layer
-    partitions the one below it (layer 0: the n_points point ids), and
+    `where` (the file), unless n_points is a JSON integer, each of the one or
+    more layers is {"clusters": [{"points" (layer 0) or "children": ids}]}
+    and partitions the one below it (layer 0: the n_points point ids), and
     merge_log holds one entry per layer after the first, entry t with
     n_candidates a JSON integer >= 0 and each accepted and rejected_stop item
     a pair [i, j] of JSON integers, 0 <= i < j < layer t's cluster count."""
@@ -370,14 +382,12 @@ def hierarchy_from_dict(data, where="hierarchy"):
         raise FormatError(f"{where}: unsupported hierarchy schema {data.get('schema')!r}")
     try:
         n_points = data["n_points"]
-        layers = [[np.asarray(c["points"]) for c in data["layers"][0]["clusters"]]]
-        layers += [[np.asarray(c["children"]) for c in layer["clusters"]]
-                   for layer in data["layers"][1:]]
+        if not data["layers"]:
+            raise FormatError(f"{where}: a hierarchy holds at least one layer")
+        layers = [_layer_from_dict(layer, t, where) for t, layer in enumerate(data["layers"])]
         logs = [check_fields(log, _LOG_FIELDS, where, "merge_log entry")
                 for log in data["merge_log"]]
-    except FormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError: ragged ids
+    except KeyError as exc:
         raise FormatError(f"{where}: malformed hierarchy: {exc!r}") from exc
     for t, layer in enumerate(layers):
         try:

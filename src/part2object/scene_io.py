@@ -17,6 +17,10 @@ always starting with a zero-run (possibly empty).
 Instance manifests are one line per instance, ``<mask file> <kind> <conf>``,
 where the mask file is relative to the manifest and holds one point index per
 line. Loading inverts writing exactly, order preserved.
+
+Each record checks its own fields: _array every array field's dtype, shape
+and finite values, require_finite every float and 3-vector field. The
+loaders check only the bytes.
 """
 
 import json
@@ -49,9 +53,23 @@ KINDS = ("object", "part")
 # domain types
 
 
+def _array(values, dtype, shape, what):
+    """values as a C-contiguous array of dtype, not copied if it is one;
+    FormatError naming `what` unless its shape is shape (None: any length)
+    and, for a float dtype, every value is finite (a NaN passes every range
+    comparison)."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    if array.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, array.shape)):
+        raise FormatError(f"{what} shape {array.shape} != {shape}")
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise FormatError(f"{what} contain{'' if what.endswith('s') else 's'} non-finite values")
+    return array
+
+
 @dataclass
 class SceneCloud:
-    """Surface points with optional colors, normals and per-point features."""
+    """N >= 1 surface points with optional colors, unit normals and per-point
+    feature rows, all float32 arrays of finite values."""
 
     positions: np.ndarray
     colors: np.ndarray | None = None
@@ -59,36 +77,20 @@ class SceneCloud:
     semantic_features: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions = np.ascontiguousarray(self.positions, dtype=np.float32)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3 or self.positions.shape[0] < 1:
-            raise FormatError("positions must be Nx3 with N >= 1")
-        if not np.isfinite(self.positions).all():
-            raise FormatError("positions contain non-finite values")
+        self.positions = _array(self.positions, np.float32, (None, 3), "positions")
         n = self.positions.shape[0]
+        if n < 1:
+            raise FormatError("positions must be Nx3 with N >= 1")
         if self.colors is not None:
-            self.colors = np.ascontiguousarray(self.colors, dtype=np.float32)
-            if self.colors.shape != (n, 3):
-                raise FormatError("colors must match positions")
-            if not np.isfinite(self.colors).all():
-                raise FormatError("colors contain non-finite values")
+            self.colors = _array(self.colors, np.float32, (n, 3), "colors")
         if self.normals is not None:
-            self.normals = np.ascontiguousarray(self.normals, dtype=np.float32)
-            if self.normals.shape != (n, 3):
-                raise FormatError("normals must match positions")
-            # A NaN would pass the unit-length test below.
-            if not np.isfinite(self.normals).all():
-                raise FormatError("normals contain non-finite values")
+            self.normals = _array(self.normals, np.float32, (n, 3), "normals")
             norms = np.linalg.norm(self.normals.astype(np.float64), axis=1)
             if (np.abs(norms - 1.0) > 1e-4).any():
                 raise FormatError("normals must be unit length within 1e-4")
         if self.semantic_features is not None:
-            self.semantic_features = np.ascontiguousarray(self.semantic_features, dtype=np.float32)
-            if self.semantic_features.ndim != 2 or self.semantic_features.shape[0] != n:
-                raise FormatError(
-                    f"feature rows ({self.semantic_features.shape[0]}) != point count ({n})"
-                )
-            if not np.isfinite(self.semantic_features).all():
-                raise FormatError("semantic features contain non-finite values")
+            self.semantic_features = _array(self.semantic_features, np.float32, (n, None),
+                                            "semantic features")
 
     @property
     def n_points(self):
@@ -97,22 +99,16 @@ class SceneCloud:
 
 @dataclass
 class MaskEntry:
-    """One binary 2D mask plus its pooled feature vector."""
+    """One binary 2D mask plus its pooled feature vector (finite, not all zero)."""
 
     bitmap: np.ndarray
     feature: np.ndarray
 
     def __post_init__(self):
-        self.bitmap = np.ascontiguousarray(self.bitmap, dtype=bool)
-        if self.bitmap.ndim != 2:
-            raise FormatError("mask bitmap must be 2D")
+        self.bitmap = _array(self.bitmap, bool, (None, None), "mask bitmap")
         if not self.bitmap.any():
             raise FormatError("mask bitmap has no set pixels")
-        self.feature = np.ascontiguousarray(self.feature, dtype=np.float32)
-        if self.feature.ndim != 1:
-            raise FormatError("mask feature must be a vector")
-        if not np.isfinite(self.feature).all():
-            raise FormatError("mask feature contains non-finite values")
+        self.feature = _array(self.feature, np.float32, (None,), "mask feature")
         if not self.feature.any():
             raise FormatError("mask feature is all zeros")
 
@@ -141,7 +137,8 @@ class CameraModel:
 
 @dataclass
 class FrameObservation:
-    """One posed RGB-D frame: camera, depth map and 2D instance masks."""
+    """One posed RGB-D frame: camera, rigid 4x4 pose (camera to world), depth
+    map and 2D instance masks, each of the camera's (height, width)."""
 
     frame_id: int
     camera: CameraModel
@@ -152,22 +149,14 @@ class FrameObservation:
     def __post_init__(self):
         if self.frame_id < 0:
             raise FormatError("frame_id must be non-negative")
-        self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64)
-        if self.extrinsics.shape != (4, 4):
-            raise FormatError("extrinsics must be 4x4")
-        # A NaN would pass the two pose tests below.
-        if not np.isfinite(self.extrinsics).all():
-            raise FormatError("extrinsics contain non-finite values")
+        self.extrinsics = _array(self.extrinsics, np.float64, (4, 4), "extrinsics")
         if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0), atol=1e-6):
             raise FormatError("extrinsics bottom row must be (0,0,0,1)")
         r = self.extrinsics[:3, :3]
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-4:
             raise FormatError("extrinsics rotation block not orthonormal")
-        self.depth = np.ascontiguousarray(self.depth, dtype=np.float32)
-        if self.depth.shape != (self.camera.height, self.camera.width):
-            raise FormatError(f"depth shape {self.depth.shape} != the camera's (height, width)")
-        if not np.isfinite(self.depth).all():
-            raise FormatError("depth contains non-finite values")
+        self.depth = _array(self.depth, np.float32, (self.camera.height, self.camera.width),
+                            "depth")
         for m in self.masks:
             if m.bitmap.shape != self.depth.shape:
                 raise FormatError("mask bitmap shape differs from depth")
@@ -457,10 +446,11 @@ def check_fields(data, kinds, where, what):
     """The JSON object data, each value checked against kinds (key -> type).
 
     A bool field takes only a JSON boolean, an int field only an integer, a
-    float field any number (returned as a float), a str, list or tuple field
-    a string, an array or an array of 3 numbers, and `X | None` also null. A
-    non-object, an unknown key or a wrongly typed value raises FormatError
-    naming `where` (the file) and `what` or the key.
+    float field any number (returned as a float), a tuple field an array of
+    3 numbers (returned as a tuple of floats), a str or list field a string
+    or an array, and `X | None` also null. A non-object, an unknown key, a
+    wrongly typed value or an integer too large for a float raises
+    FormatError naming `where` (the file) and `what` or the key.
     """
     if not isinstance(data, dict):
         raise FormatError(f"{where}: {what} must be a JSON object")
@@ -473,16 +463,23 @@ def check_fields(data, kinds, where, what):
         if not any(_fits(value, kind) for kind in options):
             raise FormatError(f"{where}: {key}={value!r} is not a JSON "
                               + " or ".join(_JSON_KINDS[kind] for kind in options))
-        out[key] = float(value) if kinds[key] is float else value
+        try:
+            out[key] = (float(value) if kinds[key] is float
+                        else tuple(map(float, value)) if tuple in options and value is not None
+                        else value)
+        except OverflowError:
+            raise FormatError(f"{where}: {key} holds an integer too large for a float") from None
     return out
 
 
 def require_finite(record):
-    """ValueError naming a float field of the dataclass record that is not
-    finite: a NaN passes every range comparison."""
-    for name in (f.name for f in fields(record) if f.type is float):
-        if not math.isfinite(getattr(record, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
+    """ValueError naming a float or 3-vector field (or `X | None` of either) of
+    the dataclass record that is not finite: a NaN passes every range test."""
+    for f in fields(record):
+        kinds, value = get_args(f.type) or (f.type,), getattr(record, f.name)
+        if value is not None and (float in kinds or tuple in kinds):
+            if not all(map(math.isfinite, value if tuple in kinds else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +654,6 @@ def load_instances(path, n_points=None):
                 confidence = float(conf_text)
             except ValueError as exc:
                 raise FormatError(f"bad confidence {conf_text!r}") from exc
-            if not math.isfinite(confidence):
-                raise FormatError("non-finite confidence")
             try:
                 ids = _read_ids(path.parent / rel)
             except ValueError as exc:

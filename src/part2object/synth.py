@@ -8,7 +8,8 @@ shows the nearest z, then the lowest id, over every point whose splat covers
 it. Each visible object contributes one ground-truth mask per frame, so the
 generator doubles as the oracle for the projection, prior and end-to-end tests.
 Every camera is the spec's camera_model, a scene_io.CameraModel, and each
-frame holds that record as its camera.
+frame holds that record as its camera. A spec's records check every float and
+3-vector (scene_io.require_finite), so a NaN is reported under its key.
 
 Everything is a pure function of the spec, including its seed. The frames'
 feature noise is drawn before any frame renders, in camera order, so the
@@ -34,6 +35,9 @@ _NO_ID = np.iinfo(np.int64).max  # the id of a pixel that no point covers
 
 @dataclass
 class SynthObject:
+    """A cuboid or a cylinder (diameter size[0]) at center, turned yaw radians
+    about z; every value finite, each size > 0. A feature overrides the auto one."""
+
     shape: str = "cuboid"
     center: tuple = (0.0, 0.0, 0.0)
     size: tuple = (0.5, 0.5, 0.5)
@@ -44,7 +48,8 @@ class SynthObject:
     def __post_init__(self):
         if self.shape not in ("cuboid", "cylinder"):
             raise ValueError(f"unknown shape {self.shape!r}")
-        if not all(math.isfinite(v) and v > 0 for v in self.size):
+        require_finite(self)
+        if not all(v > 0 for v in self.size):
             raise ValueError(f"size must be finite and > 0, got {list(self.size)}")
         if self.feature is not None:
             try:
@@ -83,8 +88,7 @@ class SynthSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.room is not None:
             lx, ly, wall_h = self.room
-            if not (all(math.isfinite(v) and v > 0 for v in (lx, ly))
-                    and math.isfinite(wall_h) and wall_h >= 0):
+            if not (lx > 0 and ly > 0 and wall_h >= 0):
                 raise ValueError(f"room lengths must be finite and > 0 and its wall height "
                                  f"finite and >= 0, got {list(self.room)}")
 
@@ -221,16 +225,11 @@ def _assign_features(spec, rng):
     basis = q.T  # orthonormal rows
     feats = []
     for k, obj in enumerate(spec.objects):
-        if obj.feature is not None:
-            feat = np.asarray(obj.feature, dtype=np.float64)
-            if feat.shape != (spec.feature_dim,):
-                raise ValueError(
-                    f"object {k}: feature has dim {feat.shape}, "
-                    f"spec.feature_dim is {spec.feature_dim}"
-                )
-            feats.append(feat)
-        else:
-            feats.append(basis[k])
+        feat = basis[k] if obj.feature is None else obj.feature
+        if feat.shape != (spec.feature_dim,):
+            raise ValueError(f"object {k}: feature has dim {feat.shape}, "
+                             f"spec.feature_dim is {spec.feature_dim}")
+        feats.append(feat)
     background = basis[-1]
     if not spec.allow_similar_features:
         for a in range(len(feats)):
@@ -288,7 +287,7 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
     best_z, winner = _lex_min_down(near_z.reshape(h, w).T, near_id.reshape(h, w).T, reach)
     best_z, winner = _lex_min_down(best_z.T, winner.T, reach)
     hit = winner != _NO_ID
-    depth = np.where(hit, best_z, 0.0).astype(np.float32)
+    depth = np.where(hit, best_z, 0.0)
     won_owner = np.where(hit, owner[np.where(hit, winner, 0)], -1)
 
     masks = []
@@ -298,12 +297,9 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
         if not bitmap.any():
             continue
         visible.add(k)
-        masks.append(
-            MaskEntry(bitmap=bitmap, feature=(feat + noise[k]).astype(np.float32))
-        )
-    frame = FrameObservation(frame_id=frame_id, camera=camera, extrinsics=pose, depth=depth,
-                             masks=masks)
-    return frame, visible
+        masks.append(MaskEntry(bitmap=bitmap, feature=feat + noise[k]))
+    return FrameObservation(frame_id=frame_id, camera=camera, extrinsics=pose, depth=depth,
+                            masks=masks), visible
 
 
 def generate(spec):
@@ -352,12 +348,8 @@ def generate(spec):
     # owner -1, the background, picks the table's last row
     features = np.vstack(feats + [bg_feat])[owner] + noise
 
-    cloud = SceneCloud(
-        positions=positions.astype(np.float32),
-        colors=colors.astype(np.float32),
-        normals=normals.astype(np.float32),
-        semantic_features=features.astype(np.float32),
-    )
+    cloud = SceneCloud(positions=positions, colors=colors, normals=normals,
+                       semantic_features=features)
     del noise, features  # the cloud holds float32 copies; free these before frames render
 
     gt = InstanceSet(

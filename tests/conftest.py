@@ -1,10 +1,26 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from part2object import parallel, synth
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(argv, env=None, **kwargs):
+    """subprocess.run of this Python with argv, and src first on the child's
+    PYTHONPATH (taken from env, or this process's environment), so that a
+    checkout imports part2object without installing it."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, **kwargs)
 
 
 @pytest.fixture(autouse=True)

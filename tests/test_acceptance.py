@@ -6,8 +6,6 @@ loops) of the documented contracts.
 """
 
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -17,7 +15,7 @@ import pytest
 from part2object import evaluation, hierarchy, objectness, scene_io, superpoints, synth
 from part2object.features import point_norms
 
-from conftest import points_in_box, spec_json, three_block_spec
+from conftest import points_in_box, run_python, spec_json, three_block_spec
 from test_evaluation import instset, oracle_ap
 from test_features import fuse, fuse_oracle
 from test_hierarchy import box_priors, brute_accepted
@@ -311,21 +309,15 @@ def test_c8_cli_run_is_deterministic_and_fast(tmp_path):
     scene = tmp_path / "scene"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec_json(spec))
-    subprocess.run(
-        [sys.executable, "-m", "part2object", "synth", "--spec", str(spec_path),
-         "--out", str(scene)],
-        check=True,
-    )
+    run_python(["-m", "part2object", "synth", "--spec", str(spec_path), "--out", str(scene)],
+               check=True)
     cloud = scene_io.load_scene(scene)
     assert cloud.n_points >= 50_000, f"scene has only {cloud.n_points} points"
 
     def run(out):
         t0 = time.monotonic()
-        subprocess.run(
-            [sys.executable, "-m", "part2object", "run", "--scene", str(scene),
-             "--out", str(out), "--min-object-points", "30"],
-            check=True,
-        )
+        run_python(["-m", "part2object", "run", "--scene", str(scene), "--out", str(out),
+                    "--min-object-points", "30"], check=True)
         return time.monotonic() - t0
 
     t_a = run(tmp_path / "a")

@@ -5,8 +5,6 @@ import math
 import os
 import re
 import shutil
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,7 +17,7 @@ from part2object.evaluation import evaluate_multi
 from part2object.hierarchy import MergeParams
 from part2object.objectness import MatchParams
 from part2object.superpoints import SuperpointParams
-from conftest import spec_json, three_block_spec
+from conftest import run_python, spec_json, three_block_spec
 
 
 @pytest.fixture(scope="module")
@@ -532,8 +530,8 @@ def test_eval_with_out_of_range_point_id_is_bad_input(tmp_path):
     (tmp_path / "m.txt").write_text("99999999999999999999\n")
     for name in ("p.txt", "g.txt"):
         (tmp_path / name).write_text("m.txt object 1.0\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "part2object", "eval", "--pred", str(tmp_path / "p.txt"),
+    proc = run_python(
+        ["-m", "part2object", "eval", "--pred", str(tmp_path / "p.txt"),
          "--gt", str(tmp_path / "g.txt"), "--out", str(tmp_path / "r.json")],
         capture_output=True, text=True,
     )
@@ -678,10 +676,7 @@ def test_run_writes_exactly_the_artifacts_the_readme_lists(scene_dir, tmp_path):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "part2object", "info"],
-        capture_output=True, text=True,
-    )
+    proc = run_python(["-m", "part2object", "info"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "P2O1" in proc.stdout
 
@@ -1008,8 +1003,7 @@ def test_default_run_writes_the_documented_effective_config(scene_dir, tmp_path)
 
 def run_p2o(*argv):
     env = {k: v for k, v in os.environ.items() if k != "P2O_LOG"}
-    return subprocess.run([sys.executable, "-m", "part2object", *argv],
-                          capture_output=True, text=True, env=env)
+    return run_python(["-m", "part2object", *argv], env=env, capture_output=True, text=True)
 
 
 def test_a_bad_tunable_is_one_stderr_line(scene_dir, tmp_path):
@@ -1286,11 +1280,48 @@ def _manifest_not_utf8(scene, frames, n):
             f"error: {p}: {NOT_UTF8}")
 
 
+# An integer of 401 digits: JSON holds it, a float cannot.
+HUGE = int("1" + "0" * 400)
+
+
+def _huge_config_float(scene, frames, n):
+    cfg = scene / "c.json"
+    cfg.write_text(json.dumps({"T": HUGE}))
+    return (["extract", "--hierarchy", scene / "h.json", "--objects", scene / "o.txt",
+             "--parts", scene / "p.txt", "--config", cfg], cli.EXIT_BAD_INPUT,
+            f"error: {cfg}: T holds an integer too large for a float")
+
+
+def _huge_cam_float(scene, frames, n):
+    edit_cam(frames / "frame_0.cam", lambda cam: cam.update(fx=HUGE))
+    return (priors_argv(scene, frames), cli.EXIT_BAD_INPUT,
+            f"error: {frames / 'frame_0.cam'}: fx holds an integer too large for a float")
+
+
+def non_finite_object_value(scene, key, value, shown):
+    spec = scene / "spec.json"
+    spec.write_text(json.dumps({"objects": [{key: value}]}))
+    return (["synth", "--spec", spec, "--out", scene / "synth"], cli.EXIT_BAD_INPUT,
+            f"error: {spec}: objects[0]: {key} must be finite, got {shown}")
+
+
+def _nan_yaw(scene, frames, n):
+    return non_finite_object_value(scene, "yaw", math.nan, "nan")
+
+
+def _nan_center(scene, frames, n):
+    return non_finite_object_value(scene, "center", [0.0, math.nan, 0.0], "(0.0, nan, 0.0)")
+
+
+def _inf_color(scene, frames, n):
+    return non_finite_object_value(scene, "color", [0.5, 0.5, math.inf], "(0.5, 0.5, inf)")
+
+
 @pytest.mark.parametrize("case", [
     _points_truncated, _feature_rows, _cam_without_fx, _rle_total, _non_orthonormal,
     _nan_pose, _nan_voxel_size, _nan_depth, _mask_dims, _id_at_n, _id_of_20_digits, _negative_id,
     _config_not_utf8, _cam_not_utf8, _priors_not_utf8, _hierarchy_not_utf8, _spec_not_utf8,
-    _manifest_not_utf8,
+    _manifest_not_utf8, _huge_config_float, _huge_cam_float, _nan_yaw, _nan_center, _inf_color,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_golden_error_lines(case, scene_dir, scene_points, tmp_path):
     scene, frames = tmp_path / "scene", tmp_path / "frames"

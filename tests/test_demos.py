@@ -2,12 +2,11 @@
 to completion; the package top level, which the quickstart does not import from, binds
 only __version__."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,11 +17,7 @@ def test_demos_are_found():
 
 
 def run_with_src(argv, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return run_python(argv, cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -952,6 +953,33 @@ def test_run_hierarchy_rejects_layer0_that_does_not_partition(mutation):
         sets.append([])
     with pytest.raises(ValueError):
         hi.run_hierarchy(sets, make_cloud(pos, feats), [], hi.MergeParams())
+
+
+@pytest.mark.parametrize("mutation", ["boolean_id", "cluster_key", "layer_key"])
+def test_hierarchy_from_dict_reads_ids_and_keys_as_other_json_readers_do(mutation):
+    # Each mutation leaves a partition that would load if it were not caught.
+    from part2object.errors import FormatError
+
+    h, _params = carry_forward_row_hierarchy()
+    data = hi.hierarchy_to_dict(h)
+    for t in range(len(data["layers"])):
+        broken = json.loads(json.dumps(data))
+        layer = broken["layers"][t]
+        key = "points" if t == 0 else "children"
+        k = next(k for k, c in enumerate(layer["clusters"]) if 1 in c[key])
+        if mutation == "boolean_id":
+            # JSON true is 1 in a numpy id array.
+            ids = layer["clusters"][k][key]
+            ids[ids.index(1)] = True
+            message = f"set {k} is not a flat array of integer ids"
+        elif mutation == "cluster_key":
+            layer["clusters"][k]["extra"] = 1
+            message = "unknown cluster keys ['extra']"
+        else:
+            layer["extra"] = 1
+            message = "unknown layer keys ['extra']"
+        with pytest.raises(FormatError, match=re.escape(f"h.json: hierarchy layer {t}: {message}")):
+            hi.hierarchy_from_dict(broken, "h.json")
 
 
 @pytest.mark.parametrize("mutation", ["overlap", "gap", "out_of_range", "empty"])

@@ -1,15 +1,14 @@
 import os
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import part2object
 from part2object import parallel
 from part2object.parallel import thread_map
+
+from conftest import run_python
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
@@ -134,11 +133,9 @@ def test_the_budget_is_idle_again_after_a_block_raises(monkeypatch):
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
 def test_import_pins_openblas_to_one_thread_unless_set(user_value, expected):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(part2object.__file__).parents[1])
     if user_value is not None:
         env["OPENBLAS_NUM_THREADS"] = user_value
     code = "import os, part2object; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    proc = run_python(["-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected

@@ -1,6 +1,9 @@
 import json
+import math
 import re
 import shutil
+from dataclasses import fields
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from scipy.spatial import cKDTree
 from conftest import bits_equal, three_block_spec
 from part2object import parallel, scene_io, spatial, synth
 from part2object.errors import FormatError
+from part2object.hierarchy import MergeParams
+from part2object.objectness import MatchParams
+from part2object.superpoints import SuperpointParams
 from part2object.scene_io import (
     CameraModel,
     FrameObservation,
@@ -509,8 +515,7 @@ def test_intrinsics_must_be_finite_with_positive_focal_lengths(row, col, value, 
 
 
 def test_a_frame_is_as_large_as_its_camera():
-    with pytest.raises(FormatError, match=re.escape(
-            "depth shape (8, 10) != the camera's (height, width)")):
+    with pytest.raises(FormatError, match=re.escape("depth shape (8, 10) != (10, 8)")):
         FrameObservation(frame_id=0, camera=CameraModel(width=8, height=10),
                          extrinsics=np.eye(4), depth=np.ones((8, 10), dtype=np.float32))
 
@@ -713,7 +718,7 @@ def manifest_fault(line, mask, kind, message):
 @pytest.mark.parametrize("line, mask, message", [
     manifest_fault("m.txt object", "1\n", "FormatError", "expected 3 fields, got 2"),
     manifest_fault("m.txt object x", "1\n", "FormatError", "bad confidence 'x'"),
-    manifest_fault("m.txt object nan", "1\n", "FormatError", "non-finite confidence"),
+    manifest_fault("m.txt object nan", "1\n", "FormatError", "confidence must be in [0, 1]"),
     manifest_fault("m.txt object 1.5", "1\n", "FormatError", "confidence must be in [0, 1]"),
     manifest_fault("m.txt chair 1.0", "1\n", "FormatError",
                    "kind must be one of ('object', 'part')"),
@@ -872,3 +877,62 @@ def test_instance_requires_sorted_unique_ids():
         Instance(np.array([5, 3]))
     with pytest.raises(FormatError, match="^negative point index$"):
         Instance(np.array([-1, 3]))
+
+
+def kinds(field):
+    """The types a dataclass field takes: X, or each of X | Y."""
+    return get_args(field.type) or (field.type,)
+
+
+# Every float and tuple-of-float field of every record that require_finite
+# checks: a field added later is covered here without a new case.
+FINITE_FIELDS = [pytest.param(cls, f.name, tuple in kinds(f), id=f"{cls.__name__}.{f.name}")
+                 for cls in (SuperpointParams, MatchParams, MergeParams, CameraModel,
+                             synth.SynthSpec, synth.SynthObject)
+                 for f in fields(cls) if {float, tuple} & set(kinds(f))]
+
+
+@pytest.mark.parametrize("cls, name, is_tuple", FINITE_FIELDS)
+def test_every_float_field_of_a_record_must_be_finite(cls, name, is_tuple):
+    value = (1.0, math.nan, 1.0) if is_tuple else math.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {re.escape(str(value))}$"):
+        cls(**{name: value})
+
+
+def valid_arrays():
+    """Keyword arguments of one valid SceneCloud, MaskEntry and FrameObservation."""
+    bitmap = np.zeros((4, 5), dtype=bool)
+    bitmap[1, 2] = True
+    return {
+        SceneCloud: dict(positions=np.zeros((3, 3)), colors=np.zeros((3, 3)),
+                         normals=np.tile((0.0, 0.0, 1.0), (3, 1)),
+                         semantic_features=np.ones((3, 2))),
+        MaskEntry: dict(bitmap=bitmap, feature=np.ones(4)),
+        FrameObservation: dict(frame_id=0, camera=CameraModel(width=5, height=4),
+                               extrinsics=np.eye(4), depth=np.ones((4, 5))),
+    }
+
+
+# Every array field of the three records, with each fault it can hold: a
+# float array a NaN or an infinity, and any array a wrong shape.
+ARRAY_FAULTS = [pytest.param(cls, f.name, fault, id=f"{cls.__name__}.{f.name}-{fault}")
+                for cls, kwargs in valid_arrays().items()
+                for f in fields(cls) if np.ndarray in kinds(f)
+                for fault in (("nan", "inf", "-inf") if kwargs[f.name].dtype.kind == "f" else ())
+                + ("shape",)]
+
+
+@pytest.mark.parametrize("cls, name, fault", ARRAY_FAULTS)
+def test_every_array_field_of_a_record_is_checked(cls, name, fault):
+    kwargs = valid_arrays()[cls]
+    cls(**kwargs)  # valid as given
+    value = kwargs[name].copy()
+    if fault == "shape":
+        value = value[..., None]
+    else:
+        value.flat[-1] = float(fault)
+    kwargs[name] = value
+    what = name.replace("_", " ")
+    with pytest.raises(FormatError, match=f"{what} shape .* != " if fault == "shape"
+                       else f"{what} contains? non-finite values$"):
+        cls(**kwargs)
