@@ -11,6 +11,9 @@ Projection is split in two: each frame that shows a surviving track is
 projected and depth-tested once (``visible_points``), and each of its masks
 then only indexes its flattened bitmap at those visible pixels. The frames
 are projected one after another in the calling thread, in frame order.
+``camera_project`` walks the cloud in fixed-size blocks and returns only the
+points that land in the image, so a frame never holds a whole-cloud
+temporary, and its small matrix products stay in the calling thread.
 
 MatchParams is the one definition of this stage's tunables: the matching
 threshold tau, the projection's depth_tol, and the min_track_frames /
@@ -92,59 +95,80 @@ def propagate_sameness(nodes, edges):
 
 # Values per row of camera_project's subtraction: 256 points.
 _ROW = 768
+# Points per block of camera_project, a multiple of _ROW // 3. A block's
+# (_BLOCK, 3) @ (3, 3) product stays under OpenBLAS's 2**18 multiply-adds, so
+# it runs in the calling thread even when numpy was imported before the
+# package's OpenBLAS pin; smaller blocks spend more time holding the
+# interpreter lock.
+_BLOCK = 28672
 
 
 def camera_project(positions, camera, extrinsics):
     """Project world points to pixels of a scene_io.CameraModel, nearest-pixel.
 
-    Returns (row, col, depth, in_image); row/col are int64 and only
-    meaningful where in_image is set, which requires positive camera-space
-    depth and a pixel inside the camera's image. Extrinsics are camera-to-world.
+    Returns (ids, flat, depth) for the points that land in the image: their
+    ascending ids, their flat pixel indices row * width + col (int64) and
+    their camera-space depths, each positive. Extrinsics are camera-to-world.
 
-    Each pixel coordinate is computed in one buffer, in place, in the order
+    The points are projected in blocks of _BLOCK, so the call holds a few
+    block-sized buffers besides its result. Within a block each pixel
+    coordinate is computed in one buffer, in place, in the order
     floor(f * x / z + c + 0.5), and the bounds are checked on the floored
-    floats: fresh whole-cloud temporaries cost more than the arithmetic.
-    The camera position is subtracted over rows of _ROW values, a tiled copy
-    per row, so numpy runs one long loop per row, not a length-3 loop per
-    point; each difference is the same float as the broadcast's.
+    floats. The camera position is subtracted over rows of _ROW values, a
+    tiled copy per row, so numpy runs one long loop per row, not a length-3
+    loop per point; each difference is the same float as the broadcast's,
+    and each row of the product the same as the whole cloud's.
     """
     ext = np.asarray(extrinsics, dtype=np.float64)
     pos = np.asarray(positions)
-    rel = np.empty(pos.shape, dtype=np.float64)
-    full = pos.shape[0] - pos.shape[0] % (_ROW // 3)
-    np.subtract(pos[:full].reshape(-1, _ROW), np.tile(ext[:3, 3], _ROW // 3),
-                out=rel[:full].reshape(-1, _ROW), dtype=np.float64)
-    np.subtract(pos[full:], ext[:3, 3], out=rel[full:], dtype=np.float64)
-    cam = rel @ ext[:3, :3]
-    z = cam[:, 2]
-    # Points at or behind the camera divide by z <= 0; in_image drops them.
-    with np.errstate(all="ignore"):
-        col = np.multiply(cam[:, 0], camera.fx)
-        row = np.multiply(cam[:, 1], camera.fy)
-        for px, centre in ((col, camera.cx), (row, camera.cy)):
-            px /= z
-            px += centre
-            px += 0.5
-            np.floor(px, out=px)
-        ok = z > 0.0
-        ok &= (col >= 0.0) & (col < camera.width) & (row >= 0.0) & (row < camera.height)
-        return row.astype(np.int64), col.astype(np.int64), z, ok
+    n = pos.shape[0]
+    rel = np.empty((min(n, _BLOCK), 3), dtype=np.float64)
+    cam, col, row = np.empty_like(rel), np.empty(len(rel)), np.empty(len(rel))
+    shift = np.tile(ext[:3, 3], _ROW // 3)
+    ids, flat, depth = [], [], []
+    for start in range(0, max(n, 1), _BLOCK):  # one empty block for no points
+        block = pos[start:start + _BLOCK]
+        m = block.shape[0]
+        full = m - m % (_ROW // 3)
+        np.subtract(block[:full].reshape(-1, _ROW), shift,
+                    out=rel[:full].reshape(-1, _ROW), dtype=np.float64)
+        np.subtract(block[full:], ext[:3, 3], out=rel[full:m], dtype=np.float64)
+        np.matmul(rel[:m], ext[:3, :3], out=cam[:m])
+        z = cam[:m, 2]
+        # Points at or behind the camera divide by z <= 0; ok drops them.
+        with np.errstate(all="ignore"):
+            ok = z > 0.0
+            for px, axis, f, centre, size in ((col, 0, camera.fx, camera.cx, camera.width),
+                                               (row, 1, camera.fy, camera.cy, camera.height)):
+                px = np.multiply(cam[:m, axis], f, out=px[:m])
+                px /= z
+                px += centre
+                px += 0.5
+                np.floor(px, out=px)
+                ok &= px >= 0.0
+                ok &= px < size
+        hit = np.flatnonzero(ok)
+        pixel = row[hit]
+        pixel *= camera.width
+        pixel += col[hit]
+        ids.append(hit + start)
+        flat.append(pixel.astype(np.int64))
+        depth.append(z[hit])
+    return np.concatenate(ids), np.concatenate(flat), np.concatenate(depth)
 
 
 def visible_points(cloud, frame, depth_tol=MatchParams.depth_tol):
     """Point ids that frame sees, ascending, with their flat pixel indices.
 
-    A point is visible when it is in front of the camera, projects inside the
-    image, and agrees with the rendered depth at its pixel within depth_tol (a
-    zero depth pixel never matches). Its flat index is row * width + col, so
-    any (height, width) image of the frame reads it as image.ravel()[flat].
+    A point is visible when camera_project puts it in the image and it agrees
+    with the rendered depth at its pixel within depth_tol (a zero depth pixel
+    never matches). Its flat index is row * width + col, so any
+    (height, width) image of the frame reads it as image.ravel()[flat].
     """
-    row, col, z, ok = camera_project(cloud.positions, frame.camera, frame.extrinsics)
-    idx = np.flatnonzero(ok)
-    flat = row[idx] * frame.camera.width + col[idx]
+    ids, flat, z = camera_project(cloud.positions, frame.camera, frame.extrinsics)
     d = frame.depth.ravel()[flat].astype(np.float64)
-    good = (d > 0.0) & (np.abs(z[idx] - d) <= depth_tol)
-    return idx[good], flat[good]
+    good = (d > 0.0) & (np.abs(z - d) <= depth_tol)
+    return ids[good], flat[good]
 
 
 def project_mask_points(frame, mask_index, visible):

@@ -58,7 +58,7 @@ def _array(values, dtype, shape, what):
     FormatError naming `what` unless its shape is shape (None: any length)
     and, for a float dtype, every value is finite (a NaN passes every range
     comparison)."""
-    array = np.ascontiguousarray(values, dtype=dtype)
+    array = np.asarray(values, dtype=dtype, order="C")  # a scalar stays 0-d
     if array.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, array.shape)):
         raise FormatError(f"{what} shape {array.shape} != {shape}")
     if array.dtype.kind == "f" and not np.isfinite(array).all():

@@ -9,7 +9,8 @@ it. Each visible object contributes one ground-truth mask per frame, so the
 generator doubles as the oracle for the projection, prior and end-to-end tests.
 Every camera is the spec's camera_model, a scene_io.CameraModel, and each
 frame holds that record as its camera. A spec's records check every float and
-3-vector (scene_io.require_finite), so a NaN is reported under its key.
+3-vector (scene_io.require_finite) and an object's feature (scene_io._array),
+so a NaN is reported under its key.
 
 Everything is a pure function of the spec, including its seed. The frames'
 feature noise is drawn before any frame renders, in camera order, so the
@@ -26,7 +27,7 @@ import numpy as np
 from . import parallel
 from .objectness import camera_project
 from .scene_io import (CameraModel, FrameObservation, Instance, InstanceSet, MaskEntry,
-                       SceneCloud, check_fields, require_finite)
+                       SceneCloud, _array, check_fields, require_finite)
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +37,8 @@ _NO_ID = np.iinfo(np.int64).max  # the id of a pixel that no point covers
 @dataclass
 class SynthObject:
     """A cuboid or a cylinder (diameter size[0]) at center, turned yaw radians
-    about z; every value finite, each size > 0. A feature overrides the auto one."""
+    about z; every value finite, each size > 0. A feature, a vector of finite
+    numbers, overrides the auto one."""
 
     shape: str = "cuboid"
     center: tuple = (0.0, 0.0, 0.0)
@@ -57,6 +59,7 @@ class SynthObject:
             except (TypeError, ValueError):
                 raise ValueError(f"feature must be an array of numbers, got "
                                  f"{self.feature!r}") from None
+            self.feature = _array(self.feature, np.float64, (None,), "feature")
 
 
 @dataclass
@@ -271,16 +274,12 @@ def _render_frame(spec, frame_id, pose, positions, owner, object_feats, noise):
     """
     camera = spec.camera_model
     h, w = camera.height, camera.width
-    row, col, z, ok = camera_project(positions, camera, pose)
-
-    idx = np.flatnonzero(ok)
-    pix = row[idx] * w + col[idx]
-    zs = z[idx]
+    ids, pix, zs = camera_project(positions, camera, pose)
     near_z = np.full(h * w, np.inf)
     np.minimum.at(near_z, pix, zs)
     tie = zs == near_z[pix]
     near_id = np.full(h * w, _NO_ID)
-    np.minimum.at(near_id, pix[tie], idx[tie])
+    np.minimum.at(near_id, pix[tie], ids[tie])
 
     reach = spec.splat_px // 2
     # along the rows (down the columns of the transpose), then down the columns

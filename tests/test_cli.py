@@ -932,6 +932,9 @@ def test_config_values_are_checked_not_coerced(text, scene_dir, tmp_path, capsys
     ({"objects": [{}], "room": [-4, 4, 1]}, "room"),
     ({"objects": [{}], "room": [0, 0, 0]}, "room"),
     ({"camera_model": {"cx": math.nan}}, "cx must be finite"),
+    ({"objects": [{"feature": [math.nan, 1.0] + [0.0] * 14}]},
+     "objects[0]: feature contains non-finite values"),
+    ({"objects": [{"feature": 5.0}], "feature_dim": 1}, "objects[0]: feature shape () != (None,)"),
 ])
 def test_synth_spec_values_are_checked_not_coerced(spec, key, tmp_path, capsys):
     path = tmp_path / "spec.json"

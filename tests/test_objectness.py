@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,15 +312,15 @@ def reference_camera_project(positions, camera, extrinsics):
 
 
 def assert_same_projection(positions, camera, extrinsics):
-    """camera_project equals the reference wherever the contract holds it."""
+    """camera_project returns the points the reference puts in the image,
+    with the reference's pixels and depths; returns the reference's mask."""
     want_row, want_col, want_z, want_ok = reference_camera_project(positions, camera, extrinsics)
-    row, col, z, ok = ob.camera_project(positions, camera, extrinsics)
-    assert row.dtype == col.dtype == np.int64
-    assert np.array_equal(ok, want_ok)
-    assert np.array_equal(z, want_z)
-    assert np.array_equal(row[ok], want_row[ok])
-    assert np.array_equal(col[ok], want_col[ok])
-    return ok
+    ids, flat, z = ob.camera_project(positions, camera, extrinsics)
+    assert ids.dtype == flat.dtype == np.int64 and z.dtype == np.float64
+    assert np.array_equal(ids, np.flatnonzero(want_ok))
+    assert np.array_equal(flat, want_row[ids] * camera.width + want_col[ids])
+    assert z.tobytes() == want_z[ids].tobytes()
+    return want_ok
 
 
 def test_camera_project_equals_reference_on_random_cameras():
@@ -345,9 +346,11 @@ def test_camera_project_equals_reference_on_random_cameras():
     assert behind and inside and outside
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000,
+                               ob._BLOCK - 1, ob._BLOCK, ob._BLOCK + 1])
 def test_camera_project_subtracts_as_the_broadcast(n):
-    # the subtraction runs over rows of 256 points plus a tail
+    # the subtraction runs over rows of 256 points plus a tail, in blocks
+    # of _BLOCK points; float32, float64 and a strided float64 view
     rng = np.random.default_rng(n)
     camera = CameraModel(fx=30.0, fy=30.0, cx=20.0, cy=15.0, width=40, height=30)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -357,8 +360,8 @@ def test_camera_project_subtracts_as_the_broadcast(n):
     wide = rng.uniform(-3, 3, (n, 4))
     for positions in (wide[:, :3].astype(np.float32), wide[:, :3], np.ascontiguousarray(wide[:, 1:])):
         cam = np.subtract(positions, extrinsics[:3, 3], dtype=np.float64) @ extrinsics[:3, :3]
-        _, _, z, _ = ob.camera_project(positions, camera, extrinsics)
-        assert np.array_equal(z, cam[:, 2])
+        ids, _, z = ob.camera_project(positions, camera, extrinsics)
+        assert z.tobytes() == cam[ids, 2].tobytes()
         assert_same_projection(positions, camera, extrinsics)
 
 
@@ -385,8 +388,31 @@ def test_camera_project_edges():
         for pos in (world, world.astype(np.float32)):
             ok = assert_same_projection(pos, camera, extrinsics)
             assert ok.tolist() == [True, False, True, False, False, False, False, False, True]
-    row, col, _, _ = ob.camera_project(positions, camera, np.eye(4))
-    assert (row[[0, 2, 8]].tolist(), col[[0, 2, 8]].tolist()) == ([8, 0, 8], [0, 8, 8])
+    ids, flat, _ = ob.camera_project(positions, camera, np.eye(4))
+    # (row, col) = (8, 0), (0, 8) and (8, 8)
+    assert (ids.tolist(), flat.tolist()) == ([0, 2, 8], [8 * w, 8, 8 * w + 8])
+
+
+def test_camera_project_holds_little_beyond_its_result():
+    # About half of 300k float32 points land in the image. The whole-cloud
+    # arrays of a projection (float64 copies, pixel coordinates, masks) would
+    # take about 80 bytes a point; the result takes 24 per point in the image.
+    rng = np.random.default_rng(31)
+    camera = CameraModel(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    n = 300_000
+    z = rng.uniform(0.5, 4.0, n)
+    u = rng.uniform(-0.2, 1.2, n) * camera.width
+    v = rng.uniform(-0.2, 1.2, n) * camera.height
+    positions = np.column_stack(((u - camera.cx) * z / camera.fx,
+                                 (v - camera.cy) * z / camera.fy, z)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        ids, _, _ = ob.camera_project(positions, camera, np.eye(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.4 * n < ids.size < 0.6 * n
+    assert peak < 40 * n + (4 << 20)
 
 
 def reference_project_mask_points(cloud, frame, mask_index, depth_tol):
@@ -458,9 +484,9 @@ def random_tracking_scene(rng, h=12, w=16):
         extrinsics = np.eye(4)
         extrinsics[:3, :3] = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
         extrinsics[:3, 3] = rng.uniform(-0.2, 0.2, 3)
-        row, col, z, ok = ob.camera_project(positions, camera, extrinsics)
+        _, flat, z = ob.camera_project(positions, camera, extrinsics)
         depth = np.full(h * w, np.inf)
-        np.minimum.at(depth, row[ok] * w + col[ok], z[ok])
+        np.minimum.at(depth, flat, z)
         depth[np.isinf(depth)] = 0.0
         depth[rng.random(h * w) < 0.15] = 0.0
         off = rng.random(h * w) < 0.1
@@ -545,7 +571,7 @@ def test_build_tracks_equals_per_member_projection(monkeypatch):
             seen["all_false"] += any(not m.bitmap.any() for f in frames for m in f.masks)
             seen["zero_depth"] += any((f.depth == 0).any() for f in frames)
             for f in frames:
-                _, _, z, _ = ob.camera_project(cloud.positions, f.camera, f.extrinsics)
+                z = reference_camera_project(cloud.positions, f.camera, f.extrinsics)[2]
                 seen["behind"] += bool((z <= 0).any())
                 if len(f.masks) > 1:
                     stack = np.stack([m.bitmap for m in f.masks])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from part2object import cli, parallel, scene_io, synth
+from part2object import cli, objectness, parallel, scene_io, synth
 from part2object.objectness import camera_project, project_mask_points, visible_points
 from conftest import spec_json, three_block_spec
 
@@ -229,16 +229,16 @@ def _lexsort_render(spec, pose, positions):
     every pixel wins. Returns (depth, winner) with 0 / -1 where none does."""
     camera = spec.camera_model
     h, w = camera.height, camera.width
-    row, col, z, ok = camera_project(positions, camera, pose)
-    idx = np.flatnonzero(ok)
+    idx, flat, z = camera_project(positions, camera, pose)
+    row, col = np.divmod(flat, w)
     reach = spec.splat_px // 2
     pix, zs, ids = [], [], []
     for dr in range(-reach, reach + 1):
         for dc in range(-reach, reach + 1):
-            r, c = row[idx] + dr, col[idx] + dc
+            r, c = row + dr, col + dc
             good = (r >= 0) & (r < h) & (c >= 0) & (c < w)
             pix.append(r[good] * w + c[good])
-            zs.append(z[idx][good])
+            zs.append(z[good])
             ids.append(idx[good])
     pix, zs, ids = (np.concatenate(a) for a in (pix, zs, ids))
     depth = np.zeros(h * w, dtype=np.float32)
@@ -300,9 +300,26 @@ def test_render_matches_the_lexsort_splat_oracle(case, splat_px):
         assert not depth.any() and visible == set()
     else:
         # the case holds z ties in view and a point at every corner
-        ok = camera_project(positions, model, pose)[3]
-        assert ok[n - 60:].any()
+        ids = camera_project(positions, model, pose)[0]
+        assert (ids >= n - 60).any()
         assert (winner[[0, 0, -1, -1], [0, -1, 0, -1]] >= 0).all()
+
+
+@pytest.mark.parametrize("block", [256, 257, 1000])
+def test_projection_bits_do_not_depend_on_the_block_size(block, monkeypatch):
+    spec = three_block_spec(room=(4.0, 4.0, 1.0), points_per_m2=600.0)
+
+    def projected():
+        scene = synth.generate(spec)
+        cloud, _, frames = scene
+        return cloud.n_points, _scene_bytes(scene), [
+            [a.tobytes() for a in camera_project(cloud.positions, f.camera, f.extrinsics)]
+            + [a.tobytes() for a in visible_points(cloud, f, 0.05)] for f in frames]
+
+    want = projected()
+    assert block * 10 < want[0] <= objectness._BLOCK  # one block by default, many here
+    monkeypatch.setattr(objectness, "_BLOCK", block)
+    assert projected() == want
 
 
 @pytest.mark.parametrize("splat_px", [0, 2, 4, -1, 3.0, True, "3"])
